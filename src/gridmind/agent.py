@@ -16,10 +16,11 @@ from .affect import (InterruptKind, SelfMode, check_interrupts, depression_gate,
                      release_depression, self_evaluate, threat_event,
                      tick_depression)
 from .planning import IntentionStatus, commit, plan_frustration, suggest_goals
-from .replay import Experience, ReplayBuffer, wandering_step
+from .replay import ReplayBuffer, experiences, wandering_step
 from .suffering import Ledger, Source, Timescale, certainty_of, make_event
-from .values import (ExpectationBaseline, curiosity_bonus, epsilon_greedy,
-                     reward_loss, td_update, update_baseline)
+from .values import (ExpectationBaseline, ValueStore, curiosity_bonus,
+                     epsilon_greedy, reward_loss, step_expectation, td_update,
+                     update_baseline)
 from .world import ACTIONS, Action, apply_schedule, observe, step
 
 
@@ -52,9 +53,10 @@ class Agent:
         self.certainty_factor = certainty_of(self.world.observation_confusion,
                                              iv.certainty_scale)
         self.acceptance = iv.acceptance
+        self.standard_scale = iv.self_standard_scale
         self.coupled = iv.coupled
 
-        self.store = config.make_store()
+        self.store = ValueStore()
         self.baseline = ExpectationBaseline(level=config.baseline_level,
                                             adaptation_rate=config.baseline_rate)
         self.buffer = ReplayBuffer(capacity=config.buffer_capacity)
@@ -236,28 +238,20 @@ class Agent:
 
     def _learn(self, s, a, r, s_next, consumed):
         store = self.store
-        disc = self.learning.disc
-        terminal_tick = consumed is not None
-        v_after = 0.0 if terminal_tick else store.v(s_next)
-        raw_expected = store.v(s) - disc * v_after
-
-        if terminal_tick:
+        raw_expected = step_expectation(store, s, s_next, consumed is not None,
+                                        self.learning.disc)
+        if consumed is not None:
             magnitude = self.world.objects[consumed].magnitude
-            experiences = [
-                Experience(s=s, a=a, r=r - magnitude, s_next=s_next, t=self.t),
-                Experience(s=s_next, a=Action.STAY, r=magnitude, s_next=s_next,
-                           t=self.t, terminal=True),
-            ]
+            tick = experiences(s, a, r - magnitude, s_next, self.t, consumed=magnitude)
         else:
-            experiences = [Experience(s=s, a=a, r=r, s_next=s_next, t=self.t)]
+            tick = experiences(s, a, r, s_next, self.t)
 
         bonus = (curiosity_bonus(store, s, a, self.learning)
                  if self.learning.curiosity_kappa > 0 else 0.0)
-        for i, exp in enumerate(experiences):
+        for i, exp in enumerate(tick):
             self.buffer.append(exp)
             if i == 0 and bonus:
-                exp = Experience(s=exp.s, a=exp.a, r=exp.r + bonus,
-                                 s_next=exp.s_next, t=exp.t, terminal=exp.terminal)
+                exp = replace(exp, r=exp.r + bonus)
             td_update(store, exp, self.learning)
 
         loss = raw_expected - r
@@ -279,7 +273,8 @@ class Agent:
         self.baseline = update_baseline(self.baseline, self.episode_reward)
         ev = self_evaluate(self.self_model, self.episode_rewards, t=self.t,
                            certainty=self.certainty_factor,
-                           attention=self.attention_factor)
+                           attention=self.attention_factor,
+                           standard_scale=self.standard_scale)
         if ev is not None:
             self.record(ev)
             self._trace("self_eval_fired", shortfall=ev.expected - ev.obtained)

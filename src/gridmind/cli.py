@@ -54,7 +54,7 @@ def cmd_simulate(args) -> int:
         return 3
     _say(f"run {summary['run_id']} done: total frustration "
          f"{summary['totals']['total']:.4f}")
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False))
     return 0
 
 

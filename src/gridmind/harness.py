@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import statistics
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -21,7 +22,7 @@ from .planning import PlanSearchParams
 from .presets import PRESETS, get_world
 from .replay import WanderingParams
 from .suffering import Source, Timescale
-from .values import LearningParams, ValueStore
+from .values import LearningParams
 
 VERSION = "0.1.0"
 
@@ -66,9 +67,6 @@ class RunConfig:
     depression_stay_bias: float = 0.75
     trace: bool = False
 
-    def make_store(self) -> ValueStore:
-        return ValueStore()
-
     def world_name(self) -> str:
         if isinstance(self.world, str):
             return Path(self.world).stem if self.world not in PRESETS else self.world
@@ -100,6 +98,18 @@ def _build_learning(data: dict) -> LearningParams:
     return _build_section(LearningParams, data, "learning")
 
 
+def _intervention(value, path: str) -> InterventionConfig:
+    """An intervention given by canonical name or as an object."""
+    if isinstance(value, dict):
+        return _build_section(InterventionConfig, value, path)
+    if not isinstance(value, str):
+        raise ConfigError(path, "must be a name or an object")
+    try:
+        return by_name(value)
+    except KeyError as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
 def config_from_dict(data: dict) -> RunConfig:
     sections = {
         "learning": _build_learning,
@@ -116,15 +126,7 @@ def config_from_dict(data: dict) -> RunConfig:
                 raise ConfigError(key, "must be an object")
             kwargs[key] = sections[key](value)
         elif key == "intervention":
-            if isinstance(value, str):
-                try:
-                    kwargs[key] = by_name(value)
-                except KeyError as exc:
-                    raise ConfigError("intervention", str(exc)) from None
-            elif isinstance(value, dict):
-                kwargs[key] = _build_section(InterventionConfig, value, "intervention")
-            else:
-                raise ConfigError("intervention", "must be a name or an object")
+            kwargs[key] = _intervention(value, key)
         elif key in top_level:
             kwargs[key] = value
         else:
@@ -158,8 +160,8 @@ def validate_config(config: RunConfig) -> RunConfig:
         raise ConfigError("episode_step_limit", "must be positive")
     if config.goal_reach < 1:
         raise ConfigError("goal_reach", "must be positive")
-    if config.attention < 0:
-        raise ConfigError("attention", "must be >= 0")
+    if not (math.isfinite(config.attention) and config.attention >= 0):
+        raise ConfigError("attention", "must be finite and >= 0")
     if not 0.0 <= config.depression_stay_bias <= 1.0:
         raise ConfigError("depression_stay_bias", "must be in [0, 1]")
     if config.desire_cost < 0:
@@ -234,7 +236,7 @@ def run(config: RunConfig, out_dir=None) -> tuple[Agent, dict]:
             writer.writerow(EVENT_COLUMNS)
             writer.writerows(event_rows(agent, rid))
         with open(out / f"{rid}_summary.json", "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
+            json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
         if config.trace:
             with open(out / f"{rid}_trace.csv", "w", newline="") as fh:
@@ -297,13 +299,9 @@ def audit(agent: Agent) -> dict:
 def _matrix_interventions(spec) -> list:
     if spec in (None, "canonical"):
         return canonical_suite()
-    out = []
-    for item in spec:
-        if isinstance(item, str):
-            out.append(by_name(item))
-        else:
-            out.append(_build_section(InterventionConfig, item, "interventions"))
-    return out
+    if not isinstance(spec, list):
+        raise ConfigError("interventions", "must be 'canonical' or a list")
+    return [_intervention(item, f"interventions[{i}]") for i, item in enumerate(spec)]
 
 
 def experiment(matrix: dict, out_dir=None) -> tuple[list, int]:

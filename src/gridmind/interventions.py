@@ -46,18 +46,16 @@ def apply(config, iv: InterventionConfig):
     config is a harness RunConfig; the returned copy carries the scaled
     knobs. Action selection is untouched except through the documented
     behavioral knobs (desire threshold, coupled flag, wandering overrides).
+    self_standard_scale is applied at each self-evaluation, not folded in.
     """
     wandering = config.wandering
     if iv.p_wander_override is not None:
         wandering = replace(wandering, p_wander=iv.p_wander_override)
     if iv.realness_override is not None:
         wandering = replace(wandering, realness=iv.realness_override)
-    self_model = replace(config.self_model,
-                         standard=config.self_model.standard * iv.self_standard_scale)
     return replace(
         config,
         wandering=wandering,
-        self_model=self_model,
         goal_threshold=config.goal_threshold + iv.desire_threshold_delta,
         intervention=iv,
     )

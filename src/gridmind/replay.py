@@ -5,12 +5,13 @@ the future, feeding both back into learning and into the ledger.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .suffering import Source, Timescale, make_event
-from .values import td_error, td_update
+from .values import step_expectation, td_update
 from .world import Action
 
 
@@ -24,48 +25,81 @@ class Experience:
     terminal: bool = False
 
 
+def experiences(s: int, a: Action, r: float, s_next: int, t: int,
+                consumed: float | None = None) -> list:
+    """One tick as experiences. A tick that consumes a reward of magnitude
+    ``consumed`` splits into the move (r is then the move's own reward)
+    and a terminal consume, so learning bootstraps nothing past the goal."""
+    move = [Experience(s=s, a=a, r=r, s_next=s_next, t=t)]
+    if consumed is None:
+        return move
+    return move + [Experience(s=s_next, a=Action.STAY, r=consumed, s_next=s_next,
+                              t=t, terminal=True)]
+
+
 class ReplayBuffer:
     """Ring buffer of experiences, oldest evicted first.
 
-    Indices are positional in the current buffer; eviction shifts them.
+    Items live in preallocated numpy columns (s, a, r, s_next, t,
+    terminal) and are read back as Experiences of plain Python values.
+    Indices are positional, oldest first; eviction shifts them. Until the
+    buffer is full the oldest item is row 0, after that row ``head``.
     """
 
     def __init__(self, capacity: int = 10_000):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._items: list[Experience] = []
+        self.s, self.s_next, self.t = (np.empty(capacity, np.int64) for _ in range(3))
+        self.a = np.empty(capacity, np.int8)
+        self.r = np.empty(capacity, np.float64)
+        self.terminal = np.empty(capacity, np.bool_)
+        self.head = 0
+        self._len = 0
 
     def append(self, exp: Experience):
-        self._items.append(exp)
-        if len(self._items) > self.capacity:
-            del self._items[0]
+        row = (self.head + self._len) % self.capacity
+        if self._len < self.capacity:
+            self._len += 1
+        else:
+            self.head = (self.head + 1) % self.capacity
+        self.s[row], self.a[row], self.r[row] = exp.s, exp.a, exp.r
+        self.s_next[row], self.t[row], self.terminal[row] = exp.s_next, exp.t, exp.terminal
 
     def __len__(self):
-        return len(self._items)
+        return self._len
 
-    def __getitem__(self, idx):
-        return self._items[idx]
+    def __getitem__(self, idx) -> Experience:
+        i = operator.index(idx)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("replay buffer index out of range")
+        row = (self.head + i) % self.capacity
+        return Experience(s=int(self.s[row]), a=Action(int(self.a[row])),
+                          r=float(self.r[row]), s_next=int(self.s_next[row]),
+                          t=int(self.t[row]), terminal=bool(self.terminal[row]))
 
     def __iter__(self):
-        return iter(self._items)
-
-
-def priority(exp: Experience, store, params) -> float:
-    """|TD error| under the current store: how much replaying would move V."""
-    v_after = 0.0 if exp.terminal else store.v(exp.s_next)
-    return abs(td_error(exp.r, store.v(exp.s), v_after, params))
+        return (self[i] for i in range(self._len))
 
 
 def priorities(buffer: ReplayBuffer, store, params) -> np.ndarray:
-    """Priority vector for the whole buffer in one pass."""
-    disc = params.disc
-    V = store.V
-    out = np.empty(len(buffer))
-    for i, e in enumerate(buffer._items):
-        v_after = 0.0 if e.terminal else V.get(e.s_next, 0.0)
-        out[i] = abs(e.r + disc * v_after - V.get(e.s, 0.0))
-    return out
+    """|TD error| of every item under the current store, oldest first: how
+    much replaying it would move V.
+
+    One gather from a dense copy of V (state ids are non-negative ints;
+    unseen states read 0), with the same elementwise float operations in
+    the same order as the scalar abs(r + disc * v_after - v(s)).
+    """
+    n = len(buffer)
+    s, s_next = buffer.s[:n], buffer.s_next[:n]
+    keys = np.fromiter(store.V.keys(), np.int64, len(store.V))
+    vals = np.zeros(int(max(s.max(initial=0), s_next.max(initial=0))) + 1)
+    known = keys < len(vals)
+    vals[keys[known]] = np.fromiter(store.V.values(), np.float64, len(store.V))[known]
+    v_after = np.where(buffer.terminal[:n], 0.0, vals[s_next])
+    return np.roll(np.abs(buffer.r[:n] + params.disc * v_after - vals[s]), -buffer.head)
 
 
 def backward_sweep(buffer: ReplayBuffer, seed_index: int, k: int, store, params):
@@ -79,17 +113,13 @@ def backward_sweep(buffer: ReplayBuffer, seed_index: int, k: int, store, params)
         raise ValueError("k must be >= 1")
     if not 0 <= seed_index < len(buffer):
         raise IndexError("seed_index not in buffer")
-    i = seed_index
-    done = 0
-    while True:
-        td_update(store, buffer[i], params, count_visit=False)
-        done += 1
-        if done >= k or i == 0:
+    later = None
+    for i in range(seed_index, max(seed_index - k, -1), -1):
+        exp = buffer[i]
+        if later is not None and (exp.terminal or exp.s_next != later.s):
             break
-        prev = buffer[i - 1]
-        if prev.terminal or prev.s_next != buffer[i].s:
-            break
-        i -= 1
+        td_update(store, exp, params, count_visit=False)
+        later = exp
     return store
 
 
@@ -100,11 +130,6 @@ def sample_from(pri: np.ndarray, rng: np.random.Generator) -> int:
     if total <= 0.0:
         return int(rng.integers(len(pri)))
     return int(rng.choice(len(pri), p=pri / total))
-
-
-def sample_index(buffer: ReplayBuffer, store, params, rng: np.random.Generator) -> int:
-    """Draw a buffer index with probability proportional to priority."""
-    return sample_from(priorities(buffer, store, params), rng)
 
 
 @dataclass
@@ -148,13 +173,9 @@ def wandering_step(agent, rng: np.random.Generator) -> list:
     return events
 
 
-def _step_expectation(agent, exp: Experience) -> float:
-    v_after = 0.0 if exp.terminal else agent.store.v(exp.s_next)
-    return agent.store.v(exp.s) - agent.learning.disc * v_after
-
-
 def _wander_event(agent, exp: Experience, source: Source):
-    raw_expected = _step_expectation(agent, exp)
+    raw_expected = step_expectation(agent.store, exp.s, exp.s_next, exp.terminal,
+                                    agent.learning.disc)
     loss = raw_expected - exp.r
     if loss > 0.0:
         ev = make_event(
@@ -180,9 +201,9 @@ def _replay_item(agent, rng, pri):
 def _imagine_rollout(agent, rng):
     """Simulate a short future with the known model; never touches the world.
 
-    Imagined experiences use the same shape as real ones (a consuming move
-    splits into a move and a terminal consume), so Dyna updates and real
-    updates pull the value function toward the same fixed point.
+    Imagined experiences are built like real ones (``experiences``), so
+    Dyna updates and real updates pull the value function toward the same
+    fixed point.
     """
     from .planning import PlanSearchParams, plan_search, suggest_goals
     from .values import epsilon_greedy
@@ -214,15 +235,11 @@ def _imagine_rollout(agent, rng):
         obj = world.object_at(landed)
         consuming = obj is not None and obj.kind == "reward" and obj.consumable
         if consuming:
-            imagined = [
-                Experience(s=sim_s, a=a, r=-world.step_cost, s_next=landed_sid,
-                           t=agent.t),
-                Experience(s=landed_sid, a=Action.STAY, r=obj.magnitude,
-                           s_next=landed_sid, t=agent.t, terminal=True),
-            ]
+            imagined = experiences(sim_s, a, -world.step_cost, landed_sid, agent.t,
+                                   consumed=obj.magnitude)
         else:
             r = -world.step_cost + (obj.signed_magnitude() if obj is not None else 0.0)
-            imagined = [Experience(s=sim_s, a=a, r=r, s_next=landed_sid, t=agent.t)]
+            imagined = experiences(sim_s, a, r, landed_sid, agent.t)
         for exp in imagined:
             events.extend(_wander_event(agent, exp, Source.IMAGINED))
             td_update(agent.store, exp, agent.learning, count_visit=False)

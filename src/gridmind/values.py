@@ -107,6 +107,11 @@ def td_error(r: float, v_before: float, v_after: float, params: LearningParams) 
     return r + params.disc * v_after - v_before
 
 
+def step_expectation(store: ValueStore, s, s_next, terminal: bool, disc: float) -> float:
+    """v(s) - disc * v(s_next), bootstrapping nothing past a terminal step."""
+    return store.v(s) - disc * (0.0 if terminal else store.v(s_next))
+
+
 def td_update(store: ValueStore, exp, params: LearningParams, *, count_visit: bool = True) -> ValueStore:
     """One TD step on V and Q from a single experience.
 

@@ -10,7 +10,7 @@ agent has to re-learn, which is exactly the cost the simulator measures.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from pathlib import Path
 
@@ -187,21 +187,8 @@ class WorldModel:
         self.consumed.clear()
 
     def copy(self) -> "WorldModel":
-        return WorldModel(
-            width=self.width,
-            height=self.height,
-            walls=self.walls,
-            objects={oid: WorldObject(o.oid, o.kind, o.magnitude, o.consumable, o.at)
-                     for oid, o in self.objects.items()},
-            slip_probability=self.slip_probability,
-            step_cost=self.step_cost,
-            observation_confusion=self.observation_confusion,
-            schedule=self.schedule,
-            start=self.start,
-            epoch=self.epoch,
-            consumed=set(self.consumed),
-            applied_relocations=self.applied_relocations,
-        )
+        return replace(self, consumed=set(self.consumed),
+                       objects={oid: replace(o) for oid, o in self.objects.items()})
 
 
 # -- core operations -----------------------------------------------------

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,3 +256,40 @@ def test_cli_sweep_threshold(tmp_path, capsys):
     lines = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
     assert lines[0] == "threshold,false_alarms,misses,realized_cost"
     assert len(lines) == 4
+
+
+# -- input boundary: bad input exits 2 with a path, never a traceback -----------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli(*argv):
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "gridmind.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_cli_unknown_matrix_intervention_exits_2(tmp_path):
+    matrix_path = tmp_path / "matrix.json"
+    matrix_path.write_text(json.dumps({
+        "interventions": ["baseline", "no_such_intervention"],
+        "worlds": ["corridor"], "seeds": 1, "steps": 10,
+    }))
+    proc = run_cli("experiment", "--matrix", str(matrix_path), "--out", str(tmp_path / "exp"))
+    assert proc.returncode == 2
+    assert "interventions[1]" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN"])
+def test_cli_non_finite_attention_exits_2(tmp_path, value):
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({**BASE_CONFIG, "steps": 20})[:-1]
+                           + f', "attention": {value}}}')
+    out = tmp_path / "out"
+    proc = run_cli("simulate", "--config", str(config_path), "--out", str(out))
+    assert proc.returncode == 2
+    assert "attention" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()

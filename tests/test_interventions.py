@@ -141,3 +141,28 @@ def test_coupled_flag_routes_expectations_into_desire():
                                                       coupled=True)))
     coupled_plans = sum(1 for e in a_coupled.ledger.events if e.source is Source.PLAN_LOSS)
     assert coupled_plans == 0
+
+
+def test_no_self_eval_holds_while_the_standard_drifts():
+    """With meta_rate > 0 the standard drifts toward recent rewards after
+    each evaluation; a zeroed self-standard must still never fire (window 1,
+    standard 1.0, meta_rate 0.5, episode rewards 10, 10, 1)."""
+    from dataclasses import replace
+    from gridmind.affect import SelfModel
+    from gridmind.agent import Agent
+    from gridmind.presets import get_world
+
+    base = replace(RunConfig(world="corridor", steps=0, seed=0),
+                   self_model=SelfModel(evaluation_window=1, standard=1.0, meta_rate=0.5))
+
+    def self_evals(iv):
+        config = apply(base, iv)
+        agent = Agent(config, get_world(config.world), 0)
+        for reward in (10.0, 10.0, 1.0):
+            agent.episode_reward = reward
+            agent._finish_episode()
+        return [e for e in agent.ledger.events if e.source is Source.SELF_EVAL]
+
+    assert [e.expected - e.obtained for e in self_evals(by_name("baseline"))] == \
+        [pytest.approx(6.75)]
+    assert self_evals(by_name("no_self_eval")) == []

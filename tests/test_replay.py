@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_world, reward
 from gridmind.agent import Agent
 from gridmind.harness import RunConfig
 from gridmind.replay import (Experience, ReplayBuffer, WanderingParams,
-                             backward_sweep, priority, sample_index,
+                             backward_sweep, priorities, sample_from,
                              wandering_step)
 from gridmind.suffering import Source
 from gridmind.values import LearningParams, ValueStore, td_update
@@ -22,25 +24,28 @@ ROOMS = [
 ]
 
 
-def rooms_buffer():
-    buf = ReplayBuffer()
-    for exp in ROOMS:
+def filled(items, capacity=10_000):
+    buf = ReplayBuffer(capacity=capacity)
+    for exp in items:
         buf.append(exp)
     return buf
+
+
+def rooms_buffer():
+    return filled(ROOMS)
 
 
 def test_priority_zero_at_fixed_point():
     store = ValueStore()
     store.V.update({21: 0.8, 13: 0.9, 42: 1.0})
     p = LearningParams(**SUB)
-    for exp in ROOMS:
-        assert priority(exp, store, p) == pytest.approx(0.0)
+    assert priorities(rooms_buffer(), store, p).tolist() == pytest.approx([0.0] * 3)
 
 
 def test_priority_first_reward():
     store = ValueStore()
     p = LearningParams(**SUB)
-    assert priority(ROOMS[2], store, p) == pytest.approx(1.0)
+    assert priorities(filled([ROOMS[2]]), store, p)[0] == pytest.approx(1.0)
 
 
 def test_priority_bad_news_transition():
@@ -48,7 +53,11 @@ def test_priority_bad_news_transition():
     store.V.update({0: 0.9, 1: 0.2})
     p = LearningParams(**SUB)
     exp = Experience(s=0, a=Action.EAST, r=0.0, s_next=1, t=0)
-    assert priority(exp, store, p) == pytest.approx(0.7)
+    assert priorities(filled([exp]), store, p)[0] == pytest.approx(0.7)
+
+
+def test_priorities_of_empty_buffer():
+    assert len(priorities(ReplayBuffer(), ValueStore(), LearningParams(**SUB))) == 0
 
 
 def test_backward_sweep_rooms_example():
@@ -117,6 +126,114 @@ def test_ring_buffer_evicts_oldest():
     assert [e.s for e in buf] == [2, 3, 4]
 
 
+# -- the columnar ring against a plain list ----------------------------------
+
+MAX_STATE = 40
+
+experience_st = st.builds(
+    Experience,
+    s=st.integers(0, MAX_STATE), a=st.sampled_from(list(Action)),
+    r=st.floats(-10.0, 10.0, allow_nan=False), s_next=st.integers(0, MAX_STATE),
+    t=st.integers(0, 10**6), terminal=st.booleans())
+
+# Values for a random subset of states, some beyond any state in the buffer.
+values_st = st.dictionaries(st.integers(0, MAX_STATE + 20),
+                            st.floats(-50.0, 50.0, allow_nan=False), max_size=60)
+
+params_st = st.one_of(
+    st.builds(lambda g: LearningParams(gamma=g), st.floats(0.0, 1.0)),
+    st.builds(lambda sp: LearningParams(gamma=None, step_penalty=sp),
+              st.floats(0.0, 1.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(capacity=st.integers(1, 50), items=st.lists(experience_st, max_size=200),
+       V=values_st, params=params_st)
+def test_priorities_bit_identical_to_scalar_rule(capacity, items, V, params):
+    store = ValueStore(V=V)
+    kept = items[-capacity:] if items else []
+    expected = [abs(e.r + params.disc * (0.0 if e.terminal else store.v(e.s_next))
+                    - store.v(e.s)) for e in kept]
+    got = priorities(filled(items, capacity), store, params)
+    assert got.dtype == np.float64
+    assert len(got) == len(expected)
+    for g, e in zip(got.tolist(), expected):
+        assert g == e
+
+
+@settings(max_examples=200, deadline=None)
+@given(capacity=st.integers(1, 50), items=st.lists(experience_st, max_size=200))
+def test_ring_reads_back_like_a_list(capacity, items):
+    buf = filled(items, capacity)
+    kept = items[-capacity:] if items else []
+    assert len(buf) == len(kept)
+    assert list(buf) == kept
+    for i, exp in enumerate(kept):
+        assert buf[i] == exp
+        assert buf[i - len(kept)] == exp
+    if kept:
+        assert buf[-1] == kept[-1]
+        got = buf[0]
+        assert (type(got.s), type(got.a), type(got.r), type(got.s_next),
+                type(got.t), type(got.terminal)) == (int, Action, float, int, int, bool)
+    with pytest.raises(IndexError):
+        buf[len(kept)]
+    with pytest.raises(IndexError):
+        buf[-len(kept) - 1]
+
+
+def reference_sweep(items, seed_index, k, store, params):
+    """The backward walk over a plain list: update, then step back while the
+    previous item continues the same trajectory."""
+    i, done = seed_index, 0
+    while True:
+        td_update(store, items[i], params, count_visit=False)
+        done += 1
+        if done >= k or i == 0:
+            return store
+        prev = items[i - 1]
+        if prev.terminal or prev.s_next != items[i].s:
+            return store
+        i -= 1
+
+
+# (restart here?, restart state, next state, terminal?, reward) per tick
+tick_st = st.tuples(st.integers(0, 9).map(lambda x: x == 0), st.integers(0, MAX_STATE),
+                    st.integers(0, MAX_STATE), st.integers(0, 9).map(lambda x: x == 0),
+                    st.floats(-5.0, 5.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(capacity=st.integers(1, 50), ticks=st.lists(tick_st, min_size=1, max_size=150),
+       pick=st.tuples(st.floats(0.0, 1.0), st.integers(1, 51)), params=params_st)
+def test_backward_sweep_matches_list_walk_across_the_wrap(capacity, ticks, pick, params):
+    # chained trajectories with occasional breaks and terminals
+    items, s = [], 0
+    for t, (restart, s_restart, s_next, terminal, r) in enumerate(ticks):
+        s = s_restart if restart else s
+        items.append(Experience(s=s, a=Action.EAST, r=r, s_next=s_next, t=t,
+                                terminal=terminal))
+        s = s_next
+    kept = items[-capacity:]
+    seed_index = min(int(pick[0] * len(kept)), len(kept) - 1)
+    k = pick[1]
+    got = backward_sweep(filled(items, capacity), seed_index, k, ValueStore(), params)
+    want = reference_sweep(kept, seed_index, k, ValueStore(), params)
+    assert got.V == want.V
+    assert got.Q == want.Q
+
+
+def test_backward_sweep_crosses_the_physical_wrap():
+    chain = [Experience(s=i, a=Action.EAST, r=-0.1, s_next=i + 1, t=i) for i in range(6)]
+    chain.append(Experience(s=6, a=Action.STAY, r=1.0, s_next=6, t=6, terminal=True))
+    buf = filled(chain, capacity=5)   # keeps items 2..6; the oldest sits in row 2
+    assert buf.head == 2
+    p = LearningParams(alpha=1.0, **SUB)
+    store = backward_sweep(buf, seed_index=4, k=5, store=ValueStore(), params=p)
+    assert [round(store.v(s), 9) for s in (2, 3, 4, 5, 6)] == [0.6, 0.7, 0.8, 0.9, 1.0]
+    assert store.v(1) == 0.0  # evicted, never replayed
+
+
 def test_priority_proportional_sampling():
     store = ValueStore()
     p = LearningParams(alpha=1.0, **SUB)
@@ -129,7 +246,7 @@ def test_priority_proportional_sampling():
     n = 10_000
     counts = np.zeros(4)
     for _ in range(n):
-        counts[sample_index(buf, store, p, rng)] += 1
+        counts[sample_from(priorities(buf, store, p), rng)] += 1
     probs = np.array([1.0, 3.0, 0.0, 4.0]) / 8.0
     for i in range(4):
         sigma = (n * probs[i] * (1 - probs[i])) ** 0.5
@@ -146,7 +263,7 @@ def test_uniform_fallback_when_all_priorities_zero():
     counts = np.zeros(4)
     n = 4000
     for _ in range(n):
-        counts[sample_index(buf, store, p, rng)] += 1
+        counts[sample_from(priorities(buf, store, p), rng)] += 1
     for c in counts:
         assert abs(c - n / 4) <= 3 * (n * 0.25 * 0.75) ** 0.5
 
