@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from statistics import mean
 
-from .suffering import Source, Timescale, make_event
+from .suffering import LossSite, Source, Timescale
 from .world import WorldModel
 
 
@@ -26,8 +26,11 @@ class InterruptPolicy:
     interrupt_cost: float = 0.0  # optional extra charge per threat interrupt
 
     def __post_init__(self):
-        if self.threat_threshold < 0 or self.miss_cost < 0 or self.false_alarm_cost < 0:
-            raise ValueError("thresholds and costs must be >= 0")
+        for name in ("threat_threshold", "miss_cost", "false_alarm_cost"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
+        if math.isnan(self.desire_threshold):
+            raise ValueError("desire_threshold must be a number")
         if self.decay_length <= 0:
             raise ValueError("decay_length must be > 0")
         if self.interrupt_cost < 0:
@@ -79,13 +82,11 @@ def check_interrupts(agent, s: int, observation, policy: InterruptPolicy):
     return None
 
 
-def threat_event(t: int, level: float, policy: InterruptPolicy, *,
-                 certainty: float, attention: float):
-    """The internal reward of a threat interrupt as a ledger event:
-    expected 0 (plus the optional per-interrupt cost), obtained -level."""
-    return make_event(t=t, source=Source.THREAT_INTERNAL, timescale=Timescale.STEP,
-                      expected=policy.interrupt_cost, obtained=-level,
-                      certainty=certainty, attention=attention)
+def threat_site(t: int, level: float, policy: InterruptPolicy) -> LossSite:
+    """The internal reward of a threat interrupt as a loss site: expected 0
+    (plus the optional per-interrupt cost), obtained -level."""
+    return LossSite(t, Source.THREAT_INTERNAL, Timescale.STEP,
+                    policy.interrupt_cost, -level)
 
 
 def sweep_threshold(worlds, thresholds, policy: InterruptPolicy, seeds, *,
@@ -172,33 +173,24 @@ class SelfModel:
             raise ValueError("failure_limit must be positive")
 
 
-def self_evaluate(self_model: SelfModel, episode_rewards, *, t: int = 0,
-                  certainty: float = 1.0, attention: float = 1.0,
-                  standard_scale: float = 1.0):
+def self_evaluate(self_model: SelfModel, episode_rewards, *, t: int = 0):
     """Compare mean reward over the last window against the standard.
 
-    Returns a SelfEval-timescale event when the shortfall is positive,
-    else None. A standard scaled all the way to zero disables the
-    evaluator: with nothing demanded of the self, it never fires. With
-    meta_rate > 0 the standard drifts toward recent performance after
-    each evaluation.
+    Returns the SelfEval loss site (the unscaled standard against the
+    window mean) once the window is full, else None; ``suffering.score``
+    decides whether it falls short under the run's self-standard scale. A
+    standard scaled all the way to zero disables the evaluator: with
+    nothing demanded of the self, it never fires. With meta_rate > 0 the
+    standard drifts toward recent performance after each evaluation.
     """
     if len(episode_rewards) < self_model.evaluation_window:
         return None
-    window = episode_rewards[-self_model.evaluation_window:]
-    m = mean(window)
-    effective = self_model.standard * standard_scale
+    m = mean(episode_rewards[-self_model.evaluation_window:])
+    site = LossSite(t, Source.SELF_EVAL, Timescale.SELF_EVAL, self_model.standard, m)
     if self_model.meta_rate > 0:
         self_model.standard = ((1.0 - self_model.meta_rate) * self_model.standard
                                + self_model.meta_rate * m)
-    if effective == 0.0:
-        return None
-    loss = effective - m
-    if loss <= 0:
-        return None
-    return make_event(t=t, source=Source.SELF_EVAL, timescale=Timescale.SELF_EVAL,
-                      expected=effective, obtained=m,
-                      certainty=certainty, attention=attention)
+    return site
 
 
 def depression_gate(self_model: SelfModel, consecutive_failed_intentions: int) -> SelfModel:

@@ -5,6 +5,10 @@ goal suggestion + commitment, or habit), act on the world, learn from the
 outcome, wander, and settle the ledger. Action selection and goal
 suggestion run on the observed state; learning runs on true states; the
 threat detector runs on the observed state so the alarm can be wrong.
+
+Every shortfall is kept as a raw loss site (``sites``) and scored into the
+ledger with the run's equation terms; none of them feeds back into what
+the agent does, so the same sites can be scored under other terms.
 """
 
 from __future__ import annotations
@@ -13,11 +17,12 @@ from dataclasses import dataclass, field, replace
 
 from . import rng as rngmod
 from .affect import (InterruptKind, SelfMode, check_interrupts, depression_gate,
-                     release_depression, self_evaluate, threat_event,
+                     release_depression, self_evaluate, threat_site,
                      tick_depression)
-from .planning import IntentionStatus, commit, plan_frustration, suggest_goals
+from .interventions import terms
+from .planning import IntentionStatus, commit, plan_site, suggest_goals
 from .replay import ReplayBuffer, experiences, wandering_step
-from .suffering import Ledger, Source, Timescale, certainty_of, make_event
+from .suffering import Ledger, LossSite, Source, Timescale, score
 from .values import (ExpectationBaseline, ValueStore, curiosity_bonus,
                      epsilon_greedy, reward_loss, step_expectation, td_update,
                      update_baseline)
@@ -47,20 +52,14 @@ class Agent:
         self.goal_reach = config.goal_reach
         self.goal_threshold = config.goal_threshold
 
-        iv = config.intervention
-        self.expectation_scale = iv.expectation_scale
-        self.attention_factor = iv.attention_scale * config.attention
-        self.certainty_factor = certainty_of(self.world.observation_confusion,
-                                             iv.certainty_scale)
-        self.acceptance = iv.acceptance
-        self.standard_scale = iv.self_standard_scale
-        self.coupled = iv.coupled
+        self.terms = terms(config, self.world.observation_confusion)
 
         self.store = ValueStore()
         self.baseline = ExpectationBaseline(level=config.baseline_level,
                                             adaptation_rate=config.baseline_rate)
         self.buffer = ReplayBuffer(capacity=config.buffer_capacity)
         self.ledger = Ledger()
+        self.sites: list[LossSite] = []
         self.sim_tally: dict[int, int] = {}
         self.positive_wanderings = 0
 
@@ -93,34 +92,19 @@ class Agent:
         if self.trace_enabled:
             self.trace.append(TraceItem(t=self.t, kind=kind, detail=detail))
 
-    def scale_expectation(self, raw: float) -> float:
-        """Expectation lowering scales positive expectations only; scaling a
-        negative one (an expected cost) toward zero would raise it."""
-        return self.expectation_scale * raw if raw > 0 else raw
-
-    def record(self, event):
-        self.ledger.record(event)
-        if (self.config.meta_aversion and not self.acceptance
-                and event.frustration > 0
-                and event.source is not Source.META_AVERSION):
-            meta = make_event(
-                t=event.t, source=Source.META_AVERSION, timescale=event.timescale,
-                expected=self.config.meta_aversion_scale * event.frustration,
-                obtained=0.0, certainty=1.0, attention=self.attention_factor)
-            self.ledger.record(meta)
+    def record(self, site: LossSite) -> list:
+        """Keep a loss site and score it into the ledger; the events."""
+        self.sites.append(site)
+        events = score(site, self.terms)
+        for event in events:
+            self.ledger.record(event)
+        return events
 
     # -- intention lifecycle -------------------------------------------------
 
     def _finalize_intention(self):
         intention = self.intention
-        ev = plan_frustration(
-            intention,
-            expected=self.scale_expectation(intention.goal.anticipated_value),
-            obtained=intention.obtained,
-            certainty=self.certainty_factor,
-            attention=self.attention_factor,
-            t=self.t)
-        self.record(ev)
+        self.record(plan_site(intention, t=self.t))
         self._trace("intention_terminal", status=intention.status.value,
                     target=intention.goal.target)
         if intention.status is IntentionStatus.FAILED:
@@ -158,11 +142,12 @@ class Agent:
     def suggestion_threshold(self):
         """Effective desire threshold; None when the coupled intervention
         has scaled all anticipations to nothing."""
-        if not self.coupled:
+        iv = self.config.intervention
+        if not iv.coupled:
             return self.goal_threshold
-        if self.expectation_scale == 0.0:
+        if iv.expectation_scale == 0.0:
             return None
-        return self.goal_threshold / self.expectation_scale
+        return self.goal_threshold / iv.expectation_scale
 
     def _suggest(self):
         threshold = self.suggestion_threshold()
@@ -188,10 +173,7 @@ class Agent:
         if itr is not None:
             if itr.kind is InterruptKind.THREAT:
                 self.threat_interrupts += 1
-                self.record(threat_event(t, itr.payload["threat_level"],
-                                         self.interrupts,
-                                         certainty=self.certainty_factor,
-                                         attention=self.attention_factor))
+                self.record(threat_site(t, itr.payload["threat_level"], self.interrupts))
                 self._trace("interrupt_threat", level=itr.payload["threat_level"])
             else:
                 self.desire_interrupts += 1
@@ -205,10 +187,8 @@ class Agent:
         a, from_plan = self._select_action()
         if (self.intention is not None and not self.intention.terminal
                 and self.config.desire_cost > 0):
-            self.record(make_event(
-                t=t, source=Source.DESIRE_COST, timescale=Timescale.STEP,
-                expected=self.config.desire_cost, obtained=0.0,
-                certainty=self.certainty_factor, attention=self.attention_factor))
+            self.record(LossSite(t, Source.DESIRE_COST, Timescale.STEP,
+                                 self.config.desire_cost, 0.0))
 
         s = self.s_true
         s_next, r, consumed = step(world, s, a, self.rng_world)
@@ -226,10 +206,9 @@ class Agent:
             if self.intention.terminal:
                 self._finalize_intention()
 
-        wander_events = wandering_step(self, rngmod.per_step(self.seed, "wandering", t))
-        for ev in wander_events:
-            self.record(ev)
-            self._trace("wander_negative", source=ev.source.value)
+        for site in wandering_step(self, rngmod.per_step(self.seed, "wandering", t)):
+            self.record(site)
+            self._trace("wander_negative", source=site.source.value)
 
         if consumed is not None or self.episode_steps >= self.config.episode_step_limit:
             self._finish_episode()
@@ -258,10 +237,7 @@ class Agent:
         self._trace("step", action=int(a), raw_expected=raw_expected, obtained=r,
                     loss=max(0.0, loss))
         if loss > 0.0:
-            self.record(make_event(
-                t=self.t, source=Source.STEP_LOSS, timescale=Timescale.STEP,
-                expected=self.scale_expectation(raw_expected), obtained=r,
-                certainty=self.certainty_factor, attention=self.attention_factor))
+            self.record(LossSite(self.t, Source.STEP_LOSS, Timescale.STEP, raw_expected, r))
 
     def _finish_episode(self):
         if self.intention is not None and not self.intention.terminal:
@@ -271,13 +247,11 @@ class Agent:
         self.episode_rewards.append(self.episode_reward)
         self.episode_losses.append(reward_loss(self.baseline.level, self.episode_reward))
         self.baseline = update_baseline(self.baseline, self.episode_reward)
-        ev = self_evaluate(self.self_model, self.episode_rewards, t=self.t,
-                           certainty=self.certainty_factor,
-                           attention=self.attention_factor,
-                           standard_scale=self.standard_scale)
-        if ev is not None:
-            self.record(ev)
-            self._trace("self_eval_fired", shortfall=ev.expected - ev.obtained)
+        site = self_evaluate(self.self_model, self.episode_rewards, t=self.t)
+        if site is not None:
+            for ev in self.record(site):
+                if ev.source is Source.SELF_EVAL:
+                    self._trace("self_eval_fired", shortfall=ev.expected - ev.obtained)
         self.episode_reward = 0.0
         self.episode_steps = 0
         self.world.restore_consumed()

@@ -11,17 +11,18 @@ import csv
 import json
 import math
 import statistics
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .agent import Agent
 from .affect import InterruptPolicy, SelfModel
-from .interventions import InterventionConfig, by_name, canonical_suite
+from .interventions import (InterventionConfig, behaviour_key, by_name,
+                            canonical_suite, terms)
 from .interventions import apply as apply_intervention
 from .planning import PlanSearchParams
 from .presets import PRESETS, get_world
 from .replay import WanderingParams
-from .suffering import Source, Timescale
+from .suffering import Source, Timescale, rescore
 from .values import LearningParams
 
 VERSION = "0.1.0"
@@ -39,6 +40,7 @@ class ConfigError(Exception):
 
     def __init__(self, path: str, message: str):
         self.path = path
+        self.message = message
         super().__init__(f"{path}: {message}")
 
 
@@ -86,6 +88,10 @@ def _build_section(cls, data: dict, path: str):
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
+        # A check that names its field ("alpha must be ...") points at it.
+        name, _, rest = str(exc).partition(" ")
+        if name in allowed and rest:
+            raise ConfigError(f"{path}.{name}", rest) from None
         raise ConfigError(path, str(exc)) from None
 
 
@@ -111,6 +117,10 @@ def _intervention(value, path: str) -> InterventionConfig:
 
 
 def config_from_dict(data: dict) -> RunConfig:
+    return validate_config(_parse_config(data))
+
+
+def _parse_config(data: dict) -> RunConfig:
     sections = {
         "learning": _build_learning,
         "planning": lambda d: _build_section(PlanSearchParams, d, "planning"),
@@ -132,11 +142,9 @@ def config_from_dict(data: dict) -> RunConfig:
         else:
             raise ConfigError(key, "unknown field")
     try:
-        config = RunConfig(**kwargs)
+        return RunConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError("run", str(exc)) from None
-    validate_config(config)
-    return config
 
 
 def load_config(path) -> RunConfig:
@@ -150,22 +158,7 @@ def load_config(path) -> RunConfig:
 
 
 def validate_config(config: RunConfig) -> RunConfig:
-    if config.steps < 0:
-        raise ConfigError("steps", "must be >= 0")
-    if not 0 <= config.seed < 2 ** 64:
-        raise ConfigError("seed", "must fit in 64 unsigned bits")
-    if config.policy not in ("learned", "random"):
-        raise ConfigError("policy", "must be 'learned' or 'random'")
-    if config.episode_step_limit < 1:
-        raise ConfigError("episode_step_limit", "must be positive")
-    if config.goal_reach < 1:
-        raise ConfigError("goal_reach", "must be positive")
-    if not (math.isfinite(config.attention) and config.attention >= 0):
-        raise ConfigError("attention", "must be finite and >= 0")
-    if not 0.0 <= config.depression_stay_bias <= 1.0:
-        raise ConfigError("depression_stay_bias", "must be in [0, 1]")
-    if config.desire_cost < 0:
-        raise ConfigError("desire_cost", "must be >= 0")
+    _check_fields(config)
     try:
         world = get_world(config.world)
     except Exception as exc:
@@ -176,6 +169,31 @@ def validate_config(config: RunConfig) -> RunConfig:
             f"subtractive runs must match the world's step_cost "
             f"({world.step_cost}), got {config.learning.step_penalty}")
     return config
+
+
+# (field, check, message) of the run fields that need no world to check.
+_FIELD_CHECKS = (
+    ("steps", lambda v: v >= 0, "must be >= 0"),
+    ("seed", lambda v: 0 <= v < 2 ** 64, "must fit in 64 unsigned bits"),
+    ("policy", lambda v: v in ("learned", "random"), "must be 'learned' or 'random'"),
+    ("episode_step_limit", lambda v: v >= 1, "must be positive"),
+    ("goal_reach", lambda v: v >= 1, "must be positive"),
+    ("attention", lambda v: math.isfinite(v) and v >= 0, "must be finite and >= 0"),
+    ("depression_stay_bias", lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]"),
+    ("desire_cost", lambda v: v >= 0, "must be >= 0"),
+)
+
+
+def _check_fields(config: RunConfig):
+    """The checks that need no world. A value of the wrong type (a string
+    for ``steps``) fails its check instead of raising TypeError."""
+    for name, check, message in _FIELD_CHECKS:
+        try:
+            ok = check(getattr(config, name))
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ConfigError(name, message)
 
 
 # -- running ---------------------------------------------------------------
@@ -304,66 +322,95 @@ def _matrix_interventions(spec) -> list:
     return [_intervention(item, f"interventions[{i}]") for i, item in enumerate(spec)]
 
 
+def _matrix_base(matrix: dict) -> RunConfig:
+    """The run configuration every cell starts from, checked once before any
+    simulation. World and seed come per cell, so the checks that need a
+    world wait for the cells."""
+    data = matrix.get("base", {})
+    if not isinstance(data, dict):
+        raise ConfigError("base", "must be an object")
+    try:
+        base = _parse_config({k: v for k, v in data.items() if k not in ("world", "seed")})
+        _check_fields(base)
+    except ConfigError as exc:
+        raise ConfigError(f"base.{exc.path}", exc.message) from None
+    if "steps" in matrix:
+        base = replace(base, steps=matrix["steps"])
+        _check_fields(base)
+    return base
+
+
+def _report_row(config: RunConfig, ledger, agent: Agent) -> dict:
+    by_timescale = ledger.by_timescale
+    return dict(zip(REPORT_COLUMNS, (
+        config.intervention.name, config.world_name(), str(config.seed), "ok",
+        ledger.total, ledger.weighted_total(), by_timescale[Timescale.STEP],
+        by_timescale[Timescale.PLAN], by_timescale[Timescale.SELF_EVAL],
+        agent.obtained_total, agent.episodes)))
+
+
+def _class_rows(config: RunConfig, ivs: list) -> list:
+    """Report rows of interventions that share a behaviour key: the first
+    is simulated, and the loss sites of its run are re-scored under the
+    equation terms of each of the others."""
+    configs = [apply_intervention(config, iv) for iv in ivs]
+    agent, _ = run(configs[0])
+    confusion = agent.world.observation_confusion
+    rows = [_report_row(configs[0], agent.ledger, agent)]
+    for member in configs[1:]:
+        rows.append(_report_row(member, rescore(agent.sites, terms(member, confusion)), agent))
+    return rows
+
+
 def experiment(matrix: dict, out_dir=None) -> tuple[list, int]:
     """Run interventions x worlds x seeds; one report row per cell plus
-    per-(intervention, world) medians. Failed cells are marked and kept."""
+    per-(intervention, world) medians. Failed cells are marked and kept.
+
+    Interventions with equal behaviour keys act the same, so each (world,
+    seed) simulates each class once and re-scores the rest of the class;
+    a simulation that raises fails every cell of its class.
+    """
     interventions = _matrix_interventions(matrix.get("interventions"))
     worlds = matrix.get("worlds", ["corridor"])
     seeds_spec = matrix.get("seeds", 5)
     seeds = list(range(seeds_spec)) if isinstance(seeds_spec, int) else list(seeds_spec)
-    base_data = matrix.get("base", {})
+    base = _matrix_base(matrix)
+    classes: dict[tuple, list] = {}
+    for i, iv in enumerate(interventions):
+        classes.setdefault(behaviour_key(iv), []).append(i)
+
+    cells = {(i, w): [] for i in range(len(interventions)) for w in range(len(worlds))}
+    failures = 0
+    for w, world_name in enumerate(worlds):
+        for seed in seeds:
+            config = replace(base, world=world_name, seed=seed)
+            for members in classes.values():
+                ivs = [interventions[i] for i in members]
+                try:
+                    class_rows = _class_rows(config, ivs)
+                except Exception as exc:  # noqa: BLE001 - classes fail independently
+                    failures += len(members)
+                    class_rows = [{**dict.fromkeys(REPORT_COLUMNS, ""),
+                                   "intervention": iv.name, "world": str(world_name),
+                                   "seed": str(seed), "status": f"failed: {exc}"}
+                                  for iv in ivs]
+                for i, row in zip(members, class_rows):
+                    cells[i, w].append(row)
 
     rows = []
-    failures = 0
-    for iv in interventions:
-        for world_name in worlds:
-            cell_rows = []
-            for seed in seeds:
-                try:
-                    base = config_from_dict(
-                        {**base_data, "world": world_name, "seed": seed,
-                         **({"steps": matrix["steps"]} if "steps" in matrix else {})})
-                    config = apply_intervention(base, iv)
-                    _, summary = run(config)
-                    row = {
-                        "intervention": iv.name,
-                        "world": config.world_name(),
-                        "seed": str(seed),
-                        "status": "ok",
-                        "total_frustration": summary["totals"]["total"],
-                        "weighted_total": summary["totals"]["weighted_total"],
-                        "step_total": summary["totals"]["by_timescale"]["Step"],
-                        "plan_total": summary["totals"]["by_timescale"]["Plan"],
-                        "self_eval_total": summary["totals"]["by_timescale"]["SelfEval"],
-                        "obtained_reward": summary["obtained_reward"],
-                        "episodes": summary["episodes"],
-                    }
-                except Exception as exc:  # noqa: BLE001 - cells fail independently
-                    failures += 1
-                    row = {
-                        "intervention": iv.name,
-                        "world": str(world_name),
-                        "seed": str(seed),
-                        "status": f"failed: {exc}",
-                        "total_frustration": "", "weighted_total": "",
-                        "step_total": "", "plan_total": "", "self_eval_total": "",
-                        "obtained_reward": "", "episodes": "",
-                    }
-                cell_rows.append(row)
-            ok = [r for r in cell_rows if r["status"] == "ok"]
-            if ok:
-                med = {
-                    "intervention": cell_rows[0]["intervention"],
-                    "world": cell_rows[0]["world"],
-                    "seed": "median",
-                    "status": "ok",
-                }
-                for col in ("total_frustration", "weighted_total", "step_total",
-                            "plan_total", "self_eval_total", "obtained_reward",
-                            "episodes"):
-                    med[col] = statistics.median(r[col] for r in ok)
-                cell_rows.append(med)
-            rows.extend(cell_rows)
+    for cell_rows in cells.values():
+        ok = [r for r in cell_rows if r["status"] == "ok"]
+        if ok:
+            med = {
+                "intervention": cell_rows[0]["intervention"],
+                "world": cell_rows[0]["world"],
+                "seed": "median",
+                "status": "ok",
+            }
+            for col in REPORT_COLUMNS[4:]:
+                med[col] = statistics.median(r[col] for r in ok)
+            cell_rows.append(med)
+        rows.extend(cell_rows)
 
     rows.sort(key=lambda r: (r["intervention"], r["world"], r["seed"] == "median",
                              int(r["seed"]) if r["seed"].isdigit() else -1))

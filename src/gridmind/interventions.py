@@ -1,16 +1,21 @@
 """Named interventions: each maps to equation-term scalings or scheduler
 knobs on an agent configuration.
 
-Equation-term interventions (expectation, certainty, attention scales)
-touch frustration evaluation only, leaving the policy fixed, so their
-effect is a pure monotone transform of the ledger. Raising the desire
-threshold is the behavioral class: it changes what the agent does, and
-the report measures the reward consequences instead of asserting them.
+Equation-term interventions (expectation, certainty, attention,
+realness, self-standard, acceptance) touch frustration evaluation only,
+leaving the policy fixed, so their effect is a pure monotone transform of
+the ledger: ``terms`` builds them, and ``suffering.score`` applies them to
+the loss sites of a run. The wandering override, the desire threshold and
+the coupled flag are the behavioral class: they change what the agent
+does (``behaviour_key``), and the report measures the reward
+consequences instead of asserting them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+
+from .suffering import Terms, certainty_of
 
 
 @dataclass(frozen=True)
@@ -36,7 +41,7 @@ class InterventionConfig:
             v = getattr(self, field_name)
             if v is not None and not 0.0 <= v <= 1.0:
                 raise ValueError(f"{field_name} must be in [0, 1]")
-        if self.desire_threshold_delta < 0:
+        if not self.desire_threshold_delta >= 0:
             raise ValueError("desire_threshold_delta must be >= 0")
 
 
@@ -59,6 +64,29 @@ def apply(config, iv: InterventionConfig):
         goal_threshold=config.goal_threshold + iv.desire_threshold_delta,
         intervention=iv,
     )
+
+
+def behaviour_key(iv: InterventionConfig) -> tuple:
+    """The fields of ``iv`` that change what the agent does. Interventions
+    with equal keys act the same on the same base and seed, so one
+    simulation serves them all. The expectation scale reaches the policy
+    only through the coupled desire threshold."""
+    return (iv.p_wander_override, iv.desire_threshold_delta, iv.coupled,
+            iv.expectation_scale if iv.coupled else None)
+
+
+def terms(config, observation_confusion: float) -> Terms:
+    """The equation terms of a run configuration with its intervention
+    folded in (``apply``), in a world with this confusion rate."""
+    iv = config.intervention
+    return Terms(
+        expectation_scale=iv.expectation_scale,
+        certainty=certainty_of(observation_confusion, iv.certainty_scale),
+        attention=iv.attention_scale * config.attention,
+        realness=config.wandering.realness,
+        standard_scale=iv.self_standard_scale,
+        meta_aversion=config.meta_aversion and not iv.acceptance,
+        meta_aversion_scale=config.meta_aversion_scale)
 
 
 def canonical_suite() -> list:

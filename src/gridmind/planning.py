@@ -1,5 +1,5 @@
 """Deliberative system: goal suggestion, commitment, depth-limited
-value-guided search, plan execution, and plan-level frustration.
+value-guided search, intention bookkeeping, and plan-level loss sites.
 
 Search is best-first over the known transition model. Child ordering and
 queue priority follow the learned state-values scaled by heuristic_weight;
@@ -13,7 +13,7 @@ import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .suffering import FrustrationEvent, Source, Timescale, make_event
+from .suffering import LossSite, Source, Timescale
 from .values import ValueStore
 from .world import ACTIONS, Action, WorldModel
 
@@ -197,44 +197,14 @@ def commit(model: WorldModel, s: int, goals: list, store: ValueStore,
     return None
 
 
-def execute(intention: Intention, world: WorldModel, s: int, rng, *,
-            check_interrupt=None, on_step=None) -> Intention:
-    """Run an Active intention against the world until a terminal status.
+def plan_site(intention: Intention, *, t: int = 0) -> LossSite:
+    """A terminal intention as a Plan-timescale loss site.
 
-    s is the state the plan starts from. check_interrupt(state) -> bool is
-    consulted before each action; a True aborts with the remaining actions
-    unissued. on_step, when given, receives (state, action, reward,
-    next_state, consumed).
-    """
-    from .world import step as world_step
-
-    while intention.status is IntentionStatus.ACTIVE:
-        if check_interrupt is not None and check_interrupt(s):
-            intention.abort()
-            break
-        a = intention.next_action()
-        s_next, r, consumed = world_step(world, s, a, rng)
-        if on_step is not None:
-            on_step(s, a, r, s_next, consumed)
-        intention.advance(world.cell_of(s_next), s_next, r)
-        s = s_next
-    return intention
-
-
-def plan_frustration(intention: Intention, expected: float, obtained: float,
-                     *, certainty: float = 1.0, attention: float = 1.0,
-                     t: int = 0) -> FrustrationEvent:
-    """Score a terminal intention at the Plan timescale.
-
-    Reached plans pay reward_loss(expected, obtained); Failed and Aborted
-    ones are charged the full expected value.
+    Reached plans set the anticipated value against what the plan
+    obtained; Failed and Aborted ones are charged the full anticipation.
     """
     if not intention.terminal:
-        raise ValueError("plan_frustration requires a terminal intention")
-    if intention.status is IntentionStatus.REACHED:
-        exp_term, obt_term = expected, obtained
-    else:
-        exp_term, obt_term = expected, 0.0
-    return make_event(t=t, source=Source.PLAN_LOSS, timescale=Timescale.PLAN,
-                      expected=exp_term, obtained=obt_term,
-                      certainty=certainty, attention=attention)
+        raise ValueError("plan_site requires a terminal intention")
+    obtained = intention.obtained if intention.status is IntentionStatus.REACHED else 0.0
+    return LossSite(t, Source.PLAN_LOSS, Timescale.PLAN,
+                    intention.goal.anticipated_value, obtained)

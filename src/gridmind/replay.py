@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .suffering import Source, Timescale, make_event
+from .suffering import LossSite, Source, Timescale
 from .values import step_expectation, td_update
 from .world import Action
 
@@ -155,36 +155,30 @@ def wandering_step(agent, rng: np.random.Generator) -> list:
     The first draw gates the whole batch against p_wander, so runs that
     differ only in p_wander wander on nested step sets. Replay items are
     drawn proportionally to priority; the remainder are simulated
-    rollouts from the current state. Negative items score ledger events
-    whose attention is scaled by realness; positive ones only count.
+    rollouts from the current state. Negative items are returned as loss
+    sites, which the ledger scores with attention scaled by realness;
+    positive ones only count.
     """
     wp = agent.wandering
     if rng.random() >= wp.p_wander:
         return []
-    events = []
+    sites = []
     pri = None  # priority vector computed once per batch
     for _ in range(wp.batch_size):
         if len(agent.buffer) > 0 and rng.random() < wp.mode_mix:
             if pri is None or len(pri) != len(agent.buffer):
                 pri = priorities(agent.buffer, agent.store, agent.learning)
-            events.extend(_replay_item(agent, rng, pri))
+            sites.extend(_replay_item(agent, rng, pri))
         else:
-            events.extend(_imagine_rollout(agent, rng))
-    return events
+            sites.extend(_imagine_rollout(agent, rng))
+    return sites
 
 
-def _wander_event(agent, exp: Experience, source: Source):
+def _wander_site(agent, exp: Experience, source: Source):
     raw_expected = step_expectation(agent.store, exp.s, exp.s_next, exp.terminal,
                                     agent.learning.disc)
-    loss = raw_expected - exp.r
-    if loss > 0.0:
-        ev = make_event(
-            t=agent.t, source=source, timescale=Timescale.STEP,
-            expected=agent.scale_expectation(raw_expected), obtained=exp.r,
-            certainty=agent.certainty_factor,
-            attention=agent.attention_factor * agent.wandering.realness,
-        )
-        return [ev]
+    if raw_expected - exp.r > 0.0:
+        return [LossSite(agent.t, source, Timescale.STEP, raw_expected, exp.r)]
     agent.positive_wanderings += 1
     return []
 
@@ -192,10 +186,10 @@ def _wander_event(agent, exp: Experience, source: Source):
 def _replay_item(agent, rng, pri):
     idx = sample_from(pri, rng)
     exp = agent.buffer[idx]
-    events = _wander_event(agent, exp, Source.REPLAYED)
+    sites = _wander_site(agent, exp, Source.REPLAYED)
     agent.sim_tally[exp.t] = agent.sim_tally.get(exp.t, 0) + 1
     td_update(agent.store, exp, agent.learning, count_visit=False)
-    return events
+    return sites
 
 
 def _imagine_rollout(agent, rng):
@@ -222,7 +216,7 @@ def _imagine_rollout(agent, rng):
             heuristic_weight=agent.plan_params.heuristic_weight,
         )
         plan = plan_search(world, s, goals[0], agent.store, search)
-    events = []
+    sites = []
     sim_s = s
     for depth in range(agent.wandering.rollout_depth):
         if plan and depth < len(plan):
@@ -241,9 +235,9 @@ def _imagine_rollout(agent, rng):
             r = -world.step_cost + (obj.signed_magnitude() if obj is not None else 0.0)
             imagined = experiences(sim_s, a, r, landed_sid, agent.t)
         for exp in imagined:
-            events.extend(_wander_event(agent, exp, Source.IMAGINED))
+            sites.extend(_wander_site(agent, exp, Source.IMAGINED))
             td_update(agent.store, exp, agent.learning, count_visit=False)
         if consuming:
             break
         sim_s = landed_sid
-    return events
+    return sites

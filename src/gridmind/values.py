@@ -38,11 +38,11 @@ class LearningParams:
             raise ValueError("alpha must be in (0, 1]")
         if self.gamma is not None and not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must be in [0, 1]")
-        if self.step_penalty is not None and self.step_penalty < 0:
+        if self.step_penalty is not None and not self.step_penalty >= 0:
             raise ValueError("step_penalty must be >= 0")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must be in [0, 1]")
-        if self.curiosity_kappa < 0:
+        if not self.curiosity_kappa >= 0:
             raise ValueError("curiosity_kappa must be >= 0")
 
     @property

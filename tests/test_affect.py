@@ -10,7 +10,7 @@ from gridmind.affect import (InterruptKind, InterruptPolicy,
 from gridmind.agent import Agent
 from gridmind.harness import RunConfig
 from gridmind.planning import Goal, Intention
-from gridmind.suffering import Source, Timescale
+from gridmind.suffering import Source, Terms, Timescale, score
 from gridmind.world import Action, Observation
 
 
@@ -183,9 +183,18 @@ def test_sweep_requires_two_thresholds():
 # -- self evaluation -----------------------------------------------------------
 
 
+def self_eval_event(sm, rewards, standard_scale=1.0):
+    """The SelfEval event an evaluation scores, or None."""
+    site = self_evaluate(sm, rewards)
+    if site is None:
+        return None
+    events = score(site, Terms(standard_scale=standard_scale))
+    return events[0] if events else None
+
+
 def test_self_evaluate_shortfall():
     sm = SelfModel(evaluation_window=3, standard=0.5)
-    ev = self_evaluate(sm, [0.2, 0.2, 0.2])
+    ev = self_eval_event(sm, [0.2, 0.2, 0.2])
     assert ev is not None
     assert ev.expected - ev.obtained == pytest.approx(0.3)
     assert ev.timescale is Timescale.SELF_EVAL
@@ -193,17 +202,26 @@ def test_self_evaluate_shortfall():
 
 def test_self_evaluate_satisfied():
     sm = SelfModel(evaluation_window=3, standard=0.5)
-    assert self_evaluate(sm, [0.6, 0.5, 0.7]) is None
+    assert self_eval_event(sm, [0.6, 0.5, 0.7]) is None
 
 
 def test_self_evaluate_zeroed_standard_never_fires():
     sm = SelfModel(evaluation_window=3, standard=0.5)
-    assert self_evaluate(sm, [-1.0, -1.0, -1.0], standard_scale=0.0) is None
+    assert self_eval_event(sm, [-1.0, -1.0, -1.0], standard_scale=0.0) is None
+
+
+def test_scaled_negative_standard_can_fire_where_the_unscaled_one_does_not():
+    # standard -1 against a mean of -0.8 is met; halved to -0.5 it is not
+    sm = SelfModel(evaluation_window=1, standard=-1.0)
+    assert self_eval_event(sm, [-0.8]) is None
+    ev = self_eval_event(sm, [-0.8], standard_scale=0.5)
+    assert ev.expected == -0.5
+    assert ev.expected - ev.obtained == pytest.approx(0.3)
 
 
 def test_self_evaluate_needs_full_window():
     sm = SelfModel(evaluation_window=5, standard=0.5)
-    assert self_evaluate(sm, [0.0, 0.0]) is None
+    assert self_evaluate(sm, [0.0, 0.0]) is None  # not even a site
 
 
 def test_meta_rate_drifts_standard():

@@ -228,4 +228,4 @@ def test_audit_on_busy_run():
 def test_certainty_factor_follows_channel():
     w = make_world(width=4, height=1, observation_confusion=0.25)
     agent = Agent(quiet_config(w), w, 0)
-    assert agent.certainty_factor == pytest.approx(0.75)
+    assert agent.terms.certainty == pytest.approx(0.75)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from gridmind import rng as rngmod
 from gridmind.cli import main as cli_main
 from gridmind.harness import (EVENT_COLUMNS, ConfigError, config_from_dict,
                               experiment, load_config, run)
+from gridmind.presets import get_world
 
 
 BASE_CONFIG = {
@@ -293,3 +295,74 @@ def test_cli_non_finite_attention_exits_2(tmp_path, value):
     assert "attention" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("base, path", [
+    ('{"attention": Infinity}', "base.attention"),
+    ('{"atention": 1.0}', "base.atention"),
+    ('{"learning": {"curiosity_kappa": NaN}}', "base.learning.curiosity_kappa"),
+])
+def test_cli_bad_matrix_base_exits_2(tmp_path, base, path):
+    """The base is checked once, before any simulation: a bad one is an
+    invalid config, not a matrix of failed cells."""
+    matrix_path = tmp_path / "matrix.json"
+    matrix_path.write_text('{"interventions": ["baseline"], "worlds": ["corridor"], '
+                           f'"seeds": 1, "steps": 10, "base": {base}}}')
+    out = tmp_path / "exp"
+    proc = run_cli("experiment", "--matrix", str(matrix_path), "--out", str(out))
+    assert proc.returncode == 2
+    assert path in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, value, path", [
+    ("learning", {"curiosity_kappa": "NaN"}, "learning.curiosity_kappa"),
+    ("learning", {"step_penalty": "NaN"}, "learning.step_penalty"),
+    ("intervention", {"name": "x", "desire_threshold_delta": "NaN"},
+     "intervention.desire_threshold_delta"),
+    ("interrupts", {"threat_threshold": "NaN"}, "interrupts.threat_threshold"),
+    ("interrupts", {"desire_threshold": "NaN"}, "interrupts.desire_threshold"),
+])
+def test_cli_nan_parameter_exits_2(tmp_path, section, value, path):
+    config_path = tmp_path / "run.json"
+    text = json.dumps({**BASE_CONFIG, "steps": 20, section: value})
+    config_path.write_text(text.replace('"NaN"', "NaN"))
+    out = tmp_path / "out"
+    proc = run_cli("simulate", "--config", str(config_path), "--out", str(out))
+    assert proc.returncode == 2
+    assert path in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_infinite_threat_threshold_stays_legal():
+    config = config_from_dict({**BASE_CONFIG, "interrupts": {"threat_threshold": math.inf}})
+    assert config.interrupts.threat_threshold == math.inf
+
+
+def test_experiment_checks_world_dependent_fields_per_cell():
+    """A base that is valid in one world only (a step penalty matching
+    loss_heavy's step cost) fails the other world's cells, not the matrix."""
+    step_cost = get_world("loss_heavy").step_cost
+    assert get_world("corridor").step_cost != step_cost
+    matrix = {"interventions": ["baseline"], "worlds": ["corridor", "loss_heavy"],
+              "seeds": [0], "steps": 20,
+              "base": {"learning": {"step_penalty": step_cost}}}
+    rows, failures = experiment(matrix)
+    statuses = {r["world"]: r["status"] for r in rows if r["seed"] == "0"}
+    assert failures == 1
+    assert statuses["corridor"].startswith("failed: learning.step_penalty")
+    assert statuses["loss_heavy"] == "ok"
+
+
+@pytest.mark.parametrize("extra, path", [({"base": {"steps": "50"}}, "base.steps:"),
+                                         ({"steps": "50"}, "invalid config: steps:")])
+def test_cli_string_steps_exit_2(tmp_path, extra, path):
+    matrix_path = tmp_path / "matrix.json"
+    matrix_path.write_text(json.dumps({"interventions": ["baseline"], "worlds": ["corridor"],
+                                       "seeds": 1, **extra}))
+    proc = run_cli("experiment", "--matrix", str(matrix_path), "--out", str(tmp_path / "exp"))
+    assert proc.returncode == 2
+    assert path in proc.stderr
+    assert "Traceback" not in proc.stderr

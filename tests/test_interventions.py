@@ -1,9 +1,15 @@
-import pytest
+from dataclasses import asdict, replace
 
-from gridmind.harness import RunConfig, run
-from gridmind.interventions import (InterventionConfig, apply, by_name,
-                                    canonical_suite)
-from gridmind.suffering import Source
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from gridmind import harness
+from gridmind.affect import InterruptPolicy, SelfModel
+from gridmind.harness import RunConfig, config_from_dict, experiment, run
+from gridmind.interventions import (InterventionConfig, apply, behaviour_key,
+                                    by_name, canonical_suite, terms)
+from gridmind.suffering import Source, rescore
 from gridmind.values import reward_loss
 
 
@@ -80,11 +86,17 @@ def test_equation_term_scalings_are_monotone(knob):
 
 
 def test_equation_term_scaling_leaves_policy_fixed():
-    base = RunConfig(**LOSSY)
+    base = RunConfig(**LOSSY, trace=True)
     a1, _ = run(apply(base, InterventionConfig(name="a")))
     a2, _ = run(apply(base, InterventionConfig(name="b", expectation_scale=0.4,
                                                certainty_scale=0.5,
                                                attention_scale=0.6)))
+
+    def actions(agent):
+        return [(item.t, item.detail["action"]) for item in agent.trace if item.kind == "step"]
+
+    assert len(actions(a1)) == LOSSY["steps"]
+    assert actions(a1) == actions(a2)
     assert a1.obtained_total == a2.obtained_total
     assert a1.episodes == a2.episodes
     assert [e.t for e in a1.ledger.events
@@ -166,3 +178,138 @@ def test_no_self_eval_holds_while_the_standard_drifts():
     assert [e.expected - e.obtained for e in self_evals(by_name("baseline"))] == \
         [pytest.approx(6.75)]
     assert self_evals(by_name("no_self_eval")) == []
+
+
+# -- one trajectory, many ledgers ----------------------------------------------
+
+REPORT_TOTALS = ("total_frustration", "weighted_total", "step_total", "plan_total",
+                 "self_eval_total", "obtained_reward", "episodes")
+
+
+def summary_row(summary) -> dict:
+    """The report columns of a directly simulated run."""
+    totals = summary["totals"]
+    return dict(zip(REPORT_TOTALS, (
+        totals["total"], totals["weighted_total"], totals["by_timescale"]["Step"],
+        totals["by_timescale"]["Plan"], totals["by_timescale"]["SelfEval"],
+        summary["obtained_reward"], summary["episodes"])))
+
+
+def rescored_events(simulated, config):
+    """The events the run ``config`` records, re-scored from the loss sites
+    of ``simulated``, a run of the same behaviour class."""
+    confusion = simulated.world.observation_confusion
+    return rescore(simulated.sites, terms(config, confusion)).events
+
+
+def test_canonical_suite_falls_into_three_behaviour_classes():
+    keys = {behaviour_key(iv) for iv in canonical_suite()}
+    assert len(keys) == 3
+    assert behaviour_key(by_name("baseline")) == behaviour_key(by_name("acceptance"))
+    assert behaviour_key(by_name("baseline")) != behaviour_key(by_name("empty_mind"))
+    assert behaviour_key(by_name("baseline")) != behaviour_key(by_name("fewer_desires"))
+    # the expectation scale is a policy field only when coupled
+    assert behaviour_key(InterventionConfig(expectation_scale=0.5)) == \
+        behaviour_key(InterventionConfig())
+    assert behaviour_key(InterventionConfig(expectation_scale=0.5, coupled=True)) != \
+        behaviour_key(InterventionConfig(coupled=True))
+
+
+CANONICAL_BASE = {"interrupts": {"threat_threshold": 0.8}, "self_model": {"standard": 1.0}}
+
+
+@pytest.mark.parametrize("world", ["corridor", "loss_heavy"])
+def test_rescored_ledgers_equal_simulated_ones_for_the_canonical_suite(world, monkeypatch):
+    """Every canonical intervention, re-scored from its class's run, records
+    the very events (and report row) of its own simulation."""
+    seeds, steps = 3, 400
+    suite = canonical_suite()
+    simulations = []
+
+    def counted_run(config, *args, **kwargs):
+        simulations.append(config.intervention.name)
+        return run(config, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run", counted_run)
+    rows, failures = experiment({"interventions": "canonical", "worlds": [world],
+                                 "seeds": seeds, "steps": steps, "base": CANONICAL_BASE})
+    monkeypatch.undo()
+    assert failures == 0
+    assert sorted(simulations) == sorted(["baseline", "empty_mind", "fewer_desires"] * seeds)
+    report = {(r["intervention"], r["seed"]): r for r in rows}
+
+    for seed in range(seeds):
+        base = config_from_dict({**CANONICAL_BASE, "world": world, "seed": seed,
+                                 "steps": steps})
+        agents, summaries = {}, {}
+        for iv in suite:
+            agents[iv.name], summaries[iv.name] = run(apply(base, iv))
+        for iv in suite:
+            first = next(m for m in suite if behaviour_key(m) == behaviour_key(iv))
+            events = rescored_events(agents[first.name], apply(base, iv))
+            assert events == agents[iv.name].ledger.events, iv.name
+            row = report[(iv.name, str(seed))]
+            assert {k: row[k] for k in REPORT_TOTALS} == summary_row(summaries[iv.name])
+
+
+unit = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def intervention_configs(draw):
+    return InterventionConfig(
+        name="drawn",
+        expectation_scale=draw(unit),
+        certainty_scale=draw(unit),
+        attention_scale=draw(unit),
+        p_wander_override=draw(st.none() | st.sampled_from([0.0, 0.5])),
+        realness_override=draw(st.none() | unit),
+        desire_threshold_delta=draw(st.sampled_from([0.0, 0.3])),
+        self_standard_scale=draw(unit),
+        acceptance=draw(st.booleans()),
+        coupled=draw(st.booleans()),
+    )
+
+
+@st.composite
+def base_configs(draw):
+    return RunConfig(
+        world=draw(st.sampled_from(["corridor", "loss_heavy"])),
+        seed=draw(st.integers(0, 50)),
+        steps=250,
+        interrupts=InterruptPolicy(threat_threshold=0.8),
+        self_model=SelfModel(evaluation_window=draw(st.sampled_from([1, 3])),
+                             standard=draw(st.sampled_from([-1.0, -0.2, 0.0, 1.0])),
+                             meta_rate=draw(st.sampled_from([0.0, 0.3]))),
+        meta_aversion=draw(st.booleans()),
+        desire_cost=draw(st.sampled_from([0.0, 0.05])),
+    )
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(iv=intervention_configs(), other=intervention_configs(), base=base_configs())
+def test_rescoring_equals_simulating_for_any_intervention(iv, other, base):
+    """Re-scoring the run of the intervention's behaviour class gives the
+    events of simulating the intervention itself; and a matrix that groups
+    by behaviour key reports every cell as its own simulation would."""
+    first = InterventionConfig(
+        name="first", p_wander_override=iv.p_wander_override,
+        desire_threshold_delta=iv.desire_threshold_delta, coupled=iv.coupled,
+        expectation_scale=iv.expectation_scale if iv.coupled else 1.0)
+    assert behaviour_key(first) == behaviour_key(iv)
+    other = replace(other, name="other")
+    simulated, first_summary = run(apply(base, first))
+    direct, summary = run(apply(base, iv))
+    assert rescored_events(simulated, apply(base, iv)) == direct.ledger.events
+
+    base_data = {"interrupts": asdict(base.interrupts), "self_model": asdict(base.self_model),
+                 "meta_aversion": base.meta_aversion, "desire_cost": base.desire_cost}
+    rows, failures = experiment({"interventions": [asdict(first), asdict(iv), asdict(other)],
+                                 "worlds": [base.world], "seeds": [base.seed],
+                                 "steps": base.steps, "base": base_data})
+    assert failures == 0
+    report = {r["intervention"]: r for r in rows if r["seed"] != "median"}
+    expected = {"first": first_summary, "drawn": summary,
+                "other": run(apply(base, other))[1]}
+    for name, want in expected.items():
+        assert {k: report[name][k] for k in REPORT_TOTALS} == summary_row(want), name

@@ -5,12 +5,12 @@ import pytest
 
 from conftest import make_world, reward
 from gridmind.planning import (Goal, Intention, IntentionStatus,
-                               PlanSearchParams, commit, count_paths, execute,
-                               plan_frustration, plan_search, split_cost,
+                               PlanSearchParams, commit, count_paths,
+                               plan_search, plan_site, split_cost,
                                suggest_goals)
-from gridmind.suffering import Source, Timescale
+from gridmind.suffering import Source, Terms, Timescale, score
 from gridmind.values import ValueStore
-from gridmind.world import Action, Relocation, apply_schedule
+from gridmind.world import Action, Relocation, apply_schedule, step
 
 
 def test_count_paths_figure_values():
@@ -178,7 +178,7 @@ def test_commit_reachable_goal_executes_to_target(rng):
     goals = suggest_goals(w, store, w.state_id((0, 0)), reach=4, threshold=0.5)
     intention = commit(w, w.state_id((0, 0)), goals, store, PlanSearchParams())
     assert intention is not None and intention.status is IntentionStatus.ACTIVE
-    done = execute(intention, w, w.state_id((0, 0)), rng)
+    done = drive(intention, w, w.state_id((0, 0)), rng)
     assert done.status is IntentionStatus.REACHED
 
 
@@ -200,6 +200,26 @@ def test_commit_falls_through_to_next_ranked_goal():
 # -- execution ----------------------------------------------------------------
 
 
+def drive(intention, world, s, rng, check_interrupt=None):
+    """Step an Active intention through the world until it is terminal, the
+    way the agent's loop does: apply the schedule and re-key the state,
+    consult check_interrupt(state) before each action (True aborts with the
+    rest of the plan unissued), act, and advance the intention."""
+    t = 0
+    while intention.status is IntentionStatus.ACTIVE:
+        if check_interrupt is not None and check_interrupt(s):
+            intention.abort()
+            break
+        cell = world.cell_of(s)
+        apply_schedule(world, t)
+        s = world.state_id(cell)  # re-key after any epoch bump
+        s2, r, _ = step(world, s, intention.next_action(), rng)
+        intention.advance(world.cell_of(s2), s2, r)
+        s = s2
+        t += 1
+    return intention
+
+
 def make_intention(world, start_cell, plan):
     cells = []
     cur = start_cell
@@ -213,7 +233,7 @@ def make_intention(world, start_cell, plan):
 def test_execute_deterministic_plan_reaches(rng):
     w = make_world(width=6, height=1)
     intention = make_intention(w, (0, 0), [Action.EAST] * 5)
-    done = execute(intention, w, w.state_id((0, 0)), rng)
+    done = drive(intention, w, w.state_id((0, 0)), rng)
     assert done.status is IntentionStatus.REACHED
     assert done.cursor == 5
 
@@ -227,30 +247,18 @@ def test_execute_interrupt_aborts_mid_plan(rng):
         fired["n"] += 1
         return fired["n"] == 3  # fires before the third action
 
-    done = execute(intention, w, w.state_id((0, 0)), rng, check_interrupt=check)
+    done = drive(intention, w, w.state_id((0, 0)), rng, check_interrupt=check)
     assert done.status is IntentionStatus.ABORTED
     assert done.cursor == 2
     assert len(done.plan) - done.cursor == 3  # three actions unissued
 
 
 def test_execute_relocation_fails_on_arrival(rng):
-    from gridmind.world import step
-
     w = make_world(width=6, height=1,
                    objects={"g": reward("g", 1.0, (5, 0))},
                    schedule=(Relocation(2, "g", (0, 0)),))
     intention = make_intention(w, (0, 0), [Action.EAST] * 5)
-    s = w.state_id((0, 0))
-    t = 0
-    while intention.status is IntentionStatus.ACTIVE:
-        cell = w.cell_of(s)
-        apply_schedule(w, t)
-        s = w.state_id(cell)  # re-key after any epoch bump
-        a = intention.next_action()
-        s2, r, _ = step(w, s, a, rng)
-        intention.advance(w.cell_of(s2), s2, r)
-        s = s2
-        t += 1
+    drive(intention, w, w.state_id((0, 0)), rng)
     # every cell matched the prediction, but the goal belongs to a dead epoch
     assert intention.status is IntentionStatus.FAILED
     assert intention.cursor == 5
@@ -259,7 +267,7 @@ def test_execute_relocation_fails_on_arrival(rng):
 def test_execute_slip_divergence_fails(rng):
     w = make_world(width=6, height=3, slip_probability=1.0, start=(0, 1))
     intention = make_intention(w, (0, 1), [Action.EAST] * 3)
-    done = execute(intention, w, w.state_id((0, 1)), rng)
+    done = drive(intention, w, w.state_id((0, 1)), rng)
     assert done.status is IntentionStatus.FAILED
     assert done.cursor == 1
 
@@ -273,23 +281,29 @@ def terminal_intention(status, anticipated=1.0, obtained=0.0):
                      expected_cells=[(1, 0)], obtained=obtained)
 
 
+def plan_frustration(intention):
+    """The plan event of a terminal intention under identity terms."""
+    [ev] = score(plan_site(intention), Terms())
+    return ev
+
+
 def test_plan_frustration_reached_no_loss():
     i = terminal_intention(IntentionStatus.REACHED, anticipated=1.0, obtained=1.0)
-    ev = plan_frustration(i, expected=1.0, obtained=1.0)
+    ev = plan_frustration(i)
     assert ev.frustration == 0.0
     assert ev.timescale is Timescale.PLAN and ev.source is Source.PLAN_LOSS
 
 
 def test_plan_frustration_failed_full_loss():
-    i = terminal_intention(IntentionStatus.FAILED, anticipated=1.0)
-    ev = plan_frustration(i, expected=1.0, obtained=0.7)
+    i = terminal_intention(IntentionStatus.FAILED, anticipated=1.0, obtained=0.7)
+    ev = plan_frustration(i)
     assert ev.expected == 1.0 and ev.obtained == 0.0
     assert ev.frustration == 1.0
 
 
 def test_plan_frustration_reached_partial():
     i = terminal_intention(IntentionStatus.REACHED, anticipated=1.0, obtained=0.4)
-    ev = plan_frustration(i, expected=1.0, obtained=0.4)
+    ev = plan_frustration(i)
     assert ev.frustration == pytest.approx(0.6)
 
 
@@ -297,4 +311,4 @@ def test_plan_frustration_requires_terminal():
     i = terminal_intention(IntentionStatus.FAILED)
     i.status = IntentionStatus.ACTIVE
     with pytest.raises(ValueError):
-        plan_frustration(i, expected=1.0, obtained=0.0)
+        plan_site(i)

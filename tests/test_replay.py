@@ -289,6 +289,11 @@ def loss_agent(p_wander=1.0, realness=1.0, mode_mix=1.0, seed=0, **config_kw):
     return agent
 
 
+def wander_events(agent, rng):
+    """One wandering tick, its loss sites scored into the agent's ledger."""
+    return [ev for site in wandering_step(agent, rng) for ev in agent.record(site)]
+
+
 def test_wandering_disabled_means_no_events_no_updates():
     agent = loss_agent(p_wander=0.0)
     v_before = dict(agent.store.V)
@@ -301,7 +306,7 @@ def test_wandering_disabled_means_no_events_no_updates():
 def test_wandering_zero_realness_scores_zero():
     agent = loss_agent(realness=0.0)
     rng = np.random.default_rng(0)
-    events = wandering_step(agent, rng)
+    events = wander_events(agent, rng)
     assert events  # the loss is replayed
     assert all(ev.frustration == 0.0 for ev in events)
     assert all(ev.attention == 0.0 for ev in events)
@@ -315,7 +320,7 @@ def test_replay_tally_counts_real_plus_simulated():
         # alpha pulls V down after each replay; pin it back to keep the
         # loss alive for the count check
         agent.store.V[agent.s_true] = 1.0
-        emitted += wandering_step(agent, rng)
+        emitted += wander_events(agent, rng)
     assert len(emitted) == 3
     assert agent.sim_tally[0] == 3
     # 1 real perception + 3 simulated = count factor 4
