@@ -50,13 +50,10 @@ class Interrupt:
 
 def threat_level(world: WorldModel, s: int, policy: InterruptPolicy) -> float:
     """Hazard potential field: sum of magnitude * exp(-d / decay_length)
-    over active hazards, d the Manhattan distance."""
-    x, y = world.cell_of(s)
-    level = 0.0
-    for hz in world.active_hazards():
-        d = abs(hz.at[0] - x) + abs(hz.at[1] - y)
-        level += hz.magnitude * math.exp(-d / policy.decay_length)
-    return level
+    over active hazards, d the Manhattan distance; read from the world's
+    field for this epoch (``WorldModel.threat_field``)."""
+    flat = world.flat_of(s)
+    return world.threat_field(policy.decay_length)[flat]
 
 
 def check_interrupts(agent, s: int, observation, policy: InterruptPolicy):

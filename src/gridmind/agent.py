@@ -162,9 +162,9 @@ class Agent:
         t = self.t
         world = self.world
 
-        cell = world.cell_of(self.s_true)
+        flat = world.flat_of(self.s_true)
         apply_schedule(world, t)
-        self.s_true = world.state_id(cell)  # re-key after any epoch bump
+        self.s_true = world.epoch * world.geometry.n + flat  # re-key after any epoch bump
 
         obs = observe(world, self.s_true, self.rng_obs)
         self.s_obs = obs.reported_state

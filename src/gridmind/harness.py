@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import statistics
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -171,13 +172,22 @@ def validate_config(config: RunConfig) -> RunConfig:
     return config
 
 
+def _integer(v) -> bool:
+    """An integer count or seed; bool is not one."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _seed(v) -> bool:
+    return _integer(v) and 0 <= v < 2 ** 64
+
+
 # (field, check, message) of the run fields that need no world to check.
 _FIELD_CHECKS = (
-    ("steps", lambda v: v >= 0, "must be >= 0"),
-    ("seed", lambda v: 0 <= v < 2 ** 64, "must fit in 64 unsigned bits"),
+    ("steps", lambda v: _integer(v) and v >= 0, "must be an integer >= 0"),
+    ("seed", _seed, "must be an integer that fits in 64 unsigned bits"),
     ("policy", lambda v: v in ("learned", "random"), "must be 'learned' or 'random'"),
-    ("episode_step_limit", lambda v: v >= 1, "must be positive"),
-    ("goal_reach", lambda v: v >= 1, "must be positive"),
+    ("episode_step_limit", lambda v: _integer(v) and v >= 1, "must be a positive integer"),
+    ("goal_reach", lambda v: _integer(v) and v >= 1, "must be a positive integer"),
     ("attention", lambda v: math.isfinite(v) and v >= 0, "must be finite and >= 0"),
     ("depression_stay_bias", lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]"),
     ("desire_cost", lambda v: v >= 0, "must be >= 0"),
@@ -322,6 +332,27 @@ def _matrix_interventions(spec) -> list:
     return [_intervention(item, f"interventions[{i}]") for i, item in enumerate(spec)]
 
 
+def _matrix_worlds(spec) -> list:
+    if not isinstance(spec, list):
+        raise ConfigError("worlds", "must be a list of world names or paths")
+    for i, world in enumerate(spec):
+        if not isinstance(world, str):
+            raise ConfigError(f"worlds[{i}]", "must be a world name or path")
+    return spec
+
+
+def _matrix_seeds(spec) -> list:
+    """A seed count (seeds 0..n-1) or a list of seeds."""
+    if _integer(spec) and spec >= 0:
+        return list(range(spec))
+    if not isinstance(spec, list):
+        raise ConfigError("seeds", "must be a non-negative integer or a list of seeds")
+    for i, seed in enumerate(spec):
+        if not _seed(seed):
+            raise ConfigError(f"seeds[{i}]", "must be an integer that fits in 64 unsigned bits")
+    return spec
+
+
 def _matrix_base(matrix: dict) -> RunConfig:
     """The run configuration every cell starts from, checked once before any
     simulation. World and seed come per cell, so the checks that need a
@@ -371,9 +402,8 @@ def experiment(matrix: dict, out_dir=None) -> tuple[list, int]:
     a simulation that raises fails every cell of its class.
     """
     interventions = _matrix_interventions(matrix.get("interventions"))
-    worlds = matrix.get("worlds", ["corridor"])
-    seeds_spec = matrix.get("seeds", 5)
-    seeds = list(range(seeds_spec)) if isinstance(seeds_spec, int) else list(seeds_spec)
+    worlds = _matrix_worlds(matrix.get("worlds", ["corridor"]))
+    seeds = _matrix_seeds(matrix.get("seeds", 5))
     base = _matrix_base(matrix)
     classes: dict[tuple, list] = {}
     for i, iv in enumerate(interventions):

@@ -15,7 +15,7 @@ from enum import Enum
 
 from .suffering import LossSite, Source, Timescale
 from .values import ValueStore
-from .world import ACTIONS, Action, WorldModel
+from .world import MOVES, WorldModel
 
 
 def count_paths(branching: int, depth: int) -> int:
@@ -107,22 +107,16 @@ def suggest_goals(model: WorldModel, store: ValueStore, s: int, reach: int,
     """
     if reach < 1:
         raise ValueError("reach must be >= 1")
-    seen = {s}
-    frontier = [s]
+    flat = model.flat_of(s)
+    base = s - flat
+    V = store.V
     candidates = []
-    for _ in range(reach):
-        nxt_frontier = []
-        for cur in frontier:
-            for cell in model.neighbor_cells(model.cell_of(cur)):
-                sid = model.state_id(cell)
-                if sid not in seen:
-                    seen.add(sid)
-                    nxt_frontier.append(sid)
-                    if store.v(sid) > threshold:
-                        candidates.append(sid)
-        frontier = nxt_frontier
-    candidates.sort(key=lambda sid: (-store.v(sid), sid))
-    return [Goal(target=sid, anticipated_value=store.v(sid), proposed_at=t) for sid in candidates]
+    for f in model.geometry.within(reach, flat):
+        v = V.get(base + f, 0.0)
+        if v > threshold:
+            candidates.append((-v, base + f))
+    candidates.sort()
+    return [Goal(target=sid, anticipated_value=-neg_v, proposed_at=t) for neg_v, sid in candidates]
 
 
 def plan_search(model: WorldModel, s: int, goal: Goal, store: ValueStore,
@@ -134,6 +128,7 @@ def plan_search(model: WorldModel, s: int, goal: Goal, store: ValueStore,
             stats["expansions"] = 0
         return []
     w = params.heuristic_weight
+    next_flat = model.geometry.next_flat
     counter = 0
     heap = [(-w * store.v(s), counter, s, 0)]
     parent = {s: None}
@@ -144,15 +139,11 @@ def plan_search(model: WorldModel, s: int, goal: Goal, store: ValueStore,
         if depth >= params.max_depth:
             continue
         children = []
-        cell = model.cell_of(state)
-        for a in ACTIONS:
-            if a is Action.STAY:
-                continue
-            nxt_cell = model.intended_next(cell, a)
-            if nxt_cell == cell:
-                continue
-            nxt = model.state_id(nxt_cell)
-            if nxt not in parent:
+        flat = model.flat_of(state)
+        base = state - flat
+        for a in MOVES:
+            nxt = base + next_flat[flat][a]
+            if nxt != state and nxt not in parent:
                 children.append((nxt, a))
         children.sort(key=lambda ch: (-store.v(ch[0]), ch[1]))
         for nxt, a in children[: params.branching_cap]:
@@ -188,11 +179,12 @@ def commit(model: WorldModel, s: int, goals: list, store: ValueStore,
     for goal in goals:
         plan = plan_search(model, s, goal, store, params)
         if plan:
+            geo = model.geometry
             cells = []
-            cur = model.cell_of(s)
+            cur = model.flat_of(s)
             for a in plan:
-                cur = model.intended_next(cur, a)
-                cells.append(cur)
+                cur = geo.next_flat[cur][a]
+                cells.append(geo.cells[cur])
             return Intention(goal=goal, plan=plan, committed_at=t, expected_cells=cells)
     return None
 

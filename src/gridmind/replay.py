@@ -203,6 +203,7 @@ def _imagine_rollout(agent, rng):
     from .values import epsilon_greedy
 
     world = agent.world
+    geo = world.geometry
     s = agent.s_true
     plan = None
     threshold = agent.suggestion_threshold()
@@ -223,10 +224,10 @@ def _imagine_rollout(agent, rng):
             a = plan[depth]
         else:
             a = epsilon_greedy(agent.store, sim_s, agent.learning, rng)
-        cell = world.cell_of(sim_s)
-        landed = world.intended_next(cell, a)
-        landed_sid = world.state_id(landed)
-        obj = world.object_at(landed)
+        flat = world.flat_of(sim_s)
+        landed = geo.next_flat[flat][a]
+        landed_sid = sim_s - flat + landed
+        obj = world.object_at(geo.cells[landed])
         consuming = obj is not None and obj.kind == "reward" and obj.consumable
         if consuming:
             imagined = experiences(sim_s, a, -world.step_cost, landed_sid, agent.t,

@@ -195,16 +195,18 @@ def world_mdp(world: WorldModel) -> Mdp:
     the magnitude is already accounted for by the clamp. Everything else
     (hazards, non-consumable rewards) recurs in the transition rewards.
     """
+    geo = world.geometry
+    base = world.epoch * geo.n
     states = tuple(world.free_states())
     terminal = {}
     for s in states:
-        obj = world.object_at(world.cell_of(s))
+        obj = world.object_at(geo.cells[s - base])
         if obj is not None and obj.kind == "reward" and obj.consumable:
             terminal[s] = obj.magnitude
 
-    def landing_reward(cell) -> float:
+    def landing_reward(flat) -> float:
         r = -world.step_cost
-        obj = world.object_at(cell)
+        obj = world.object_at(geo.cells[flat])
         if obj is not None and not (obj.kind == "reward" and obj.consumable):
             r += obj.signed_magnitude()
         return r
@@ -214,21 +216,20 @@ def world_mdp(world: WorldModel) -> Mdp:
     for s in states:
         if s in terminal:
             continue
-        cell = world.cell_of(s)
+        row = geo.next_flat[s - base]
         for a in ACTIONS:
             outcomes = []
             if a is Action.STAY or p_slip == 0.0:
-                landed = world.intended_next(cell, a)
-                outcomes.append((1.0, landed))
+                outcomes.append((1.0, row[a]))
             else:
-                outcomes.append((1.0 - p_slip, world.intended_next(cell, a)))
+                outcomes.append((1.0 - p_slip, row[a]))
                 for lat in LATERALS[a]:
-                    outcomes.append((p_slip / 2.0, world.intended_next(cell, lat)))
+                    outcomes.append((p_slip / 2.0, row[lat]))
             merged = {}
             for p, landed in outcomes:
                 merged[landed] = merged.get(landed, 0.0) + p
             transitions[(s, a)] = [
-                (p, world.state_id(landed), landing_reward(landed))
+                (p, base + landed, landing_reward(landed))
                 for landed, p in merged.items()
             ]
     return Mdp(states=states, actions=ACTIONS, transitions=transitions, terminal=terminal)

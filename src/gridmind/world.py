@@ -10,6 +10,7 @@ agent has to re-learn, which is exactly the cost the simulator measures.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from pathlib import Path
@@ -76,6 +77,72 @@ class Observation:
     confusion_applied: bool
 
 
+# The four moves, in the order neighbour lists keep.
+MOVES = (Action.NORTH, Action.EAST, Action.SOUTH, Action.WEST)
+
+
+class Geometry:
+    """Flat-cell tables of one wall layout; flat id ``y * width + x``.
+
+    Walls never change and an epoch only offsets state ids (state = epoch
+    * n + flat), so one set of tables serves every epoch of a world and
+    every copy of it:
+
+    * ``cells[f]``: the (x, y) cell; ``free[f]``: not a wall;
+    * ``next_flat[f][a]``: where the intended move ``a`` lands (walls and
+      edges block, leaving the agent in place);
+    * ``neighbors[f]``: the cells one move away, in N, E, S, W order,
+      blocked moves left out;
+    * ``within(reach, f)``: the cells within ``reach`` moves, without f
+      itself, each built on first use.
+    """
+
+    def __init__(self, width: int, height: int, walls: frozenset):
+        self.width, self.height, self.walls = width, height, walls
+        self.n = width * height
+        self.cells = tuple((f % width, f // width) for f in range(self.n))
+        self.free = tuple(c not in walls for c in self.cells)
+        self.next_flat = tuple(tuple(self._target(f, a) for a in ACTIONS)
+                               for f in range(self.n))
+        self.neighbors = tuple(tuple(row[a] for a in MOVES if row[a] != f)
+                               for f, row in enumerate(self.next_flat))
+        self._within = {}
+
+    def _target(self, f: int, a: Action) -> int:
+        dx, dy = DELTAS[a]
+        x, y = self.cells[f][0] + dx, self.cells[f][1] + dy
+        if 0 <= x < self.width and 0 <= y < self.height and self.free[y * self.width + x]:
+            return y * self.width + x
+        return f
+
+    def fits(self, width: int, height: int, walls) -> bool:
+        return (width, height) == (self.width, self.height) and (
+            walls is self.walls or walls == self.walls)
+
+    def within(self, reach: int, f: int) -> tuple:
+        table = self._within.get(reach)
+        if table is None:
+            table = self._within[reach] = [None] * self.n
+        ball = table[f]
+        if ball is None:
+            seen = {f}
+            frontier = [f]
+            found = []
+            for _ in range(reach):
+                layer = []
+                for cur in frontier:
+                    for nxt in self.neighbors[cur]:
+                        if nxt not in seen:
+                            seen.add(nxt)
+                            layer.append(nxt)
+                if not layer:
+                    break
+                found.extend(layer)
+                frontier = layer
+            ball = table[f] = tuple(found)
+        return ball
+
+
 @dataclass
 class WorldModel:
     width: int
@@ -90,6 +157,9 @@ class WorldModel:
     epoch: int = 0
     consumed: set = field(default_factory=set)
     applied_relocations: int = 0
+    # Built from width, height and walls unless a fitting one is passed in,
+    # so copies share it.
+    geometry: Geometry | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
@@ -100,11 +170,13 @@ class WorldModel:
             raise WorldError("step_cost must be >= 0")
         if not 0.0 <= self.observation_confusion < 1.0:
             raise WorldError("observation_confusion must be in [0, 1)")
-        free = [c for c in self.iter_cells() if c not in self.walls]
-        if not free:
+        geo = self.geometry
+        if geo is None or not geo.fits(self.width, self.height, self.walls):
+            geo = self.geometry = Geometry(self.width, self.height, self.walls)
+        if not any(geo.free):
             raise WorldError("world has no non-wall cell")
         for obj in self.objects.values():
-            if not self.in_bounds(obj.at) or obj.at in self.walls:
+            if not self.is_free(obj.at):
                 raise WorldError(f"object {obj.oid!r} sits on a wall or out of bounds")
             if obj.magnitude <= 0:
                 raise WorldError(f"object {obj.oid!r} must have magnitude > 0")
@@ -117,60 +189,55 @@ class WorldModel:
             last = rel.t
             if rel.oid not in self.objects:
                 raise WorldError(f"schedule relocates unknown object {rel.oid!r}")
-            if not self.in_bounds(rel.to) or rel.to in self.walls:
+            if not self.is_free(rel.to):
                 raise WorldError(f"relocation of {rel.oid!r} targets a wall or out of bounds")
         if self.start is None:
-            self.start = free[0]
-        elif not self.in_bounds(self.start) or self.start in self.walls:
+            self.start = geo.cells[geo.free.index(True)]
+        elif not self.is_free(self.start):
             raise WorldError("start cell is a wall or out of bounds")
+        self._threat = {}  # (epoch, decay_length) -> threat level per flat cell
 
     # -- geometry --------------------------------------------------------
-
-    @property
-    def n_cells(self) -> int:
-        return self.width * self.height
-
-    def iter_cells(self):
-        for y in range(self.height):
-            for x in range(self.width):
-                yield (x, y)
 
     def in_bounds(self, cell: Cell) -> bool:
         x, y = cell
         return 0 <= x < self.width and 0 <= y < self.height
 
     def is_free(self, cell: Cell) -> bool:
-        return self.in_bounds(cell) and cell not in self.walls
+        return self.in_bounds(cell) and self.geometry.free[cell[1] * self.width + cell[0]]
+
+    def _flat_of_cell(self, cell: Cell) -> int:
+        if not self.in_bounds(cell):
+            raise WorldError(f"cell {cell} is out of bounds")
+        return cell[1] * self.width + cell[0]
 
     def state_id(self, cell: Cell) -> int:
         x, y = cell
-        return self.epoch * self.n_cells + y * self.width + x
+        return self.epoch * self.geometry.n + y * self.width + x
 
-    def cell_of(self, s: int) -> Cell:
-        epoch, flat = divmod(s, self.n_cells)
+    def flat_of(self, s: int) -> int:
+        """The flat cell of a state; the state must be of this epoch and free."""
+        epoch, flat = divmod(s, self.geometry.n)
         if epoch != self.epoch:
             raise WorldError(f"state {s} belongs to epoch {epoch}, world is at epoch {self.epoch}")
-        y, x = divmod(flat, self.width)
-        cell = (x, y)
-        if not self.is_free(cell):
-            raise WorldError(f"state {s} maps to a wall or out-of-bounds cell {cell}")
-        return cell
+        if not self.geometry.free[flat]:
+            raise WorldError(f"state {s} maps to a wall cell {self.geometry.cells[flat]}")
+        return flat
+
+    def cell_of(self, s: int) -> Cell:
+        return self.geometry.cells[self.flat_of(s)]
 
     def intended_next(self, cell: Cell, action: Action) -> Cell:
-        dx, dy = DELTAS[action]
-        target = (cell[0] + dx, cell[1] + dy)
-        return target if self.is_free(target) else cell
+        geo = self.geometry
+        return geo.cells[geo.next_flat[self._flat_of_cell(cell)][action]]
 
     def neighbor_cells(self, cell: Cell) -> list:
-        out = []
-        for a in (Action.NORTH, Action.EAST, Action.SOUTH, Action.WEST):
-            nxt = self.intended_next(cell, a)
-            if nxt != cell:
-                out.append(nxt)
-        return out
+        geo = self.geometry
+        return [geo.cells[f] for f in geo.neighbors[self._flat_of_cell(cell)]]
 
     def free_states(self) -> list:
-        return [self.state_id(c) for c in self.iter_cells() if self.is_free(c)]
+        base = self.epoch * self.geometry.n
+        return [base + f for f, free in enumerate(self.geometry.free) if free]
 
     # -- content ---------------------------------------------------------
 
@@ -182,6 +249,26 @@ class WorldModel:
 
     def active_hazards(self) -> list:
         return [o for o in self.objects.values() if o.kind == "hazard" and o.oid not in self.consumed]
+
+    def threat_field(self, decay_length: float) -> tuple:
+        """The hazard potential of every flat cell this epoch: the sum, over
+        active hazards in dict order, of magnitude * exp(-d / decay_length),
+        d the Manhattan distance. Objects move only through the schedule,
+        which bumps the epoch, and hazards are never consumed, so one field
+        per (epoch, decay_length) holds for the whole epoch."""
+        key = (self.epoch, decay_length)
+        levels = self._threat.get(key)
+        if levels is None:
+            hazards = self.active_hazards()
+            out = []
+            for x, y in self.geometry.cells:
+                level = 0.0
+                for hz in hazards:
+                    d = abs(hz.at[0] - x) + abs(hz.at[1] - y)
+                    level += hz.magnitude * math.exp(-d / decay_length)
+                out.append(level)
+            levels = self._threat[key] = tuple(out)
+        return levels
 
     def restore_consumed(self):
         self.consumed.clear()
@@ -202,22 +289,23 @@ def step(world: WorldModel, s: int, a: Action, rng: np.random.Generator):
     landed cell's object magnitude (hazards negative) minus step_cost, and
     consumable reward objects are removed on collection.
     """
-    cell = world.cell_of(s)
+    flat = world.flat_of(s)
     a = Action(a)
     actual = a
     if a is not Action.STAY and world.slip_probability > 0:
         if rng.random() < world.slip_probability:
             actual = LATERALS[a][int(rng.integers(2))]
-    landed = world.intended_next(cell, actual)
+    geo = world.geometry
+    landed = geo.next_flat[flat][actual]
     reward = -world.step_cost
     consumed = None
-    obj = world.object_at(landed)
+    obj = world.object_at(geo.cells[landed])
     if obj is not None:
         reward += obj.signed_magnitude()
         if obj.kind == "reward" and obj.consumable:
             world.consumed.add(obj.oid)
             consumed = obj.oid
-    return world.state_id(landed), reward, consumed
+    return world.epoch * geo.n + landed, reward, consumed
 
 
 def observe(world: WorldModel, s: int, rng: np.random.Generator) -> Observation:
@@ -227,12 +315,12 @@ def observe(world: WorldModel, s: int, rng: np.random.Generator) -> Observation:
     chosen neighboring configuration. The agent never sees whether a given
     report was corrupted, only the global rate.
     """
-    cell = world.cell_of(s)
+    flat = world.flat_of(s)
     if world.observation_confusion > 0 and rng.random() < world.observation_confusion:
-        neighbors = world.neighbor_cells(cell)
+        neighbors = world.geometry.neighbors[flat]
         if neighbors:
             pick = neighbors[int(rng.integers(len(neighbors)))]
-            return Observation(world.state_id(pick), True)
+            return Observation(world.epoch * world.geometry.n + pick, True)
     return Observation(s, False)
 
 
@@ -253,55 +341,117 @@ def apply_schedule(world: WorldModel, t: int) -> WorldModel:
 
 def reachable_states(world: WorldModel, from_cell: Cell | None = None) -> set:
     """BFS over intended moves from a cell (default: start)."""
-    origin = from_cell if from_cell is not None else world.start
+    origin = world._flat_of_cell(from_cell if from_cell is not None else world.start)
+    neighbors = world.geometry.neighbors
     seen = {origin}
     frontier = [origin]
     while frontier:
-        cell = frontier.pop()
-        for nxt in world.neighbor_cells(cell):
+        for nxt in neighbors[frontier.pop()]:
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    return {world.state_id(c) for c in seen}
+    base = world.epoch * world.geometry.n
+    return {base + f for f in seen}
 
 
 # -- definition files ----------------------------------------------------
 
 
+_REQUIRED = object()
+_WORLD_KEYS = {"width", "height", "walls", "objects", "slip_probability", "step_cost",
+               "observation_confusion", "schedule", "start"}
+_OBJECT_KEYS = {"id", "kind", "magnitude", "consumable", "at"}
+_RELOCATION_KEYS = {"t", "object", "to"}
+
+
+def _reader(ok, message: str, convert=lambda v: v):
+    """A reader of one JSON value: ``convert(value)`` if ``ok(value)``,
+    else a WorldError at the value's path."""
+    def read(value, path: str):
+        if not ok(value):
+            raise WorldError(f"{path}: {message}")
+        return convert(value)
+    return read
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+_integer = _reader(_is_int, "must be an integer")
+_number = _reader(lambda v: (_is_int(v) or isinstance(v, float)) and math.isfinite(v),
+                  "must be a finite number", float)
+_string = _reader(lambda v: isinstance(v, str), "must be a string")
+_flag = _reader(lambda v: isinstance(v, bool), "must be true or false")
+_object_kind = _reader(lambda v: v in ("reward", "hazard"), "must be 'reward' or 'hazard'")
+_cell = _reader(lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
+                "must be [x, y]", tuple)
+_list = _reader(lambda v: isinstance(v, list), "must be a list")
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _record(value, path: str, allowed: set) -> dict:
+    if not isinstance(value, dict):
+        raise WorldError(f"{path or 'world'}: must be an object")
+    for key in value:
+        if key not in allowed:
+            raise WorldError(f"{_join(path, key)}: unknown field")
+    return value
+
+
+def _read(entry: dict, key: str, path: str, kind, default=_REQUIRED):
+    """``entry[key]`` checked by ``kind``; ``path`` is the entry's own path."""
+    full = _join(path, key)
+    if key not in entry:
+        if default is _REQUIRED:
+            raise WorldError(f"{full}: missing")
+        return default
+    return kind(entry[key], full)
+
+
 def world_from_dict(spec: dict) -> WorldModel:
-    try:
-        width = int(spec["width"])
-        height = int(spec["height"])
-    except KeyError as exc:
-        raise WorldError(f"world definition missing {exc.args[0]!r}") from None
-    walls = frozenset((int(x), int(y)) for x, y in spec.get("walls", []))
+    """A world from its JSON form. A malformed entry raises WorldError
+    with its dotted path (``objects[0].kind: missing``)."""
+    _record(spec, "", _WORLD_KEYS)
+    walls = frozenset(_cell(c, f"walls[{i}]")
+                      for i, c in enumerate(_read(spec, "walls", "", _list, [])))
     objects = {}
-    for entry in spec.get("objects", []):
-        oid = str(entry["id"])
+    for i, entry in enumerate(_read(spec, "objects", "", _list, [])):
+        path = f"objects[{i}]"
+        _record(entry, path, _OBJECT_KEYS)
+        oid = _read(entry, "id", path, _string)
         if oid in objects:
-            raise WorldError(f"duplicate object id {oid!r}")
+            raise WorldError(f"{path}.id: duplicate object id {oid!r}")
+        kind = _read(entry, "kind", path, _object_kind)
         objects[oid] = WorldObject(
             oid=oid,
-            kind=entry["kind"],
-            magnitude=float(entry["magnitude"]),
-            consumable=bool(entry.get("consumable", entry["kind"] == "reward")),
-            at=(int(entry["at"][0]), int(entry["at"][1])),
+            kind=kind,
+            magnitude=_read(entry, "magnitude", path, _number),
+            consumable=_read(entry, "consumable", path, _flag, kind == "reward"),
+            at=_read(entry, "at", path, _cell),
         )
-    schedule = tuple(
-        Relocation(t=int(e["t"]), oid=str(e["object"]), to=(int(e["to"][0]), int(e["to"][1])))
-        for e in spec.get("schedule", [])
-    )
-    start = spec.get("start")
+    schedule = []
+    for i, entry in enumerate(_read(spec, "schedule", "", _list, [])):
+        path = f"schedule[{i}]"
+        _record(entry, path, _RELOCATION_KEYS)
+        oid = _read(entry, "object", path, _string)
+        if oid not in objects:
+            raise WorldError(f"{path}.object: no object has id {oid!r}")
+        schedule.append(Relocation(t=_read(entry, "t", path, _integer), oid=oid,
+                                   to=_read(entry, "to", path, _cell)))
     return WorldModel(
-        width=width,
-        height=height,
+        width=_read(spec, "width", "", _integer),
+        height=_read(spec, "height", "", _integer),
         walls=walls,
         objects=objects,
-        slip_probability=float(spec.get("slip_probability", 0.0)),
-        step_cost=float(spec.get("step_cost", 0.0)),
-        observation_confusion=float(spec.get("observation_confusion", 0.0)),
-        schedule=schedule,
-        start=tuple(start) if start is not None else None,
+        slip_probability=_read(spec, "slip_probability", "", _number, 0.0),
+        step_cost=_read(spec, "step_cost", "", _number, 0.0),
+        observation_confusion=_read(spec, "observation_confusion", "", _number, 0.0),
+        schedule=tuple(schedule),
+        start=_read(spec, "start", "", _cell, None),
     )
 
 

@@ -1,0 +1,379 @@
+"""The flat geometry tables against the cell-tuple rules they replace.
+
+Each reference below is the per-call cell arithmetic the world, planner
+and threat detector used before the tables existed; the tables must give
+the very same answers, draw the same random numbers in the same order and
+raise on the same stale-epoch and wall states.
+"""
+
+import heapq
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from gridmind.affect import InterruptPolicy, threat_level
+from gridmind.planning import Goal, PlanSearchParams, plan_search, suggest_goals
+from gridmind.values import ValueStore
+from gridmind.world import (ACTIONS, DELTAS, LATERALS, MOVES, Action, Observation,
+                            Relocation, WorldError, apply_schedule, observe,
+                            reachable_states, step, world_from_ascii)
+
+SETTINGS = settings(max_examples=60, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+# -- test-local references: the cell-tuple rules ------------------------------
+
+
+def ref_is_free(world, cell):
+    x, y = cell
+    return 0 <= x < world.width and 0 <= y < world.height and cell not in world.walls
+
+
+def ref_cell_of(world, s):
+    epoch, flat = divmod(s, world.width * world.height)
+    if epoch != world.epoch:
+        raise WorldError("stale epoch")
+    y, x = divmod(flat, world.width)
+    if not ref_is_free(world, (x, y)):
+        raise WorldError("wall")
+    return (x, y)
+
+
+def ref_state_id(world, cell):
+    return world.epoch * world.width * world.height + cell[1] * world.width + cell[0]
+
+
+def ref_intended_next(world, cell, action):
+    dx, dy = DELTAS[action]
+    target = (cell[0] + dx, cell[1] + dy)
+    return target if ref_is_free(world, target) else cell
+
+
+def ref_neighbor_cells(world, cell):
+    out = []
+    for a in (Action.NORTH, Action.EAST, Action.SOUTH, Action.WEST):
+        nxt = ref_intended_next(world, cell, a)
+        if nxt != cell:
+            out.append(nxt)
+    return out
+
+
+def ref_step(world, s, a, rng):
+    cell = ref_cell_of(world, s)
+    a = Action(a)
+    actual = a
+    if a is not Action.STAY and world.slip_probability > 0:
+        if rng.random() < world.slip_probability:
+            actual = LATERALS[a][int(rng.integers(2))]
+    landed = ref_intended_next(world, cell, actual)
+    reward = -world.step_cost
+    consumed = None
+    obj = world.object_at(landed)
+    if obj is not None:
+        reward += obj.signed_magnitude()
+        if obj.kind == "reward" and obj.consumable:
+            world.consumed.add(obj.oid)
+            consumed = obj.oid
+    return ref_state_id(world, landed), reward, consumed
+
+
+def ref_observe(world, s, rng):
+    cell = ref_cell_of(world, s)
+    if world.observation_confusion > 0 and rng.random() < world.observation_confusion:
+        neighbors = ref_neighbor_cells(world, cell)
+        if neighbors:
+            pick = neighbors[int(rng.integers(len(neighbors)))]
+            return Observation(ref_state_id(world, pick), True)
+    return Observation(s, False)
+
+
+def ref_suggest_goals(world, store, s, reach, threshold):
+    seen = {s}
+    frontier = [s]
+    candidates = []
+    for _ in range(reach):
+        nxt_frontier = []
+        for cur in frontier:
+            for cell in ref_neighbor_cells(world, ref_cell_of(world, cur)):
+                sid = ref_state_id(world, cell)
+                if sid not in seen:
+                    seen.add(sid)
+                    nxt_frontier.append(sid)
+                    if store.v(sid) > threshold:
+                        candidates.append(sid)
+        frontier = nxt_frontier
+    candidates.sort(key=lambda sid: (-store.v(sid), sid))
+    return [Goal(target=sid, anticipated_value=store.v(sid), proposed_at=0)
+            for sid in candidates]
+
+
+def ref_plan_search(world, s, goal, store, params):
+    """Returns (plan or None, expansions)."""
+    if s == goal.target:
+        return [], 0
+    w = params.heuristic_weight
+    counter = 0
+    heap = [(-w * store.v(s), counter, s, 0)]
+    parent = {s: None}
+    expansions = 0
+    while heap:
+        _, _, state, depth = heapq.heappop(heap)
+        expansions += 1
+        if depth >= params.max_depth:
+            continue
+        children = []
+        cell = ref_cell_of(world, state)
+        for a in ACTIONS:
+            if a is Action.STAY:
+                continue
+            nxt_cell = ref_intended_next(world, cell, a)
+            if nxt_cell == cell:
+                continue
+            nxt = ref_state_id(world, nxt_cell)
+            if nxt not in parent:
+                children.append((nxt, a))
+        children.sort(key=lambda ch: (-store.v(ch[0]), ch[1]))
+        for nxt, a in children[: params.branching_cap]:
+            parent[nxt] = (state, a)
+            if nxt == goal.target:
+                plan = []
+                while parent[nxt] is not None:
+                    nxt, a = parent[nxt]
+                    plan.append(a)
+                return plan[::-1], expansions
+            counter += 1
+            heapq.heappush(heap, (-w * store.v(nxt), counter, nxt, depth + 1))
+    return None, expansions
+
+
+def ref_threat_level(world, s, decay_length):
+    x, y = ref_cell_of(world, s)
+    level = 0.0
+    for hz in world.active_hazards():
+        d = abs(hz.at[0] - x) + abs(hz.at[1] - y)
+        level += hz.magnitude * math.exp(-d / decay_length)
+    return level
+
+
+# -- random worlds -----------------------------------------------------------------
+
+
+@st.composite
+def ascii_worlds(draw):
+    """An ASCII world of 1-8 cells per side with random walls, rewards and
+    hazards, a start, and up to three scheduled relocations."""
+    width, height = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    chars = draw(st.lists(st.sampled_from("#...RH"), min_size=width * height,
+                          max_size=width * height))
+    chars[draw(st.integers(0, width * height - 1))] = "S"
+    text = "\n".join("".join(chars[y * width:(y + 1) * width]) for y in range(height))
+    params = {
+        "reward_magnitude": draw(st.sampled_from([0.5, 1.0, 3.0])),
+        "hazard_magnitude": draw(st.sampled_from([0.3, 1.0, 2.5])),
+        "slip_probability": draw(st.sampled_from([0.0, 0.3, 1.0])),
+        "observation_confusion": draw(st.sampled_from([0.0, 0.4, 0.9])),
+        "step_cost": draw(st.sampled_from([0.0, 0.1])),
+    }
+    world = world_from_ascii(text, **params)
+    free = [(x, y) for y in range(height) for x in range(width) if ref_is_free(world, (x, y))]
+    schedule = []
+    if world.objects:
+        t = 0
+        for _ in range(draw(st.integers(0, 3))):
+            t += draw(st.integers(1, 20))
+            schedule.append(Relocation(t, draw(st.sampled_from(sorted(world.objects))),
+                                       draw(st.sampled_from(free))))
+    return world_from_ascii(text, schedule=tuple(schedule), **params)
+
+
+def free_states(world):
+    return [ref_state_id(world, (x, y)) for y in range(world.height)
+            for x in range(world.width) if ref_is_free(world, (x, y))]
+
+
+def random_store(world, seed):
+    rng = np.random.default_rng(seed)
+    store = ValueStore()
+    for s in free_states(world):
+        if rng.random() < 0.7:
+            store.V[s] = float(np.round(rng.normal(), 1))  # rounding makes ties
+    return store
+
+
+# -- properties ------------------------------------------------------------------
+
+
+@SETTINGS
+@given(world=ascii_worlds())
+def test_cell_reads_match_reference(world):
+    for y in range(-1, world.height + 1):
+        for x in range(-1, world.width + 1):
+            assert world.is_free((x, y)) == ref_is_free(world, (x, y))
+    for y in range(world.height):
+        for x in range(world.width):
+            cell = (x, y)
+            for a in ACTIONS:
+                assert world.intended_next(cell, a) == ref_intended_next(world, cell, a)
+            assert world.neighbor_cells(cell) == ref_neighbor_cells(world, cell)
+    for s in range(-1, 3 * world.width * world.height):
+        try:
+            want = ref_cell_of(world, s)
+        except WorldError:
+            with pytest.raises(WorldError):
+                world.cell_of(s)
+        else:
+            assert world.cell_of(s) == want
+
+
+@SETTINGS
+@given(world=ascii_worlds(), seed=st.integers(0, 2 ** 32 - 1),
+       actions=st.lists(st.sampled_from(ACTIONS), min_size=1, max_size=60))
+def test_step_and_observe_match_reference(world, seed, actions):
+    """Same outcomes and the same draws, through relocations and consumption."""
+    ours, ref = world.copy(), world.copy()
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    s = ref_state_id(ours, ours.start)
+    for t, a in enumerate(actions):
+        cell = ref_cell_of(ours, s)
+        apply_schedule(ours, t)
+        apply_schedule(ref, t)
+        s = ref_state_id(ours, cell)
+        assert observe(ours, s, rng_a) == ref_observe(ref, s, rng_b)
+        got = step(ours, s, a, rng_a)
+        assert got == ref_step(ref, s, a, rng_b)
+        assert ours.consumed == ref.consumed
+        s = got[0]
+        if got[2] is not None:
+            ours.restore_consumed()
+            ref.restore_consumed()
+    assert rng_a.random() == rng_b.random()
+
+
+@SETTINGS
+@given(world=ascii_worlds(), seed=st.integers(0, 1000),
+       threshold=st.sampled_from([-0.5, 0.0, 0.3]))
+def test_suggest_goals_matches_bfs(world, seed, threshold):
+    store = random_store(world, seed)
+    for s in free_states(world):
+        for reach in range(1, 7):
+            assert (suggest_goals(world, store, s, reach=reach, threshold=threshold)
+                    == ref_suggest_goals(world, store, s, reach, threshold))
+
+
+@SETTINGS
+@given(world=ascii_worlds(), seed=st.integers(0, 1000),
+       max_depth=st.integers(1, 8), branching_cap=st.integers(1, 4),
+       heuristic_weight=st.sampled_from([0.0, 1.0, 2.5]))
+def test_plan_search_matches_reference(world, seed, max_depth, branching_cap,
+                                       heuristic_weight):
+    store = random_store(world, seed)
+    params = PlanSearchParams(max_depth=max_depth, branching_cap=branching_cap,
+                              heuristic_weight=heuristic_weight)
+    states = free_states(world)
+    for s in states[:6]:
+        for target in states:
+            goal = Goal(target=target, anticipated_value=1.0, proposed_at=0)
+            stats = {}
+            plan = plan_search(world, s, goal, store, params, stats)
+            assert (plan, stats["expansions"]) == ref_plan_search(world, s, goal, store, params)
+
+
+@SETTINGS
+@given(world=ascii_worlds(), decay=st.sampled_from([0.5, 1.0, 3.0]))
+def test_threat_level_is_the_closed_form_sum_across_relocations(world, decay):
+    """Bit-equal to the sum over hazards in dict order, in every epoch."""
+    policy = InterruptPolicy(decay_length=decay)
+    for t in [0] + [rel.t for rel in world.schedule]:
+        apply_schedule(world, t)
+        for s in free_states(world):
+            assert threat_level(world, s, policy) == ref_threat_level(world, s, decay)
+
+
+@SETTINGS
+@given(world=ascii_worlds())
+def test_reachable_states_match_reference_bfs(world):
+    for origin in [c for c in world.geometry.cells if ref_is_free(world, c)]:
+        seen, frontier = {origin}, [origin]
+        while frontier:
+            for nxt in ref_neighbor_cells(world, frontier.pop()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        assert reachable_states(world, origin) == {ref_state_id(world, c) for c in seen}
+
+
+# -- stale epochs and walls still raise --------------------------------------------
+
+
+def relocating_world():
+    world = world_from_ascii("S.#\n.RH\n", schedule=(Relocation(5, "r0", (0, 1)),))
+    wall = ref_state_id(world, (2, 0))
+    stale = ref_state_id(world, (1, 0))
+    apply_schedule(world, 5)
+    assert world.epoch == 1
+    return world, stale, wall + world.width * world.height
+
+
+@pytest.mark.parametrize("which", ["stale", "wall"])
+def test_bad_states_raise_world_error(which):
+    world, stale, wall = relocating_world()
+    s = stale if which == "stale" else wall
+    rng = np.random.default_rng(0)
+    goal = Goal(target=ref_state_id(world, (0, 0)), anticipated_value=1.0, proposed_at=0)
+    calls = [
+        lambda: world.cell_of(s),
+        lambda: world.flat_of(s),
+        lambda: step(world, s, Action.EAST, rng),
+        lambda: observe(world, s, rng),
+        lambda: suggest_goals(world, ValueStore(), s, reach=2, threshold=0.0),
+        lambda: plan_search(world, s, goal, ValueStore(), PlanSearchParams()),
+        lambda: threat_level(world, s, InterruptPolicy()),
+    ]
+    for call in calls:
+        with pytest.raises(WorldError):
+            call()
+
+
+# -- who owns the tables --------------------------------------------------------------
+
+
+def test_copies_share_the_geometry_and_keep_their_own_threat_fields():
+    world = world_from_ascii("S.H\n.#.\n")
+    twin = world.copy()
+    assert twin.geometry is world.geometry
+    policy = InterruptPolicy()
+    s = ref_state_id(world, (0, 0))
+    before = threat_level(world, s, policy)
+    twin.objects["h0"].at = (0, 1)  # a copy's objects are its own
+    assert threat_level(twin, s, policy) == ref_threat_level(twin, s, 1.0) != before
+    assert threat_level(world, s, policy) == before
+
+
+def test_a_world_with_other_walls_builds_its_own_geometry():
+    world = world_from_ascii("S..\n...\n")
+    walled = replace(world, walls=frozenset({(1, 0)}))
+    assert walled.geometry is not world.geometry
+    assert walled.neighbor_cells((0, 0)) == [(0, 1)]
+    assert world.neighbor_cells((0, 0)) == [(1, 0), (0, 1)]
+
+
+def test_neighbors_keep_move_order():
+    world = world_from_ascii("...\n.S.\n...\n")
+    centre = 1 * 3 + 1
+    assert world.geometry.neighbors[centre] == tuple(
+        world.geometry.next_flat[centre][a] for a in MOVES)
+    assert world.neighbor_cells((1, 1)) == [(1, 0), (2, 1), (1, 2), (0, 1)]
+
+
+def test_cell_reads_reject_out_of_bounds_cells():
+    world = world_from_ascii("S.\n")
+    assert not world.is_free((2, 0))
+    with pytest.raises(WorldError):
+        world.intended_next((2, 0), Action.WEST)
+    with pytest.raises(WorldError):
+        world.neighbor_cells((-1, 0))

@@ -13,6 +13,7 @@ from gridmind.cli import main as cli_main
 from gridmind.harness import (EVENT_COLUMNS, ConfigError, config_from_dict,
                               experiment, load_config, run)
 from gridmind.presets import get_world
+from gridmind.world import WorldError, world_from_dict
 
 
 BASE_CONFIG = {
@@ -366,3 +367,150 @@ def test_cli_string_steps_exit_2(tmp_path, extra, path):
     assert proc.returncode == 2
     assert path in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def write_world(tmp_path, spec):
+    path = tmp_path / "world.json"
+    path.write_text(json.dumps(spec))
+    return path
+
+
+GOOD_OBJECT = {"id": "g", "kind": "reward", "magnitude": 1.0, "at": [2, 0]}
+
+
+@pytest.mark.parametrize("change, path", [
+    ({"objects": [{k: v for k, v in GOOD_OBJECT.items() if k != "kind"}]},
+     "objects[0].kind: missing"),
+    ({"walls": [[1]]}, "walls[0]: must be [x, y]"),
+    ({"schedule": [{"t": 5, "object": "g", "to": [1]}]}, "schedule[0].to: must be [x, y]"),
+])
+def test_cli_sweep_bad_world_file_exits_2(tmp_path, change, path):
+    world = write_world(tmp_path, {"width": 3, "height": 2, "objects": [GOOD_OBJECT], **change})
+    policy = tmp_path / "policy.json"
+    policy.write_text(json.dumps({"thresholds": [0.0, 1.0], "seeds": 1, "steps": 5}))
+    out = tmp_path / "sw"
+    proc = run_cli("sweep-threshold", "--world", str(world), "--policy", str(policy),
+                   "--out", str(out))
+    assert proc.returncode == 2
+    assert path in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entry, path", [
+    ({"id": "g", "kind": "reward", "magnitude": 1.0}, "objects[0].at: missing"),
+    ({"kind": "reward", "magnitude": 1.0, "at": [2, 0]}, "objects[0].id: missing"),
+    ({"id": "g", "kind": "reward", "at": [2, 0]}, "objects[0].magnitude: missing"),
+    ({**GOOD_OBJECT, "magnitude": "2"}, "objects[0].magnitude: must be a finite number"),
+    ({**GOOD_OBJECT, "kind": "prize"}, "objects[0].kind: must be 'reward' or 'hazard'"),
+    ({**GOOD_OBJECT, "at": [2, True]}, "objects[0].at: must be [x, y]"),
+    ({**GOOD_OBJECT, "colour": "red"}, "objects[0].colour: unknown field"),
+    ("g", "objects[0]: must be an object"),
+])
+def test_world_file_bad_object_names_its_path(entry, path):
+    with pytest.raises(WorldError) as exc:
+        world_from_dict({"width": 3, "height": 2, "objects": [entry]})
+    assert str(exc.value) == path
+
+
+@pytest.mark.parametrize("schedule, path", [
+    ([7], "schedule[0]: must be an object"),
+    ([{"object": "g", "to": [0, 0]}], "schedule[0].t: missing"),
+    ([{"t": 5, "to": [0, 0]}], "schedule[0].object: missing"),
+    ([{"t": 5, "object": "g"}], "schedule[0].to: missing"),
+    ([{"t": "5", "object": "g", "to": [0, 0]}], "schedule[0].t: must be an integer"),
+    ([{"t": 5, "object": "x", "to": [0, 0]}], "schedule[0].object: no object has id 'x'"),
+    ({"t": 5}, "schedule: must be a list"),
+])
+def test_world_file_bad_schedule_names_its_path(schedule, path):
+    with pytest.raises(WorldError) as exc:
+        world_from_dict({"width": 3, "height": 2, "objects": [GOOD_OBJECT],
+                         "schedule": schedule})
+    assert str(exc.value) == path
+
+
+@pytest.mark.parametrize("change, path", [
+    ({"width": True}, "width: must be an integer"),
+    ({"step_cost": float("nan")}, "step_cost: must be a finite number"),
+    ({"start": [0, 0, 0]}, "start: must be [x, y]"),
+    ({"slip": 0.1}, "slip: unknown field"),
+])
+def test_world_file_bad_top_level_field_names_its_path(change, path):
+    with pytest.raises(WorldError) as exc:
+        world_from_dict({"width": 3, "height": 2, **change})
+    assert str(exc.value) == path
+
+
+def test_world_file_not_an_object():
+    with pytest.raises(WorldError, match="world: must be an object"):
+        world_from_dict([3, 2])
+
+
+# -- matrix shapes and integer fields ---------------------------------------------
+
+
+@pytest.mark.parametrize("change, path", [
+    ({"worlds": "corridor"}, "worlds"),
+    ({"worlds": ["corridor", 3]}, "worlds[1]"),
+    ({"seeds": "ab"}, "seeds"),
+    ({"seeds": -1}, "seeds"),
+    ({"seeds": True}, "seeds"),
+    ({"seeds": [0, "a"]}, "seeds[1]"),
+    ({"seeds": [0, 1, True]}, "seeds[2]"),
+    ({"seeds": [2 ** 64]}, "seeds[0]"),
+])
+def test_matrix_worlds_and_seeds_are_checked_before_any_simulation(change, path, monkeypatch):
+    import gridmind.harness as harness
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulated before the matrix was checked")
+
+    monkeypatch.setattr(harness, "run", no_run)
+    with pytest.raises(ConfigError) as exc:
+        experiment({"interventions": ["baseline"], "worlds": ["corridor"], "seeds": 1,
+                    "steps": 5, **change})
+    assert exc.value.path == path
+
+
+@pytest.mark.parametrize("change, path", [
+    ({"worlds": "corridor"}, "worlds:"),
+    ({"seeds": "ab"}, "seeds:"),
+    ({"seeds": [True]}, "seeds[0]:"),
+])
+def test_cli_malformed_matrix_shape_exits_2(tmp_path, change, path):
+    matrix_path = tmp_path / "matrix.json"
+    matrix_path.write_text(json.dumps({"interventions": ["baseline"], "worlds": ["corridor"],
+                                       "seeds": 1, "steps": 5, **change}))
+    out = tmp_path / "exp"
+    proc = run_cli("experiment", "--matrix", str(matrix_path), "--out", str(out))
+    assert proc.returncode == 2
+    assert f"invalid config: {path}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["seed", "steps", "goal_reach", "episode_step_limit"])
+@pytest.mark.parametrize("value", [True, False, 3.0, "3"])
+def test_counts_must_be_integers_not_bools(name, value):
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({**BASE_CONFIG, name: value})
+    assert exc.value.path == name
+
+
+@pytest.mark.parametrize("name", ["seed", "steps", "goal_reach", "episode_step_limit"])
+def test_cli_bool_count_exits_2(tmp_path, capsys, name):
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({**BASE_CONFIG, "steps": 20, name: True}))
+    out = tmp_path / "out"
+    assert cli_main(["simulate", "--config", str(config_path), "--out", str(out)]) == 2
+    assert f"invalid config: {name}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("base, path", [({"steps": True}, "base.steps"),
+                                        ({"goal_reach": True}, "base.goal_reach")])
+def test_matrix_base_bool_count_is_rejected(base, path):
+    with pytest.raises(ConfigError) as exc:
+        experiment({"interventions": ["baseline"], "worlds": ["corridor"], "seeds": 1,
+                    "base": base})
+    assert exc.value.path == path

@@ -133,7 +133,7 @@ def test_value_iteration_null_fixed_point():
 
 def finite_horizon_dp(world, gamma, horizon):
     """Oracle: backward induction over an explicit horizon."""
-    free = [c for c in world.iter_cells() if world.is_free(c)]
+    free = [c for c in world.geometry.cells if world.is_free(c)]
 
     def terminal(cell):
         obj = world.object_at(cell)
@@ -339,7 +339,7 @@ def test_curiosity_coverage_on_reward_free_world():
         w = open_room(5, step_cost=0.5)
         rng = np.random.default_rng(seed)
         store = ValueStore()
-        all_pairs = {(w.state_id(c), a) for c in w.iter_cells() for a in ACTIONS}
+        all_pairs = {(w.state_id(c), a) for c in w.geometry.cells for a in ACTIONS}
         bound = 60 * len(all_pairs)
         s = w.state_id(w.start)
         seen = set()

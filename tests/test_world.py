@@ -196,7 +196,7 @@ def test_reachability_matches_transition_closure(seed):
     # keep the start free
     walls.discard((0, 0))
     w = make_world(width=8, height=8, walls=walls, slip_probability=0.5, start=(0, 0))
-    for cell in w.iter_cells():
+    for cell in w.geometry.cells:
         if not w.is_free(cell):
             continue
         assert reachable_states(w, cell) == transition_closure(w, cell)
