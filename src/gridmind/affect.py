@@ -26,15 +26,13 @@ class InterruptPolicy:
     interrupt_cost: float = 0.0  # optional extra charge per threat interrupt
 
     def __post_init__(self):
-        for name in ("threat_threshold", "miss_cost", "false_alarm_cost"):
+        for name in ("threat_threshold", "miss_cost", "false_alarm_cost", "interrupt_cost"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
         if math.isnan(self.desire_threshold):
             raise ValueError("desire_threshold must be a number")
         if self.decay_length <= 0:
             raise ValueError("decay_length must be > 0")
-        if self.interrupt_cost < 0:
-            raise ValueError("interrupt_cost must be >= 0")
 
 
 class InterruptKind(Enum):

@@ -5,8 +5,11 @@
     gridmind sweep-threshold --world W --policy P.json --out DIR
     gridmind --version
 
-Exit codes: 0 ok, 1 partial experiment failure, 2 invalid configuration,
-3 runtime invariant breach. GRIDMIND_VERBOSE=1 prints progress lines.
+Exit codes: 0 ok; 1 some experiment cells failed (each is marked in
+report.csv); 2 bad input (a config, matrix, policy or world file that
+cannot be read, or a value that breaks a rule, named by its dotted path);
+3 any other error. Errors are one line on stderr, never a traceback.
+GRIDMIND_VERBOSE=1 prints progress lines.
 """
 
 from __future__ import annotations
@@ -16,42 +19,27 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import harness
-from .affect import InterruptPolicy, sweep_threshold
-from .presets import get_world
-from .suffering import LedgerError
-from .world import WorldError
-
-
-def _verbose() -> bool:
-    return os.environ.get("GRIDMIND_VERBOSE", "") not in ("", "0")
+from .affect import sweep_threshold
+from .inputs import InputError, load_json
 
 
 def _say(msg: str):
-    if _verbose():
+    if os.environ.get("GRIDMIND_VERBOSE", "") not in ("", "0"):
         print(msg, file=sys.stderr)
 
 
 def cmd_simulate(args) -> int:
-    try:
-        config = harness.load_config(args.config)
-        if args.seed is not None:
-            config = replace(config, seed=args.seed)
-        harness.validate_config(config)
-    except harness.ConfigError as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return 2
+    data = load_json(args.config)
+    if args.seed is not None and isinstance(data, dict):
+        data["seed"] = args.seed  # read by the same rule as the file's seed
+    config = harness.config_from_dict(data)
     if args.validate_only:
         print("config ok")
         return 0
-    try:
-        _, summary = harness.run(config, out_dir=args.out)
-    except (LedgerError, WorldError) as exc:
-        print(f"runtime invariant breach: {exc}", file=sys.stderr)
-        return 3
+    _, summary = harness.run(config, out_dir=args.out)
     _say(f"run {summary['run_id']} done: total frustration "
          f"{summary['totals']['total']:.4f}")
     print(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False))
@@ -59,45 +47,16 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    try:
-        matrix = json.loads(Path(args.matrix).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"invalid matrix: {exc}", file=sys.stderr)
-        return 2
-    try:
-        rows, failures = harness.experiment(matrix, out_dir=args.out)
-    except harness.ConfigError as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return 2
-    except (LedgerError, WorldError) as exc:
-        print(f"runtime invariant breach: {exc}", file=sys.stderr)
-        return 3
+    rows, failures = harness.experiment(load_json(args.matrix), out_dir=args.out)
     _say(f"{len(rows)} report rows, {failures} failed cells")
     print(f"wrote {Path(args.out) / 'report.csv'} ({len(rows)} rows)")
     return 1 if failures else 0
 
 
 def cmd_sweep(args) -> int:
-    try:
-        world = get_world(args.world)
-        spec = json.loads(Path(args.policy).read_text())
-    except (OSError, json.JSONDecodeError, WorldError) as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return 2
-    thresholds = spec.pop("thresholds", None)
-    seeds = spec.pop("seeds", list(range(5)))
-    steps = spec.pop("steps", 300)
-    if not thresholds or len(thresholds) < 2:
-        print("invalid config: policy.thresholds: need at least two", file=sys.stderr)
-        return 2
-    if isinstance(seeds, int):
-        seeds = list(range(seeds))
-    try:
-        policy = InterruptPolicy(**spec)
-        table = sweep_threshold(world, thresholds, policy, seeds, steps=steps)
-    except (TypeError, ValueError) as exc:
-        print(f"invalid config: policy: {exc}", file=sys.stderr)
-        return 2
+    world = harness.open_world(args.world)
+    thresholds, policy, seeds, steps = harness.sweep_from_dict(load_json(args.policy))
+    table = sweep_threshold(world, thresholds, policy, seeds, steps=steps)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "sweep.csv"
@@ -139,7 +98,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InputError as exc:
+        print(f"invalid config: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # noqa: BLE001 - one line, never a traceback
+        print(f"error: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -10,11 +10,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import statistics
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
+from . import inputs
 from .agent import Agent
 from .affect import InterruptPolicy, SelfModel
 from .interventions import (InterventionConfig, behaviour_key, by_name,
@@ -25,6 +25,7 @@ from .presets import PRESETS, get_world
 from .replay import WanderingParams
 from .suffering import Source, Timescale, rescore
 from .values import LearningParams
+from .world import WorldError, WorldModel
 
 VERSION = "0.1.0"
 
@@ -36,18 +37,12 @@ REPORT_COLUMNS = ("intervention", "world", "seed", "status", "total_frustration"
                   "obtained_reward", "episodes")
 
 
-class ConfigError(Exception):
-    """Invalid run configuration; carries a dotted path to the bad field."""
-
-    def __init__(self, path: str, message: str):
-        self.path = path
-        self.message = message
-        super().__init__(f"{path}: {message}")
+ConfigError = inputs.InputError  # bad input, with the dotted path of the value
 
 
 @dataclass
 class RunConfig:
-    world: object = "corridor"   # preset name, file path, or WorldModel
+    world: str = "corridor"   # preset name or file path (a WorldModel from Python)
     steps: int = 1000
     seed: int = 0
     learning: LearningParams = field(default_factory=LearningParams)
@@ -70,6 +65,21 @@ class RunConfig:
     depression_stay_bias: float = 0.75
     trace: bool = False
 
+    def __post_init__(self):
+        for name, ok, rule in (
+                ("steps", self.steps >= 0, ">= 0"),
+                ("seed", 0 <= self.seed < 2 ** 64, "an integer that fits in 64 unsigned bits"),
+                ("policy", self.policy in ("learned", "random"), "'learned' or 'random'"),
+                ("episode_step_limit", self.episode_step_limit >= 1, ">= 1"),
+                ("goal_reach", self.goal_reach >= 1, ">= 1"),
+                ("attention", 0 <= self.attention < math.inf, "finite and >= 0"),
+                ("depression_stay_bias", 0 <= self.depression_stay_bias <= 1, "in [0, 1]"),
+                ("desire_cost", self.desire_cost >= 0, ">= 0"),
+                ("buffer_capacity", self.buffer_capacity >= 1, ">= 1"),
+                ("baseline_rate", 0 <= self.baseline_rate <= 1, "in [0, 1]")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}")
+
     def world_name(self) -> str:
         if isinstance(self.world, str):
             return Path(self.world).stem if self.world not in PRESETS else self.world
@@ -79,131 +89,71 @@ class RunConfig:
         return f"{self.intervention.name}_{self.world_name()}_{self.seed}"
 
 
-def _build_section(cls, data: dict, path: str):
-    allowed = {f.name for f in fields(cls)}
-    kwargs = {}
-    for key, value in data.items():
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}", "unknown field")
-        kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        # A check that names its field ("alpha must be ...") points at it.
-        name, _, rest = str(exc).partition(" ")
-        if name in allowed and rest:
-            raise ConfigError(f"{path}.{name}", rest) from None
-        raise ConfigError(path, str(exc)) from None
-
-
-def _build_learning(data: dict) -> LearningParams:
-    data = dict(data)
-    if "step_penalty" in data and data.get("step_penalty") is not None:
-        data.setdefault("gamma", None)
-        if data["gamma"] is not None:
-            raise ConfigError("learning", "set either gamma or step_penalty, not both")
-    return _build_section(LearningParams, data, "learning")
+def _learning(value, path: str) -> LearningParams:
+    """A ``step_penalty`` selects the subtractive scheme: ``gamma`` defaults to null."""
+    if isinstance(value, dict) and value.get("step_penalty") is not None:
+        if value.get("gamma") is not None:
+            raise ConfigError(path, "set either gamma or step_penalty, not both")
+        value = {"gamma": None, **value}
+    return inputs.section(LearningParams, value, path)
 
 
 def _intervention(value, path: str) -> InterventionConfig:
     """An intervention given by canonical name or as an object."""
-    if isinstance(value, dict):
-        return _build_section(InterventionConfig, value, path)
     if not isinstance(value, str):
-        raise ConfigError(path, "must be a name or an object")
+        return inputs.section(InterventionConfig, value, path)
     try:
         return by_name(value)
     except KeyError as exc:
         raise ConfigError(path, str(exc)) from None
 
 
-def config_from_dict(data: dict) -> RunConfig:
-    return validate_config(_parse_config(data))
+# The readers of the run fields that are not read by their annotation.
+_READERS = {"learning": _learning, "intervention": _intervention}
 
 
-def _parse_config(data: dict) -> RunConfig:
-    sections = {
-        "learning": _build_learning,
-        "planning": lambda d: _build_section(PlanSearchParams, d, "planning"),
-        "wandering": lambda d: _build_section(WanderingParams, d, "wandering"),
-        "interrupts": lambda d: _build_section(InterruptPolicy, d, "interrupts"),
-        "self_model": lambda d: _build_section(SelfModel, d, "self_model"),
-    }
-    kwargs = {}
-    top_level = {f.name for f in fields(RunConfig)}
-    for key, value in data.items():
-        if key in sections:
-            if not isinstance(value, dict):
-                raise ConfigError(key, "must be an object")
-            kwargs[key] = sections[key](value)
-        elif key == "intervention":
-            kwargs[key] = _intervention(value, key)
-        elif key in top_level:
-            kwargs[key] = value
-        else:
-            raise ConfigError(key, "unknown field")
-    try:
-        return RunConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("run", str(exc)) from None
+def config_from_dict(data) -> RunConfig:
+    config = inputs.section(RunConfig, data, "", _READERS)
+    validate_config(config)
+    return config
 
 
 def load_config(path) -> RunConfig:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from None
-    except OSError as exc:
-        raise ConfigError(str(path), str(exc)) from None
-    return config_from_dict(data)
+    return config_from_dict(inputs.load_json(path))
 
 
-def validate_config(config: RunConfig) -> RunConfig:
-    _check_fields(config)
+def open_world(name_or_path) -> WorldModel:
+    """The world a run or a sweep names; one that fails to build is bad input."""
     try:
-        world = get_world(config.world)
-    except Exception as exc:
+        return get_world(name_or_path)
+    except (OSError, ValueError, WorldError, inputs.InputError) as exc:
         raise ConfigError("world", str(exc)) from None
+
+
+def validate_config(config: RunConfig) -> WorldModel:
+    """The run's world, after the checks that need it."""
+    world = open_world(config.world)
     if config.learning.subtractive and config.learning.step_penalty != world.step_cost:
         raise ConfigError(
             "learning.step_penalty",
             f"subtractive runs must match the world's step_cost "
             f"({world.step_cost}), got {config.learning.step_penalty}")
-    return config
+    return world
 
 
-def _integer(v) -> bool:
-    """An integer count or seed; bool is not one."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _seed(v) -> bool:
-    return _integer(v) and 0 <= v < 2 ** 64
-
-
-# (field, check, message) of the run fields that need no world to check.
-_FIELD_CHECKS = (
-    ("steps", lambda v: _integer(v) and v >= 0, "must be an integer >= 0"),
-    ("seed", _seed, "must be an integer that fits in 64 unsigned bits"),
-    ("policy", lambda v: v in ("learned", "random"), "must be 'learned' or 'random'"),
-    ("episode_step_limit", lambda v: _integer(v) and v >= 1, "must be a positive integer"),
-    ("goal_reach", lambda v: _integer(v) and v >= 1, "must be a positive integer"),
-    ("attention", lambda v: math.isfinite(v) and v >= 0, "must be finite and >= 0"),
-    ("depression_stay_bias", lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]"),
-    ("desire_cost", lambda v: v >= 0, "must be >= 0"),
-)
-
-
-def _check_fields(config: RunConfig):
-    """The checks that need no world. A value of the wrong type (a string
-    for ``steps``) fails its check instead of raising TypeError."""
-    for name, check, message in _FIELD_CHECKS:
-        try:
-            ok = check(getattr(config, name))
-        except TypeError:
-            ok = False
-        if not ok:
-            raise ConfigError(name, message)
+def sweep_from_dict(data) -> tuple:
+    """A threshold-sweep policy as (thresholds, InterruptPolicy, seeds, steps):
+    at least two finite thresholds, seeds as in a matrix, a step count, and
+    the interrupt policy's own fields."""
+    own = {"thresholds", "seeds", "steps"}
+    inputs.record(data, "policy", own | {f.name for f in fields(InterruptPolicy)})
+    thresholds = inputs.list_of(inputs.number)(data.get("thresholds", []), "policy.thresholds")
+    if len(thresholds) < 2:
+        raise ConfigError("policy.thresholds", "need at least two")
+    rest = {k: v for k, v in data.items() if k not in own}
+    return (thresholds, inputs.section(InterruptPolicy, rest, "policy"),
+            inputs.seeds(data.get("seeds", 5), "policy.seeds"),
+            inputs.count(data.get("steps", 300), "policy.steps"))
 
 
 # -- running ---------------------------------------------------------------
@@ -250,8 +200,7 @@ def summarize(agent: Agent, config: RunConfig) -> dict:
 def run(config: RunConfig, out_dir=None) -> tuple[Agent, dict]:
     """Execute one seeded run; optionally write events.csv / summary.json
     (and trace.csv when tracing) into out_dir. Deterministic per config."""
-    validate_config(config)
-    world = get_world(config.world)
+    world = validate_config(config)
     agent = Agent(config, world, config.seed)
     agent.run(config.steps)
     summary = summarize(agent, config)
@@ -324,51 +273,24 @@ def audit(agent: Agent) -> dict:
 # -- experiment matrices -----------------------------------------------------
 
 
-def _matrix_interventions(spec) -> list:
-    if spec in (None, "canonical"):
-        return canonical_suite()
-    if not isinstance(spec, list):
-        raise ConfigError("interventions", "must be 'canonical' or a list")
-    return [_intervention(item, f"interventions[{i}]") for i, item in enumerate(spec)]
+_BASE_KEYS = {f.name for f in fields(RunConfig)} - {"world", "seed"}
 
 
-def _matrix_worlds(spec) -> list:
-    if not isinstance(spec, list):
-        raise ConfigError("worlds", "must be a list of world names or paths")
-    for i, world in enumerate(spec):
-        if not isinstance(world, str):
-            raise ConfigError(f"worlds[{i}]", "must be a world name or path")
-    return spec
-
-
-def _matrix_seeds(spec) -> list:
-    """A seed count (seeds 0..n-1) or a list of seeds."""
-    if _integer(spec) and spec >= 0:
-        return list(range(spec))
-    if not isinstance(spec, list):
-        raise ConfigError("seeds", "must be a non-negative integer or a list of seeds")
-    for i, seed in enumerate(spec):
-        if not _seed(seed):
-            raise ConfigError(f"seeds[{i}]", "must be an integer that fits in 64 unsigned bits")
-    return spec
-
-
-def _matrix_base(matrix: dict) -> RunConfig:
-    """The run configuration every cell starts from, checked once before any
-    simulation. World and seed come per cell, so the checks that need a
-    world wait for the cells."""
-    data = matrix.get("base", {})
-    if not isinstance(data, dict):
-        raise ConfigError("base", "must be an object")
-    try:
-        base = _parse_config({k: v for k, v in data.items() if k not in ("world", "seed")})
-        _check_fields(base)
-    except ConfigError as exc:
-        raise ConfigError(f"base.{exc.path}", exc.message) from None
+def _matrix(matrix) -> tuple:
+    """(interventions, worlds, seeds, base config) of a matrix, all checked
+    before any simulation. World and seed come per cell, so the checks that
+    need a world wait for the cells."""
+    inputs.record(matrix, "", ("interventions", "worlds", "seeds", "steps", "base"), root="matrix")
+    spec = matrix.get("interventions")
+    interventions = (canonical_suite() if spec in (None, "canonical")
+                     else inputs.list_of(_intervention)(spec, "interventions"))
+    worlds = inputs.list_of(inputs.string)(matrix.get("worlds", ["corridor"]), "worlds")
+    seeds = inputs.seeds(matrix.get("seeds", 5), "seeds")
+    data = inputs.record(matrix.get("base", {}), "base", _BASE_KEYS)
+    base = inputs.section(RunConfig, data, "base", _READERS)
     if "steps" in matrix:
-        base = replace(base, steps=matrix["steps"])
-        _check_fields(base)
-    return base
+        base = replace(base, steps=inputs.count(matrix["steps"], "steps"))
+    return interventions, worlds, seeds, base
 
 
 def _report_row(config: RunConfig, ledger, agent: Agent) -> dict:
@@ -401,10 +323,7 @@ def experiment(matrix: dict, out_dir=None) -> tuple[list, int]:
     seed) simulates each class once and re-scores the rest of the class;
     a simulation that raises fails every cell of its class.
     """
-    interventions = _matrix_interventions(matrix.get("interventions"))
-    worlds = _matrix_worlds(matrix.get("worlds", ["corridor"]))
-    seeds = _matrix_seeds(matrix.get("seeds", 5))
-    base = _matrix_base(matrix)
+    interventions, worlds, seeds, base = _matrix(matrix)
     classes: dict[tuple, list] = {}
     for i, iv in enumerate(interventions):
         classes.setdefault(behaviour_key(iv), []).append(i)

@@ -1,0 +1,157 @@
+"""The input boundary: one set of typed readers for every JSON input (run
+configs, experiment matrices, sweep policies, world files).
+
+A reader ``read(value, path)`` returns the value as given (an int stays an
+int) or raises InputError with the value's dotted path (``seeds[2]``,
+``objects[0].kind``). Readers check JSON types; the range rules of a
+config section stay in its dataclass's ``__post_init__``.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import json
+import math
+import numbers
+import typing
+from pathlib import Path
+
+
+class InputError(Exception):
+    """Bad input; ``path`` is the dotted path of the bad value."""
+
+    def __init__(self, path: str, message: str):
+        self.path = path
+        self.message = message
+        super().__init__(f"{path}: {message}")
+
+
+def join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def reader(ok, message: str, convert=lambda v: v):
+    """A reader of the values ``ok`` accepts, returned through ``convert``."""
+    def read(value, path: str):
+        if not ok(value):
+            raise InputError(path, message)
+        return convert(value)
+    return read
+
+
+def is_integer(v) -> bool:
+    """An integer; bool is not one."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+# The largest magnitude of a number: no product of a few inputs, summed
+# over any run, comes near the float range, so no total overflows to inf.
+BOUND = 1e12
+
+
+def number(value, path: str):
+    """A finite number within +-BOUND."""
+    if not (is_integer(value) or isinstance(value, float)) or not -math.inf < value < math.inf:
+        raise InputError(path, "must be a finite number")
+    if abs(value) > BOUND:
+        raise InputError(path, f"must be within +-{BOUND:g}")
+    return value
+
+
+integer = reader(is_integer, "must be an integer")
+count = reader(lambda v: is_integer(v) and v >= 0, "must be an integer >= 0")
+seed = reader(lambda v: is_integer(v) and 0 <= v < 2 ** 64,
+              "must be an integer that fits in 64 unsigned bits")
+string = reader(lambda v: isinstance(v, str), "must be a string")
+flag = reader(lambda v: isinstance(v, bool), "must be true or false")
+cell = reader(lambda v: isinstance(v, list) and len(v) == 2 and all(map(is_integer, v)),
+              "must be [x, y]", tuple)
+
+
+def list_of(read):
+    """A reader of JSON lists whose items ``read`` accepts."""
+    def read_list(value, path: str) -> list:
+        if not isinstance(value, list):
+            raise InputError(path, "must be a list")
+        return [read(item, f"{path}[{i}]") for i, item in enumerate(value)]
+    return read_list
+
+
+def seeds(value, path: str) -> list:
+    """A seed count n (seeds 0..n-1) or a list of seeds."""
+    if isinstance(value, list):
+        return list_of(seed)(value, path)
+    return list(range(count(value, path)))
+
+
+def record(value, path: str, allowed, root: str = "config") -> dict:
+    """A JSON object whose keys are all in ``allowed``; ``root`` names a whole input."""
+    if not isinstance(value, dict):
+        raise InputError(path or root, "must be an object")
+    for key in value:
+        if key not in allowed:
+            raise InputError(join(path, key), "unknown field")
+    return value
+
+
+MISSING = object()
+
+
+def get(entry: dict, key: str, path: str, read, default=MISSING):
+    """``entry[key]`` through ``read``; ``path`` is the entry's own path."""
+    full = join(path, key)
+    if key not in entry:
+        if default is MISSING:
+            raise InputError(full, "missing")
+        return default
+    return read(entry[key], full)
+
+
+def _reader_of(tp, default):
+    """The reader of a dataclass field annotated ``tp``. A type that is not
+    a JSON type (an Enum) takes only an instance of itself."""
+    if tp in (bool, int, str):
+        return {bool: flag, int: integer, str: string}[tp]
+    if tp is float:  # +inf only where it is the default
+        return number if default != math.inf else lambda v, p: v if v == math.inf else number(v, p)
+    if dataclasses.is_dataclass(tp):
+        return lambda value, path: section(tp, value, path)
+    if type(None) in typing.get_args(tp):  # X | None
+        (inner,) = set(typing.get_args(tp)) - {type(None)}
+        read = _reader_of(inner, default)
+        return lambda value, path: None if value is None else read(value, path)
+    return reader(lambda v: isinstance(v, tp), f"must be a {tp.__name__}")
+
+
+@functools.cache
+def _field_readers(cls) -> dict:
+    hints = typing.get_type_hints(cls)
+    return {f.name: _reader_of(hints[f.name], f.default) for f in dataclasses.fields(cls)}
+
+
+def section(cls, data, path: str, readers: dict | None = None):
+    """A ``cls`` dataclass from a JSON object, each field read by its
+    annotation or by ``readers[name]``. A ValueError of ``cls`` whose message
+    starts with a field name ("alpha must be ...") is reported at that field."""
+    known = _field_readers(cls)
+    record(data, path, known)
+    read = {**known, **readers} if readers else known
+    kwargs = {key: read[key](value, join(path, key)) for key, value in data.items()}
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        name, _, rest = str(exc).partition(" ")
+        if name in known and rest:
+            raise InputError(join(path, name), rest) from None
+        raise InputError(path or "config", str(exc)) from None
+
+
+def load_json(path):
+    """The JSON value of a file; an unreadable or malformed file is bad input."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(str(path), str(exc)) from None

@@ -32,6 +32,8 @@ class InterventionConfig:
     coupled: bool = False  # when set, expectation_scale also scales desire
 
     def __post_init__(self):
+        if "/" in self.name or "\0" in self.name:
+            raise ValueError("name must not contain '/' or NUL: it names output files")
         for field_name in ("expectation_scale", "certainty_scale",
                            "attention_scale", "self_standard_scale"):
             v = getattr(self, field_name)

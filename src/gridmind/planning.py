@@ -92,8 +92,9 @@ class PlanSearchParams:
     heuristic_weight: float = 1.0
 
     def __post_init__(self):
-        if self.max_depth < 1 or self.branching_cap < 1:
-            raise ValueError("max_depth and branching_cap must be positive")
+        for name in ("max_depth", "branching_cap"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
         if self.heuristic_weight < 0:
             raise ValueError("heuristic_weight must be >= 0")
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .world import Relocation, WorldModel, WorldObject
+from .world import Relocation, WorldModel, WorldObject, load_world
 
 
 def corridor(length: int = 20, step_cost: float = 0.05) -> WorldModel:
@@ -59,8 +59,6 @@ PRESETS = {
 
 
 def get_world(name_or_path) -> WorldModel:
-    from .world import load_world
-
     if isinstance(name_or_path, WorldModel):
         return name_or_path
     if name_or_path in PRESETS:

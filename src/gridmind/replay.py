@@ -145,8 +145,9 @@ class WanderingParams:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if self.batch_size < 1 or self.rollout_depth < 1:
-            raise ValueError("batch_size and rollout_depth must be positive")
+        for name in ("batch_size", "rollout_depth"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
 
 
 def wandering_step(agent, rng: np.random.Generator) -> list:

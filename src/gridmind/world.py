@@ -9,13 +9,15 @@ agent has to re-learn, which is exactly the cost the simulator measures.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from pathlib import Path
 
 import numpy as np
+
+from .inputs import (InputError, cell, flag, get, integer, list_of, load_json, number,
+                     reader, record, string)
 
 
 class WorldError(Exception):
@@ -357,101 +359,54 @@ def reachable_states(world: WorldModel, from_cell: Cell | None = None) -> set:
 # -- definition files ----------------------------------------------------
 
 
-_REQUIRED = object()
 _WORLD_KEYS = {"width", "height", "walls", "objects", "slip_probability", "step_cost",
                "observation_confusion", "schedule", "start"}
 _OBJECT_KEYS = {"id", "kind", "magnitude", "consumable", "at"}
 _RELOCATION_KEYS = {"t", "object", "to"}
-
-
-def _reader(ok, message: str, convert=lambda v: v):
-    """A reader of one JSON value: ``convert(value)`` if ``ok(value)``,
-    else a WorldError at the value's path."""
-    def read(value, path: str):
-        if not ok(value):
-            raise WorldError(f"{path}: {message}")
-        return convert(value)
-    return read
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-_integer = _reader(_is_int, "must be an integer")
-_number = _reader(lambda v: (_is_int(v) or isinstance(v, float)) and math.isfinite(v),
-                  "must be a finite number", float)
-_string = _reader(lambda v: isinstance(v, str), "must be a string")
-_flag = _reader(lambda v: isinstance(v, bool), "must be true or false")
-_object_kind = _reader(lambda v: v in ("reward", "hazard"), "must be 'reward' or 'hazard'")
-_cell = _reader(lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
-                "must be [x, y]", tuple)
-_list = _reader(lambda v: isinstance(v, list), "must be a list")
-
-
-def _join(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
-
-
-def _record(value, path: str, allowed: set) -> dict:
-    if not isinstance(value, dict):
-        raise WorldError(f"{path or 'world'}: must be an object")
-    for key in value:
-        if key not in allowed:
-            raise WorldError(f"{_join(path, key)}: unknown field")
-    return value
-
-
-def _read(entry: dict, key: str, path: str, kind, default=_REQUIRED):
-    """``entry[key]`` checked by ``kind``; ``path`` is the entry's own path."""
-    full = _join(path, key)
-    if key not in entry:
-        if default is _REQUIRED:
-            raise WorldError(f"{full}: missing")
-        return default
-    return kind(entry[key], full)
+_object_kind = reader(lambda v: v in ("reward", "hazard"), "must be 'reward' or 'hazard'")
+_cells = list_of(cell)
+_entries = list_of(lambda value, path: value)  # each entry is read as a record below
 
 
 def world_from_dict(spec: dict) -> WorldModel:
-    """A world from its JSON form. A malformed entry raises WorldError
+    """A world from its JSON form. A malformed entry raises InputError
     with its dotted path (``objects[0].kind: missing``)."""
-    _record(spec, "", _WORLD_KEYS)
-    walls = frozenset(_cell(c, f"walls[{i}]")
-                      for i, c in enumerate(_read(spec, "walls", "", _list, [])))
+    record(spec, "", _WORLD_KEYS, root="world")
+    walls = frozenset(get(spec, "walls", "", _cells, []))
     objects = {}
-    for i, entry in enumerate(_read(spec, "objects", "", _list, [])):
+    for i, entry in enumerate(get(spec, "objects", "", _entries, [])):
         path = f"objects[{i}]"
-        _record(entry, path, _OBJECT_KEYS)
-        oid = _read(entry, "id", path, _string)
+        record(entry, path, _OBJECT_KEYS)
+        oid = get(entry, "id", path, string)
         if oid in objects:
-            raise WorldError(f"{path}.id: duplicate object id {oid!r}")
-        kind = _read(entry, "kind", path, _object_kind)
+            raise InputError(f"{path}.id", f"duplicate object id {oid!r}")
+        kind = get(entry, "kind", path, _object_kind)
         objects[oid] = WorldObject(
             oid=oid,
             kind=kind,
-            magnitude=_read(entry, "magnitude", path, _number),
-            consumable=_read(entry, "consumable", path, _flag, kind == "reward"),
-            at=_read(entry, "at", path, _cell),
+            magnitude=float(get(entry, "magnitude", path, number)),
+            consumable=get(entry, "consumable", path, flag, kind == "reward"),
+            at=get(entry, "at", path, cell),
         )
     schedule = []
-    for i, entry in enumerate(_read(spec, "schedule", "", _list, [])):
+    for i, entry in enumerate(get(spec, "schedule", "", _entries, [])):
         path = f"schedule[{i}]"
-        _record(entry, path, _RELOCATION_KEYS)
-        oid = _read(entry, "object", path, _string)
+        record(entry, path, _RELOCATION_KEYS)
+        oid = get(entry, "object", path, string)
         if oid not in objects:
-            raise WorldError(f"{path}.object: no object has id {oid!r}")
-        schedule.append(Relocation(t=_read(entry, "t", path, _integer), oid=oid,
-                                   to=_read(entry, "to", path, _cell)))
+            raise InputError(f"{path}.object", f"no object has id {oid!r}")
+        schedule.append(Relocation(t=get(entry, "t", path, integer), oid=oid,
+                                   to=get(entry, "to", path, cell)))
     return WorldModel(
-        width=_read(spec, "width", "", _integer),
-        height=_read(spec, "height", "", _integer),
+        width=get(spec, "width", "", integer),
+        height=get(spec, "height", "", integer),
         walls=walls,
         objects=objects,
-        slip_probability=_read(spec, "slip_probability", "", _number, 0.0),
-        step_cost=_read(spec, "step_cost", "", _number, 0.0),
-        observation_confusion=_read(spec, "observation_confusion", "", _number, 0.0),
+        slip_probability=float(get(spec, "slip_probability", "", number, 0.0)),
+        step_cost=float(get(spec, "step_cost", "", number, 0.0)),
+        observation_confusion=float(get(spec, "observation_confusion", "", number, 0.0)),
         schedule=tuple(schedule),
-        start=_read(spec, "start", "", _cell, None),
+        start=get(spec, "start", "", cell, None),
     )
 
 
@@ -486,7 +441,6 @@ def world_from_ascii(text: str, *, reward_magnitude: float = 1.0,
 
 
 def load_world(path) -> WorldModel:
-    text = Path(path).read_text()
     if str(path).endswith(".json"):
-        return world_from_dict(json.loads(text))
-    return world_from_ascii(text)
+        return world_from_dict(load_json(path))
+    return world_from_ascii(Path(path).read_text())

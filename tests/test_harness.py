@@ -13,7 +13,8 @@ from gridmind.cli import main as cli_main
 from gridmind.harness import (EVENT_COLUMNS, ConfigError, config_from_dict,
                               experiment, load_config, run)
 from gridmind.presets import get_world
-from gridmind.world import WorldError, world_from_dict
+from gridmind.inputs import InputError
+from gridmind.world import world_from_dict
 
 
 BASE_CONFIG = {
@@ -408,7 +409,7 @@ def test_cli_sweep_bad_world_file_exits_2(tmp_path, change, path):
     ("g", "objects[0]: must be an object"),
 ])
 def test_world_file_bad_object_names_its_path(entry, path):
-    with pytest.raises(WorldError) as exc:
+    with pytest.raises(InputError) as exc:
         world_from_dict({"width": 3, "height": 2, "objects": [entry]})
     assert str(exc.value) == path
 
@@ -423,7 +424,7 @@ def test_world_file_bad_object_names_its_path(entry, path):
     ({"t": 5}, "schedule: must be a list"),
 ])
 def test_world_file_bad_schedule_names_its_path(schedule, path):
-    with pytest.raises(WorldError) as exc:
+    with pytest.raises(InputError) as exc:
         world_from_dict({"width": 3, "height": 2, "objects": [GOOD_OBJECT],
                          "schedule": schedule})
     assert str(exc.value) == path
@@ -436,13 +437,13 @@ def test_world_file_bad_schedule_names_its_path(schedule, path):
     ({"slip": 0.1}, "slip: unknown field"),
 ])
 def test_world_file_bad_top_level_field_names_its_path(change, path):
-    with pytest.raises(WorldError) as exc:
+    with pytest.raises(InputError) as exc:
         world_from_dict({"width": 3, "height": 2, **change})
     assert str(exc.value) == path
 
 
 def test_world_file_not_an_object():
-    with pytest.raises(WorldError, match="world: must be an object"):
+    with pytest.raises(InputError, match="world: must be an object"):
         world_from_dict([3, 2])
 
 

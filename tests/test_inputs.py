@@ -1,0 +1,277 @@
+"""The input boundary: every JSON input is read by one set of typed readers.
+
+Bad input exits 2 with the dotted path of the bad value and never prints
+a traceback; an exit of 3 means a value got past the readers.
+"""
+
+import csv
+import json
+import math
+import tempfile
+from dataclasses import asdict, fields, is_dataclass
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from gridmind import harness, inputs
+from gridmind.affect import InterruptPolicy, SelfMode, SelfModel
+from gridmind.cli import main as cli_main
+from gridmind.harness import RunConfig, config_from_dict, experiment, run
+
+RUN = {"world": "loss_heavy", "steps": 30, "seed": 0}
+MATRIX = {"interventions": ["baseline"], "worlds": ["loss_heavy"], "seeds": [0], "steps": 20}
+POLICY = {"thresholds": [0.0, 1.0], "seeds": 1, "steps": 10}
+
+
+def cli(tmp: Path, command: str, text: str, *extra) -> int:
+    """Run a command on ``text`` as its input file, in process."""
+    path = tmp / "input.json"
+    path.write_text(text)
+    if command == "simulate":
+        argv = ["simulate", "--config", str(path), "--out", str(tmp / "out")]
+    elif command == "experiment":
+        argv = ["experiment", "--matrix", str(path), "--out", str(tmp / "out")]
+    else:
+        argv = ["sweep-threshold", "--world", "hazard_alley", "--policy", str(path),
+                "--out", str(tmp / "out")]
+    return cli_main([*argv, *extra])
+
+
+def with_fields(base: dict, extra: str) -> str:
+    """``base`` as JSON with raw JSON members added (NaN, Infinity)."""
+    return json.dumps(base)[:-1] + ", " + extra + "}"
+
+
+# -- leaks: values that used to run, or to fail with a traceback ------------------
+
+
+@pytest.mark.parametrize("text, path", [
+    (with_fields(RUN, '"wandering": {"batch_size": 2.5}'), "wandering.batch_size"),
+    (with_fields(RUN, '"buffer_capacity": 0'), "buffer_capacity"),
+    (with_fields(RUN, '"buffer_capacity": "x"'), "buffer_capacity"),
+    (with_fields(RUN, '"baseline_rate": 2'), "baseline_rate"),
+    (with_fields(RUN, '"baseline_level": Infinity'), "baseline_level"),
+    (with_fields(RUN, '"goal_threshold": NaN'), "goal_threshold"),
+    (with_fields(RUN, '"interrupts": {"decay_length": NaN}'), "interrupts.decay_length"),
+    (with_fields(RUN, '"planning": {"heuristic_weight": NaN}'), "planning.heuristic_weight"),
+    (with_fields(RUN, '"self_model": {"standard": NaN}'), "self_model.standard"),
+    (with_fields(RUN, '"meta_aversion": "yes"'), "meta_aversion"),
+    (with_fields(RUN, '"trace": "no"'), "trace"),
+    (with_fields(RUN, '"planning": {"max_depth": 2.5}'), "planning.max_depth"),
+    (with_fields(RUN, '"self_model": {"evaluation_window": 2.5}'),
+     "self_model.evaluation_window"),
+    (with_fields(RUN, '"self_model": {"mode": "Waiting"}'), "self_model.mode"),
+    (with_fields(RUN, '"learning": {"alpha": "0.1"}'), "learning.alpha"),
+    (with_fields(RUN, '"world": 3'), "world"),
+    (with_fields(RUN, '"intervention": {"name": "a/b"}'), "intervention.name"),
+    (with_fields(RUN, '"attention": 1e308'), "attention"),  # totals would overflow to inf
+    (with_fields(RUN, '"planning": {"branching_cap": 0}'), "planning.branching_cap"),
+    (with_fields(RUN, '"wandering": {"rollout_depth": 0}'), "wandering.rollout_depth"),
+    ("[1, 2]", "config"),
+])
+def test_bad_run_config_exits_2_with_its_path(tmp_path, capsys, text, path):
+    assert cli(tmp_path, "simulate", text) == 2
+    err = capsys.readouterr().err
+    assert f"invalid config: {path}:" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, path", [
+    ("[1]", "matrix"),
+    (json.dumps({**MATRIX, "sedes": 3}), "sedes"),
+    (json.dumps({**MATRIX, "base": {"world": "loss_heavy"}}), "base.world"),
+    (json.dumps({**MATRIX, "base": {"seed": 3}}), "base.seed"),
+    (json.dumps({**MATRIX, "base": {"buffer_capacity": 0}}), "base.buffer_capacity"),
+    (json.dumps({**MATRIX, "interventions": [{"name": "x", "expectation_scale": "0.5"}]}),
+     "interventions[0].expectation_scale"),
+])
+def test_bad_matrix_exits_2_before_any_simulation(tmp_path, capsys, monkeypatch, text, path):
+    monkeypatch.setattr(harness, "run", lambda *a, **k: pytest.fail("simulated a bad matrix"))
+    assert cli(tmp_path, "experiment", text) == 2
+    err = capsys.readouterr().err
+    assert f"invalid config: {path}:" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, path", [
+    (with_fields(POLICY, '"seeds": true, "steps": true'), "policy.seeds"),
+    (with_fields(POLICY, '"steps": true'), "policy.steps"),
+    (with_fields(POLICY, '"seeds": [0.5]'), "policy.seeds[0]"),
+    (with_fields(POLICY, '"seeds": -3'), "policy.seeds"),
+    (with_fields(POLICY, '"steps": -5'), "policy.steps"),
+    (with_fields(POLICY, '"thresholds": [0, NaN]'), "policy.thresholds[1]"),
+    (with_fields(POLICY, '"thresholds": [0]'), "policy.thresholds"),
+    (with_fields(POLICY, '"colour": 1'), "policy.colour"),
+    (with_fields(POLICY, '"decay_length": 0'), "policy.decay_length"),
+    (with_fields(POLICY, '"miss_cost": 1e308'), "policy.miss_cost"),
+    ("[1]", "policy"),
+])
+def test_bad_sweep_policy_exits_2_with_its_path(tmp_path, capsys, text, path):
+    assert cli(tmp_path, "sweep-threshold", text) == 2
+    err = capsys.readouterr().err
+    assert f"invalid config: {path}:" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_missing_thresholds_keep_their_message(tmp_path, capsys):
+    assert cli(tmp_path, "sweep-threshold", "{}") == 2
+    assert "invalid config: policy.thresholds: need at least two" in capsys.readouterr().err
+
+
+def test_sweep_policy_seeds_follow_the_matrix_rule():
+    thresholds, policy, seeds, steps = harness.sweep_from_dict(
+        {"thresholds": [0, 1e9], "seeds": 3, "steps": 7, "miss_cost": 2})
+    assert (thresholds, seeds, steps) == ([0, 1e9], [0, 1, 2], 7)
+    assert policy == InterruptPolicy(miss_cost=2)
+    assert harness.sweep_from_dict({"thresholds": [0, 1], "seeds": [4, 9]})[2] == [4, 9]
+
+
+def test_seed_override_goes_through_the_seed_rule(tmp_path, capsys):
+    assert cli(tmp_path, "simulate", json.dumps(RUN), "--seed", "-1") == 2
+    assert "invalid config: seed:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "experiment", "sweep-threshold"])
+def test_unreadable_input_exits_2(tmp_path, capsys, command):
+    assert cli(tmp_path, command, '{"steps": ') == 2
+    assert f"invalid config: {tmp_path / 'input.json'}:1:" in capsys.readouterr().err
+
+
+def test_other_errors_exit_3_in_one_line(tmp_path, capsys, monkeypatch):
+    def breach(*args, **kwargs):
+        raise RuntimeError("state 7 is stale\nsecond line")
+
+    monkeypatch.setattr(harness, "run", breach)
+    assert cli(tmp_path, "simulate", json.dumps(RUN)) == 3
+    err = capsys.readouterr().err
+    assert err == "error: RuntimeError: state 7 is stale second line\n"
+
+
+# -- the readers ------------------------------------------------------------------
+
+
+def test_section_keeps_ints_as_given():
+    config = config_from_dict({**RUN, "desire_cost": 1, "interrupts": {"miss_cost": 2}})
+    assert type(config.desire_cost) is int and type(config.interrupts.miss_cost) is int
+
+
+def test_infinity_only_where_the_default_is_infinite():
+    assert config_from_dict({**RUN, "interrupts": {"threat_threshold": math.inf}})
+    for section, name in (("interrupts", "desire_threshold"), ("self_model", "standard")):
+        with pytest.raises(inputs.InputError) as exc:
+            config_from_dict({**RUN, section: {name: math.inf}})
+        assert exc.value.path == f"{section}.{name}"
+    with pytest.raises(inputs.InputError):
+        config_from_dict({**RUN, "interrupts": {"threat_threshold": -math.inf}})
+
+
+def test_null_only_where_the_field_takes_none():
+    assert config_from_dict({**RUN, "intervention": {"realness_override": None}})
+    with pytest.raises(inputs.InputError) as exc:
+        config_from_dict({**RUN, "interrupts": {"miss_cost": None}})
+    assert exc.value.path == "interrupts.miss_cost"
+
+
+def test_non_json_field_types_take_only_their_instances():
+    data = {**RUN, "self_model": asdict(SelfModel(mode=SelfMode.WAITING))}
+    assert config_from_dict(data).self_model.mode is SelfMode.WAITING
+    with pytest.raises(inputs.InputError) as exc:
+        config_from_dict({**RUN, "self_model": {"mode": "Waiting"}})
+    assert exc.value.path == "self_model.mode"
+
+
+def test_huge_int_is_not_a_finite_number():
+    with pytest.raises(inputs.InputError) as exc:
+        config_from_dict({**RUN, "attention": 10 ** 400})
+    assert exc.value.path == "attention"
+
+
+def test_run_builds_its_world_once(monkeypatch):
+    calls = []
+
+    def counting(name):
+        calls.append(name)
+        return get_world(name)
+
+    get_world = harness.get_world
+    monkeypatch.setattr(harness, "get_world", counting)
+    run(RunConfig(world="loss_heavy", steps=5))
+    assert calls == ["loss_heavy"]
+    calls.clear()
+    experiment({**MATRIX, "interventions": ["baseline", "empty_mind"], "seeds": 2})
+    assert calls == ["loss_heavy"] * 4  # one per simulation: 2 seeds x 2 behaviour classes
+
+
+# -- property: the boundary has no holes --------------------------------------------
+
+
+def field_paths(config, prefix="") -> list:
+    """Every field of a config dataclass, nested fields too, as dotted paths."""
+    paths = []
+    for f in fields(config):
+        paths.append(prefix + f.name)
+        if is_dataclass(getattr(config, f.name)):
+            paths += field_paths(getattr(config, f.name), f"{prefix}{f.name}.")
+    return paths
+
+
+RUN_PATHS = field_paths(RunConfig()) + ["unknown", "learning.unknown"]
+MATRIX_PATHS = (["interventions", "interventions[0]", "interventions[0].expectation_scale",
+                 "worlds", "worlds[0]", "seeds", "seeds[0]", "steps", "base", "unknown"]
+                + [f"base.{p}" for p in RUN_PATHS])
+POLICY_PATHS = (["thresholds", "thresholds[0]", "seeds", "steps", "unknown"]
+                + field_paths(InterruptPolicy()))
+
+SCALARS = (st.none() | st.booleans() | st.integers(-3, 50) | st.floats()
+           | st.sampled_from([math.nan, math.inf, -math.inf]) | st.text(max_size=6))
+VALUES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3)
+                      | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+                      max_leaves=6)
+
+
+def put(data: dict, path: str, value) -> dict:
+    """A copy of ``data`` with ``value`` at a dotted path; a missing or
+    non-object parent becomes an object."""
+    data = json.loads(json.dumps(data))
+    keys = [int(k[1:-1]) if k.startswith("[") else k for k in path.replace("[", ".[").split(".")]
+    node = data
+    for key in keys[:-1]:
+        child = node[key] if isinstance(node, list) else node.get(key)
+        if not isinstance(child, (dict, list)):
+            child = node[key] = {}
+        node = child
+    node[keys[-1]] = value
+    return data
+
+
+def failed_statuses(out: Path) -> list:
+    with open(out / "report.csv", newline="") as fh:
+        return [row["status"] for row in csv.DictReader(fh) if row["status"] != "ok"]
+
+
+PROPERTY = settings(max_examples=150, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+
+
+@PROPERTY
+@given(command=st.sampled_from(["simulate", "experiment", "sweep-threshold"]), data=st.data())
+def test_random_input_exits_0_or_2_without_a_traceback(command, data, capsys):
+    base, paths = {"simulate": (RUN, RUN_PATHS), "experiment": (MATRIX, MATRIX_PATHS),
+                   "sweep-threshold": (POLICY, POLICY_PATHS)}[command]
+    path = data.draw(st.sampled_from(paths), label="path")
+    value = data.draw(VALUES, label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        code = cli(Path(tmp), command, json.dumps(put(base, path, value)))
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code == 1:  # failed cells: only the checks that need each cell's world
+            assert command == "experiment"
+            for status in failed_statuses(Path(tmp) / "out"):
+                assert status.startswith(("failed: world:", "failed: learning.step_penalty:"))
+        else:
+            assert code in (0, 2), err

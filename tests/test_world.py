@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import hazard, make_world, reward
+from gridmind.inputs import InputError
 from gridmind.world import (ACTIONS, Action, Observation, Relocation, WorldError,
                             apply_schedule, load_world, observe,
                             reachable_states, step, world_from_ascii,
@@ -262,5 +263,5 @@ def test_ascii_rejects_unknown_chars():
 
 
 def test_json_missing_field():
-    with pytest.raises(WorldError):
+    with pytest.raises(InputError):
         world_from_dict({"width": 3})
