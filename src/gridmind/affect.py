@@ -16,7 +16,7 @@ from .suffering import LossSite, Source, Timescale
 from .world import WorldModel
 
 
-@dataclass
+@dataclass(frozen=True)
 class InterruptPolicy:
     threat_threshold: float = math.inf
     desire_threshold: float = 0.8
@@ -144,20 +144,13 @@ def sweep_threshold(worlds, thresholds, policy: InterruptPolicy, seeds, *,
     return table
 
 
-class SelfMode(Enum):
-    ACTIVE = "Active"
-    WAITING = "Waiting"
-
-
-@dataclass
+@dataclass(frozen=True)
 class SelfModel:
     evaluation_window: int = 5
     standard: float = 0.0
     meta_rate: float = 0.0
     failure_limit: int = 3
-    mode: SelfMode = SelfMode.ACTIVE
     cooldown: int = 25
-    wait_remaining: int = 0
 
     def __post_init__(self):
         if self.evaluation_window < 1:
@@ -166,9 +159,20 @@ class SelfModel:
             raise ValueError("meta_rate must be in [0, 1]")
         if self.failure_limit < 1:
             raise ValueError("failure_limit must be positive")
+        if self.cooldown < 0:
+            raise ValueError("cooldown must be >= 0")
 
 
-def self_evaluate(self_model: SelfModel, episode_rewards, *, t: int = 0):
+@dataclass
+class SelfState:
+    """The self-model's run state, kept by the agent: the standard, which
+    drifts with meta_rate, and the steps of Waiting left. Waiting is
+    exactly ``wait_remaining > 0``."""
+    standard: float
+    wait_remaining: int = 0
+
+
+def self_evaluate(self_model: SelfModel, state: SelfState, episode_rewards, *, t: int = 0):
     """Compare mean reward over the last window against the standard.
 
     Returns the SelfEval loss site (the unscaled standard against the
@@ -181,37 +185,28 @@ def self_evaluate(self_model: SelfModel, episode_rewards, *, t: int = 0):
     if len(episode_rewards) < self_model.evaluation_window:
         return None
     m = mean(episode_rewards[-self_model.evaluation_window:])
-    site = LossSite(t, Source.SELF_EVAL, Timescale.SELF_EVAL, self_model.standard, m)
+    site = LossSite(t, Source.SELF_EVAL, Timescale.SELF_EVAL, state.standard, m)
     if self_model.meta_rate > 0:
-        self_model.standard = ((1.0 - self_model.meta_rate) * self_model.standard
-                               + self_model.meta_rate * m)
+        state.standard = (1.0 - self_model.meta_rate) * state.standard + self_model.meta_rate * m
     return site
 
 
-def depression_gate(self_model: SelfModel, consecutive_failed_intentions: int) -> SelfModel:
-    """Enter Waiting after enough consecutive failed intentions.
+def depression_gate(self_model: SelfModel, state: SelfState, consecutive_failed_intentions: int):
+    """Wait for a cooldown after enough consecutive failed intentions.
 
-    While Waiting no goals are suggested for a cooldown; habit actions
-    continue Stay-biased. Release happens on cooldown expiry or any
-    positive reward (see release_depression).
+    While Waiting no goals are suggested; habit actions continue
+    Stay-biased. Release happens on cooldown expiry or any positive
+    reward (see release_depression).
     """
-    if (self_model.mode is SelfMode.ACTIVE
-            and consecutive_failed_intentions >= self_model.failure_limit):
-        self_model.mode = SelfMode.WAITING
-        self_model.wait_remaining = self_model.cooldown
-    return self_model
+    if state.wait_remaining <= 0 and consecutive_failed_intentions >= self_model.failure_limit:
+        state.wait_remaining = self_model.cooldown
 
 
-def tick_depression(self_model: SelfModel) -> SelfModel:
-    if self_model.mode is SelfMode.WAITING:
-        self_model.wait_remaining -= 1
-        if self_model.wait_remaining <= 0:
-            self_model.mode = SelfMode.ACTIVE
-    return self_model
+def tick_depression(state: SelfState):
+    if state.wait_remaining > 0:
+        state.wait_remaining -= 1
 
 
-def release_depression(self_model: SelfModel) -> SelfModel:
+def release_depression(state: SelfState):
     """Any positive reward ends Waiting immediately."""
-    self_model.mode = SelfMode.ACTIVE
-    self_model.wait_remaining = 0
-    return self_model
+    state.wait_remaining = 0

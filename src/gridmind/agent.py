@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from . import rng as rngmod
-from .affect import (InterruptKind, SelfMode, check_interrupts, depression_gate,
+from .affect import (InterruptKind, SelfState, check_interrupts, depression_gate,
                      release_depression, self_evaluate, threat_site,
                      tick_depression)
 from .interventions import terms
@@ -37,7 +37,8 @@ class TraceItem:
 
 
 class Agent:
-    """One seeded run over one world copy. Owns all mutable state."""
+    """One seeded run over one world copy. Owns all mutable state; the
+    config is read-only."""
 
     def __init__(self, config, world, seed: int):
         self.config = config
@@ -48,7 +49,8 @@ class Agent:
         self.plan_params = config.planning
         self.wandering = config.wandering
         self.interrupts = config.interrupts
-        self.self_model = replace(config.self_model)  # agent-local, it mutates
+        self.self_model = config.self_model
+        self.self_state = SelfState(config.self_model.standard)
         self.goal_reach = config.goal_reach
         self.goal_threshold = config.goal_threshold
 
@@ -60,7 +62,6 @@ class Agent:
         self.buffer = ReplayBuffer(capacity=config.buffer_capacity)
         self.ledger = Ledger()
         self.sites: list[LossSite] = []
-        self.sim_tally: dict[int, int] = {}
         self.positive_wanderings = 0
 
         self.rng_world = rngmod.substream(seed, "world")
@@ -84,7 +85,7 @@ class Agent:
         self.desire_interrupts = 0
 
         self.trace: list[TraceItem] = []
-        self.trace_enabled = bool(getattr(config, "trace", False))
+        self.trace_enabled = config.trace
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -109,7 +110,7 @@ class Agent:
                     target=intention.goal.target)
         if intention.status is IntentionStatus.FAILED:
             self.consecutive_failed += 1
-            depression_gate(self.self_model, self.consecutive_failed)
+            depression_gate(self.self_model, self.self_state, self.consecutive_failed)
             self.replan_cooldown = 1
         elif intention.status is IntentionStatus.REACHED:
             self.consecutive_failed = 0
@@ -122,7 +123,7 @@ class Agent:
             return self.intention.next_action(), True
         if self.config.policy == "random":
             return ACTIONS[int(self.rng_expl.integers(len(ACTIONS)))], False
-        if self.self_model.mode is SelfMode.WAITING:
+        if self.self_state.wait_remaining > 0:  # Waiting
             if self.rng_expl.random() < self.config.depression_stay_bias:
                 return Action.STAY, False
             return epsilon_greedy(self.store, self.s_obs, self.learning, self.rng_expl), False
@@ -182,7 +183,7 @@ class Agent:
                 self.intention.abort()
                 self._finalize_intention()
 
-        tick_depression(self.self_model)
+        tick_depression(self.self_state)
 
         a, from_plan = self._select_action()
         if (self.intention is not None and not self.intention.terminal
@@ -195,8 +196,8 @@ class Agent:
         self.episode_reward += r
         self.obtained_total += r
         self.episode_steps += 1
-        if r > 0 and self.self_model.mode is SelfMode.WAITING:
-            release_depression(self.self_model)
+        if r > 0:
+            release_depression(self.self_state)
 
         self._learn(s, a, r, s_next, consumed)
         self.s_true = s_next
@@ -247,7 +248,7 @@ class Agent:
         self.episode_rewards.append(self.episode_reward)
         self.episode_losses.append(reward_loss(self.baseline.level, self.episode_reward))
         self.baseline = update_baseline(self.baseline, self.episode_reward)
-        site = self_evaluate(self.self_model, self.episode_rewards, t=self.t)
+        site = self_evaluate(self.self_model, self.self_state, self.episode_rewards, t=self.t)
         if site is not None:
             for ev in self.record(site):
                 if ev.source is Source.SELF_EVAL:

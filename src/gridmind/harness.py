@@ -40,7 +40,7 @@ REPORT_COLUMNS = ("intervention", "world", "seed", "status", "total_frustration"
 ConfigError = inputs.InputError  # bad input, with the dotted path of the value
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     world: str = "corridor"   # preset name or file path (a WorldModel from Python)
     steps: int = 1000
@@ -75,7 +75,7 @@ class RunConfig:
                 ("attention", 0 <= self.attention < math.inf, "finite and >= 0"),
                 ("depression_stay_bias", 0 <= self.depression_stay_bias <= 1, "in [0, 1]"),
                 ("desire_cost", self.desire_cost >= 0, ">= 0"),
-                ("buffer_capacity", self.buffer_capacity >= 1, ">= 1"),
+                ("buffer_capacity", 1 <= self.buffer_capacity <= 10 ** 7, "in [1, 10**7]"),
                 ("baseline_rate", 0 <= self.baseline_rate <= 1, "in [0, 1]")):
             if not ok:
                 raise ValueError(f"{name} must be {rule}")

@@ -48,6 +48,7 @@ def is_integer(v) -> bool:
 # The largest magnitude of a number: no product of a few inputs, summed
 # over any run, comes near the float range, so no total overflows to inf.
 BOUND = 1e12
+MAX_SEEDS = 10 ** 6  # the largest seed count, so a typo cannot exhaust memory
 
 
 def number(value, path: str):
@@ -79,10 +80,13 @@ def list_of(read):
 
 
 def seeds(value, path: str) -> list:
-    """A seed count n (seeds 0..n-1) or a list of seeds."""
+    """A seed count n (seeds 0..n-1, n at most MAX_SEEDS) or a list of seeds."""
     if isinstance(value, list):
         return list_of(seed)(value, path)
-    return list(range(count(value, path)))
+    n = count(value, path)
+    if n > MAX_SEEDS:
+        raise InputError(path, f"must be at most {MAX_SEEDS}")
+    return list(range(n))
 
 
 def record(value, path: str, allowed, root: str = "config") -> dict:
@@ -109,8 +113,8 @@ def get(entry: dict, key: str, path: str, read, default=MISSING):
 
 
 def _reader_of(tp, default):
-    """The reader of a dataclass field annotated ``tp``. A type that is not
-    a JSON type (an Enum) takes only an instance of itself."""
+    """The reader of a dataclass field annotated ``tp``; a TypeError for a
+    type that has no JSON reader."""
     if tp in (bool, int, str):
         return {bool: flag, int: integer, str: string}[tp]
     if tp is float:  # +inf only where it is the default
@@ -121,7 +125,7 @@ def _reader_of(tp, default):
         (inner,) = set(typing.get_args(tp)) - {type(None)}
         read = _reader_of(inner, default)
         return lambda value, path: None if value is None else read(value, path)
-    return reader(lambda v: isinstance(v, tp), f"must be a {tp.__name__}")
+    raise TypeError(f"no JSON reader for a field annotated {tp!r}")
 
 
 @functools.cache

@@ -85,7 +85,7 @@ class Intention:
                            else IntentionStatus.FAILED)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlanSearchParams:
     max_depth: int = 12
     branching_cap: int = 5

@@ -132,7 +132,7 @@ def sample_from(pri: np.ndarray, rng: np.random.Generator) -> int:
     return int(rng.choice(len(pri), p=pri / total))
 
 
-@dataclass
+@dataclass(frozen=True)
 class WanderingParams:
     p_wander: float = 0.2
     batch_size: int = 4
@@ -188,7 +188,6 @@ def _replay_item(agent, rng, pri):
     idx = sample_from(pri, rng)
     exp = agent.buffer[idx]
     sites = _wander_site(agent, exp, Source.REPLAYED)
-    agent.sim_tally[exp.t] = agent.sim_tally.get(exp.t, 0) + 1
     td_update(agent.store, exp, agent.learning, count_visit=False)
     return sites
 

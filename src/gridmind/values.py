@@ -23,7 +23,7 @@ class ValueIterationError(Exception):
     """Value iteration failed to converge within the sweep budget."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class LearningParams:
     alpha: float = 0.1
     gamma: float | None = 0.9

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import hazard, make_world
 from gridmind.affect import (InterruptKind, InterruptPolicy,
-                             SelfMode, SelfModel, check_interrupts,
+                             SelfModel, SelfState, check_interrupts,
                              depression_gate, release_depression, self_evaluate,
                              sweep_threshold, threat_level, tick_depression)
 from gridmind.agent import Agent
@@ -185,7 +185,7 @@ def test_sweep_requires_two_thresholds():
 
 def self_eval_event(sm, rewards, standard_scale=1.0):
     """The SelfEval event an evaluation scores, or None."""
-    site = self_evaluate(sm, rewards)
+    site = self_evaluate(sm, SelfState(sm.standard), rewards)
     if site is None:
         return None
     events = score(site, Terms(standard_scale=standard_scale))
@@ -221,45 +221,46 @@ def test_scaled_negative_standard_can_fire_where_the_unscaled_one_does_not():
 
 def test_self_evaluate_needs_full_window():
     sm = SelfModel(evaluation_window=5, standard=0.5)
-    assert self_evaluate(sm, [0.0, 0.0]) is None  # not even a site
+    assert self_evaluate(sm, SelfState(sm.standard), [0.0, 0.0]) is None  # not even a site
 
 
 def test_meta_rate_drifts_standard():
     sm = SelfModel(evaluation_window=2, standard=1.0, meta_rate=0.5)
-    self_evaluate(sm, [0.0, 0.0])
-    assert sm.standard == pytest.approx(0.5)
+    state = SelfState(sm.standard)
+    self_evaluate(sm, state, [0.0, 0.0])
+    assert state.standard == pytest.approx(0.5)
+    assert sm.standard == 1.0  # the config does not drift
 
 
 # -- depression gate -------------------------------------------------------------
 
 
 def test_gate_never_fires_with_huge_limit():
-    sm = SelfModel(failure_limit=10**9)
-    depression_gate(sm, 10**6)
-    assert sm.mode is SelfMode.ACTIVE
+    state = SelfState(0.0)
+    depression_gate(SelfModel(failure_limit=10**9), state, 10**6)
+    assert state.wait_remaining == 0
 
 
 def test_gate_threshold_semantics():
-    sm = SelfModel(failure_limit=3)
-    depression_gate(sm, 2)
-    assert sm.mode is SelfMode.ACTIVE
-    depression_gate(sm, 3)
-    assert sm.mode is SelfMode.WAITING
-    assert sm.wait_remaining == sm.cooldown
+    sm, state = SelfModel(failure_limit=3), SelfState(0.0)
+    depression_gate(sm, state, 2)
+    assert state.wait_remaining == 0
+    depression_gate(sm, state, 3)
+    assert state.wait_remaining == sm.cooldown
 
 
 def test_positive_reward_releases_waiting():
-    sm = SelfModel(failure_limit=1)
-    depression_gate(sm, 1)
-    assert sm.mode is SelfMode.WAITING
-    release_depression(sm)
-    assert sm.mode is SelfMode.ACTIVE
+    state = SelfState(0.0)
+    depression_gate(SelfModel(failure_limit=1), state, 1)
+    assert state.wait_remaining > 0
+    release_depression(state)
+    assert state.wait_remaining == 0
 
 
 def test_cooldown_expires():
-    sm = SelfModel(failure_limit=1, cooldown=3)
-    depression_gate(sm, 1)
+    state = SelfState(0.0)
+    depression_gate(SelfModel(failure_limit=1, cooldown=3), state, 1)
     for _ in range(3):
-        assert sm.mode is SelfMode.WAITING
-        tick_depression(sm)
-    assert sm.mode is SelfMode.ACTIVE
+        assert state.wait_remaining > 0
+        tick_depression(state)
+    assert state.wait_remaining == 0

@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import hazard, make_world, reward
-from gridmind.affect import InterruptPolicy, SelfMode, SelfModel
+from gridmind.affect import InterruptPolicy, SelfModel
 from gridmind.agent import Agent
 from gridmind.harness import RunConfig, audit, run
 from gridmind.replay import WanderingParams
@@ -141,7 +141,7 @@ def test_depression_gate_end_to_end():
     waiting_seen = False
     for _ in range(60):
         agent.step_once()
-        if agent.self_model.mode is SelfMode.WAITING:
+        if agent.self_state.wait_remaining > 0:
             waiting_seen = True
             break
     assert waiting_seen
@@ -150,7 +150,7 @@ def test_depression_gate_end_to_end():
     commits_before = sum(1 for i in agent.trace if i.kind == "commit")
     for _ in range(3):
         agent.step_once()
-        if agent.self_model.mode is not SelfMode.WAITING:
+        if agent.self_state.wait_remaining == 0:
             break
     commits_during = sum(1 for i in agent.trace if i.kind == "commit")
     assert commits_during == commits_before
@@ -161,15 +161,14 @@ def test_positive_reward_releases_depression():
                    step_cost=0.0)
     config = quiet_config(w, self_model=SelfModel(failure_limit=1, cooldown=500))
     agent = primed_agent(w, config)
-    agent.self_model.mode = SelfMode.WAITING
-    agent.self_model.wait_remaining = 500
+    agent.self_state.wait_remaining = 500
     agent.consecutive_failed = 1
     # Stay-biased walking eventually lands on the reward two cells away
     for _ in range(200):
         agent.step_once()
-        if agent.self_model.mode is SelfMode.ACTIVE:
+        if agent.self_state.wait_remaining == 0:
             break
-    assert agent.self_model.mode is SelfMode.ACTIVE
+    assert agent.self_state.wait_remaining == 0
 
 
 def test_threat_interrupt_aborts_active_intention():

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,31 @@ def test_run_byte_identical(tmp_path):
     for name in (f"{rid}_events.csv", f"{rid}_summary.json"):
         assert (tmp_path / "a" / name).read_bytes() == \
                (tmp_path / "b" / name).read_bytes()
+
+
+def test_config_and_its_sections_are_read_only():
+    config = config_from_dict(BASE_CONFIG)
+    with pytest.raises(FrozenInstanceError):
+        config.steps = 5
+    sections = [getattr(config, f.name) for f in fields(config)
+                if is_dataclass(getattr(config, f.name))]
+    assert len(sections) == 6
+    for section in sections:
+        with pytest.raises(FrozenInstanceError):
+            setattr(section, fields(section)[0].name, None)
+
+
+def test_runs_on_one_config_leave_it_unchanged():
+    # the standard drifts (meta_rate) and the gate opens (failure_limit 1)
+    # on the agent's own state, never in the shared config
+    config = config_from_dict({"world": "loss_heavy", "steps": 1500, "seed": 0,
+                               "self_model": {"standard": 2.0, "meta_rate": 0.5,
+                                              "failure_limit": 1}})
+    agent, first = run(config)
+    _, second = run(config)
+    assert first == second
+    assert agent.self_state.standard != 2.0
+    assert config.self_model.standard == 2.0
 
 
 def test_csv_schema_stable(tmp_path):

@@ -8,7 +8,7 @@ import csv
 import json
 import math
 import tempfile
-from dataclasses import asdict, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gridmind import harness, inputs
-from gridmind.affect import InterruptPolicy, SelfMode, SelfModel
+from gridmind.affect import InterruptPolicy
 from gridmind.cli import main as cli_main
 from gridmind.harness import RunConfig, config_from_dict, experiment, run
 
@@ -63,6 +63,9 @@ def with_fields(base: dict, extra: str) -> str:
     (with_fields(RUN, '"self_model": {"evaluation_window": 2.5}'),
      "self_model.evaluation_window"),
     (with_fields(RUN, '"self_model": {"mode": "Waiting"}'), "self_model.mode"),
+    (with_fields(RUN, '"self_model": {"wait_remaining": 7}'), "self_model.wait_remaining"),
+    (with_fields(RUN, '"self_model": {"cooldown": -3}'), "self_model.cooldown"),
+    (with_fields(RUN, '"buffer_capacity": 10000001'), "buffer_capacity"),  # the cap + 1
     (with_fields(RUN, '"learning": {"alpha": "0.1"}'), "learning.alpha"),
     (with_fields(RUN, '"world": 3'), "world"),
     (with_fields(RUN, '"intervention": {"name": "a/b"}'), "intervention.name"),
@@ -85,6 +88,7 @@ def test_bad_run_config_exits_2_with_its_path(tmp_path, capsys, text, path):
     (json.dumps({**MATRIX, "base": {"world": "loss_heavy"}}), "base.world"),
     (json.dumps({**MATRIX, "base": {"seed": 3}}), "base.seed"),
     (json.dumps({**MATRIX, "base": {"buffer_capacity": 0}}), "base.buffer_capacity"),
+    (json.dumps({**MATRIX, "seeds": 10 ** 6 + 1}), "seeds"),  # the cap + 1
     (json.dumps({**MATRIX, "interventions": [{"name": "x", "expectation_scale": "0.5"}]}),
      "interventions[0].expectation_scale"),
 ])
@@ -102,6 +106,7 @@ def test_bad_matrix_exits_2_before_any_simulation(tmp_path, capsys, monkeypatch,
     (with_fields(POLICY, '"steps": true'), "policy.steps"),
     (with_fields(POLICY, '"seeds": [0.5]'), "policy.seeds[0]"),
     (with_fields(POLICY, '"seeds": -3'), "policy.seeds"),
+    (with_fields(POLICY, '"seeds": 1000001'), "policy.seeds"),  # the cap + 1
     (with_fields(POLICY, '"steps": -5'), "policy.steps"),
     (with_fields(POLICY, '"thresholds": [0, NaN]'), "policy.thresholds[1]"),
     (with_fields(POLICY, '"thresholds": [0]'), "policy.thresholds"),
@@ -177,12 +182,13 @@ def test_null_only_where_the_field_takes_none():
     assert exc.value.path == "interrupts.miss_cost"
 
 
-def test_non_json_field_types_take_only_their_instances():
-    data = {**RUN, "self_model": asdict(SelfModel(mode=SelfMode.WAITING))}
-    assert config_from_dict(data).self_model.mode is SelfMode.WAITING
-    with pytest.raises(inputs.InputError) as exc:
-        config_from_dict({**RUN, "self_model": {"mode": "Waiting"}})
-    assert exc.value.path == "self_model.mode"
+def test_an_annotation_with_no_json_reader_is_a_type_error():
+    @dataclass(frozen=True)
+    class Section:
+        data: bytes = b""
+
+    with pytest.raises(TypeError, match="no JSON reader"):
+        inputs.section(Section, {}, "section")
 
 
 def test_huge_int_is_not_a_finite_number():

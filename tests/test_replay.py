@@ -312,7 +312,7 @@ def test_wandering_zero_realness_scores_zero():
     assert all(ev.attention == 0.0 for ev in events)
 
 
-def test_replay_tally_counts_real_plus_simulated():
+def test_each_replay_of_a_loss_scores_one_event():
     agent = loss_agent()
     rng = np.random.default_rng(0)
     emitted = []
@@ -322,9 +322,7 @@ def test_replay_tally_counts_real_plus_simulated():
         agent.store.V[agent.s_true] = 1.0
         emitted += wander_events(agent, rng)
     assert len(emitted) == 3
-    assert agent.sim_tally[0] == 3
-    # 1 real perception + 3 simulated = count factor 4
-    assert 1 + sum(ev.count for ev in emitted) == 4
+    assert all(ev.count == 1 for ev in emitted)
 
 
 def test_empty_buffer_wanders_in_imagination_only():
