@@ -67,6 +67,7 @@ class Agent:
         self.rng_world = rngmod.substream(seed, "world")
         self.rng_expl = rngmod.substream(seed, "exploration")
         self.rng_obs = rngmod.substream(seed, "observation")
+        self.wander_gate = rngmod.FirstDraws(self.seed, "wandering", horizon=config.steps)
 
         self.t = 0
         self.s_true = self.world.state_id(self.world.start)
@@ -207,7 +208,7 @@ class Agent:
             if self.intention.terminal:
                 self._finalize_intention()
 
-        for site in wandering_step(self, rngmod.per_step(self.seed, "wandering", t)):
+        for site in wandering_step(self, t):
             self.record(site)
             self._trace("wander_negative", source=site.source.value)
 

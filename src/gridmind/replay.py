@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng as rngmod
 from .suffering import LossSite, Source, Timescale
 from .values import step_expectation, td_update
 from .world import Action
@@ -123,13 +124,33 @@ def backward_sweep(buffer: ReplayBuffer, seed_index: int, k: int, store, params)
     return store
 
 
-def sample_from(pri: np.ndarray, rng: np.random.Generator) -> int:
-    """Index drawn proportionally to the priority vector; uniform when all
-    priorities are zero (linear normalization, no softmax)."""
+def priority_cdf(pri: np.ndarray) -> np.ndarray:
+    """The cumulative distribution of a non-negative priority vector, built
+    as ``Generator.choice(len(pri), p=pri / total)`` builds it (linear
+    normalization, no softmax), so ``sample_from`` draws the very index
+    ``choice`` would. All zeros when every priority is zero."""
     total = pri.sum()
     if total <= 0.0:
-        return int(rng.integers(len(pri)))
-    return int(rng.choice(len(pri), p=pri / total))
+        return np.zeros(len(pri))
+    if not np.isfinite(total):
+        raise ValueError("priorities must have a finite sum")
+    cdf = (pri / total).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def sample_from(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """Index drawn proportionally to priority from a ``priority_cdf``, by one
+    double; uniform when all priorities are zero (the all-zero CDF)."""
+    if cdf[-1] <= 0.0:
+        return int(rng.integers(len(cdf)))
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+# The most items one wandering tick replays or imagines, so a typo cannot
+# stall a run: every gated step loops batch_size times, each item up to a
+# rollout with a plan search.
+MAX_BATCH_SIZE = 1000
 
 
 @dataclass(frozen=True)
@@ -148,28 +169,34 @@ class WanderingParams:
         for name in ("batch_size", "rollout_depth"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.batch_size > MAX_BATCH_SIZE:
+            raise ValueError(f"batch_size must be at most {MAX_BATCH_SIZE}")
 
 
-def wandering_step(agent, rng: np.random.Generator) -> list:
-    """One tick of the wandering scheduler.
+def wandering_step(agent, t: int) -> list:
+    """Tick t of the wandering scheduler.
 
-    The first draw gates the whole batch against p_wander, so runs that
-    differ only in p_wander wander on nested step sets. Replay items are
-    drawn proportionally to priority; the remainder are simulated
-    rollouts from the current state. Negative items are returned as loss
-    sites, which the ledger scores with attention scaled by realness;
-    positive ones only count.
+    The first draw of the step's wandering stream gates the whole batch
+    against p_wander, so runs that differ only in p_wander wander on nested
+    step sets. It is read from the agent's table of first draws
+    (``agent.wander_gate``); the stream's Generator is built only on a step
+    that passes. Replay items are drawn proportionally to priority; the
+    remainder are simulated rollouts from the current state. Negative
+    items are returned as loss sites, which the ledger scores with
+    attention scaled by realness; positive ones only count.
     """
     wp = agent.wandering
-    if rng.random() >= wp.p_wander:
+    if agent.wander_gate[t] >= wp.p_wander:
         return []
+    rng = rngmod.per_step(agent.seed, "wandering", t)
+    rng.random()  # the gate draw, read above from the table
     sites = []
-    pri = None  # priority vector computed once per batch
+    cdf = None  # sampling distribution computed once per batch
     for _ in range(wp.batch_size):
         if len(agent.buffer) > 0 and rng.random() < wp.mode_mix:
-            if pri is None or len(pri) != len(agent.buffer):
-                pri = priorities(agent.buffer, agent.store, agent.learning)
-            sites.extend(_replay_item(agent, rng, pri))
+            if cdf is None:
+                cdf = priority_cdf(priorities(agent.buffer, agent.store, agent.learning))
+            sites.extend(_replay_item(agent, rng, cdf))
         else:
             sites.extend(_imagine_rollout(agent, rng))
     return sites
@@ -184,8 +211,8 @@ def _wander_site(agent, exp: Experience, source: Source):
     return []
 
 
-def _replay_item(agent, rng, pri):
-    idx = sample_from(pri, rng)
+def _replay_item(agent, rng, cdf):
+    idx = sample_from(cdf, rng)
     exp = agent.buffer[idx]
     sites = _wander_site(agent, exp, Source.REPLAYED)
     td_update(agent.store, exp, agent.learning, count_visit=False)

@@ -72,6 +72,8 @@ def with_fields(base: dict, extra: str) -> str:
     (with_fields(RUN, '"attention": 1e308'), "attention"),  # totals would overflow to inf
     (with_fields(RUN, '"planning": {"branching_cap": 0}'), "planning.branching_cap"),
     (with_fields(RUN, '"wandering": {"rollout_depth": 0}'), "wandering.rollout_depth"),
+    (with_fields(RUN, '"wandering": {"batch_size": 1001}'), "wandering.batch_size"),  # cap + 1
+    (with_fields(RUN, '"wandering": {"batch_size": 1000000000}'), "wandering.batch_size"),
     ("[1, 2]", "config"),
 ])
 def test_bad_run_config_exits_2_with_its_path(tmp_path, capsys, text, path):

@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_world, reward
+from gridmind import rng as rngmod
 from gridmind.agent import Agent
-from gridmind.harness import RunConfig
+from gridmind.harness import RunConfig, run
+from gridmind.presets import get_world
 from gridmind.replay import (Experience, ReplayBuffer, WanderingParams,
-                             backward_sweep, priorities, sample_from,
-                             wandering_step)
+                             backward_sweep, priorities, priority_cdf,
+                             sample_from, wandering_step)
 from gridmind.suffering import Source
 from gridmind.values import LearningParams, ValueStore, td_update
 from gridmind.world import Action
@@ -246,7 +248,7 @@ def test_priority_proportional_sampling():
     n = 10_000
     counts = np.zeros(4)
     for _ in range(n):
-        counts[sample_from(priorities(buf, store, p), rng)] += 1
+        counts[sample_from(priority_cdf(priorities(buf, store, p)), rng)] += 1
     probs = np.array([1.0, 3.0, 0.0, 4.0]) / 8.0
     for i in range(4):
         sigma = (n * probs[i] * (1 - probs[i])) ** 0.5
@@ -263,7 +265,7 @@ def test_uniform_fallback_when_all_priorities_zero():
     counts = np.zeros(4)
     n = 4000
     for _ in range(n):
-        counts[sample_from(priorities(buf, store, p), rng)] += 1
+        counts[sample_from(priority_cdf(priorities(buf, store, p)), rng)] += 1
     for c in counts:
         assert abs(c - n / 4) <= 3 * (n * 0.25 * 0.75) ** 0.5
 
@@ -289,24 +291,22 @@ def loss_agent(p_wander=1.0, realness=1.0, mode_mix=1.0, seed=0, **config_kw):
     return agent
 
 
-def wander_events(agent, rng):
-    """One wandering tick, its loss sites scored into the agent's ledger."""
-    return [ev for site in wandering_step(agent, rng) for ev in agent.record(site)]
+def wander_events(agent, t):
+    """Wandering tick t, its loss sites scored into the agent's ledger."""
+    return [ev for site in wandering_step(agent, t) for ev in agent.record(site)]
 
 
 def test_wandering_disabled_means_no_events_no_updates():
     agent = loss_agent(p_wander=0.0)
     v_before = dict(agent.store.V)
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        assert wandering_step(agent, rng) == []
+    for t in range(50):
+        assert wandering_step(agent, t) == []
     assert agent.store.V == v_before
 
 
 def test_wandering_zero_realness_scores_zero():
     agent = loss_agent(realness=0.0)
-    rng = np.random.default_rng(0)
-    events = wander_events(agent, rng)
+    events = wander_events(agent, 0)
     assert events  # the loss is replayed
     assert all(ev.frustration == 0.0 for ev in events)
     assert all(ev.attention == 0.0 for ev in events)
@@ -314,13 +314,12 @@ def test_wandering_zero_realness_scores_zero():
 
 def test_each_replay_of_a_loss_scores_one_event():
     agent = loss_agent()
-    rng = np.random.default_rng(0)
     emitted = []
-    for _ in range(3):
+    for t in range(3):
         # alpha pulls V down after each replay; pin it back to keep the
         # loss alive for the count check
         agent.store.V[agent.s_true] = 1.0
-        emitted += wander_events(agent, rng)
+        emitted += wander_events(agent, t)
     assert len(emitted) == 3
     assert all(ev.count == 1 for ev in emitted)
 
@@ -335,8 +334,7 @@ def test_empty_buffer_wanders_in_imagination_only():
                                                  mode_mix=1.0, realness=1.0))
     agent = Agent(config, w, 3)
     assert len(agent.buffer) == 0
-    rng = np.random.default_rng(0)
-    events = wandering_step(agent, rng)
+    events = wandering_step(agent, 0)
     assert all(ev.source is Source.IMAGINED for ev in events)
 
 
@@ -345,9 +343,8 @@ def test_wandering_never_mutates_world():
     world = agent.world
     snapshot = (dict((oid, o.at) for oid, o in world.objects.items()),
                 set(world.consumed), world.epoch)
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        wandering_step(agent, rng)
+    for t in range(100):
+        wandering_step(agent, t)
     assert snapshot == (dict((oid, o.at) for oid, o in world.objects.items()),
                         set(world.consumed), world.epoch)
 
@@ -367,3 +364,62 @@ def test_frustration_monotone_in_p_wander():
         totals.append(summary["totals"]["total"])
     assert all(b >= a for a, b in zip(totals, totals[1:]))
     assert totals[-1] > totals[0]
+
+
+def gated_steps(monkeypatch, config):
+    """The steps of a run that built their wandering stream: those that
+    passed the gate."""
+    built, per_step = [], rngmod.per_step
+
+    def recording(seed, label, t):
+        built.append(t)
+        return per_step(seed, label, t)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rngmod, "per_step", recording)
+        run(config)
+    return built
+
+
+def test_gated_steps_nest_in_p_wander(monkeypatch):
+    """Less wandering is a subset of more wandering for the same seed: on the
+    gate table, and on a learned-policy run, whose wander steps are exactly
+    those whose own stream's first double falls below p_wander."""
+    seed, steps = 4, 300
+    table = rngmod.first_doubles(seed, "wandering", 0, steps)
+    first = [np.random.default_rng([seed, 3, t]).random() for t in range(steps)]
+    ps = (0.0, 0.1, 0.3, 0.6, 1.0)
+    runs = []
+    for p in ps:
+        config = RunConfig(world="loss_heavy", steps=steps, seed=seed,
+                           wandering=WanderingParams(p_wander=p, batch_size=2))
+        runs.append(gated_steps(monkeypatch, config))
+        assert runs[-1] == [t for t in range(steps) if first[t] < p]
+    for i in range(len(ps) - 1):
+        assert set(np.flatnonzero(table < ps[i])) <= set(np.flatnonzero(table < ps[i + 1]))
+        assert set(runs[i]) <= set(runs[i + 1])
+    assert runs[0] == [] and runs[-1] == list(range(steps))
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), mode_mix=st.floats(0.0, 1.0),
+       batch_size=st.integers(1, 6))
+def test_wandering_settings_leave_world_and_observation_draws_alone(seed, mode_mix,
+                                                                     batch_size):
+    """Named streams never perturb each other: under a random policy,
+    changing only settings that draw from the wandering stream leaves every
+    ``world`` and ``observation`` draw of the run as it was."""
+    def draws(wandering):
+        config = RunConfig(world="loss_heavy", steps=120, seed=seed, policy="random",
+                           wandering=wandering)
+        agent = Agent(config, get_world("loss_heavy"), seed)
+        out = []
+        for _ in range(config.steps):
+            agent.step_once()
+            out.append((agent.s_true, agent.s_obs,
+                        agent.rng_world.bit_generator.state["state"],
+                        agent.rng_obs.bit_generator.state["state"]))
+        return out
+
+    assert draws(WanderingParams(p_wander=0.5)) == draws(
+        WanderingParams(p_wander=0.5, mode_mix=mode_mix, batch_size=batch_size))

@@ -1,0 +1,102 @@
+"""Guards on the two draws gridmind computes by numpy's algorithm instead of
+asking numpy: the wander gate's table of first draws (``rng.first_doubles``,
+``rng.FirstDraws``) and the per-batch CDF of replay sampling
+(``replay.priority_cdf`` with ``replay.sample_from``).
+
+Every check compares with numpy itself (``default_rng`` and
+``Generator.choice``), never with a copy of its algorithm, so a numpy
+release that changes either one fails here rather than drifting the
+outputs in silence.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from gridmind import rng as rngmod
+from gridmind.replay import priority_cdf, sample_from
+
+WANDERING = rngmod.STREAMS["wandering"]
+
+seeds = st.sampled_from([0, 1, 7, 2**32 - 1, 2**32, 2**63, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+# t = 0, the 2**32 boundary where a two-word seed's entropy outgrows the
+# pool, and steps far past it.
+starts = st.sampled_from([0, 2**32 - 3, 2**32, 2**40]) | st.integers(0, 2**34)
+
+
+def numpy_gate(seed, t):
+    return np.random.default_rng([seed, WANDERING, t]).random()
+
+
+@settings(deadline=None)
+@given(seed=seeds, start=starts, count=st.integers(1, 8))
+@example(seed=0, start=0, count=1)
+@example(seed=2**32, start=0, count=1)
+@example(seed=2**64 - 1, start=0, count=1)
+@example(seed=2**32, start=2**32 - 3, count=6)      # into the default_rng fallback
+@example(seed=2**64 - 1, start=2**32 - 3, count=6)
+@example(seed=5, start=2**32 - 3, count=6)          # a one-word seed needs none
+def test_first_doubles_equal_default_rng(seed, start, count):
+    got = rngmod.first_doubles(seed, "wandering", start, count)
+    assert got.tolist() == [numpy_gate(seed, t) for t in range(start, start + count)]
+
+
+def test_first_doubles_match_a_whole_run():
+    """A run-sized table, every stream id: the vector path on every lane."""
+    for label, stream in rngmod.STREAMS.items():
+        got = rngmod.first_doubles(11, label, 0, 2000)
+        assert got.tolist() == [np.random.default_rng([11, stream, t]).random()
+                                for t in range(2000)], label
+
+
+@settings(deadline=None)
+@given(seed=seeds, horizon=st.integers(1, 7),
+       steps=st.lists(st.integers(0, 40), min_size=1, max_size=30))
+@example(seed=0, horizon=4, steps=[0, 3, 4, 5, 2051, 2052, 2053, 1, 0])  # refills at 4, 2052, 1, 0
+def test_first_draws_serve_any_step_across_blocks(seed, horizon, steps):
+    gate = rngmod.FirstDraws(seed, "wandering", horizon=horizon)
+    assert [gate[t] for t in steps] == [numpy_gate(seed, t) for t in steps]
+
+
+# -- one CDF per batch ------------------------------------------------------------
+
+priority_vectors = st.lists(
+    st.sampled_from([0.0, 1e-300, 1.0]) | st.floats(0.0, 1e6), min_size=1, max_size=60,
+).map(np.array)
+
+
+@settings(deadline=None)
+@given(pri=priority_vectors, seed=st.integers(0, 2**32), draws=st.integers(1, 6))
+@example(pri=np.array([3.0]), seed=0, draws=3)                # one-item buffer
+@example(pri=np.array([0.0]), seed=0, draws=3)                # one item, all zero
+@example(pri=np.array([0.0, 2.0, 0.0, 0.0, 5.0, 0.0]), seed=1, draws=6)
+@example(pri=np.zeros(7), seed=2, draws=4)                    # the uniform fallback
+def test_cdf_draws_equal_choice(pri, seed, draws):
+    """One CDF reused for a batch draws what a fresh ``choice`` per item
+    draws, and leaves the generator in the same state."""
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    cdf = priority_cdf(pri)
+    got = [sample_from(cdf, ours) for _ in range(draws)]
+    total = pri.sum()
+    if total > 0:
+        want = [int(theirs.choice(len(pri), p=pri / total)) for _ in range(draws)]
+        assert all(pri[i] > 0 for i in got)
+    else:
+        want = [int(theirs.integers(len(pri))) for _ in range(draws)]
+    assert got == want
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("pri", [
+    [1.0, np.inf, 2.0],
+    [np.nan, 1.0],
+    [1e308, 1e308, 1e308],  # each finite, the sum overflows
+])
+def test_non_finite_total_raises_as_choice_does(pri):
+    pri = np.array(pri)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(len(pri), p=pri / pri.sum())
+        with pytest.raises(ValueError):
+            priority_cdf(pri)
