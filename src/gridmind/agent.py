@@ -19,7 +19,7 @@ from . import rng as rngmod
 from .affect import (InterruptKind, SelfState, check_interrupts, depression_gate,
                      release_depression, self_evaluate, threat_site,
                      tick_depression)
-from .interventions import terms
+from .interventions import apply, terms
 from .planning import IntentionStatus, commit, plan_site, suggest_goals
 from .replay import ReplayBuffer, experiences, wandering_step
 from .suffering import Ledger, LossSite, Source, Timescale, score
@@ -52,7 +52,7 @@ class Agent:
         self.self_model = config.self_model
         self.self_state = SelfState(config.self_model.standard)
         self.goal_reach = config.goal_reach
-        self.goal_threshold = config.goal_threshold
+        self.p_wander, self.goal_threshold = apply(config, config.intervention)
 
         self.terms = terms(config, self.world.observation_confusion)
 
@@ -131,7 +131,8 @@ class Agent:
         if self.replan_cooldown > 0:
             self.replan_cooldown -= 1
         else:
-            goals = self._suggest()
+            goals = suggest_goals(self.world, self.store, self.s_obs, reach=self.goal_reach,
+                                  threshold=self.goal_threshold, t=self.t)
             intent = commit(self.world, self.s_obs, goals, self.store,
                             self.plan_params, t=self.t)
             if intent is not None:
@@ -140,23 +141,6 @@ class Agent:
                             plan=[int(a) for a in intent.plan])
                 return intent.next_action(), True
         return epsilon_greedy(self.store, self.s_obs, self.learning, self.rng_expl), False
-
-    def suggestion_threshold(self):
-        """Effective desire threshold; None when the coupled intervention
-        has scaled all anticipations to nothing."""
-        iv = self.config.intervention
-        if not iv.coupled:
-            return self.goal_threshold
-        if iv.expectation_scale == 0.0:
-            return None
-        return self.goal_threshold / iv.expectation_scale
-
-    def _suggest(self):
-        threshold = self.suggestion_threshold()
-        if threshold is None:
-            return []
-        return suggest_goals(self.world, self.store, self.s_obs,
-                             reach=self.goal_reach, threshold=threshold, t=self.t)
 
     # -- the loop ----------------------------------------------------------
 

@@ -17,9 +17,7 @@ from pathlib import Path
 from . import inputs
 from .agent import Agent
 from .affect import InterruptPolicy, SelfModel
-from .interventions import (InterventionConfig, behaviour_key, by_name,
-                            canonical_suite, terms)
-from .interventions import apply as apply_intervention
+from .interventions import InterventionConfig, apply, by_name, canonical_suite, terms
 from .planning import PlanSearchParams
 from .presets import PRESETS, get_world
 from .replay import WanderingParams
@@ -67,7 +65,7 @@ class RunConfig:
 
     def __post_init__(self):
         for name, ok, rule in (
-                ("steps", self.steps >= 0, ">= 0"),
+                ("steps", 0 <= self.steps <= inputs.MAX_STEPS, f"in [0, {inputs.MAX_STEPS}]"),
                 ("seed", 0 <= self.seed < 2 ** 64, "an integer that fits in 64 unsigned bits"),
                 ("policy", self.policy in ("learned", "random"), "'learned' or 'random'"),
                 ("episode_step_limit", self.episode_step_limit >= 1, ">= 1"),
@@ -153,7 +151,7 @@ def sweep_from_dict(data) -> tuple:
     rest = {k: v for k, v in data.items() if k not in own}
     return (thresholds, inputs.section(InterruptPolicy, rest, "policy"),
             inputs.seeds(data.get("seeds", 5), "policy.seeds"),
-            inputs.count(data.get("steps", 300), "policy.steps"))
+            inputs.steps(data.get("steps", 300), "policy.steps"))
 
 
 # -- running ---------------------------------------------------------------
@@ -273,13 +271,13 @@ def audit(agent: Agent) -> dict:
 # -- experiment matrices -----------------------------------------------------
 
 
-_BASE_KEYS = {f.name for f in fields(RunConfig)} - {"world", "seed"}
+_BASE_KEYS = {f.name for f in fields(RunConfig)} - {"world", "seed", "intervention"}
 
 
 def _matrix(matrix) -> tuple:
     """(interventions, worlds, seeds, base config) of a matrix, all checked
-    before any simulation. World and seed come per cell, so the checks that
-    need a world wait for the cells."""
+    before any simulation. World, seed and intervention come per cell, so
+    the checks that need a world wait for the cells."""
     inputs.record(matrix, "", ("interventions", "worlds", "seeds", "steps", "base"), root="matrix")
     spec = matrix.get("interventions")
     interventions = (canonical_suite() if spec in (None, "canonical")
@@ -289,7 +287,7 @@ def _matrix(matrix) -> tuple:
     data = inputs.record(matrix.get("base", {}), "base", _BASE_KEYS)
     base = inputs.section(RunConfig, data, "base", _READERS)
     if "steps" in matrix:
-        base = replace(base, steps=inputs.count(matrix["steps"], "steps"))
+        base = replace(base, steps=inputs.steps(matrix["steps"], "steps"))
     return interventions, worlds, seeds, base
 
 
@@ -303,10 +301,10 @@ def _report_row(config: RunConfig, ledger, agent: Agent) -> dict:
 
 
 def _class_rows(config: RunConfig, ivs: list) -> list:
-    """Report rows of interventions that share a behaviour key: the first
-    is simulated, and the loss sites of its run are re-scored under the
-    equation terms of each of the others."""
-    configs = [apply_intervention(config, iv) for iv in ivs]
+    """Report rows of interventions that ``apply`` gives the same behaviour:
+    the first is simulated, and the loss sites of its run are re-scored
+    under the equation terms of each of the others."""
+    configs = [replace(config, intervention=iv) for iv in ivs]
     agent, _ = run(configs[0])
     confusion = agent.world.observation_confusion
     rows = [_report_row(configs[0], agent.ledger, agent)]
@@ -319,14 +317,15 @@ def experiment(matrix: dict, out_dir=None) -> tuple[list, int]:
     """Run interventions x worlds x seeds; one report row per cell plus
     per-(intervention, world) medians. Failed cells are marked and kept.
 
-    Interventions with equal behaviour keys act the same, so each (world,
-    seed) simulates each class once and re-scores the rest of the class;
-    a simulation that raises fails every cell of its class.
+    Interventions that ``apply`` gives the same (p_wander, goal_threshold)
+    act the same, so each (world, seed) simulates each class once and
+    re-scores the rest of the class; a simulation that raises fails every
+    cell of its class.
     """
     interventions, worlds, seeds, base = _matrix(matrix)
     classes: dict[tuple, list] = {}
     for i, iv in enumerate(interventions):
-        classes.setdefault(behaviour_key(iv), []).append(i)
+        classes.setdefault(apply(base, iv), []).append(i)
 
     cells = {(i, w): [] for i in range(len(interventions)) for w in range(len(worlds))}
     failures = 0

@@ -49,6 +49,9 @@ def is_integer(v) -> bool:
 # over any run, comes near the float range, so no total overflows to inf.
 BOUND = 1e12
 MAX_SEEDS = 10 ** 6  # the largest seed count, so a typo cannot exhaust memory
+# The longest run, 20 times a 50,000-step one: a run keeps every event and
+# loss site it records, so a typo cannot exhaust memory.
+MAX_STEPS = 10 ** 6
 
 
 def number(value, path: str):
@@ -70,6 +73,19 @@ cell = reader(lambda v: isinstance(v, list) and len(v) == 2 and all(map(is_integ
               "must be [x, y]", tuple)
 
 
+def at_most(cap: int):
+    """A reader of counts from 0 to ``cap``."""
+    def read(value, path: str) -> int:
+        n = count(value, path)
+        if n > cap:
+            raise InputError(path, f"must be at most {cap}")
+        return n
+    return read
+
+
+steps = at_most(MAX_STEPS)
+
+
 def list_of(read):
     """A reader of JSON lists whose items ``read`` accepts."""
     def read_list(value, path: str) -> list:
@@ -83,10 +99,7 @@ def seeds(value, path: str) -> list:
     """A seed count n (seeds 0..n-1, n at most MAX_SEEDS) or a list of seeds."""
     if isinstance(value, list):
         return list_of(seed)(value, path)
-    n = count(value, path)
-    if n > MAX_SEEDS:
-        raise InputError(path, f"must be at most {MAX_SEEDS}")
-    return list(range(n))
+    return list(range(at_most(MAX_SEEDS)(value, path)))
 
 
 def record(value, path: str, allowed, root: str = "config") -> dict:

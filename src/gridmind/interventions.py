@@ -6,14 +6,16 @@ realness, self-standard, acceptance) touch frustration evaluation only,
 leaving the policy fixed, so their effect is a pure monotone transform of
 the ledger: ``terms`` builds them, and ``suffering.score`` applies them to
 the loss sites of a run. The wandering override, the desire threshold and
-the coupled flag are the behavioral class: they change what the agent
-does (``behaviour_key``), and the report measures the reward
-consequences instead of asserting them.
+the coupled flag change what the agent does: ``apply`` turns them into
+the run's wander rate and goal threshold, which the agent runs with and
+the experiment matrix groups interventions by, and the report measures
+the reward consequences instead of asserting them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 from .suffering import Terms, certainty_of
 
@@ -47,45 +49,34 @@ class InterventionConfig:
             raise ValueError("desire_threshold_delta must be >= 0")
 
 
-def apply(config, iv: InterventionConfig):
-    """Return a run configuration with the intervention folded in.
-
-    config is a harness RunConfig; the returned copy carries the scaled
-    knobs. Action selection is untouched except through the documented
-    behavioral knobs (desire threshold, coupled flag, wandering overrides).
-    self_standard_scale is applied at each self-evaluation, not folded in.
-    """
-    wandering = config.wandering
+def apply(config, iv: InterventionConfig) -> tuple:
+    """The behaviour ``iv`` gives a run of ``config`` (a harness RunConfig):
+    ``(p_wander, goal_threshold)``. The only reader of the behavioural
+    fields. Interventions with equal results act the same on the same base
+    and seed. When coupled, the expectation scale also scales every
+    anticipated value, so the threshold is divided by it, and nothing
+    clears it at scale 0."""
+    p_wander = config.wandering.p_wander
     if iv.p_wander_override is not None:
-        wandering = replace(wandering, p_wander=iv.p_wander_override)
-    if iv.realness_override is not None:
-        wandering = replace(wandering, realness=iv.realness_override)
-    return replace(
-        config,
-        wandering=wandering,
-        goal_threshold=config.goal_threshold + iv.desire_threshold_delta,
-        intervention=iv,
-    )
-
-
-def behaviour_key(iv: InterventionConfig) -> tuple:
-    """The fields of ``iv`` that change what the agent does. Interventions
-    with equal keys act the same on the same base and seed, so one
-    simulation serves them all. The expectation scale reaches the policy
-    only through the coupled desire threshold."""
-    return (iv.p_wander_override, iv.desire_threshold_delta, iv.coupled,
-            iv.expectation_scale if iv.coupled else None)
+        p_wander = iv.p_wander_override
+    threshold = config.goal_threshold + iv.desire_threshold_delta
+    if iv.coupled:
+        threshold = threshold / iv.expectation_scale if iv.expectation_scale else math.inf
+    return p_wander, threshold
 
 
 def terms(config, observation_confusion: float) -> Terms:
-    """The equation terms of a run configuration with its intervention
-    folded in (``apply``), in a world with this confusion rate."""
+    """The equation terms of a run configuration and its intervention, in a
+    world with this confusion rate."""
     iv = config.intervention
+    realness = config.wandering.realness
+    if iv.realness_override is not None:
+        realness = iv.realness_override
     return Terms(
         expectation_scale=iv.expectation_scale,
         certainty=certainty_of(observation_confusion, iv.certainty_scale),
         attention=iv.attention_scale * config.attention,
-        realness=config.wandering.realness,
+        realness=realness,
         standard_scale=iv.self_standard_scale,
         meta_aversion=config.meta_aversion and not iv.acceptance,
         meta_aversion_scale=config.meta_aversion_scale)

@@ -177,21 +177,21 @@ def wandering_step(agent, t: int) -> list:
     """Tick t of the wandering scheduler.
 
     The first draw of the step's wandering stream gates the whole batch
-    against p_wander, so runs that differ only in p_wander wander on nested
-    step sets. It is read from the agent's table of first draws
+    against the agent's p_wander (``interventions.apply``), so runs that
+    differ only in p_wander wander on nested step sets. It is read from the agent's table of first draws
     (``agent.wander_gate``); the stream's Generator is built only on a step
     that passes. Replay items are drawn proportionally to priority; the
     remainder are simulated rollouts from the current state. Negative
     items are returned as loss sites, which the ledger scores with
     attention scaled by realness; positive ones only count.
     """
-    wp = agent.wandering
-    if agent.wander_gate[t] >= wp.p_wander:
+    if agent.wander_gate[t] >= agent.p_wander:
         return []
     rng = rngmod.per_step(agent.seed, "wandering", t)
     rng.random()  # the gate draw, read above from the table
     sites = []
     cdf = None  # sampling distribution computed once per batch
+    wp = agent.wandering
     for _ in range(wp.batch_size):
         if len(agent.buffer) > 0 and rng.random() < wp.mode_mix:
             if cdf is None:
@@ -233,10 +233,8 @@ def _imagine_rollout(agent, rng):
     geo = world.geometry
     s = agent.s_true
     plan = None
-    threshold = agent.suggestion_threshold()
-    goals = [] if threshold is None else suggest_goals(
-        world, agent.store, s, reach=agent.wandering.rollout_depth,
-        threshold=threshold, t=agent.t)
+    goals = suggest_goals(world, agent.store, s, reach=agent.wandering.rollout_depth,
+                          threshold=agent.goal_threshold, t=agent.t)
     if goals:
         search = PlanSearchParams(
             max_depth=agent.wandering.rollout_depth,

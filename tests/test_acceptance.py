@@ -6,12 +6,13 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 import math
 import time
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 
 from gridmind.affect import InterruptPolicy, SelfModel, sweep_threshold
 from gridmind.harness import RunConfig, experiment, run
-from gridmind.interventions import InterventionConfig, apply
+from gridmind.interventions import InterventionConfig
 from gridmind.planning import count_paths, split_cost
 from gridmind.presets import corridor
 from gridmind.replay import (Experience, ReplayBuffer, backward_sweep,
@@ -248,7 +249,7 @@ LOSSY = dict(world="loss_heavy", steps=600,
 
 
 def _total(iv: InterventionConfig, seed: int, **kw) -> float:
-    config = apply(RunConfig(seed=seed, **{**LOSSY, **kw}), iv)
+    config = replace(RunConfig(seed=seed, **{**LOSSY, **kw}), intervention=iv)
     _, summary = run(config)
     return summary["totals"]["total"]
 

@@ -74,6 +74,8 @@ def with_fields(base: dict, extra: str) -> str:
     (with_fields(RUN, '"wandering": {"rollout_depth": 0}'), "wandering.rollout_depth"),
     (with_fields(RUN, '"wandering": {"batch_size": 1001}'), "wandering.batch_size"),  # cap + 1
     (with_fields(RUN, '"wandering": {"batch_size": 1000000000}'), "wandering.batch_size"),
+    (json.dumps({**RUN, "steps": 10 ** 6 + 1}), "steps"),  # the cap + 1
+    (json.dumps({**RUN, "steps": 10 ** 12}), "steps"),
     ("[1, 2]", "config"),
 ])
 def test_bad_run_config_exits_2_with_its_path(tmp_path, capsys, text, path):
@@ -91,6 +93,9 @@ def test_bad_run_config_exits_2_with_its_path(tmp_path, capsys, text, path):
     (json.dumps({**MATRIX, "base": {"seed": 3}}), "base.seed"),
     (json.dumps({**MATRIX, "base": {"buffer_capacity": 0}}), "base.buffer_capacity"),
     (json.dumps({**MATRIX, "seeds": 10 ** 6 + 1}), "seeds"),  # the cap + 1
+    (json.dumps({**MATRIX, "base": {"intervention": "empty_mind"}}), "base.intervention"),
+    (json.dumps({**MATRIX, "steps": 10 ** 6 + 1}), "steps"),  # the cap + 1
+    (json.dumps({**MATRIX, "base": {"steps": 10 ** 12}}), "base.steps"),
     (json.dumps({**MATRIX, "interventions": [{"name": "x", "expectation_scale": "0.5"}]}),
      "interventions[0].expectation_scale"),
 ])
@@ -110,6 +115,7 @@ def test_bad_matrix_exits_2_before_any_simulation(tmp_path, capsys, monkeypatch,
     (with_fields(POLICY, '"seeds": -3'), "policy.seeds"),
     (with_fields(POLICY, '"seeds": 1000001'), "policy.seeds"),  # the cap + 1
     (with_fields(POLICY, '"steps": -5'), "policy.steps"),
+    (json.dumps({**POLICY, "steps": 10 ** 6 + 1}), "policy.steps"),  # the cap + 1
     (with_fields(POLICY, '"thresholds": [0, NaN]'), "policy.thresholds[1]"),
     (with_fields(POLICY, '"thresholds": [0]'), "policy.thresholds"),
     (with_fields(POLICY, '"colour": 1'), "policy.colour"),
@@ -136,6 +142,19 @@ def test_sweep_policy_seeds_follow_the_matrix_rule():
     assert (thresholds, seeds, steps) == ([0, 1e9], [0, 1, 2], 7)
     assert policy == InterruptPolicy(miss_cost=2)
     assert harness.sweep_from_dict({"thresholds": [0, 1], "seeds": [4, 9]})[2] == [4, 9]
+
+
+def test_steps_cap_is_checked_before_anything_runs(tmp_path, capsys):
+    """The cap is refused by --validate-only too, and the cap itself is a
+    legal count (checked by reading it, never by running it)."""
+    assert cli(tmp_path, "simulate", json.dumps({"world": "loss_heavy", "steps": 10 ** 12}),
+               "--validate-only") == 2
+    assert "invalid config: steps: must be in [0, 1000000]" in capsys.readouterr().err
+    assert inputs.MAX_STEPS == 10 ** 6
+    assert config_from_dict({**RUN, "steps": inputs.MAX_STEPS}).steps == inputs.MAX_STEPS
+    assert inputs.steps(inputs.MAX_STEPS, "steps") == inputs.MAX_STEPS
+    with pytest.raises(inputs.InputError, match="must be at most 1000000"):
+        inputs.steps(inputs.MAX_STEPS + 1, "steps")
 
 
 def test_seed_override_goes_through_the_seed_rule(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import csv
+import json
+import math
 from dataclasses import asdict, replace
 
 import pytest
@@ -6,20 +9,40 @@ from hypothesis import strategies as st
 
 from gridmind import harness
 from gridmind.affect import InterruptPolicy, SelfModel
+from gridmind.cli import main as cli_main
 from gridmind.harness import RunConfig, config_from_dict, experiment, run
-from gridmind.interventions import (InterventionConfig, apply, behaviour_key,
-                                    by_name, canonical_suite, terms)
+from gridmind.interventions import (InterventionConfig, apply, by_name,
+                                    canonical_suite, terms)
 from gridmind.suffering import Source, rescore
 from gridmind.values import reward_loss
 
 
 def test_identity_apply_changes_nothing():
     base = RunConfig(world="corridor", steps=10, seed=0)
-    out = apply(base, InterventionConfig(name="baseline"))
-    assert out.wandering == base.wandering
+    out = replace(base, intervention=InterventionConfig(name="baseline"))
+    assert apply(base, out.intervention) == (base.wandering.p_wander, base.goal_threshold)
+    assert terms(out, 0.0) == terms(base, 0.0)
+    assert terms(out, 0.0).realness == base.wandering.realness
     assert out.self_model.standard == base.self_model.standard
-    assert out.goal_threshold == base.goal_threshold
     assert out.intervention.name == "baseline"
+
+
+def test_apply_gives_the_run_its_wander_rate_and_goal_threshold():
+    base = RunConfig(goal_threshold=0.25)  # p_wander 0.2
+    assert apply(base, by_name("empty_mind")) == (0.0, 0.25)
+    assert apply(base, InterventionConfig(p_wander_override=0.7)) == (0.7, 0.25)
+    assert apply(base, by_name("fewer_desires")) == (0.2, 0.25 + 0.3)
+    # coupled: the expectation scale lowers every anticipation, so it
+    # raises the bar by its inverse; at 0 nothing clears it
+    assert apply(base, InterventionConfig(expectation_scale=0.5, coupled=True,
+                                          desire_threshold_delta=0.3)) == \
+        (0.2, (0.25 + 0.3) / 0.5)
+    assert apply(base, InterventionConfig(expectation_scale=0.0, coupled=True)) == \
+        (0.2, math.inf)
+    # realness is an equation term: it reaches the scoring, not the behaviour
+    iv = InterventionConfig(realness_override=0.0)
+    assert apply(base, iv) == apply(base, InterventionConfig())
+    assert terms(replace(base, intervention=iv), 0.0).realness == 0.0
 
 
 def test_beta_on_worked_numbers():
@@ -54,7 +77,7 @@ LOSSY = dict(world="loss_heavy", steps=600, seed=5)
 
 def total_with(iv: InterventionConfig, **overrides) -> float:
     base = RunConfig(**{**LOSSY, **overrides})
-    config = apply(base, iv)
+    config = replace(base, intervention=iv)
     _, summary = run(config)
     return summary["totals"]["total"]
 
@@ -66,7 +89,7 @@ def test_attention_zero_halts_ledger_growth():
 
 def test_empty_mind_emits_no_wandering_events():
     base = RunConfig(**LOSSY)
-    config = apply(base, by_name("empty_mind"))
+    config = replace(base, intervention=by_name("empty_mind"))
     agent, _ = run(config)
     sources = {ev.source for ev in agent.ledger.events}
     assert Source.REPLAYED not in sources
@@ -87,10 +110,9 @@ def test_equation_term_scalings_are_monotone(knob):
 
 def test_equation_term_scaling_leaves_policy_fixed():
     base = RunConfig(**LOSSY, trace=True)
-    a1, _ = run(apply(base, InterventionConfig(name="a")))
-    a2, _ = run(apply(base, InterventionConfig(name="b", expectation_scale=0.4,
-                                               certainty_scale=0.5,
-                                               attention_scale=0.6)))
+    a1, _ = run(replace(base, intervention=InterventionConfig(name="a")))
+    a2, _ = run(replace(base, intervention=InterventionConfig(
+        name="b", expectation_scale=0.4, certainty_scale=0.5, attention_scale=0.6)))
 
     def actions(agent):
         return [(item.t, item.detail["action"]) for item in agent.trace if item.kind == "step"]
@@ -106,8 +128,8 @@ def test_equation_term_scaling_leaves_policy_fixed():
 
 def test_fewer_desires_changes_behavior_and_is_reported_not_asserted():
     base = RunConfig(**LOSSY)
-    _, s_base = run(apply(base, by_name("baseline")))
-    _, s_fewer = run(apply(base, by_name("fewer_desires")))
+    _, s_base = run(replace(base, intervention=by_name("baseline")))
+    _, s_fewer = run(replace(base, intervention=by_name("fewer_desires")))
     # both columns exist; the tradeoff is measured, not asserted
     assert "obtained_reward" in s_base and "obtained_reward" in s_fewer
 
@@ -118,8 +140,8 @@ def test_no_self_eval_removes_self_eval_events():
     from dataclasses import replace
     from gridmind.affect import SelfModel
     base = replace(base, self_model=SelfModel(evaluation_window=3, standard=2.0))
-    agent_base, _ = run(apply(base, by_name("baseline")))
-    agent_off, _ = run(apply(base, by_name("no_self_eval")))
+    agent_base, _ = run(replace(base, intervention=by_name("baseline")))
+    agent_off, _ = run(replace(base, intervention=by_name("no_self_eval")))
     base_self = [e for e in agent_base.ledger.events if e.source is Source.SELF_EVAL]
     off_self = [e for e in agent_off.ledger.events if e.source is Source.SELF_EVAL]
     assert base_self  # the standard is demanding enough to fire sometimes
@@ -128,16 +150,16 @@ def test_no_self_eval_removes_self_eval_events():
 
 def test_acceptance_is_noop_when_meta_stream_disabled():
     base = RunConfig(**LOSSY)  # meta_aversion defaults to False
-    a1, s1 = run(apply(base, by_name("baseline")))
-    a2, s2 = run(apply(base, by_name("acceptance")))
+    a1, s1 = run(replace(base, intervention=by_name("baseline")))
+    a2, s2 = run(replace(base, intervention=by_name("acceptance")))
     assert s1["totals"] == s2["totals"]
 
 
 def test_acceptance_disables_meta_aversion_stream():
     from dataclasses import replace
     base = replace(RunConfig(**LOSSY), meta_aversion=True)
-    a_on, _ = run(apply(base, by_name("baseline")))
-    a_off, _ = run(apply(base, by_name("acceptance")))
+    a_on, _ = run(replace(base, intervention=by_name("baseline")))
+    a_off, _ = run(replace(base, intervention=by_name("acceptance")))
     assert any(e.source is Source.META_AVERSION for e in a_on.ledger.events)
     assert not any(e.source is Source.META_AVERSION for e in a_off.ledger.events)
 
@@ -145,12 +167,13 @@ def test_acceptance_disables_meta_aversion_stream():
 def test_coupled_flag_routes_expectations_into_desire():
     base = RunConfig(**LOSSY)
     # decoupled: beta touches evaluation only, desire keeps proposing goals
-    a_plain, _ = run(apply(base, InterventionConfig(name="b", expectation_scale=0.0)))
+    a_plain, _ = run(replace(base, intervention=InterventionConfig(name="b",
+                                                                   expectation_scale=0.0)))
     plain_plans = sum(1 for e in a_plain.ledger.events if e.source is Source.PLAN_LOSS)
     assert plain_plans > 0
     # coupled: scaled-to-zero values clear the desire threshold for nothing
-    a_coupled, _ = run(apply(base, InterventionConfig(name="c", expectation_scale=0.0,
-                                                      coupled=True)))
+    a_coupled, _ = run(replace(base, intervention=InterventionConfig(
+        name="c", expectation_scale=0.0, coupled=True)))
     coupled_plans = sum(1 for e in a_coupled.ledger.events if e.source is Source.PLAN_LOSS)
     assert coupled_plans == 0
 
@@ -168,7 +191,7 @@ def test_no_self_eval_holds_while_the_standard_drifts():
                    self_model=SelfModel(evaluation_window=1, standard=1.0, meta_rate=0.5))
 
     def self_evals(iv):
-        config = apply(base, iv)
+        config = replace(base, intervention=iv)
         agent = Agent(config, get_world(config.world), 0)
         for reward in (10.0, 10.0, 1.0):
             agent.episode_reward = reward
@@ -203,16 +226,17 @@ def rescored_events(simulated, config):
 
 
 def test_canonical_suite_falls_into_three_behaviour_classes():
-    keys = {behaviour_key(iv) for iv in canonical_suite()}
+    base = RunConfig()
+    keys = {apply(base, iv) for iv in canonical_suite()}
     assert len(keys) == 3
-    assert behaviour_key(by_name("baseline")) == behaviour_key(by_name("acceptance"))
-    assert behaviour_key(by_name("baseline")) != behaviour_key(by_name("empty_mind"))
-    assert behaviour_key(by_name("baseline")) != behaviour_key(by_name("fewer_desires"))
+    assert apply(base, by_name("baseline")) == apply(base, by_name("acceptance"))
+    assert apply(base, by_name("baseline")) != apply(base, by_name("empty_mind"))
+    assert apply(base, by_name("baseline")) != apply(base, by_name("fewer_desires"))
     # the expectation scale is a policy field only when coupled
-    assert behaviour_key(InterventionConfig(expectation_scale=0.5)) == \
-        behaviour_key(InterventionConfig())
-    assert behaviour_key(InterventionConfig(expectation_scale=0.5, coupled=True)) != \
-        behaviour_key(InterventionConfig(coupled=True))
+    assert apply(base, InterventionConfig(expectation_scale=0.5)) == \
+        apply(base, InterventionConfig())
+    assert apply(base, InterventionConfig(expectation_scale=0.5, coupled=True)) != \
+        apply(base, InterventionConfig(coupled=True))
 
 
 CANONICAL_BASE = {"interrupts": {"threat_threshold": 0.8}, "self_model": {"standard": 1.0}}
@@ -243,10 +267,10 @@ def test_rescored_ledgers_equal_simulated_ones_for_the_canonical_suite(world, mo
                                  "steps": steps})
         agents, summaries = {}, {}
         for iv in suite:
-            agents[iv.name], summaries[iv.name] = run(apply(base, iv))
+            agents[iv.name], summaries[iv.name] = run(replace(base, intervention=iv))
         for iv in suite:
-            first = next(m for m in suite if behaviour_key(m) == behaviour_key(iv))
-            events = rescored_events(agents[first.name], apply(base, iv))
+            first = next(m for m in suite if apply(base, m) == apply(base, iv))
+            events = rescored_events(agents[first.name], replace(base, intervention=iv))
             assert events == agents[iv.name].ledger.events, iv.name
             row = report[(iv.name, str(seed))]
             assert {k: row[k] for k in REPORT_TOTALS} == summary_row(summaries[iv.name])
@@ -296,11 +320,11 @@ def test_rescoring_equals_simulating_for_any_intervention(iv, other, base):
         name="first", p_wander_override=iv.p_wander_override,
         desire_threshold_delta=iv.desire_threshold_delta, coupled=iv.coupled,
         expectation_scale=iv.expectation_scale if iv.coupled else 1.0)
-    assert behaviour_key(first) == behaviour_key(iv)
+    assert apply(base, first) == apply(base, iv)
     other = replace(other, name="other")
-    simulated, first_summary = run(apply(base, first))
-    direct, summary = run(apply(base, iv))
-    assert rescored_events(simulated, apply(base, iv)) == direct.ledger.events
+    simulated, first_summary = run(replace(base, intervention=first))
+    direct, summary = run(replace(base, intervention=iv))
+    assert rescored_events(simulated, replace(base, intervention=iv)) == direct.ledger.events
 
     base_data = {"interrupts": asdict(base.interrupts), "self_model": asdict(base.self_model),
                  "meta_aversion": base.meta_aversion, "desire_cost": base.desire_cost}
@@ -310,6 +334,57 @@ def test_rescoring_equals_simulating_for_any_intervention(iv, other, base):
     assert failures == 0
     report = {r["intervention"]: r for r in rows if r["seed"] != "median"}
     expected = {"first": first_summary, "drawn": summary,
-                "other": run(apply(base, other))[1]}
+                "other": run(replace(base, intervention=other))[1]}
     for name, want in expected.items():
         assert {k: report[name][k] for k in REPORT_TOTALS} == summary_row(want), name
+
+
+# -- a run config's intervention applies in full ---------------------------------
+
+SIMULATED = {**CANONICAL_BASE, "world": "loss_heavy", "seed": 3, "steps": 400}
+BEHAVIOURAL = ["empty_mind", "fewer_desires", {"name": "unreal", "realness_override": 0}]
+BEHAVIOURAL_IDS = ["empty_mind", "fewer_desires", "realness_override_0"]
+
+
+def experiment_cells(spec) -> tuple:
+    """The report totals of ``spec`` and of the baseline, in one matrix on
+    the world and seed of SIMULATED."""
+    rows, failures = experiment({"interventions": ["baseline", spec],
+                                 "worlds": [SIMULATED["world"]], "seeds": [SIMULATED["seed"]],
+                                 "steps": SIMULATED["steps"], "base": CANONICAL_BASE})
+    assert failures == 0
+    cells = {r["intervention"]: {k: r[k] for k in REPORT_TOTALS}
+             for r in rows if r["seed"] == str(SIMULATED["seed"])}
+    return cells[spec if isinstance(spec, str) else spec["name"]], cells["baseline"]
+
+
+@pytest.mark.parametrize("spec", BEHAVIOURAL, ids=BEHAVIOURAL_IDS)
+def test_simulate_applies_the_intervention_in_full(spec):
+    """A run config that names an intervention runs what the experiment
+    cell of that intervention reports, on the same world and seed."""
+    cell, baseline = experiment_cells(spec)
+    assert cell != baseline  # the intervention changes this run
+    agent, summary = run(config_from_dict({**SIMULATED, "intervention": spec}))
+    assert summary_row(summary) == cell
+    if spec == "empty_mind":
+        sources = {ev.source for ev in agent.ledger.events}
+        assert Source.REPLAYED not in sources
+        assert Source.IMAGINED not in sources
+
+
+@pytest.mark.parametrize("spec", BEHAVIOURAL, ids=BEHAVIOURAL_IDS)
+def test_cli_simulate_applies_the_intervention_in_full(spec, tmp_path):
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({**SIMULATED, "intervention": spec}))
+    out = tmp_path / "out"
+    assert cli_main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+    name = spec if isinstance(spec, str) else spec["name"]
+    rid = f"{name}_{SIMULATED['world']}_{SIMULATED['seed']}"
+    summary = json.loads((out / f"{rid}_summary.json").read_text())
+    assert summary_row(summary) == experiment_cells(spec)[0]
+    with open(out / f"{rid}_events.csv", newline="") as fh:
+        sources = {row["source"] for row in csv.DictReader(fh)}
+    assert sources  # the run recorded events
+    if spec == "empty_mind":
+        assert Source.REPLAYED.value not in sources
+        assert Source.IMAGINED.value not in sources

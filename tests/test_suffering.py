@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridmind.suffering import (DEFAULT_TIMESCALE_WEIGHTS, FrustrationEvent,
-                                Ledger, LedgerError, Source, Timescale,
-                                certainty_of, evaluate, make_event)
+                                Ledger, LedgerError, LossSite, Source, Terms,
+                                Timescale, certainty_of, evaluate, make_event,
+                                rescore)
 
 
 def test_worked_example_identity_multipliers():
@@ -155,3 +157,56 @@ def test_weighted_total_default_weights():
     led.record(make_event(2, Source.SELF_EVAL, Timescale.SELF_EVAL, 1, 0, 1, 1))
     assert led.weighted_total() == 1 * 1.0 + 2 * 1.0 + 4 * 1.0
     assert DEFAULT_TIMESCALE_WEIGHTS[Timescale.PLAN] == 2.0
+
+
+# -- re-scoring is monotone in every equation term ----------------------------------
+
+_TIMESCALE_OF = {Source.PLAN_LOSS: Timescale.PLAN, Source.SELF_EVAL: Timescale.SELF_EVAL}
+SITE_SOURCES = [s for s in Source if s is not Source.META_AVERSION]  # a child, never a site
+
+
+@st.composite
+def loss_sites(draw):
+    n = draw(st.integers(0, 30))
+    sites = []
+    for t in range(n):
+        source = draw(st.sampled_from(SITE_SOURCES))
+        sites.append(LossSite(t, source, _TIMESCALE_OF.get(source, Timescale.STEP),
+                              draw(st.floats(-10, 10)), draw(st.floats(-10, 10))))
+    return sites
+
+
+unit = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+equation_terms = st.builds(Terms, expectation_scale=unit, certainty=unit,
+                           attention=st.floats(0.0, 4.0), realness=unit,
+                           standard_scale=unit, meta_aversion=st.booleans(),
+                           meta_aversion_scale=unit)
+
+
+def assert_no_more_frustration(lower: Ledger, higher: Ledger):
+    assert lower.total <= higher.total
+    assert lower.weighted_total() <= higher.weighted_total()
+    for source in Source:
+        assert lower.by_source[source] <= higher.by_source[source]
+
+
+@settings(max_examples=300, deadline=None)
+@given(sites=loss_sites(), terms=equation_terms,
+       knob=st.sampled_from(["expectation_scale", "certainty", "attention", "realness",
+                             "standard_scale"]),
+       factor=unit)
+def test_rescored_total_never_rises_as_a_term_falls(sites, terms, knob, factor):
+    """Lowering any equation term never raises a re-scored total. A negative
+    self-standard fires only when scaled toward 0, so standard_scale is
+    monotone on non-negative standards only."""
+    if knob == "standard_scale":
+        sites = [s for s in sites if not (s.source is Source.SELF_EVAL and s.expected < 0)]
+    lowered = replace(terms, **{knob: getattr(terms, knob) * factor})
+    assert_no_more_frustration(rescore(sites, lowered), rescore(sites, terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sites=loss_sites(), terms=equation_terms)
+def test_rescored_total_never_rises_when_meta_aversion_is_off(sites, terms):
+    assert_no_more_frustration(rescore(sites, replace(terms, meta_aversion=False)),
+                               rescore(sites, replace(terms, meta_aversion=True)))
