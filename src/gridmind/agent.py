@@ -22,7 +22,7 @@ from .affect import (InterruptKind, SelfState, check_interrupts, depression_gate
 from .interventions import apply, terms
 from .planning import IntentionStatus, commit, plan_site, suggest_goals
 from .replay import ReplayBuffer, experiences, wandering_step
-from .suffering import Ledger, LossSite, Source, Timescale, score
+from .suffering import Ledger, LossSite, SiteLog, Source, Timescale, score
 from .values import (ExpectationBaseline, ValueStore, curiosity_bonus,
                      epsilon_greedy, reward_loss, step_expectation, td_update,
                      update_baseline)
@@ -61,7 +61,7 @@ class Agent:
                                             adaptation_rate=config.baseline_rate)
         self.buffer = ReplayBuffer(capacity=config.buffer_capacity)
         self.ledger = Ledger()
-        self.sites: list[LossSite] = []
+        self.sites = SiteLog()
         self.positive_wanderings = 0
 
         self.rng_world = rngmod.substream(seed, "world")

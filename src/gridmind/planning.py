@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .suffering import LossSite, Source, Timescale
 from .values import ValueStore
@@ -34,8 +35,8 @@ def split_cost(branching: int, depth: int, parts: int) -> int:
     return parts * branching ** (depth // parts)
 
 
-@dataclass(frozen=True)
-class Goal:
+class Goal(NamedTuple):
+    """A desired state (a tuple: cheap to build, as suggestions are many)."""
     target: int
     anticipated_value: float
     proposed_at: int
@@ -117,7 +118,7 @@ def suggest_goals(model: WorldModel, store: ValueStore, s: int, reach: int,
         if v > threshold:
             candidates.append((-v, base + f))
     candidates.sort()
-    return [Goal(target=sid, anticipated_value=-neg_v, proposed_at=t) for neg_v, sid in candidates]
+    return [Goal(sid, -neg_v, t) for neg_v, sid in candidates]
 
 
 def plan_search(model: WorldModel, s: int, goal: Goal, store: ValueStore,

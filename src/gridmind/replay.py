@@ -5,6 +5,7 @@ the future, feeding both back into learning and into the ledger.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -41,22 +42,66 @@ def experiences(s: int, a: Action, r: float, s_next: int, t: int,
 class ReplayBuffer:
     """Ring buffer of experiences, oldest evicted first.
 
-    Items live in preallocated numpy columns (s, a, r, s_next, t,
-    terminal) and are read back as Experiences of plain Python values.
-    Indices are positional, oldest first; eviction shifts them. Until the
-    buffer is full the oldest item is row 0, after that row ``head``.
+    An item's priority depends only on its transition ``(s, s_next, r,
+    terminal)``, and a run repeats few of them: each distinct transition is
+    stored once, in a key table of numpy columns, and the ring keeps each
+    item's action, tick and transition key. A row's key is written at
+    ``row`` and at ``row + capacity``, so ``key[head:head + len]`` lists the
+    items oldest first. Items are read back as Experiences of plain Python
+    values. Indices are positional, oldest first; eviction shifts them.
+    Until the buffer is full the oldest item is row 0, after that row
+    ``head``.
     """
 
     def __init__(self, capacity: int = 10_000):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.s, self.s_next, self.t = (np.empty(capacity, np.int64) for _ in range(3))
         self.a = np.empty(capacity, np.int8)
-        self.r = np.empty(capacity, np.float64)
-        self.terminal = np.empty(capacity, np.bool_)
+        self.t = np.empty(capacity, np.int64)
+        # zeros, not empty: _compact renumbers rows not yet written too
+        self.key = np.zeros(2 * capacity, np.int32)
         self.head = 0
         self._len = 0
+        self.n_keys = 0     # rows of the key table in use
+        self._key_of = {}   # (s, s_next, r, terminal, sign of r) -> key
+        self._table(16)
+
+    def _table(self, room: int, keep=None):
+        """Give the key table ``room`` rows, keeping its rows in order (only
+        the rows ``keep`` lists, when given)."""
+        for name, dtype in (("s", np.int64), ("s_next", np.int64), ("r", np.float64),
+                            ("terminal", np.bool_)):
+            col = np.empty(room, dtype)
+            if self.n_keys:
+                old = getattr(self, name)
+                col[:self.n_keys] = old[:self.n_keys] if keep is None else old[keep]
+            setattr(self, name, col)
+
+    def _new_key(self, ident) -> int:
+        if self.n_keys == 2 * self.capacity:
+            self._compact()
+        k = self.n_keys
+        if k == len(self.r):
+            self._table(2 * k)
+        s, s_next, r, terminal, _ = ident
+        self.s[k], self.s_next[k], self.r[k], self.terminal[k] = s, s_next, r, terminal
+        self._key_of[ident] = k
+        self.n_keys += 1
+        return k
+
+    def _compact(self):
+        """Drop the keys no item holds, renumbering the rest in order, so
+        the table never outgrows twice the ring."""
+        live = np.unique(self.key[self.head:self.head + self._len])
+        renumber = np.zeros(self.n_keys, np.int32)
+        renumber[live] = np.arange(len(live), dtype=np.int32)
+        self.key = renumber[self.key]
+        alive, renumbered = set(live.tolist()), renumber.tolist()
+        self._key_of = {ident: renumbered[k] for ident, k in self._key_of.items()
+                        if k in alive}
+        self.n_keys = len(live)
+        self._table(len(self.r), keep=live)
 
     def append(self, exp: Experience):
         row = (self.head + self._len) % self.capacity
@@ -64,8 +109,13 @@ class ReplayBuffer:
             self._len += 1
         else:
             self.head = (self.head + 1) % self.capacity
-        self.s[row], self.a[row], self.r[row] = exp.s, exp.a, exp.r
-        self.s_next[row], self.t[row], self.terminal[row] = exp.s_next, exp.t, exp.terminal
+        # -0.0 == 0.0: the sign gives each zero reward its own key
+        ident = (exp.s, exp.s_next, exp.r, exp.terminal, math.copysign(1.0, exp.r))
+        k = self._key_of.get(ident)
+        if k is None:
+            k = self._new_key(ident)
+        self.a[row], self.t[row] = exp.a, exp.t
+        self.key[row] = self.key[row + self.capacity] = k
 
     def __len__(self):
         return self._len
@@ -77,9 +127,10 @@ class ReplayBuffer:
         if not 0 <= i < self._len:
             raise IndexError("replay buffer index out of range")
         row = (self.head + i) % self.capacity
-        return Experience(s=int(self.s[row]), a=Action(int(self.a[row])),
-                          r=float(self.r[row]), s_next=int(self.s_next[row]),
-                          t=int(self.t[row]), terminal=bool(self.terminal[row]))
+        k = self.key[row]
+        return Experience(s=int(self.s[k]), a=Action(int(self.a[row])),
+                          r=float(self.r[k]), s_next=int(self.s_next[k]),
+                          t=int(self.t[row]), terminal=bool(self.terminal[k]))
 
     def __iter__(self):
         return (self[i] for i in range(self._len))
@@ -89,18 +140,21 @@ def priorities(buffer: ReplayBuffer, store, params) -> np.ndarray:
     """|TD error| of every item under the current store, oldest first: how
     much replaying it would move V.
 
-    One gather from a dense copy of V (state ids are non-negative ints;
-    unseen states read 0), with the same elementwise float operations in
-    the same order as the scalar abs(r + disc * v_after - v(s)).
+    The same elementwise float operations, in the same order, as the scalar
+    abs(r + disc * v_after - v(s)), applied once per transition key over a
+    dense copy of V (state ids are non-negative ints; unseen states read
+    0), then gathered into item order.
     """
     n = len(buffer)
-    s, s_next = buffer.s[:n], buffer.s_next[:n]
+    m = buffer.n_keys
+    s, s_next = buffer.s[:m], buffer.s_next[:m]
     keys = np.fromiter(store.V.keys(), np.int64, len(store.V))
     vals = np.zeros(int(max(s.max(initial=0), s_next.max(initial=0))) + 1)
     known = keys < len(vals)
     vals[keys[known]] = np.fromiter(store.V.values(), np.float64, len(store.V))[known]
-    v_after = np.where(buffer.terminal[:n], 0.0, vals[s_next])
-    return np.roll(np.abs(buffer.r[:n] + params.disc * v_after - vals[s]), -buffer.head)
+    v_after = np.where(buffer.terminal[:m], 0.0, vals[s_next])
+    per_key = np.abs(buffer.r[:m] + params.disc * v_after - vals[s])
+    return per_key.take(buffer.key[buffer.head:buffer.head + n])
 
 
 def backward_sweep(buffer: ReplayBuffer, seed_index: int, k: int, store, params):
@@ -134,7 +188,8 @@ def priority_cdf(pri: np.ndarray) -> np.ndarray:
         return np.zeros(len(pri))
     if not np.isfinite(total):
         raise ValueError("priorities must have a finite sum")
-    cdf = (pri / total).cumsum()
+    cdf = pri / total
+    np.cumsum(cdf, out=cdf)
     cdf /= cdf[-1]
     return cdf
 

@@ -18,6 +18,7 @@ other terms that would act the same is scored from the same sites.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -135,6 +136,39 @@ class LossSite(NamedTuple):
     timescale: Timescale
     expected: float
     obtained: float
+
+
+_SOURCES = tuple(Source)
+_TIMESCALES = tuple(Timescale)
+
+
+class SiteLog:
+    """A run's loss sites in compact columns: tick, source and timescale
+    codes, expected and obtained, 26 bytes a site. Iteration reads back the
+    same LossSites, in order."""
+
+    def __init__(self):
+        self.t = array("q")
+        self.source = array("B")
+        self.timescale = array("B")
+        self.expected = array("d")
+        self.obtained = array("d")
+
+    def append(self, site: LossSite):
+        t, source, timescale, expected, obtained = site
+        self.t.append(t)
+        self.source.append(_SOURCES.index(source))
+        self.timescale.append(_TIMESCALES.index(timescale))
+        self.expected.append(expected)
+        self.obtained.append(obtained)
+
+    def __len__(self):
+        return len(self.t)
+
+    def __iter__(self):
+        for t, source, timescale, expected, obtained in zip(
+                self.t, self.source, self.timescale, self.expected, self.obtained):
+            yield LossSite(t, _SOURCES[source], _TIMESCALES[timescale], expected, obtained)
 
 
 @dataclass(frozen=True)

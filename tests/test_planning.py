@@ -90,6 +90,17 @@ def test_suggest_goals_respects_reach():
     assert suggest_goals(w, store, w.state_id((0, 0)), reach=9, threshold=0.5) != []
 
 
+def test_suggest_goals_returns_a_list_of_read_only_goals():
+    w = make_world()
+    store = grid_store(w, {(1, 0): 0.9})
+    goals = suggest_goals(w, store, w.state_id((0, 0)), reach=1, threshold=0.5)
+    assert type(goals) is list and goals
+    with pytest.raises(AttributeError):
+        goals[0].target = 0
+    none = suggest_goals(w, store, w.state_id((0, 0)), reach=1, threshold=5.0)
+    assert type(none) is list and not none
+
+
 # -- plan search -----------------------------------------------------------------
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,9 +150,21 @@ params_st = st.one_of(
               st.floats(0.0, 1.0)))
 
 
+# Few distinct transitions, so items share transition keys, and more items
+# than twice the largest capacity, so the ring wraps more than once; r = 0.0
+# and r = -0.0 (a zero step cost) fall on the same (s, s_next).
+repeated_st = st.builds(
+    Experience,
+    s=st.integers(0, 3), a=st.sampled_from(list(Action)),
+    r=st.sampled_from([0.0, -0.0, -0.1, 1.0]), s_next=st.integers(0, 3),
+    t=st.integers(0, 10**6), terminal=st.booleans())
+
+items_st = st.lists(experience_st, max_size=200) | st.lists(repeated_st, min_size=101,
+                                                           max_size=200)
+
+
 @settings(max_examples=200, deadline=None)
-@given(capacity=st.integers(1, 50), items=st.lists(experience_st, max_size=200),
-       V=values_st, params=params_st)
+@given(capacity=st.integers(1, 50), items=items_st, V=values_st, params=params_st)
 def test_priorities_bit_identical_to_scalar_rule(capacity, items, V, params):
     store = ValueStore(V=V)
     kept = items[-capacity:] if items else []
@@ -163,16 +177,34 @@ def test_priorities_bit_identical_to_scalar_rule(capacity, items, V, params):
         assert g == e
 
 
+def test_signed_zero_rewards_keep_their_own_sign():
+    items = [Experience(s=1, a=Action.EAST, r=r, s_next=2, t=t)
+             for t, r in enumerate((0.0, -0.0, -0.0, 0.0))]
+    buf = filled(items, capacity=3)
+    assert [math.copysign(1.0, exp.r) for exp in buf] == [-1.0, -1.0, 1.0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(pri=st.lists(st.floats(0.0, 1e6), max_size=50))
+def test_priority_cdf_leaves_its_input_alone(pri):
+    pri = np.array(pri)
+    before = pri.copy()
+    priority_cdf(pri)
+    assert pri.tobytes() == before.tobytes()
+
+
 @settings(max_examples=200, deadline=None)
-@given(capacity=st.integers(1, 50), items=st.lists(experience_st, max_size=200))
+@given(capacity=st.integers(1, 50), items=items_st)
 def test_ring_reads_back_like_a_list(capacity, items):
     buf = filled(items, capacity)
     kept = items[-capacity:] if items else []
     assert len(buf) == len(kept)
+    assert buf.n_keys <= 2 * capacity   # the key table stays bounded by the ring
     assert list(buf) == kept
     for i, exp in enumerate(kept):
         assert buf[i] == exp
         assert buf[i - len(kept)] == exp
+        assert math.copysign(1.0, buf[i].r) == math.copysign(1.0, exp.r)
     if kept:
         assert buf[-1] == kept[-1]
         got = buf[0]

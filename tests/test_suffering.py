@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridmind.suffering import (DEFAULT_TIMESCALE_WEIGHTS, FrustrationEvent,
-                                Ledger, LedgerError, LossSite, Source, Terms,
-                                Timescale, certainty_of, evaluate, make_event,
-                                rescore)
+                                Ledger, LedgerError, LossSite, SiteLog, Source,
+                                Terms, Timescale, certainty_of, evaluate,
+                                make_event, rescore)
 
 
 def test_worked_example_identity_multipliers():
@@ -174,6 +174,20 @@ def loss_sites(draw):
         sites.append(LossSite(t, source, _TIMESCALE_OF.get(source, Timescale.STEP),
                               draw(st.floats(-10, 10)), draw(st.floats(-10, 10))))
     return sites
+
+
+@settings(max_examples=200, deadline=None)
+@given(sites=loss_sites())
+def test_site_log_reads_back_the_same_sites(sites):
+    log = SiteLog()
+    for site in sites:
+        log.append(site)
+    assert len(log) == len(sites)
+    back = list(log)
+    assert back == sites
+    assert [tuple(map(type, s)) for s in back] == [tuple(map(type, s)) for s in sites]
+    assert [math.copysign(1.0, s.obtained) for s in back] == [
+        math.copysign(1.0, s.obtained) for s in sites]
 
 
 unit = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
