@@ -2,13 +2,14 @@
 
 Each tick runs: observe, check interrupts, pick an action (plan step,
 goal suggestion + commitment, or habit), act on the world, learn from the
-outcome, wander, and settle the ledger. Action selection and goal
-suggestion run on the observed state; learning runs on true states; the
-threat detector runs on the observed state so the alarm can be wrong.
+outcome, and wander. Action selection and goal suggestion run on the
+observed state; learning runs on true states; the threat detector runs on
+the observed state so the alarm can be wrong.
 
-Every shortfall is kept as a raw loss site (``sites``) and scored into the
-ledger with the run's equation terms; none of them feeds back into what
-the agent does, so the same sites can be scored under other terms.
+Every shortfall is kept as a raw loss site (``sites``); that is all a run
+records, and the agent scores nothing. No site feeds back into what the
+agent does, so ``harness.run`` scores the sites once under the run's
+``terms``, and a matrix under those of any intervention that acts the same.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .affect import (InterruptKind, SelfState, check_interrupts, depression_gate
 from .interventions import apply, terms
 from .planning import IntentionStatus, commit, plan_site, suggest_goals
 from .replay import ReplayBuffer, experiences, wandering_step
-from .suffering import Ledger, LossSite, SiteLog, Source, Timescale, score
+from .suffering import LossSite, SiteLog, Source, Timescale, score
 from .values import (ExpectationBaseline, ValueStore, curiosity_bonus,
                      epsilon_greedy, reward_loss, step_expectation, td_update,
                      update_baseline)
@@ -60,7 +61,6 @@ class Agent:
         self.baseline = ExpectationBaseline(level=config.baseline_level,
                                             adaptation_rate=config.baseline_rate)
         self.buffer = ReplayBuffer(capacity=config.buffer_capacity)
-        self.ledger = Ledger()
         self.sites = SiteLog()
         self.positive_wanderings = 0
 
@@ -94,19 +94,11 @@ class Agent:
         if self.trace_enabled:
             self.trace.append(TraceItem(t=self.t, kind=kind, detail=detail))
 
-    def record(self, site: LossSite) -> list:
-        """Keep a loss site and score it into the ledger; the events."""
-        self.sites.append(site)
-        events = score(site, self.terms)
-        for event in events:
-            self.ledger.record(event)
-        return events
-
     # -- intention lifecycle -------------------------------------------------
 
     def _finalize_intention(self):
         intention = self.intention
-        self.record(plan_site(intention, t=self.t))
+        self.sites.append(plan_site(intention, t=self.t))
         self._trace("intention_terminal", status=intention.status.value,
                     target=intention.goal.target)
         if intention.status is IntentionStatus.FAILED:
@@ -159,7 +151,7 @@ class Agent:
         if itr is not None:
             if itr.kind is InterruptKind.THREAT:
                 self.threat_interrupts += 1
-                self.record(threat_site(t, itr.payload["threat_level"], self.interrupts))
+                self.sites.append(threat_site(t, itr.payload["threat_level"], self.interrupts))
                 self._trace("interrupt_threat", level=itr.payload["threat_level"])
             else:
                 self.desire_interrupts += 1
@@ -173,8 +165,8 @@ class Agent:
         a, from_plan = self._select_action()
         if (self.intention is not None and not self.intention.terminal
                 and self.config.desire_cost > 0):
-            self.record(LossSite(t, Source.DESIRE_COST, Timescale.STEP,
-                                 self.config.desire_cost, 0.0))
+            self.sites.append(LossSite(t, Source.DESIRE_COST, Timescale.STEP,
+                                       self.config.desire_cost, 0.0))
 
         s = self.s_true
         s_next, r, consumed = step(world, s, a, self.rng_world)
@@ -193,7 +185,7 @@ class Agent:
                 self._finalize_intention()
 
         for site in wandering_step(self, t):
-            self.record(site)
+            self.sites.append(site)
             self._trace("wander_negative", source=site.source.value)
 
         if consumed is not None or self.episode_steps >= self.config.episode_step_limit:
@@ -223,7 +215,7 @@ class Agent:
         self._trace("step", action=int(a), raw_expected=raw_expected, obtained=r,
                     loss=max(0.0, loss))
         if loss > 0.0:
-            self.record(LossSite(self.t, Source.STEP_LOSS, Timescale.STEP, raw_expected, r))
+            self.sites.append(LossSite(self.t, Source.STEP_LOSS, Timescale.STEP, raw_expected, r))
 
     def _finish_episode(self):
         if self.intention is not None and not self.intention.terminal:
@@ -235,9 +227,11 @@ class Agent:
         self.baseline = update_baseline(self.baseline, self.episode_reward)
         site = self_evaluate(self.self_model, self.self_state, self.episode_rewards, t=self.t)
         if site is not None:
-            for ev in self.record(site):
-                if ev.source is Source.SELF_EVAL:
-                    self._trace("self_eval_fired", shortfall=ev.expected - ev.obtained)
+            self.sites.append(site)
+            if self.trace_enabled:
+                for ev in score(site, self.terms):
+                    if ev.source is Source.SELF_EVAL:
+                        self._trace("self_eval_fired", shortfall=ev.expected - ev.obtained)
         self.episode_reward = 0.0
         self.episode_steps = 0
         self.world.restore_consumed()

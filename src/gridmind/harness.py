@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import statistics
+from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from .interventions import InterventionConfig, apply, by_name, canonical_suite, 
 from .planning import PlanSearchParams
 from .presets import PRESETS, get_world
 from .replay import WanderingParams
-from .suffering import Source, Timescale, rescore
+from .suffering import Ledger, Source, Timescale, events, rescore
 from .values import LearningParams
 from .world import WorldError, WorldModel
 
@@ -163,15 +164,22 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def event_rows(agent: Agent, run_id: str):
-    for ev in agent.ledger.events:
-        yield (run_id, ev.t, ev.source.value, ev.timescale.value, _fmt(ev.expected),
-               _fmt(ev.obtained), _fmt(ev.certainty), _fmt(ev.attention),
-               ev.count, _fmt(ev.frustration))
+def event_row(run_id: str, ev) -> tuple:
+    return (run_id, ev.t, ev.source.value, ev.timescale.value, _fmt(ev.expected),
+            _fmt(ev.obtained), _fmt(ev.certainty), _fmt(ev.attention),
+            ev.count, _fmt(ev.frustration))
 
 
-def summarize(agent: Agent, config: RunConfig) -> dict:
-    ledger = agent.ledger
+def ledger_totals(ledger: Ledger) -> dict:
+    return {
+        "total": ledger.total,
+        "weighted_total": ledger.weighted_total(),
+        "by_source": {s.value: ledger.by_source[s] for s in Source},
+        "by_timescale": {ts.value: ledger.by_timescale[ts] for ts in Timescale},
+    }
+
+
+def summarize(agent: Agent, config: RunConfig, ledger: Ledger) -> dict:
     return {
         "version": VERSION,
         "run_id": config.run_id(),
@@ -181,12 +189,7 @@ def summarize(agent: Agent, config: RunConfig) -> dict:
         "intervention": config.intervention.name,
         "episodes": agent.episodes,
         "obtained_reward": agent.obtained_total,
-        "totals": {
-            "total": ledger.total,
-            "weighted_total": ledger.weighted_total(),
-            "by_source": {s.value: ledger.by_source[s] for s in Source},
-            "by_timescale": {ts.value: ledger.by_timescale[ts] for ts in Timescale},
-        },
+        "totals": ledger_totals(ledger),
         "baseline_level": agent.baseline.level,
         "episode_reward_loss_total": sum(agent.episode_losses),
         "threat_interrupts": agent.threat_interrupts,
@@ -196,66 +199,65 @@ def summarize(agent: Agent, config: RunConfig) -> dict:
 
 
 def run(config: RunConfig, out_dir=None) -> tuple[Agent, dict]:
-    """Execute one seeded run; optionally write events.csv / summary.json
-    (and trace.csv when tracing) into out_dir. Deterministic per config."""
+    """Execute one seeded run and score its loss sites once; optionally write
+    events.csv (a row as each event is scored, so none is kept), summary.json
+    and, when tracing, trace.csv into out_dir. Deterministic per config."""
     world = validate_config(config)
     agent = Agent(config, world, config.seed)
     agent.run(config.steps)
-    summary = summarize(agent, config)
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        rid = config.run_id()
-        with open(out / f"{rid}_events.csv", "w", newline="") as fh:
+    if out_dir is None:
+        return agent, summarize(agent, config, rescore(agent.sites, agent.terms))
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    rid = config.run_id()
+    ledger = Ledger()
+    with open(out / f"{rid}_events.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(EVENT_COLUMNS)
+        for ev in events(agent.sites, agent.terms):
+            ledger.record(ev)
+            writer.writerow(event_row(rid, ev))
+    summary = summarize(agent, config, ledger)
+    with open(out / f"{rid}_summary.json", "w") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+    if config.trace:
+        with open(out / f"{rid}_trace.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(EVENT_COLUMNS)
-            writer.writerows(event_rows(agent, rid))
-        with open(out / f"{rid}_summary.json", "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
-        if config.trace:
-            with open(out / f"{rid}_trace.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(("t", "kind", "detail"))
-                for item in agent.trace:
-                    writer.writerow((item.t, item.kind, json.dumps(item.detail, sort_keys=True)))
+            writer.writerow(("t", "kind", "detail"))
+            for item in agent.trace:
+                writer.writerow((item.t, item.kind, json.dumps(item.detail, sort_keys=True)))
     return agent, summary
 
 
 # -- trace audit -------------------------------------------------------------
 
 
-def audit(agent: Agent) -> dict:
-    """Cross-check the action trace against the ledger.
+# The trace items that each stand for one event of a fixed source.
+_AUDITED_KINDS = {"intention_terminal": Source.PLAN_LOSS, "self_eval_fired": Source.SELF_EVAL,
+                  "interrupt_threat": Source.THREAT_INTERNAL}
 
-    Each auditable trace item must map to exactly one ledger event with
-    the matching (t, source); multiplicities are compared as multisets.
+
+def audit(agent: Agent) -> dict:
+    """Cross-check the action trace against the events the run records.
+
+    Each auditable trace item must map to exactly one event with the
+    matching (t, source); multiplicities are compared as multisets.
     """
     if not agent.trace_enabled:
         raise ValueError("audit requires a run with trace enabled")
-    expect: dict[tuple, int] = {}
-
-    def bump(key):
-        expect[key] = expect.get(key, 0) + 1
-
+    expect = Counter()
     for item in agent.trace:
         if item.kind == "step" and item.detail["loss"] > 0:
-            bump((item.t, Source.STEP_LOSS))
-        elif item.kind == "intention_terminal":
-            bump((item.t, Source.PLAN_LOSS))
-        elif item.kind == "self_eval_fired":
-            bump((item.t, Source.SELF_EVAL))
-        elif item.kind == "interrupt_threat":
-            bump((item.t, Source.THREAT_INTERNAL))
+            expect[item.t, Source.STEP_LOSS] += 1
         elif item.kind == "wander_negative":
-            bump((item.t, Source(item.detail["source"])))
-
-    got: dict[tuple, int] = {}
+            expect[item.t, Source(item.detail["source"])] += 1
+        elif item.kind in _AUDITED_KINDS:
+            expect[item.t, _AUDITED_KINDS[item.kind]] += 1
     audited = {Source.STEP_LOSS, Source.PLAN_LOSS, Source.SELF_EVAL,
                Source.THREAT_INTERNAL, Source.REPLAYED, Source.IMAGINED}
-    for ev in agent.ledger.events:
-        if ev.source in audited:
-            got[(ev.t, ev.source)] = got.get((ev.t, ev.source), 0) + 1
+    got = Counter((ev.t, ev.source) for ev in events(agent.sites, agent.terms)
+                  if ev.source in audited)
 
     missing = {k: v for k, v in expect.items() if got.get(k, 0) != v}
     surplus = {k: v for k, v in got.items() if expect.get(k, 0) != v}
@@ -291,12 +293,12 @@ def _matrix(matrix) -> tuple:
     return interventions, worlds, seeds, base
 
 
-def _report_row(config: RunConfig, ledger, agent: Agent) -> dict:
-    by_timescale = ledger.by_timescale
+def _report_row(config: RunConfig, totals: dict, agent: Agent) -> dict:
+    by_timescale = totals["by_timescale"]
     return dict(zip(REPORT_COLUMNS, (
         config.intervention.name, config.world_name(), str(config.seed), "ok",
-        ledger.total, ledger.weighted_total(), by_timescale[Timescale.STEP],
-        by_timescale[Timescale.PLAN], by_timescale[Timescale.SELF_EVAL],
+        totals["total"], totals["weighted_total"], by_timescale[Timescale.STEP.value],
+        by_timescale[Timescale.PLAN.value], by_timescale[Timescale.SELF_EVAL.value],
         agent.obtained_total, agent.episodes)))
 
 
@@ -305,11 +307,12 @@ def _class_rows(config: RunConfig, ivs: list) -> list:
     the first is simulated, and the loss sites of its run are re-scored
     under the equation terms of each of the others."""
     configs = [replace(config, intervention=iv) for iv in ivs]
-    agent, _ = run(configs[0])
+    agent, summary = run(configs[0])
     confusion = agent.world.observation_confusion
-    rows = [_report_row(configs[0], agent.ledger, agent)]
+    rows = [_report_row(configs[0], summary["totals"], agent)]
     for member in configs[1:]:
-        rows.append(_report_row(member, rescore(agent.sites, terms(member, confusion)), agent))
+        ledger = rescore(agent.sites, terms(member, confusion))
+        rows.append(_report_row(member, ledger_totals(ledger), agent))
     return rows
 
 

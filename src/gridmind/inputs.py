@@ -49,8 +49,8 @@ def is_integer(v) -> bool:
 # over any run, comes near the float range, so no total overflows to inf.
 BOUND = 1e12
 MAX_SEEDS = 10 ** 6  # the largest seed count, so a typo cannot exhaust memory
-# The longest run, 20 times a 50,000-step one: a run keeps every event and
-# loss site it records, so a typo cannot exhaust memory.
+# The longest run, 20 times a 50,000-step one: a run keeps every loss site
+# it records (26 bytes each), so a typo cannot exhaust memory.
 MAX_STEPS = 10 ** 6
 
 

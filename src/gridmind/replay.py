@@ -202,10 +202,11 @@ def sample_from(cdf: np.ndarray, rng: np.random.Generator) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-# The most items one wandering tick replays or imagines, so a typo cannot
-# stall a run: every gated step loops batch_size times, each item up to a
-# rollout with a plan search.
-MAX_BATCH_SIZE = 1000
+# The most items one wandering tick replays or imagines, and the most steps
+# one imagined rollout takes, so a typo cannot stall a run: every gated step
+# loops batch_size times, each item up to a rollout with a plan search, and
+# a rollout steps until it consumes a reward, which a world may not have.
+MAX_BATCH_SIZE = MAX_ROLLOUT_DEPTH = 1000
 
 
 @dataclass(frozen=True)
@@ -221,11 +222,9 @@ class WanderingParams:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        for name in ("batch_size", "rollout_depth"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.batch_size > MAX_BATCH_SIZE:
-            raise ValueError(f"batch_size must be at most {MAX_BATCH_SIZE}")
+        for name, cap in (("batch_size", MAX_BATCH_SIZE), ("rollout_depth", MAX_ROLLOUT_DEPTH)):
+            if not 1 <= getattr(self, name) <= cap:
+                raise ValueError(f"{name} must be in [1, {cap}]")
 
 
 def wandering_step(agent, t: int) -> list:

@@ -6,14 +6,13 @@ Every scored event applies the same multiplicative rule:
 
 Any factor at zero annihilates the event; certainty lives in [0, 1];
 count records how many times the underlying loss was perceived or
-simulated. Events are append-only and the ledger keeps running sums per
-source and per timescale.
+simulated. A ledger keeps only running sums per source and per timescale.
 
-The agent records each raw shortfall once, as a ``LossSite``: what was
-expected before any intervention scaled it, and what was obtained. One
-function, ``score``, turns a site into events under a set of equation
-``Terms``. The live run scores its sites as they happen; a run under
-other terms that would act the same is scored from the same sites.
+A run keeps only its raw shortfalls, each once, as a ``LossSite``: what
+was expected before any intervention scaled it, and what was obtained.
+One function, ``score``, turns a site into events under a set of equation
+``Terms``; ``events`` scores a run's sites in order, and each ledger of the
+run, under its own terms or another intervention's, is filled from it once.
 """
 
 from __future__ import annotations
@@ -94,29 +93,23 @@ def make_event(t: int, source: Source, timescale: Timescale, expected: float,
 
 
 class Ledger:
-    """Append-only event log with per-source / per-timescale running sums."""
+    """Per-source and per-timescale running sums of the recorded events."""
 
     def __init__(self):
-        self.events: list[FrustrationEvent] = []
         self.by_source = {s: 0.0 for s in Source}
         self.by_timescale = {ts: 0.0 for ts in Timescale}
         self.total = 0.0
 
-    def __len__(self):
-        return len(self.events)
-
-    def record(self, event: FrustrationEvent) -> "Ledger":
+    def record(self, event: FrustrationEvent):
         check = evaluate(event.expected, event.obtained, event.certainty,
                          event.attention, event.count)
         if event.frustration != check:
             raise LedgerError(
                 f"event at t={event.t} carries frustration {event.frustration!r}, "
                 f"equation gives {check!r}")
-        self.events.append(event)
         self.by_source[event.source] += event.frustration
         self.by_timescale[event.timescale] += event.frustration
         self.total += event.frustration
-        return self
 
     def weighted_total(self, weights: dict | None = None) -> float:
         w = weights or DEFAULT_TIMESCALE_WEIGHTS
@@ -217,10 +210,15 @@ def score(site: LossSite, terms: Terms) -> list:
         certainty=1.0, attention=terms.attention)]
 
 
+def events(sites, terms: Terms):
+    """The events a run with these sites records under ``terms``, in order."""
+    for site in sites:
+        yield from score(site, terms)
+
+
 def rescore(sites, terms: Terms) -> Ledger:
     """The ledger a run with these sites records under ``terms``."""
     ledger = Ledger()
-    for site in sites:
-        for event in score(site, terms):
-            ledger.record(event)
+    for event in events(sites, terms):
+        ledger.record(event)
     return ledger

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gridmind.suffering import events
 from gridmind.world import WorldModel, WorldObject
 
 
@@ -20,3 +21,8 @@ def hazard(oid, magnitude, at):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def run_events(agent) -> list:
+    """The events of an agent's run: its loss sites scored under its terms."""
+    return list(events(agent.sites, agent.terms))

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from conftest import hazard, make_world
+from conftest import hazard, make_world, run_events
 from gridmind.affect import (InterruptKind, InterruptPolicy,
                              SelfModel, SelfState, check_interrupts,
                              depression_gate, release_depression, self_evaluate,
@@ -116,7 +116,7 @@ def test_threat_interrupt_emits_one_internal_reward_event():
                        policy="random")
     agent = Agent(config, w, 2)
     agent.run(40)
-    events = [e for e in agent.ledger.events if e.source is Source.THREAT_INTERNAL]
+    events = [e for e in run_events(agent) if e.source is Source.THREAT_INTERNAL]
     assert agent.threat_interrupts > 0
     assert len(events) == agent.threat_interrupts
     for ev in events:

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import hazard, make_world, reward
+from conftest import hazard, make_world, reward, run_events
 from gridmind.affect import InterruptPolicy, SelfModel
 from gridmind.agent import Agent
 from gridmind.harness import RunConfig, audit, run
@@ -46,7 +46,7 @@ def test_commitment_issued_actions_are_plan_prefix():
     terminal = [i for i in agent.trace if i.kind == "intention_terminal"]
     assert terminal and terminal[0].detail["status"] in ("Reached", "Failed")
     # exactly one plan event per terminal intention
-    plan_events = [e for e in agent.ledger.events if e.source is Source.PLAN_LOSS]
+    plan_events = [e for e in run_events(agent) if e.source is Source.PLAN_LOSS]
     assert len(plan_events) == len(terminal)
 
 
@@ -100,7 +100,7 @@ def test_step_loss_events_when_values_overpromise():
     # wall and stays put, so the prediction is V(s) - gamma * V(s)
     agent.store.V[agent.s_true] = 1.0
     agent.step_once()
-    steps = [e for e in agent.ledger.events if e.source is Source.STEP_LOSS]
+    steps = [e for e in run_events(agent) if e.source is Source.STEP_LOSS]
     assert len(steps) == 1
     assert steps[0].expected == pytest.approx(1.0 - 0.9 * 1.0)
     assert steps[0].obtained == 0.0
@@ -126,7 +126,7 @@ def test_mid_plan_relocation_fails_on_arrival():
     assert terminal
     assert terminal[0].detail["status"] == "Failed"
     # full anticipated value charged
-    plan_events = [e for e in agent.ledger.events if e.source is Source.PLAN_LOSS]
+    plan_events = [e for e in run_events(agent) if e.source is Source.PLAN_LOSS]
     assert plan_events[0].obtained == 0.0
     assert plan_events[0].frustration > 0
 
@@ -189,7 +189,7 @@ def test_threat_interrupt_aborts_active_intention():
         if "Aborted" in statuses:
             break
     assert "Aborted" in statuses
-    threat_events = [e for e in agent.ledger.events
+    threat_events = [e for e in run_events(agent)
                      if e.source is Source.THREAT_INTERNAL]
     assert threat_events
     assert all(e.expected == 0.0 for e in threat_events)
@@ -200,7 +200,7 @@ def test_desire_cost_knob_defaults_off():
                    step_cost=0.1)
     agent = primed_agent(w)
     agent.run(10)
-    assert not any(e.source is Source.DESIRE_COST for e in agent.ledger.events)
+    assert not any(e.source is Source.DESIRE_COST for e in run_events(agent))
 
 
 def test_desire_cost_knob_charges_active_desire():
@@ -209,7 +209,7 @@ def test_desire_cost_knob_charges_active_desire():
     config = quiet_config(w, desire_cost=0.2)
     agent = primed_agent(w, config)
     agent.run(10)
-    costs = [e for e in agent.ledger.events if e.source is Source.DESIRE_COST]
+    costs = [e for e in run_events(agent) if e.source is Source.DESIRE_COST]
     assert costs
     assert all(e.expected == 0.2 and e.obtained == 0.0 for e in costs)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -236,6 +237,26 @@ def test_cli_simulate_seed_override(tmp_path, capsys):
     code = cli_main(["simulate", "--config", str(config_path), "--seed", "99"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["seed"] == 99
+
+
+# sha256 of what `gridmind simulate` writes for configs/run.json with
+# "trace": true (2,000 loss_heavy steps, seed 0; numpy 2.4.6).
+SHIPPED_RUN_DIGESTS = {
+    "events.csv": "4df4b2b8ca25b3a0929846bd6253d815658f25344b5254f611b325a4c1c26410",
+    "summary.json": "14990f7bc0d256c0afab3748956381791426dc814eee69ce081af580656a59aa",
+    "trace.csv": "dd22f3aeb87de5352bd756c6bca38ac32b0d1b0bd25b2d9c39bec96427253e86",
+}
+
+
+def test_cli_simulate_of_the_shipped_config_is_golden(tmp_path, capsys):
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "run.json"
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({**json.loads(shipped.read_text()), "trace": True}))
+    out = tmp_path / "out"
+    assert cli_main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+    for name, digest in SHIPPED_RUN_DIGESTS.items():
+        written = (out / f"baseline_loss_heavy_0_{name}").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == digest, name
 
 
 def test_cli_validate_only(tmp_path, capsys):

@@ -74,6 +74,8 @@ def with_fields(base: dict, extra: str) -> str:
     (with_fields(RUN, '"wandering": {"rollout_depth": 0}'), "wandering.rollout_depth"),
     (with_fields(RUN, '"wandering": {"batch_size": 1001}'), "wandering.batch_size"),  # cap + 1
     (with_fields(RUN, '"wandering": {"batch_size": 1000000000}'), "wandering.batch_size"),
+    (with_fields(RUN, '"wandering": {"rollout_depth": 1001}'), "wandering.rollout_depth"),
+    (with_fields(RUN, '"wandering": {"rollout_depth": 1000000000}'), "wandering.rollout_depth"),
     (json.dumps({**RUN, "steps": 10 ** 6 + 1}), "steps"),  # the cap + 1
     (json.dumps({**RUN, "steps": 10 ** 12}), "steps"),
     ("[1, 2]", "config"),
@@ -155,6 +157,18 @@ def test_steps_cap_is_checked_before_anything_runs(tmp_path, capsys):
     assert inputs.steps(inputs.MAX_STEPS, "steps") == inputs.MAX_STEPS
     with pytest.raises(inputs.InputError, match="must be at most 1000000"):
         inputs.steps(inputs.MAX_STEPS + 1, "steps")
+
+
+def test_rollout_depth_cap_is_checked_before_anything_runs(tmp_path, capsys):
+    """A rollout steps until it consumes a reward, and open_room has none, so
+    an uncapped depth would stall the run; the cap itself is only read."""
+    wandering = {"p_wander": 1.0, "mode_mix": 0.0, "batch_size": 1, "rollout_depth": 10 ** 9}
+    text = json.dumps({"world": "open_room", "steps": 5, "wandering": wandering})
+    assert cli(tmp_path, "simulate", text, "--validate-only") == 2
+    assert "invalid config: wandering.rollout_depth: must be in [1, 1000]" in \
+        capsys.readouterr().err
+    capped = config_from_dict({**RUN, "wandering": {**wandering, "rollout_depth": 1000}})
+    assert capped.wandering.rollout_depth == 1000
 
 
 def test_seed_override_goes_through_the_seed_rule(tmp_path, capsys):

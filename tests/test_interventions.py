@@ -7,13 +7,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import run_events
 from gridmind import harness
 from gridmind.affect import InterruptPolicy, SelfModel
 from gridmind.cli import main as cli_main
 from gridmind.harness import RunConfig, config_from_dict, experiment, run
 from gridmind.interventions import (InterventionConfig, apply, by_name,
                                     canonical_suite, terms)
-from gridmind.suffering import Source, rescore
+from gridmind.suffering import Source, events
 from gridmind.values import reward_loss
 
 
@@ -91,7 +92,7 @@ def test_empty_mind_emits_no_wandering_events():
     base = RunConfig(**LOSSY)
     config = replace(base, intervention=by_name("empty_mind"))
     agent, _ = run(config)
-    sources = {ev.source for ev in agent.ledger.events}
+    sources = {ev.source for ev in run_events(agent)}
     assert Source.REPLAYED not in sources
     assert Source.IMAGINED not in sources
 
@@ -121,9 +122,9 @@ def test_equation_term_scaling_leaves_policy_fixed():
     assert actions(a1) == actions(a2)
     assert a1.obtained_total == a2.obtained_total
     assert a1.episodes == a2.episodes
-    assert [e.t for e in a1.ledger.events
+    assert [e.t for e in run_events(a1)
             if e.source is Source.STEP_LOSS] == \
-           [e.t for e in a2.ledger.events if e.source is Source.STEP_LOSS]
+           [e.t for e in run_events(a2) if e.source is Source.STEP_LOSS]
 
 
 def test_fewer_desires_changes_behavior_and_is_reported_not_asserted():
@@ -142,8 +143,8 @@ def test_no_self_eval_removes_self_eval_events():
     base = replace(base, self_model=SelfModel(evaluation_window=3, standard=2.0))
     agent_base, _ = run(replace(base, intervention=by_name("baseline")))
     agent_off, _ = run(replace(base, intervention=by_name("no_self_eval")))
-    base_self = [e for e in agent_base.ledger.events if e.source is Source.SELF_EVAL]
-    off_self = [e for e in agent_off.ledger.events if e.source is Source.SELF_EVAL]
+    base_self = [e for e in run_events(agent_base) if e.source is Source.SELF_EVAL]
+    off_self = [e for e in run_events(agent_off) if e.source is Source.SELF_EVAL]
     assert base_self  # the standard is demanding enough to fire sometimes
     assert off_self == []
 
@@ -160,8 +161,8 @@ def test_acceptance_disables_meta_aversion_stream():
     base = replace(RunConfig(**LOSSY), meta_aversion=True)
     a_on, _ = run(replace(base, intervention=by_name("baseline")))
     a_off, _ = run(replace(base, intervention=by_name("acceptance")))
-    assert any(e.source is Source.META_AVERSION for e in a_on.ledger.events)
-    assert not any(e.source is Source.META_AVERSION for e in a_off.ledger.events)
+    assert any(e.source is Source.META_AVERSION for e in run_events(a_on))
+    assert not any(e.source is Source.META_AVERSION for e in run_events(a_off))
 
 
 def test_coupled_flag_routes_expectations_into_desire():
@@ -169,12 +170,12 @@ def test_coupled_flag_routes_expectations_into_desire():
     # decoupled: beta touches evaluation only, desire keeps proposing goals
     a_plain, _ = run(replace(base, intervention=InterventionConfig(name="b",
                                                                    expectation_scale=0.0)))
-    plain_plans = sum(1 for e in a_plain.ledger.events if e.source is Source.PLAN_LOSS)
+    plain_plans = sum(1 for e in run_events(a_plain) if e.source is Source.PLAN_LOSS)
     assert plain_plans > 0
     # coupled: scaled-to-zero values clear the desire threshold for nothing
     a_coupled, _ = run(replace(base, intervention=InterventionConfig(
         name="c", expectation_scale=0.0, coupled=True)))
-    coupled_plans = sum(1 for e in a_coupled.ledger.events if e.source is Source.PLAN_LOSS)
+    coupled_plans = sum(1 for e in run_events(a_coupled) if e.source is Source.PLAN_LOSS)
     assert coupled_plans == 0
 
 
@@ -196,7 +197,7 @@ def test_no_self_eval_holds_while_the_standard_drifts():
         for reward in (10.0, 10.0, 1.0):
             agent.episode_reward = reward
             agent._finish_episode()
-        return [e for e in agent.ledger.events if e.source is Source.SELF_EVAL]
+        return [e for e in run_events(agent) if e.source is Source.SELF_EVAL]
 
     assert [e.expected - e.obtained for e in self_evals(by_name("baseline"))] == \
         [pytest.approx(6.75)]
@@ -222,7 +223,12 @@ def rescored_events(simulated, config):
     """The events the run ``config`` records, re-scored from the loss sites
     of ``simulated``, a run of the same behaviour class."""
     confusion = simulated.world.observation_confusion
-    return rescore(simulated.sites, terms(config, confusion)).events
+    return list(events(simulated.sites, terms(config, confusion)))
+
+
+def typed(evs) -> list:
+    """Each event field with its type, so that 1 and 1.0 differ."""
+    return [tuple((type(x), x) for x in ev) for ev in evs]
 
 
 def test_canonical_suite_falls_into_three_behaviour_classes():
@@ -270,8 +276,8 @@ def test_rescored_ledgers_equal_simulated_ones_for_the_canonical_suite(world, mo
             agents[iv.name], summaries[iv.name] = run(replace(base, intervention=iv))
         for iv in suite:
             first = next(m for m in suite if apply(base, m) == apply(base, iv))
-            events = rescored_events(agents[first.name], replace(base, intervention=iv))
-            assert events == agents[iv.name].ledger.events, iv.name
+            rescored = rescored_events(agents[first.name], replace(base, intervention=iv))
+            assert typed(rescored) == typed(run_events(agents[iv.name])), iv.name
             row = report[(iv.name, str(seed))]
             assert {k: row[k] for k in REPORT_TOTALS} == summary_row(summaries[iv.name])
 
@@ -324,7 +330,8 @@ def test_rescoring_equals_simulating_for_any_intervention(iv, other, base):
     other = replace(other, name="other")
     simulated, first_summary = run(replace(base, intervention=first))
     direct, summary = run(replace(base, intervention=iv))
-    assert rescored_events(simulated, replace(base, intervention=iv)) == direct.ledger.events
+    assert typed(rescored_events(simulated, replace(base, intervention=iv))) == \
+        typed(run_events(direct))
 
     base_data = {"interrupts": asdict(base.interrupts), "self_model": asdict(base.self_model),
                  "meta_aversion": base.meta_aversion, "desire_cost": base.desire_cost}
@@ -367,7 +374,7 @@ def test_simulate_applies_the_intervention_in_full(spec):
     agent, summary = run(config_from_dict({**SIMULATED, "intervention": spec}))
     assert summary_row(summary) == cell
     if spec == "empty_mind":
-        sources = {ev.source for ev in agent.ledger.events}
+        sources = {ev.source for ev in run_events(agent)}
         assert Source.REPLAYED not in sources
         assert Source.IMAGINED not in sources
 
@@ -388,3 +395,18 @@ def test_cli_simulate_applies_the_intervention_in_full(spec, tmp_path):
     if spec == "empty_mind":
         assert Source.REPLAYED.value not in sources
         assert Source.IMAGINED.value not in sources
+
+
+def test_integer_costs_are_written_as_the_rescored_path_holds_them(tmp_path):
+    """An integer desire or interrupt cost reaches events.csv as the float a
+    re-scored run of the same class holds: ``1.0``, not ``1``."""
+    config = config_from_dict({**SIMULATED, "desire_cost": 1,
+                               "interrupts": {"threat_threshold": 0.8, "interrupt_cost": 1}})
+    run(config, out_dir=tmp_path)
+    with open(tmp_path / f"{config.run_id()}_events.csv", newline="") as fh:
+        written = [(row["source"], row["expected"]) for row in csv.DictReader(fh)]
+    classmate, _ = run(replace(config, intervention=by_name("acceptance")))
+    assert written == [(ev.source.value, harness._fmt(ev.expected))
+                       for ev in rescored_events(classmate, config)]
+    for source in (Source.DESIRE_COST, Source.THREAT_INTERNAL):
+        assert {expected for s, expected in written if s == source.value} == {"1.0"}

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import make_world, reward
 from gridmind import rng as rngmod
+from gridmind import suffering
 from gridmind.agent import Agent
 from gridmind.harness import RunConfig, run
 from gridmind.presets import get_world
@@ -324,8 +325,8 @@ def loss_agent(p_wander=1.0, realness=1.0, mode_mix=1.0, seed=0, **config_kw):
 
 
 def wander_events(agent, t):
-    """Wandering tick t, its loss sites scored into the agent's ledger."""
-    return [ev for site in wandering_step(agent, t) for ev in agent.record(site)]
+    """Wandering tick t, its loss sites scored under the agent's terms."""
+    return list(suffering.events(wandering_step(agent, t), agent.terms))
 
 
 def test_wandering_disabled_means_no_events_no_updates():

