@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from statistics import mean
 
-from .suffering import LossSite, Source, Timescale
+from .suffering import LossSite, Source
 from .world import WorldModel
 
 
@@ -54,15 +54,16 @@ def threat_level(world: WorldModel, s: int, policy: InterruptPolicy) -> float:
     return world.threat_field(policy.decay_length)[flat]
 
 
-def check_interrupts(agent, s: int, observation, policy: InterruptPolicy):
-    """Detect an interrupt for this step; Threat outranks Desire.
+def check_interrupts(agent, s: int, policy: InterruptPolicy):
+    """Detect an interrupt for this step at the observed state ``s``;
+    Threat outranks Desire.
 
     Threat fires when the observed state's hazard field exceeds the
     threshold. Desire fires only while an intention is Active, when some
     non-goal state within reach looks better than the desire threshold.
     The caller applies the effects (abort + internal reward).
     """
-    level = threat_level(agent.world, observation.reported_state, policy)
+    level = threat_level(agent.world, s, policy)
     if level > policy.threat_threshold:
         return Interrupt(InterruptKind.THREAT, {"threat_level": level})
     intention = getattr(agent, "intention", None)
@@ -71,7 +72,7 @@ def check_interrupts(agent, s: int, observation, policy: InterruptPolicy):
 
         for goal in suggest_goals(agent.world, agent.store, s,
                                   reach=agent.goal_reach,
-                                  threshold=policy.desire_threshold, t=agent.t):
+                                  threshold=policy.desire_threshold):
             if goal.target != intention.goal.target:
                 return Interrupt(InterruptKind.DESIRE, {"candidate": goal})
     return None
@@ -80,8 +81,7 @@ def check_interrupts(agent, s: int, observation, policy: InterruptPolicy):
 def threat_site(t: int, level: float, policy: InterruptPolicy) -> LossSite:
     """The internal reward of a threat interrupt as a loss site: expected 0
     (plus the optional per-interrupt cost), obtained -level."""
-    return LossSite(t, Source.THREAT_INTERNAL, Timescale.STEP,
-                    policy.interrupt_cost, -level)
+    return LossSite(t, Source.THREAT_INTERNAL, policy.interrupt_cost, -level)
 
 
 def sweep_threshold(worlds, thresholds, policy: InterruptPolicy, seeds, *,
@@ -113,8 +113,7 @@ def sweep_threshold(worlds, thresholds, policy: InterruptPolicy, seeds, *,
             s = w.state_id(w.start)
             rows = []
             for _ in range(steps):
-                obs = observe(w, s, rng_obs)
-                level = threat_level(w, obs.reported_state, policy)
+                level = threat_level(w, observe(w, s, rng_obs), policy)
                 cell = w.cell_of(s)
                 adjacent = any(
                     abs(hz.at[0] - cell[0]) + abs(hz.at[1] - cell[1]) <= 1
@@ -185,7 +184,7 @@ def self_evaluate(self_model: SelfModel, state: SelfState, episode_rewards, *, t
     if len(episode_rewards) < self_model.evaluation_window:
         return None
     m = mean(episode_rewards[-self_model.evaluation_window:])
-    site = LossSite(t, Source.SELF_EVAL, Timescale.SELF_EVAL, state.standard, m)
+    site = LossSite(t, Source.SELF_EVAL, state.standard, m)
     if self_model.meta_rate > 0:
         state.standard = (1.0 - self_model.meta_rate) * state.standard + self_model.meta_rate * m
     return site

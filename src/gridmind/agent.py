@@ -23,7 +23,7 @@ from .affect import (InterruptKind, SelfState, check_interrupts, depression_gate
 from .interventions import apply, terms
 from .planning import IntentionStatus, commit, plan_site, suggest_goals
 from .replay import ReplayBuffer, experiences, wandering_step
-from .suffering import LossSite, SiteLog, Source, Timescale, score
+from .suffering import LossSite, SiteLog, Source, score
 from .values import (ExpectationBaseline, ValueStore, curiosity_bonus,
                      epsilon_greedy, reward_loss, step_expectation, td_update,
                      update_baseline)
@@ -124,9 +124,8 @@ class Agent:
             self.replan_cooldown -= 1
         else:
             goals = suggest_goals(self.world, self.store, self.s_obs, reach=self.goal_reach,
-                                  threshold=self.goal_threshold, t=self.t)
-            intent = commit(self.world, self.s_obs, goals, self.store,
-                            self.plan_params, t=self.t)
+                                  threshold=self.goal_threshold)
+            intent = commit(self.world, self.s_obs, goals, self.store, self.plan_params)
             if intent is not None:
                 self.intention = intent
                 self._trace("commit", target=intent.goal.target,
@@ -144,10 +143,9 @@ class Agent:
         apply_schedule(world, t)
         self.s_true = world.epoch * world.geometry.n + flat  # re-key after any epoch bump
 
-        obs = observe(world, self.s_true, self.rng_obs)
-        self.s_obs = obs.reported_state
+        self.s_obs = observe(world, self.s_true, self.rng_obs)
 
-        itr = check_interrupts(self, self.s_obs, obs, self.interrupts)
+        itr = check_interrupts(self, self.s_obs, self.interrupts)
         if itr is not None:
             if itr.kind is InterruptKind.THREAT:
                 self.threat_interrupts += 1
@@ -165,8 +163,7 @@ class Agent:
         a, from_plan = self._select_action()
         if (self.intention is not None and not self.intention.terminal
                 and self.config.desire_cost > 0):
-            self.sites.append(LossSite(t, Source.DESIRE_COST, Timescale.STEP,
-                                       self.config.desire_cost, 0.0))
+            self.sites.append(LossSite(t, Source.DESIRE_COST, self.config.desire_cost, 0.0))
 
         s = self.s_true
         s_next, r, consumed = step(world, s, a, self.rng_world)
@@ -199,9 +196,9 @@ class Agent:
                                         self.learning.disc)
         if consumed is not None:
             magnitude = self.world.objects[consumed].magnitude
-            tick = experiences(s, a, r - magnitude, s_next, self.t, consumed=magnitude)
+            tick = experiences(s, a, r - magnitude, s_next, consumed=magnitude)
         else:
-            tick = experiences(s, a, r, s_next, self.t)
+            tick = experiences(s, a, r, s_next)
 
         bonus = (curiosity_bonus(store, s, a, self.learning)
                  if self.learning.curiosity_kappa > 0 else 0.0)
@@ -215,7 +212,7 @@ class Agent:
         self._trace("step", action=int(a), raw_expected=raw_expected, obtained=r,
                     loss=max(0.0, loss))
         if loss > 0.0:
-            self.sites.append(LossSite(self.t, Source.STEP_LOSS, Timescale.STEP, raw_expected, r))
+            self.sites.append(LossSite(self.t, Source.STEP_LOSS, raw_expected, r))
 
     def _finish_episode(self):
         if self.intention is not None and not self.intention.terminal:

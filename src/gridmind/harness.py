@@ -38,6 +38,12 @@ REPORT_COLUMNS = ("intervention", "world", "seed", "status", "total_frustration"
 
 ConfigError = inputs.InputError  # bad input, with the dotted path of the value
 
+# The longest intervention, world and threshold lists, far above the shipped
+# ones: a matrix lays out a report cell per (intervention, world) before it
+# simulates, and a sweep scans every trajectory once per threshold.
+MAX_INTERVENTIONS = MAX_THRESHOLDS = 1000
+MAX_WORLDS = 100
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -146,7 +152,8 @@ def sweep_from_dict(data) -> tuple:
     the interrupt policy's own fields."""
     own = {"thresholds", "seeds", "steps"}
     inputs.record(data, "policy", own | {f.name for f in fields(InterruptPolicy)})
-    thresholds = inputs.list_of(inputs.number)(data.get("thresholds", []), "policy.thresholds")
+    thresholds = inputs.list_of(inputs.number, MAX_THRESHOLDS)(data.get("thresholds", []),
+                                                              "policy.thresholds")
     if len(thresholds) < 2:
         raise ConfigError("policy.thresholds", "need at least two")
     rest = {k: v for k, v in data.items() if k not in own}
@@ -283,8 +290,9 @@ def _matrix(matrix) -> tuple:
     inputs.record(matrix, "", ("interventions", "worlds", "seeds", "steps", "base"), root="matrix")
     spec = matrix.get("interventions")
     interventions = (canonical_suite() if spec in (None, "canonical")
-                     else inputs.list_of(_intervention)(spec, "interventions"))
-    worlds = inputs.list_of(inputs.string)(matrix.get("worlds", ["corridor"]), "worlds")
+                     else inputs.list_of(_intervention, MAX_INTERVENTIONS)(spec, "interventions"))
+    worlds = inputs.list_of(inputs.string, MAX_WORLDS)(matrix.get("worlds", ["corridor"]),
+                                                      "worlds")
     seeds = inputs.seeds(matrix.get("seeds", 5), "seeds")
     data = inputs.record(matrix.get("base", {}), "base", _BASE_KEYS)
     base = inputs.section(RunConfig, data, "base", _READERS)

@@ -50,7 +50,7 @@ def is_integer(v) -> bool:
 BOUND = 1e12
 MAX_SEEDS = 10 ** 6  # the largest seed count, so a typo cannot exhaust memory
 # The longest run, 20 times a 50,000-step one: a run keeps every loss site
-# it records (26 bytes each), so a typo cannot exhaust memory.
+# it records (25 bytes each), so a typo cannot exhaust memory.
 MAX_STEPS = 10 ** 6
 
 
@@ -86,11 +86,14 @@ def at_most(cap: int):
 steps = at_most(MAX_STEPS)
 
 
-def list_of(read):
-    """A reader of JSON lists whose items ``read`` accepts."""
+def list_of(read, most: int | None = None):
+    """A reader of JSON lists whose items ``read`` accepts, at most ``most``
+    of them when given."""
     def read_list(value, path: str) -> list:
         if not isinstance(value, list):
             raise InputError(path, "must be a list")
+        if most is not None and len(value) > most:
+            raise InputError(path, f"must hold at most {most} items")
         return [read(item, f"{path}[{i}]") for i, item in enumerate(value)]
     return read_list
 

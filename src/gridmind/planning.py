@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
-from .suffering import LossSite, Source, Timescale
+from .suffering import LossSite, Source
 from .values import ValueStore
 from .world import MOVES, WorldModel
 
@@ -39,7 +39,6 @@ class Goal(NamedTuple):
     """A desired state (a tuple: cheap to build, as suggestions are many)."""
     target: int
     anticipated_value: float
-    proposed_at: int
 
 
 class IntentionStatus(Enum):
@@ -53,7 +52,6 @@ class IntentionStatus(Enum):
 class Intention:
     goal: Goal
     plan: list
-    committed_at: int
     status: IntentionStatus = IntentionStatus.ACTIVE
     expected_cells: list = field(default_factory=list)
     cursor: int = 0
@@ -101,7 +99,7 @@ class PlanSearchParams:
 
 
 def suggest_goals(model: WorldModel, store: ValueStore, s: int, reach: int,
-                  threshold: float, t: int = 0) -> list:
+                  threshold: float) -> list:
     """States within `reach` moves whose V exceeds threshold, best first.
 
     The current state is excluded: what one already has is not a desire.
@@ -118,7 +116,7 @@ def suggest_goals(model: WorldModel, store: ValueStore, s: int, reach: int,
         if v > threshold:
             candidates.append((-v, base + f))
     candidates.sort()
-    return [Goal(sid, -neg_v, t) for neg_v, sid in candidates]
+    return [Goal(sid, -neg_v) for neg_v, sid in candidates]
 
 
 def plan_search(model: WorldModel, s: int, goal: Goal, store: ValueStore,
@@ -172,7 +170,7 @@ def _reconstruct(parent: dict, state: int) -> list:
 
 
 def commit(model: WorldModel, s: int, goals: list, store: ValueStore,
-           params: PlanSearchParams, t: int = 0):
+           params: PlanSearchParams):
     """Settle on the first suggested goal that admits a plan.
 
     Goals are tried in rank order; unreachable ones fall through to the
@@ -187,12 +185,12 @@ def commit(model: WorldModel, s: int, goals: list, store: ValueStore,
             for a in plan:
                 cur = geo.next_flat[cur][a]
                 cells.append(geo.cells[cur])
-            return Intention(goal=goal, plan=plan, committed_at=t, expected_cells=cells)
+            return Intention(goal=goal, plan=plan, expected_cells=cells)
     return None
 
 
 def plan_site(intention: Intention, *, t: int = 0) -> LossSite:
-    """A terminal intention as a Plan-timescale loss site.
+    """A terminal intention as a PlanLoss site.
 
     Reached plans set the anticipated value against what the plan
     obtained; Failed and Aborted ones are charged the full anticipation.
@@ -200,5 +198,4 @@ def plan_site(intention: Intention, *, t: int = 0) -> LossSite:
     if not intention.terminal:
         raise ValueError("plan_site requires a terminal intention")
     obtained = intention.obtained if intention.status is IntentionStatus.REACHED else 0.0
-    return LossSite(t, Source.PLAN_LOSS, Timescale.PLAN,
-                    intention.goal.anticipated_value, obtained)
+    return LossSite(t, Source.PLAN_LOSS, intention.goal.anticipated_value, obtained)

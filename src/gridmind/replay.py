@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .suffering import LossSite, Source, Timescale
+from .suffering import LossSite, Source
 from .values import step_expectation, td_update
 from .world import Action
 
@@ -23,20 +23,18 @@ class Experience:
     a: Action
     r: float
     s_next: int
-    t: int
     terminal: bool = False
 
 
-def experiences(s: int, a: Action, r: float, s_next: int, t: int,
+def experiences(s: int, a: Action, r: float, s_next: int,
                 consumed: float | None = None) -> list:
     """One tick as experiences. A tick that consumes a reward of magnitude
     ``consumed`` splits into the move (r is then the move's own reward)
     and a terminal consume, so learning bootstraps nothing past the goal."""
-    move = [Experience(s=s, a=a, r=r, s_next=s_next, t=t)]
+    move = [Experience(s=s, a=a, r=r, s_next=s_next)]
     if consumed is None:
         return move
-    return move + [Experience(s=s_next, a=Action.STAY, r=consumed, s_next=s_next,
-                              t=t, terminal=True)]
+    return move + [Experience(s=s_next, a=Action.STAY, r=consumed, s_next=s_next, terminal=True)]
 
 
 class ReplayBuffer:
@@ -45,7 +43,7 @@ class ReplayBuffer:
     An item's priority depends only on its transition ``(s, s_next, r,
     terminal)``, and a run repeats few of them: each distinct transition is
     stored once, in a key table of numpy columns, and the ring keeps each
-    item's action, tick and transition key. A row's key is written at
+    item's action and transition key. A row's key is written at
     ``row`` and at ``row + capacity``, so ``key[head:head + len]`` lists the
     items oldest first. Items are read back as Experiences of plain Python
     values. Indices are positional, oldest first; eviction shifts them.
@@ -58,7 +56,6 @@ class ReplayBuffer:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self.a = np.empty(capacity, np.int8)
-        self.t = np.empty(capacity, np.int64)
         # zeros, not empty: _compact renumbers rows not yet written too
         self.key = np.zeros(2 * capacity, np.int32)
         self.head = 0
@@ -114,7 +111,7 @@ class ReplayBuffer:
         k = self._key_of.get(ident)
         if k is None:
             k = self._new_key(ident)
-        self.a[row], self.t[row] = exp.a, exp.t
+        self.a[row] = exp.a
         self.key[row] = self.key[row + self.capacity] = k
 
     def __len__(self):
@@ -130,7 +127,7 @@ class ReplayBuffer:
         k = self.key[row]
         return Experience(s=int(self.s[k]), a=Action(int(self.a[row])),
                           r=float(self.r[k]), s_next=int(self.s_next[k]),
-                          t=int(self.t[row]), terminal=bool(self.terminal[k]))
+                          terminal=bool(self.terminal[k]))
 
     def __iter__(self):
         return (self[i] for i in range(self._len))
@@ -260,7 +257,7 @@ def _wander_site(agent, exp: Experience, source: Source):
     raw_expected = step_expectation(agent.store, exp.s, exp.s_next, exp.terminal,
                                     agent.learning.disc)
     if raw_expected - exp.r > 0.0:
-        return [LossSite(agent.t, source, Timescale.STEP, raw_expected, exp.r)]
+        return [LossSite(agent.t, source, raw_expected, exp.r)]
     agent.positive_wanderings += 1
     return []
 
@@ -288,7 +285,7 @@ def _imagine_rollout(agent, rng):
     s = agent.s_true
     plan = None
     goals = suggest_goals(world, agent.store, s, reach=agent.wandering.rollout_depth,
-                          threshold=agent.goal_threshold, t=agent.t)
+                          threshold=agent.goal_threshold)
     if goals:
         search = PlanSearchParams(
             max_depth=agent.wandering.rollout_depth,
@@ -309,11 +306,10 @@ def _imagine_rollout(agent, rng):
         obj = world.object_at(geo.cells[landed])
         consuming = obj is not None and obj.kind == "reward" and obj.consumable
         if consuming:
-            imagined = experiences(sim_s, a, -world.step_cost, landed_sid, agent.t,
-                                   consumed=obj.magnitude)
+            imagined = experiences(sim_s, a, -world.step_cost, landed_sid, consumed=obj.magnitude)
         else:
             r = -world.step_cost + (obj.signed_magnitude() if obj is not None else 0.0)
-            imagined = experiences(sim_s, a, r, landed_sid, agent.t)
+            imagined = experiences(sim_s, a, r, landed_sid)
         for exp in imagined:
             sites.extend(_wander_site(agent, exp, Source.IMAGINED))
             td_update(agent.store, exp, agent.learning, count_visit=False)

@@ -7,9 +7,11 @@ Every scored event applies the same multiplicative rule:
 Any factor at zero annihilates the event; certainty lives in [0, 1];
 count records how many times the underlying loss was perceived or
 simulated. A ledger keeps only running sums per source and per timescale.
+A source's events all fall on one timescale (``TIMESCALE``).
 
-A run keeps only its raw shortfalls, each once, as a ``LossSite``: what
-was expected before any intervention scaled it, and what was obtained.
+A run keeps only its raw shortfalls, each once, as a ``LossSite``: its
+source, what was expected before any intervention scaled it, and what was
+obtained.
 One function, ``score``, turns a site into events under a set of equation
 ``Terms``; ``events`` scores a run's sites in order, and each ledger of the
 run, under its own terms or another intervention's, is filled from it once.
@@ -44,6 +46,15 @@ class Timescale(Enum):
     PLAN = "Plan"
     SELF_EVAL = "SelfEval"
 
+
+# The timescale of each source's events; a MetaAversion child takes its
+# parent's.
+TIMESCALE = {
+    Source.STEP_LOSS: Timescale.STEP, Source.THREAT_INTERNAL: Timescale.STEP,
+    Source.REPLAYED: Timescale.STEP, Source.IMAGINED: Timescale.STEP,
+    Source.DESIRE_COST: Timescale.STEP, Source.PLAN_LOSS: Timescale.PLAN,
+    Source.SELF_EVAL: Timescale.SELF_EVAL,
+}
 
 DEFAULT_TIMESCALE_WEIGHTS = {
     Timescale.STEP: 1.0,
@@ -111,9 +122,8 @@ class Ledger:
         self.by_timescale[event.timescale] += event.frustration
         self.total += event.frustration
 
-    def weighted_total(self, weights: dict | None = None) -> float:
-        w = weights or DEFAULT_TIMESCALE_WEIGHTS
-        return sum(w[ts] * v for ts, v in self.by_timescale.items())
+    def weighted_total(self) -> float:
+        return sum(DEFAULT_TIMESCALE_WEIGHTS[ts] * v for ts, v in self.by_timescale.items())
 
 
 class LossSite(NamedTuple):
@@ -126,32 +136,28 @@ class LossSite(NamedTuple):
     """
     t: int
     source: Source
-    timescale: Timescale
     expected: float
     obtained: float
 
 
 _SOURCES = tuple(Source)
-_TIMESCALES = tuple(Timescale)
 
 
 class SiteLog:
-    """A run's loss sites in compact columns: tick, source and timescale
-    codes, expected and obtained, 26 bytes a site. Iteration reads back the
-    same LossSites, in order."""
+    """A run's loss sites in compact columns: tick, source code, expected
+    and obtained, 25 bytes a site. Iteration reads back the same sites, in
+    order, as plain ``(t, source, expected, obtained)`` tuples."""
 
     def __init__(self):
         self.t = array("q")
         self.source = array("B")
-        self.timescale = array("B")
         self.expected = array("d")
         self.obtained = array("d")
 
     def append(self, site: LossSite):
-        t, source, timescale, expected, obtained = site
+        t, source, expected, obtained = site
         self.t.append(t)
         self.source.append(_SOURCES.index(source))
-        self.timescale.append(_TIMESCALES.index(timescale))
         self.expected.append(expected)
         self.obtained.append(obtained)
 
@@ -159,9 +165,7 @@ class SiteLog:
         return len(self.t)
 
     def __iter__(self):
-        for t, source, timescale, expected, obtained in zip(
-                self.t, self.source, self.timescale, self.expected, self.obtained):
-            yield LossSite(t, _SOURCES[source], _TIMESCALES[timescale], expected, obtained)
+        return zip(self.t, map(_SOURCES.__getitem__, self.source), self.expected, self.obtained)
 
 
 @dataclass(frozen=True)
@@ -183,29 +187,31 @@ _ANTICIPATED = frozenset({Source.STEP_LOSS, Source.PLAN_LOSS,
 _WANDER = frozenset({Source.REPLAYED, Source.IMAGINED})
 
 
-def score(site: LossSite, terms: Terms) -> list:
-    """The 0-2 events a site yields under ``terms``: the event itself (a
-    SelfEval site only when the scaled standard falls short), then its
-    MetaAversion child when that stream is on and the event hurt."""
-    expected = site.expected
-    if site.source is Source.SELF_EVAL:
+def score(site, terms: Terms) -> list:
+    """The 0-2 events a site ``(t, source, expected, obtained)`` yields
+    under ``terms``: the event itself (a SelfEval site only when the scaled
+    standard falls short), then its MetaAversion child when that stream is
+    on and the event hurt."""
+    t, source, expected, obtained = site
+    if source is Source.SELF_EVAL:
         expected = expected * terms.standard_scale
-        if expected == 0.0 or expected - site.obtained <= 0:
+        if expected == 0.0 or expected - obtained <= 0:
             return []
-    elif site.source in _ANTICIPATED and expected > 0:
+    elif source in _ANTICIPATED and expected > 0:
         # Lowering scales positive expectations only; scaling an expected
         # cost toward zero would raise it.
         expected = terms.expectation_scale * expected
     attention = terms.attention
-    if site.source in _WANDER:
+    if source in _WANDER:
         attention = attention * terms.realness
-    event = make_event(t=site.t, source=site.source, timescale=site.timescale,
-                       expected=expected, obtained=site.obtained,
+    timescale = TIMESCALE[source]
+    event = make_event(t=t, source=source, timescale=timescale,
+                       expected=expected, obtained=obtained,
                        certainty=terms.certainty, attention=attention)
     if not (terms.meta_aversion and event.frustration > 0):
         return [event]
     return [event, make_event(
-        t=site.t, source=Source.META_AVERSION, timescale=site.timescale,
+        t=t, source=Source.META_AVERSION, timescale=timescale,
         expected=terms.meta_aversion_scale * event.frustration, obtained=0.0,
         certainty=1.0, attention=terms.attention)]
 

@@ -73,12 +73,6 @@ class Relocation:
     to: Cell
 
 
-@dataclass(frozen=True)
-class Observation:
-    reported_state: int
-    confusion_applied: bool
-
-
 # The four moves, in the order neighbour lists keep.
 MOVES = (Action.NORTH, Action.EAST, Action.SOUTH, Action.WEST)
 
@@ -197,21 +191,15 @@ class WorldModel:
             self.start = geo.cells[geo.free.index(True)]
         elif not self.is_free(self.start):
             raise WorldError("start cell is a wall or out of bounds")
-        self._threat = {}  # (epoch, decay_length) -> threat level per flat cell
+        # decay_length -> threat level per flat cell, for _threat_epoch only
+        self._threat, self._threat_epoch = {}, self.epoch
 
     # -- geometry --------------------------------------------------------
 
-    def in_bounds(self, cell: Cell) -> bool:
-        x, y = cell
-        return 0 <= x < self.width and 0 <= y < self.height
-
     def is_free(self, cell: Cell) -> bool:
-        return self.in_bounds(cell) and self.geometry.free[cell[1] * self.width + cell[0]]
-
-    def _flat_of_cell(self, cell: Cell) -> int:
-        if not self.in_bounds(cell):
-            raise WorldError(f"cell {cell} is out of bounds")
-        return cell[1] * self.width + cell[0]
+        x, y = cell
+        return (0 <= x < self.width and 0 <= y < self.height
+                and self.geometry.free[y * self.width + x])
 
     def state_id(self, cell: Cell) -> int:
         x, y = cell
@@ -228,14 +216,6 @@ class WorldModel:
 
     def cell_of(self, s: int) -> Cell:
         return self.geometry.cells[self.flat_of(s)]
-
-    def intended_next(self, cell: Cell, action: Action) -> Cell:
-        geo = self.geometry
-        return geo.cells[geo.next_flat[self._flat_of_cell(cell)][action]]
-
-    def neighbor_cells(self, cell: Cell) -> list:
-        geo = self.geometry
-        return [geo.cells[f] for f in geo.neighbors[self._flat_of_cell(cell)]]
 
     def free_states(self) -> list:
         base = self.epoch * self.geometry.n
@@ -257,9 +237,11 @@ class WorldModel:
         active hazards in dict order, of magnitude * exp(-d / decay_length),
         d the Manhattan distance. Objects move only through the schedule,
         which bumps the epoch, and hazards are never consumed, so one field
-        per (epoch, decay_length) holds for the whole epoch."""
-        key = (self.epoch, decay_length)
-        levels = self._threat.get(key)
+        per decay_length holds for the whole epoch; a past epoch's states
+        are stale, so its fields are dropped."""
+        if self._threat_epoch != self.epoch:
+            self._threat, self._threat_epoch = {}, self.epoch
+        levels = self._threat.get(decay_length)
         if levels is None:
             hazards = self.active_hazards()
             out = []
@@ -269,7 +251,7 @@ class WorldModel:
                     d = abs(hz.at[0] - x) + abs(hz.at[1] - y)
                     level += hz.magnitude * math.exp(-d / decay_length)
                 out.append(level)
-            levels = self._threat[key] = tuple(out)
+            levels = self._threat[decay_length] = tuple(out)
         return levels
 
     def restore_consumed(self):
@@ -310,20 +292,20 @@ def step(world: WorldModel, s: int, a: Action, rng: np.random.Generator):
     return world.epoch * geo.n + landed, reward, consumed
 
 
-def observe(world: WorldModel, s: int, rng: np.random.Generator) -> Observation:
-    """Report the current state through the confusion channel.
+def observe(world: WorldModel, s: int, rng: np.random.Generator) -> int:
+    """The state id the confusion channel reports for state ``s``.
 
     With probability observation_confusion the reported state is a uniformly
-    chosen neighboring configuration. The agent never sees whether a given
-    report was corrupted, only the global rate.
+    chosen neighboring configuration, never ``s`` itself. The agent never
+    sees whether a given report was corrupted, only the global rate.
     """
     flat = world.flat_of(s)
     if world.observation_confusion > 0 and rng.random() < world.observation_confusion:
         neighbors = world.geometry.neighbors[flat]
         if neighbors:
             pick = neighbors[int(rng.integers(len(neighbors)))]
-            return Observation(world.epoch * world.geometry.n + pick, True)
-    return Observation(s, False)
+            return world.epoch * world.geometry.n + pick
+    return s
 
 
 def apply_schedule(world: WorldModel, t: int) -> WorldModel:
@@ -341,22 +323,25 @@ def apply_schedule(world: WorldModel, t: int) -> WorldModel:
     return world
 
 
-def reachable_states(world: WorldModel, from_cell: Cell | None = None) -> set:
-    """BFS over intended moves from a cell (default: start)."""
-    origin = world._flat_of_cell(from_cell if from_cell is not None else world.start)
-    neighbors = world.geometry.neighbors
-    seen = {origin}
-    frontier = [origin]
-    while frontier:
-        for nxt in neighbors[frontier.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    base = world.epoch * world.geometry.n
-    return {base + f for f in seen}
-
-
 # -- definition files ----------------------------------------------------
+
+
+# The largest world a definition may give, far above every preset (49 cells,
+# 4 objects, 1 relocation at most): Geometry keeps ~400 bytes a cell (40 MB
+# at the cap), every step scans the objects, and every relocation starts an
+# epoch that re-keys all states and computes a new threat field.
+MAX_CELLS = 10 ** 5
+MAX_OBJECTS = MAX_RELOCATIONS = 1000
+
+
+def _check_size(cells: int, objects: int, relocations: int):
+    """Refuse a world past a cap before any of it is built."""
+    if cells > MAX_CELLS:
+        raise InputError("width", f"width * height must be at most {MAX_CELLS}")
+    for path, size, cap in (("objects", objects, MAX_OBJECTS),
+                            ("schedule", relocations, MAX_RELOCATIONS)):
+        if size > cap:
+            raise InputError(path, f"must hold at most {cap} items")
 
 
 _WORLD_KEYS = {"width", "height", "walls", "objects", "slip_probability", "step_cost",
@@ -372,9 +357,13 @@ def world_from_dict(spec: dict) -> WorldModel:
     """A world from its JSON form. A malformed entry raises InputError
     with its dotted path (``objects[0].kind: missing``)."""
     record(spec, "", _WORLD_KEYS, root="world")
+    width, height = get(spec, "width", "", integer), get(spec, "height", "", integer)
+    object_entries = get(spec, "objects", "", _entries, [])
+    relocation_entries = get(spec, "schedule", "", _entries, [])
+    _check_size(width * height, len(object_entries), len(relocation_entries))
     walls = frozenset(get(spec, "walls", "", _cells, []))
     objects = {}
-    for i, entry in enumerate(get(spec, "objects", "", _entries, [])):
+    for i, entry in enumerate(object_entries):
         path = f"objects[{i}]"
         record(entry, path, _OBJECT_KEYS)
         oid = get(entry, "id", path, string)
@@ -389,7 +378,7 @@ def world_from_dict(spec: dict) -> WorldModel:
             at=get(entry, "at", path, cell),
         )
     schedule = []
-    for i, entry in enumerate(get(spec, "schedule", "", _entries, [])):
+    for i, entry in enumerate(relocation_entries):
         path = f"schedule[{i}]"
         record(entry, path, _RELOCATION_KEYS)
         oid = get(entry, "object", path, string)
@@ -398,8 +387,8 @@ def world_from_dict(spec: dict) -> WorldModel:
         schedule.append(Relocation(t=get(entry, "t", path, integer), oid=oid,
                                    to=get(entry, "to", path, cell)))
     return WorldModel(
-        width=get(spec, "width", "", integer),
-        height=get(spec, "height", "", integer),
+        width=width,
+        height=height,
         walls=walls,
         objects=objects,
         slip_probability=float(get(spec, "slip_probability", "", number, 0.0)),
@@ -418,6 +407,8 @@ def world_from_ascii(text: str, *, reward_magnitude: float = 1.0,
         raise WorldError("empty ASCII map")
     width = max(len(r) for r in rows)
     height = len(rows)
+    _check_size(width * height, sum(r.count("R") + r.count("H") for r in rows),
+                len(params.get("schedule", ())))
     walls = set()
     objects = {}
     start = None

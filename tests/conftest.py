@@ -18,6 +18,18 @@ def hazard(oid, magnitude, at):
     return WorldObject(oid, "hazard", magnitude, False, at)
 
 
+def intended_next(world, cell, action):
+    """Where the intended move lands, from the world's geometry table."""
+    geo = world.geometry
+    return geo.cells[geo.next_flat[world.flat_of(world.state_id(cell))][action]]
+
+
+def neighbor_cells(world, cell):
+    """The cells one move away, in N, E, S, W order, from the geometry table."""
+    geo = world.geometry
+    return [geo.cells[f] for f in geo.neighbors[world.flat_of(world.state_id(cell))]]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

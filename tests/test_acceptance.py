@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from conftest import intended_next, neighbor_cells
 from gridmind.affect import InterruptPolicy, SelfModel, sweep_threshold
 from gridmind.harness import RunConfig, experiment, run
 from gridmind.interventions import InterventionConfig
@@ -63,15 +64,14 @@ def test_criterion_03_reward_loss_contract():
 
 def _tick_experiences(world, s, a):
     cell = world.cell_of(s)
-    landed = world.intended_next(cell, a)
+    landed = intended_next(world, cell, a)
     obj = world.object_at(landed)
     s2 = world.state_id(landed)
     if obj is not None and obj.kind == "reward" and obj.consumable:
-        return [Experience(s=s, a=a, r=-world.step_cost, s_next=s2, t=0),
-                Experience(s=s2, a=Action.STAY, r=obj.magnitude, s_next=s2,
-                           t=0, terminal=True)]
+        return [Experience(s=s, a=a, r=-world.step_cost, s_next=s2),
+                Experience(s=s2, a=Action.STAY, r=obj.magnitude, s_next=s2, terminal=True)]
     r = -world.step_cost + (obj.signed_magnitude() if obj is not None else 0.0)
-    return [Experience(s=s, a=a, r=r, s_next=s2, t=0)]
+    return [Experience(s=s, a=a, r=r, s_next=s2)]
 
 
 def _bfs_distance(world, start, goal_cell):
@@ -81,7 +81,7 @@ def _bfs_distance(world, start, goal_cell):
         cell = queue.popleft()
         if cell == goal_cell:
             return seen[cell]
-        for nxt in world.neighbor_cells(cell):
+        for nxt in neighbor_cells(world, cell):
             if nxt not in seen:
                 seen[nxt] = seen[cell] + 1
                 queue.append(nxt)
@@ -114,7 +114,7 @@ def test_criterion_04_td_fixed_point_and_greedy_paths():
         dist = _bfs_distance(w, (0, 0), (7, 7))
         cell = (0, 0)
         for taken in range(1, 300):
-            cell = w.intended_next(cell, store.greedy_action(w.state_id(cell)))
+            cell = intended_next(w, cell, store.greedy_action(w.state_id(cell)))
             if cell == (7, 7):
                 break
         assert taken == dist
@@ -135,8 +135,8 @@ def _interactions_to_optimal(seed, use_replay, max_steps=20_000):
         a = epsilon_greedy(store, s, params, rng)
         s2, r, consumed = step(w, s, a, rng)
         if consumed:
-            e1 = Experience(s=s, a=a, r=r - 1.0, s_next=s2, t=2 * t)
-            e2 = Experience(s=s2, a=Action.STAY, r=1.0, s_next=s2, t=2 * t + 1,
+            e1 = Experience(s=s, a=a, r=r - 1.0, s_next=s2)
+            e2 = Experience(s=s2, a=Action.STAY, r=1.0, s_next=s2,
                             terminal=True)
             for e in (e1, e2):
                 buf.append(e)
@@ -149,7 +149,7 @@ def _interactions_to_optimal(seed, use_replay, max_steps=20_000):
             w.restore_consumed()
             s = w.state_id(w.start)
         else:
-            e = Experience(s=s, a=a, r=r, s_next=s2, t=2 * t)
+            e = Experience(s=s, a=a, r=r, s_next=s2)
             buf.append(e)
             td_update(store, e, params)
             s = s2
@@ -173,9 +173,9 @@ def test_criterion_05_prioritized_sweeping_efficiency():
 
 def test_criterion_06_rooms_backward_sweep():
     buf = ReplayBuffer()
-    for exp in (Experience(s=21, a=Action.EAST, r=-0.1, s_next=13, t=0),
-                Experience(s=13, a=Action.EAST, r=-0.1, s_next=42, t=1),
-                Experience(s=42, a=Action.STAY, r=1.0, s_next=42, t=2, terminal=True)):
+    for exp in (Experience(s=21, a=Action.EAST, r=-0.1, s_next=13),
+                Experience(s=13, a=Action.EAST, r=-0.1, s_next=42),
+                Experience(s=42, a=Action.STAY, r=1.0, s_next=42, terminal=True)):
         buf.append(exp)
     store = ValueStore()
     backward_sweep(buf, seed_index=2, k=3, store=store,

@@ -11,7 +11,7 @@ from gridmind.agent import Agent
 from gridmind.harness import RunConfig
 from gridmind.planning import Goal, Intention
 from gridmind.suffering import Source, Terms, Timescale, score
-from gridmind.world import Action, Observation
+from gridmind.world import Action
 
 
 def alley():
@@ -36,13 +36,12 @@ def test_threat_level_decays_with_distance():
 
 
 class StubAgent:
-    def __init__(self, world, store=None, intention=None, reach=3, t=0):
+    def __init__(self, world, store=None, intention=None, reach=3):
         from gridmind.values import ValueStore
         self.world = world
         self.store = store or ValueStore()
         self.intention = intention
         self.goal_reach = reach
-        self.t = t
 
 
 def test_infinite_threshold_never_fires():
@@ -50,7 +49,7 @@ def test_infinite_threshold_never_fires():
     agent = StubAgent(w)
     policy = InterruptPolicy(threat_threshold=math.inf)
     s = w.state_id((3, 0))
-    assert check_interrupts(agent, s, Observation(s, False), policy) is None
+    assert check_interrupts(agent, s, policy) is None
 
 
 def test_corrupted_observation_false_alarm():
@@ -61,7 +60,8 @@ def test_corrupted_observation_false_alarm():
     policy = InterruptPolicy(threat_threshold=1.0)
     true_state = w.state_id((0, 0))            # far from the hazard
     reported = w.state_id((3, 0))              # channel says: on it
-    itr = check_interrupts(agent, true_state, Observation(reported, True), policy)
+    assert threat_level(w, true_state, policy) < policy.threat_threshold
+    itr = check_interrupts(agent, reported, policy)
     assert itr is not None and itr.kind is InterruptKind.THREAT
     assert itr.payload["threat_level"] == pytest.approx(2.0)
 
@@ -72,13 +72,12 @@ def test_desire_interrupt_during_active_intention():
     store = ValueStore()
     shiny = w.state_id((1, 0))
     store.V[shiny] = 0.95
-    goal = Goal(target=w.state_id((4, 0)), anticipated_value=0.3, proposed_at=0)
-    intention = Intention(goal=goal, plan=[Action.EAST], committed_at=0,
-                          expected_cells=[(4, 0)])
+    goal = Goal(target=w.state_id((4, 0)), anticipated_value=0.3)
+    intention = Intention(goal=goal, plan=[Action.EAST], expected_cells=[(4, 0)])
     agent = StubAgent(w, store=store, intention=intention)
     policy = InterruptPolicy(desire_threshold=0.9)
     s = w.state_id((0, 0))
-    itr = check_interrupts(agent, s, Observation(s, False), policy)
+    itr = check_interrupts(agent, s, policy)
     assert itr is not None and itr.kind is InterruptKind.DESIRE
     assert itr.payload["candidate"].target == shiny
 
@@ -90,8 +89,7 @@ def test_no_desire_interrupt_without_intention():
     store.V[w.state_id((1, 0))] = 0.95
     agent = StubAgent(w, store=store, intention=None)
     s = w.state_id((0, 0))
-    assert check_interrupts(agent, s, Observation(s, False),
-                            InterruptPolicy(desire_threshold=0.9)) is None
+    assert check_interrupts(agent, s, InterruptPolicy(desire_threshold=0.9)) is None
 
 
 def test_threat_outranks_desire():
@@ -99,13 +97,12 @@ def test_threat_outranks_desire():
     from gridmind.values import ValueStore
     store = ValueStore()
     store.V[w.state_id((1, 0))] = 5.0
-    goal = Goal(target=w.state_id((6, 0)), anticipated_value=0.1, proposed_at=0)
-    intention = Intention(goal=goal, plan=[Action.EAST], committed_at=0,
-                          expected_cells=[(6, 0)])
+    goal = Goal(target=w.state_id((6, 0)), anticipated_value=0.1)
+    intention = Intention(goal=goal, plan=[Action.EAST], expected_cells=[(6, 0)])
     agent = StubAgent(w, store=store, intention=intention)
     policy = InterruptPolicy(threat_threshold=0.01, desire_threshold=0.5)
     s = w.state_id((2, 0))  # near the hazard AND next to the shiny state
-    itr = check_interrupts(agent, s, Observation(s, False), policy)
+    itr = check_interrupts(agent, s, policy)
     assert itr.kind is InterruptKind.THREAT
 
 

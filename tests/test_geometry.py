@@ -15,12 +15,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import neighbor_cells
 from gridmind.affect import InterruptPolicy, threat_level
 from gridmind.planning import Goal, PlanSearchParams, plan_search, suggest_goals
 from gridmind.values import ValueStore
-from gridmind.world import (ACTIONS, DELTAS, LATERALS, MOVES, Action, Observation,
-                            Relocation, WorldError, apply_schedule, observe,
-                            reachable_states, step, world_from_ascii)
+from gridmind.world import (ACTIONS, DELTAS, LATERALS, MOVES, Action, Relocation,
+                            WorldError, apply_schedule, observe, step, world_from_ascii)
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -88,8 +88,8 @@ def ref_observe(world, s, rng):
         neighbors = ref_neighbor_cells(world, cell)
         if neighbors:
             pick = neighbors[int(rng.integers(len(neighbors)))]
-            return Observation(ref_state_id(world, pick), True)
-    return Observation(s, False)
+            return ref_state_id(world, pick)
+    return s
 
 
 def ref_suggest_goals(world, store, s, reach, threshold):
@@ -108,7 +108,7 @@ def ref_suggest_goals(world, store, s, reach, threshold):
                         candidates.append(sid)
         frontier = nxt_frontier
     candidates.sort(key=lambda sid: (-store.v(sid), sid))
-    return [Goal(target=sid, anticipated_value=store.v(sid), proposed_at=0)
+    return [Goal(target=sid, anticipated_value=store.v(sid))
             for sid in candidates]
 
 
@@ -214,12 +214,14 @@ def test_cell_reads_match_reference(world):
     for y in range(-1, world.height + 1):
         for x in range(-1, world.width + 1):
             assert world.is_free((x, y)) == ref_is_free(world, (x, y))
+    geo = world.geometry
     for y in range(world.height):
         for x in range(world.width):
-            cell = (x, y)
+            cell, f = (x, y), y * world.width + x
+            assert geo.cells[f] == cell
             for a in ACTIONS:
-                assert world.intended_next(cell, a) == ref_intended_next(world, cell, a)
-            assert world.neighbor_cells(cell) == ref_neighbor_cells(world, cell)
+                assert geo.cells[geo.next_flat[f][a]] == ref_intended_next(world, cell, a)
+            assert [geo.cells[g] for g in geo.neighbors[f]] == ref_neighbor_cells(world, cell)
     for s in range(-1, 3 * world.width * world.height):
         try:
             want = ref_cell_of(world, s)
@@ -277,7 +279,7 @@ def test_plan_search_matches_reference(world, seed, max_depth, branching_cap,
     states = free_states(world)
     for s in states[:6]:
         for target in states:
-            goal = Goal(target=target, anticipated_value=1.0, proposed_at=0)
+            goal = Goal(target=target, anticipated_value=1.0)
             stats = {}
             plan = plan_search(world, s, goal, store, params, stats)
             assert (plan, stats["expansions"]) == ref_plan_search(world, s, goal, store, params)
@@ -292,19 +294,6 @@ def test_threat_level_is_the_closed_form_sum_across_relocations(world, decay):
         apply_schedule(world, t)
         for s in free_states(world):
             assert threat_level(world, s, policy) == ref_threat_level(world, s, decay)
-
-
-@SETTINGS
-@given(world=ascii_worlds())
-def test_reachable_states_match_reference_bfs(world):
-    for origin in [c for c in world.geometry.cells if ref_is_free(world, c)]:
-        seen, frontier = {origin}, [origin]
-        while frontier:
-            for nxt in ref_neighbor_cells(world, frontier.pop()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        assert reachable_states(world, origin) == {ref_state_id(world, c) for c in seen}
 
 
 # -- stale epochs and walls still raise --------------------------------------------
@@ -324,7 +313,7 @@ def test_bad_states_raise_world_error(which):
     world, stale, wall = relocating_world()
     s = stale if which == "stale" else wall
     rng = np.random.default_rng(0)
-    goal = Goal(target=ref_state_id(world, (0, 0)), anticipated_value=1.0, proposed_at=0)
+    goal = Goal(target=ref_state_id(world, (0, 0)), anticipated_value=1.0)
     calls = [
         lambda: world.cell_of(s),
         lambda: world.flat_of(s),
@@ -354,12 +343,23 @@ def test_copies_share_the_geometry_and_keep_their_own_threat_fields():
     assert threat_level(world, s, policy) == before
 
 
+def test_a_world_keeps_the_threat_fields_of_its_current_epoch_only():
+    """A past epoch's states are stale, so its fields are never read again."""
+    world = world_from_ascii("S.#\n.RH\n", schedule=(Relocation(5, "h0", (0, 1)),))
+    for decay in (1.0, 2.0):
+        world.threat_field(decay)
+    apply_schedule(world, 5)
+    s = ref_state_id(world, (0, 0))
+    assert threat_level(world, s, InterruptPolicy()) == ref_threat_level(world, s, 1.0)
+    assert list(world._threat) == [1.0]
+
+
 def test_a_world_with_other_walls_builds_its_own_geometry():
     world = world_from_ascii("S..\n...\n")
     walled = replace(world, walls=frozenset({(1, 0)}))
     assert walled.geometry is not world.geometry
-    assert walled.neighbor_cells((0, 0)) == [(0, 1)]
-    assert world.neighbor_cells((0, 0)) == [(1, 0), (0, 1)]
+    assert neighbor_cells(walled, (0, 0)) == [(0, 1)]
+    assert neighbor_cells(world, (0, 0)) == [(1, 0), (0, 1)]
 
 
 def test_neighbors_keep_move_order():
@@ -367,13 +367,12 @@ def test_neighbors_keep_move_order():
     centre = 1 * 3 + 1
     assert world.geometry.neighbors[centre] == tuple(
         world.geometry.next_flat[centre][a] for a in MOVES)
-    assert world.neighbor_cells((1, 1)) == [(1, 0), (2, 1), (1, 2), (0, 1)]
+    assert neighbor_cells(world, (1, 1)) == [(1, 0), (2, 1), (1, 2), (0, 1)]
 
 
 def test_cell_reads_reject_out_of_bounds_cells():
     world = world_from_ascii("S.\n")
-    assert not world.is_free((2, 0))
-    with pytest.raises(WorldError):
-        world.intended_next((2, 0), Action.WEST)
-    with pytest.raises(WorldError):
-        world.neighbor_cells((-1, 0))
+    for cell in ((2, 0), (-1, 0)):
+        assert not world.is_free(cell)
+        with pytest.raises(WorldError):  # its id is no state of this epoch
+            world.cell_of(world.state_id(cell))

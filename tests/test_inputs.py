@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gridmind import harness, inputs
+from gridmind import harness, inputs, world
 from gridmind.affect import InterruptPolicy
 from gridmind.cli import main as cli_main
 from gridmind.harness import RunConfig, config_from_dict, experiment, run
@@ -100,6 +100,10 @@ def test_bad_run_config_exits_2_with_its_path(tmp_path, capsys, text, path):
     (json.dumps({**MATRIX, "base": {"steps": 10 ** 12}}), "base.steps"),
     (json.dumps({**MATRIX, "interventions": [{"name": "x", "expectation_scale": "0.5"}]}),
      "interventions[0].expectation_scale"),
+    pytest.param(json.dumps({**MATRIX, "interventions": ["baseline"] * 1001}), "interventions",
+                 id="interventions-cap+1"),
+    pytest.param(json.dumps({**MATRIX, "worlds": ["loss_heavy"] * 101}), "worlds",
+                 id="worlds-cap+1"),
 ])
 def test_bad_matrix_exits_2_before_any_simulation(tmp_path, capsys, monkeypatch, text, path):
     monkeypatch.setattr(harness, "run", lambda *a, **k: pytest.fail("simulated a bad matrix"))
@@ -120,6 +124,8 @@ def test_bad_matrix_exits_2_before_any_simulation(tmp_path, capsys, monkeypatch,
     (json.dumps({**POLICY, "steps": 10 ** 6 + 1}), "policy.steps"),  # the cap + 1
     (with_fields(POLICY, '"thresholds": [0, NaN]'), "policy.thresholds[1]"),
     (with_fields(POLICY, '"thresholds": [0]'), "policy.thresholds"),
+    pytest.param(json.dumps({**POLICY, "thresholds": [0.0] * 1001}), "policy.thresholds",
+                 id="thresholds-cap+1"),
     (with_fields(POLICY, '"colour": 1'), "policy.colour"),
     (with_fields(POLICY, '"decay_length": 0'), "policy.decay_length"),
     (with_fields(POLICY, '"miss_cost": 1e308'), "policy.miss_cost"),
@@ -169,6 +175,54 @@ def test_rollout_depth_cap_is_checked_before_anything_runs(tmp_path, capsys):
         capsys.readouterr().err
     capped = config_from_dict({**RUN, "wandering": {**wandering, "rollout_depth": 1000}})
     assert capped.wandering.rollout_depth == 1000
+
+
+CELLS_CAP = "width: width * height must be at most 100000"
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("world.json", json.dumps({"width": 100_000, "height": 100_000}), CELLS_CAP),
+    ("world.json", json.dumps({"width": 1001, "height": 100}), CELLS_CAP),  # the cap + 100
+    ("world.json", json.dumps({"width": 2, "height": 1, "objects": [{}] * 1001}),
+     "objects: must hold at most 1000 items"),
+    ("world.json", json.dumps({"width": 2, "height": 1, "schedule": [{}] * 1001}),
+     "schedule: must hold at most 1000 items"),
+    ("world.txt", "." * 100_001, CELLS_CAP),
+    ("world.txt", "S\n" + "." * 100_000, CELLS_CAP),  # rows pad to the widest
+    ("world.txt", "R" * 1001, "objects: must hold at most 1000 items"),
+], ids=["json-10^10-cells", "json-cells-cap+100", "json-objects-cap+1", "json-schedule-cap+1",
+        "ascii-cells-cap+1", "ascii-padded-rows", "ascii-objects-cap+1"])
+def test_world_past_a_size_cap_exits_2_before_it_is_built(tmp_path, capsys, monkeypatch,
+                                                         name, text, message):
+    monkeypatch.setattr(world, "Geometry", lambda *a: pytest.fail("built a world past a cap"))
+    (tmp_path / name).write_text(text)
+    config = json.dumps({**RUN, "world": str(tmp_path / name)})
+    assert cli(tmp_path, "simulate", config, "--validate-only") == 2
+    err = capsys.readouterr().err
+    assert f"invalid config: world: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_world_size_caps_are_legal_sizes(monkeypatch):
+    """A world at every cap reaches the table build; none is built here."""
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(world, "Geometry", reached)
+    objects = [{"id": f"o{i}", "kind": "hazard", "magnitude": 1, "at": [i, 0]}
+               for i in range(1000)]
+    schedule = [{"t": t, "object": "o0", "to": [0, 1]} for t in range(1000)]
+    with pytest.raises(Reached):
+        world.world_from_dict({"width": 1000, "height": 100, "objects": objects,
+                               "schedule": schedule})
+    with pytest.raises(Reached):
+        world.world_from_ascii("\n".join(["H" * 1000] + ["." * 1000] * 99))
+    relocations = tuple(world.Relocation(t, "h0", (1, 0)) for t in range(1001))
+    with pytest.raises(inputs.InputError, match="schedule: must hold at most 1000 items"):
+        world.world_from_ascii("H.", schedule=relocations)
 
 
 def test_seed_override_goes_through_the_seed_rule(tmp_path, capsys):

@@ -3,7 +3,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from conftest import make_world, reward
+from conftest import intended_next, make_world, neighbor_cells, reward
 from gridmind.planning import (Goal, Intention, IntentionStatus,
                                PlanSearchParams, commit, count_paths,
                                plan_search, plan_site, split_cost,
@@ -111,7 +111,7 @@ def bfs_distance(world, start, goal_cell):
         cell = queue.popleft()
         if cell == goal_cell:
             return seen[cell]
-        for nxt in world.neighbor_cells(cell):
+        for nxt in neighbor_cells(world, cell):
             if nxt not in seen:
                 seen[nxt] = seen[cell] + 1
                 queue.append(nxt)
@@ -120,13 +120,13 @@ def bfs_distance(world, start, goal_cell):
 
 def test_plan_search_already_there():
     w = make_world()
-    goal = Goal(target=w.state_id((0, 0)), anticipated_value=1.0, proposed_at=0)
+    goal = Goal(target=w.state_id((0, 0)), anticipated_value=1.0)
     assert plan_search(w, w.state_id((0, 0)), goal, ValueStore(), PlanSearchParams()) == []
 
 
 def test_plan_search_corridor_matches_bfs():
     w = make_world(width=6, height=1)
-    goal = Goal(target=w.state_id((5, 0)), anticipated_value=1.0, proposed_at=0)
+    goal = Goal(target=w.state_id((5, 0)), anticipated_value=1.0)
     plan = plan_search(w, w.state_id((0, 0)), goal, ValueStore(),
                        PlanSearchParams(max_depth=12, heuristic_weight=0.0))
     assert plan is not None
@@ -136,7 +136,7 @@ def test_plan_search_corridor_matches_bfs():
 
 def test_plan_search_beyond_depth_returns_none():
     w = make_world(width=6, height=1)
-    goal = Goal(target=w.state_id((5, 0)), anticipated_value=1.0, proposed_at=0)
+    goal = Goal(target=w.state_id((5, 0)), anticipated_value=1.0)
     assert plan_search(w, w.state_id((0, 0)), goal, ValueStore(),
                        PlanSearchParams(max_depth=4)) is None
 
@@ -148,7 +148,7 @@ def test_plan_search_optimal_with_zero_weight_no_cap(seed):
     walls -= {(0, 0), (7, 7)}
     w = make_world(width=8, height=8, walls=walls, start=(0, 0))
     params = PlanSearchParams(max_depth=30, branching_cap=5, heuristic_weight=0.0)
-    goal = Goal(target=w.state_id((7, 7)), anticipated_value=0.0, proposed_at=0)
+    goal = Goal(target=w.state_id((7, 7)), anticipated_value=0.0)
     plan = plan_search(w, w.state_id((0, 0)), goal, ValueStore(), params)
     dist = bfs_distance(w, (0, 0), (7, 7))
     if dist is None or dist > params.max_depth:
@@ -165,8 +165,7 @@ def test_value_guided_search_expands_no_more_than_uninformed():
     w = corridor(12)
     store = value_iteration(world_mdp(w), LearningParams(gamma=0.9), tol=1e-10)
     goal_cell = (10, 0)  # state next to the consumable, highest V
-    goal = Goal(target=w.state_id(goal_cell), anticipated_value=store.v(w.state_id(goal_cell)),
-                proposed_at=0)
+    goal = Goal(target=w.state_id(goal_cell), anticipated_value=store.v(w.state_id(goal_cell)))
     informed, uninformed = {}, {}
     p_inf = PlanSearchParams(max_depth=15, heuristic_weight=1.0)
     p_uni = PlanSearchParams(max_depth=15, heuristic_weight=0.0)
@@ -202,7 +201,7 @@ def test_commit_falls_through_to_next_ranked_goal():
     open_cell = (2, 0)
     assert bfs_distance(w, (0, 0), open_cell) is not None
     store = grid_store(w, {sealed: 0.9, open_cell: 0.5})
-    goals = [Goal(w.state_id(sealed), 0.9, 0), Goal(w.state_id(open_cell), 0.5, 0)]
+    goals = [Goal(w.state_id(sealed), 0.9), Goal(w.state_id(open_cell), 0.5)]
     intention = commit(w, w.state_id((0, 0)), goals, store, PlanSearchParams())
     assert intention is not None
     assert intention.goal.target == w.state_id(open_cell)
@@ -235,10 +234,10 @@ def make_intention(world, start_cell, plan):
     cells = []
     cur = start_cell
     for a in plan:
-        cur = world.intended_next(cur, a)
+        cur = intended_next(world, cur, a)
         cells.append(cur)
-    goal = Goal(target=world.state_id(cells[-1]), anticipated_value=1.0, proposed_at=0)
-    return Intention(goal=goal, plan=list(plan), committed_at=0, expected_cells=cells)
+    goal = Goal(target=world.state_id(cells[-1]), anticipated_value=1.0)
+    return Intention(goal=goal, plan=list(plan), expected_cells=cells)
 
 
 def test_execute_deterministic_plan_reaches(rng):
@@ -287,8 +286,8 @@ def test_execute_slip_divergence_fails(rng):
 
 
 def terminal_intention(status, anticipated=1.0, obtained=0.0):
-    goal = Goal(target=0, anticipated_value=anticipated, proposed_at=0)
-    return Intention(goal=goal, plan=[Action.EAST], committed_at=0, status=status,
+    goal = Goal(target=0, anticipated_value=anticipated)
+    return Intention(goal=goal, plan=[Action.EAST], status=status,
                      expected_cells=[(1, 0)], obtained=obtained)
 
 

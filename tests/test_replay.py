@@ -23,9 +23,9 @@ SUB = dict(gamma=None, step_penalty=0.1)
 
 # The rooms trajectory: 21 -> 13 -> 42, reward found in room 42.
 ROOMS = [
-    Experience(s=21, a=Action.EAST, r=-0.1, s_next=13, t=0),
-    Experience(s=13, a=Action.EAST, r=-0.1, s_next=42, t=1),
-    Experience(s=42, a=Action.STAY, r=1.0, s_next=42, t=2, terminal=True),
+    Experience(s=21, a=Action.EAST, r=-0.1, s_next=13),
+    Experience(s=13, a=Action.EAST, r=-0.1, s_next=42),
+    Experience(s=42, a=Action.STAY, r=1.0, s_next=42, terminal=True),
 ]
 
 
@@ -57,7 +57,7 @@ def test_priority_bad_news_transition():
     store = ValueStore()
     store.V.update({0: 0.9, 1: 0.2})
     p = LearningParams(**SUB)
-    exp = Experience(s=0, a=Action.EAST, r=0.0, s_next=1, t=0)
+    exp = Experience(s=0, a=Action.EAST, r=0.0, s_next=1)
     assert priorities(filled([exp]), store, p)[0] == pytest.approx(0.7)
 
 
@@ -94,10 +94,9 @@ def test_backward_sweep_truncates_at_trajectory_start():
 
 def test_backward_sweep_stops_at_episode_boundary():
     buf = ReplayBuffer()
-    buf.append(Experience(s=5, a=Action.STAY, r=2.0, s_next=5, t=0, terminal=True))
+    buf.append(Experience(s=5, a=Action.STAY, r=2.0, s_next=5, terminal=True))
     for exp in ROOMS:
-        buf.append(Experience(s=exp.s, a=exp.a, r=exp.r, s_next=exp.s_next,
-                              t=exp.t + 1, terminal=exp.terminal))
+        buf.append(exp)
     store = ValueStore()
     p = LearningParams(alpha=1.0, **SUB)
     backward_sweep(buf, 3, 10, store, p)
@@ -126,7 +125,7 @@ def test_forward_replay_needs_three_passes_backward_one():
 def test_ring_buffer_evicts_oldest():
     buf = ReplayBuffer(capacity=3)
     for i in range(5):
-        buf.append(Experience(s=i, a=Action.STAY, r=0.0, s_next=i, t=i))
+        buf.append(Experience(s=i, a=Action.STAY, r=0.0, s_next=i))
     assert len(buf) == 3
     assert [e.s for e in buf] == [2, 3, 4]
 
@@ -139,7 +138,7 @@ experience_st = st.builds(
     Experience,
     s=st.integers(0, MAX_STATE), a=st.sampled_from(list(Action)),
     r=st.floats(-10.0, 10.0, allow_nan=False), s_next=st.integers(0, MAX_STATE),
-    t=st.integers(0, 10**6), terminal=st.booleans())
+    terminal=st.booleans())
 
 # Values for a random subset of states, some beyond any state in the buffer.
 values_st = st.dictionaries(st.integers(0, MAX_STATE + 20),
@@ -158,7 +157,7 @@ repeated_st = st.builds(
     Experience,
     s=st.integers(0, 3), a=st.sampled_from(list(Action)),
     r=st.sampled_from([0.0, -0.0, -0.1, 1.0]), s_next=st.integers(0, 3),
-    t=st.integers(0, 10**6), terminal=st.booleans())
+    terminal=st.booleans())
 
 items_st = st.lists(experience_st, max_size=200) | st.lists(repeated_st, min_size=101,
                                                            max_size=200)
@@ -179,8 +178,7 @@ def test_priorities_bit_identical_to_scalar_rule(capacity, items, V, params):
 
 
 def test_signed_zero_rewards_keep_their_own_sign():
-    items = [Experience(s=1, a=Action.EAST, r=r, s_next=2, t=t)
-             for t, r in enumerate((0.0, -0.0, -0.0, 0.0))]
+    items = [Experience(s=1, a=Action.EAST, r=r, s_next=2) for r in (0.0, -0.0, -0.0, 0.0)]
     buf = filled(items, capacity=3)
     assert [math.copysign(1.0, exp.r) for exp in buf] == [-1.0, -1.0, 1.0]
 
@@ -210,7 +208,7 @@ def test_ring_reads_back_like_a_list(capacity, items):
         assert buf[-1] == kept[-1]
         got = buf[0]
         assert (type(got.s), type(got.a), type(got.r), type(got.s_next),
-                type(got.t), type(got.terminal)) == (int, Action, float, int, int, bool)
+                type(got.terminal)) == (int, Action, float, int, bool)
     with pytest.raises(IndexError):
         buf[len(kept)]
     with pytest.raises(IndexError):
@@ -244,9 +242,9 @@ tick_st = st.tuples(st.integers(0, 9).map(lambda x: x == 0), st.integers(0, MAX_
 def test_backward_sweep_matches_list_walk_across_the_wrap(capacity, ticks, pick, params):
     # chained trajectories with occasional breaks and terminals
     items, s = [], 0
-    for t, (restart, s_restart, s_next, terminal, r) in enumerate(ticks):
+    for restart, s_restart, s_next, terminal, r in ticks:
         s = s_restart if restart else s
-        items.append(Experience(s=s, a=Action.EAST, r=r, s_next=s_next, t=t,
+        items.append(Experience(s=s, a=Action.EAST, r=r, s_next=s_next,
                                 terminal=terminal))
         s = s_next
     kept = items[-capacity:]
@@ -259,8 +257,8 @@ def test_backward_sweep_matches_list_walk_across_the_wrap(capacity, ticks, pick,
 
 
 def test_backward_sweep_crosses_the_physical_wrap():
-    chain = [Experience(s=i, a=Action.EAST, r=-0.1, s_next=i + 1, t=i) for i in range(6)]
-    chain.append(Experience(s=6, a=Action.STAY, r=1.0, s_next=6, t=6, terminal=True))
+    chain = [Experience(s=i, a=Action.EAST, r=-0.1, s_next=i + 1) for i in range(6)]
+    chain.append(Experience(s=6, a=Action.STAY, r=1.0, s_next=6, terminal=True))
     buf = filled(chain, capacity=5)   # keeps items 2..6; the oldest sits in row 2
     assert buf.head == 2
     p = LearningParams(alpha=1.0, **SUB)
@@ -275,8 +273,7 @@ def test_priority_proportional_sampling():
     buf = ReplayBuffer()
     # priorities 1.0, 3.0, 0.0, 4.0 by construction (V all zero)
     for i, r in enumerate((1.0, 3.0, 0.0, 4.0)):
-        buf.append(Experience(s=100 + i, a=Action.STAY, r=r, s_next=200 + i,
-                              t=i, terminal=True))
+        buf.append(Experience(s=100 + i, a=Action.STAY, r=r, s_next=200 + i, terminal=True))
     rng = np.random.default_rng(0)
     n = 10_000
     counts = np.zeros(4)
@@ -293,7 +290,7 @@ def test_uniform_fallback_when_all_priorities_zero():
     p = LearningParams(alpha=1.0, **SUB)
     buf = ReplayBuffer()
     for i in range(4):
-        buf.append(Experience(s=i, a=Action.STAY, r=0.0, s_next=i, t=i))
+        buf.append(Experience(s=i, a=Action.STAY, r=0.0, s_next=i))
     rng = np.random.default_rng(1)
     counts = np.zeros(4)
     n = 4000
@@ -320,7 +317,7 @@ def loss_agent(p_wander=1.0, realness=1.0, mode_mix=1.0, seed=0, **config_kw):
     # a remembered disappointment: V promised 1.0, the episode ended with nothing
     agent.store.V[agent.s_true] = 1.0
     agent.buffer.append(Experience(s=agent.s_true, a=Action.STAY, r=0.0,
-                                   s_next=agent.s_true, t=0, terminal=True))
+                                   s_next=agent.s_true, terminal=True))
     return agent
 
 

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridmind.suffering import (DEFAULT_TIMESCALE_WEIGHTS, FrustrationEvent,
+from gridmind.suffering import (DEFAULT_TIMESCALE_WEIGHTS, TIMESCALE, FrustrationEvent,
                                 Ledger, LedgerError, LossSite, SiteLog, Source,
                                 Terms, Timescale, certainty_of, evaluate,
-                                make_event, rescore)
+                                make_event, rescore, score)
 
 
 def test_worked_example_identity_multipliers():
@@ -161,8 +161,19 @@ def test_weighted_total_default_weights():
 
 # -- re-scoring is monotone in every equation term ----------------------------------
 
-_TIMESCALE_OF = {Source.PLAN_LOSS: Timescale.PLAN, Source.SELF_EVAL: Timescale.SELF_EVAL}
 SITE_SOURCES = [s for s in Source if s is not Source.META_AVERSION]  # a child, never a site
+
+
+def test_a_site_scores_on_its_sources_timescale():
+    """Plan and self-evaluation losses have their own timescales, every other
+    source is a step loss, and a MetaAversion child takes its parent's."""
+    assert sorted(TIMESCALE, key=SITE_SOURCES.index) == SITE_SOURCES
+    want = {Source.PLAN_LOSS: Timescale.PLAN, Source.SELF_EVAL: Timescale.SELF_EVAL}
+    for source in SITE_SOURCES:
+        events = score(LossSite(3, source, 2.0, 0.0), Terms(meta_aversion=True))
+        assert [(ev.source, ev.timescale) for ev in events] == [
+            (source, want.get(source, Timescale.STEP)),
+            (Source.META_AVERSION, want.get(source, Timescale.STEP))]
 
 
 @st.composite
@@ -171,8 +182,7 @@ def loss_sites(draw):
     sites = []
     for t in range(n):
         source = draw(st.sampled_from(SITE_SOURCES))
-        sites.append(LossSite(t, source, _TIMESCALE_OF.get(source, Timescale.STEP),
-                              draw(st.floats(-10, 10)), draw(st.floats(-10, 10))))
+        sites.append(LossSite(t, source, draw(st.floats(-10, 10)), draw(st.floats(-10, 10))))
     return sites
 
 
@@ -186,7 +196,7 @@ def test_site_log_reads_back_the_same_sites(sites):
     back = list(log)
     assert back == sites
     assert [tuple(map(type, s)) for s in back] == [tuple(map(type, s)) for s in sites]
-    assert [math.copysign(1.0, s.obtained) for s in back] == [
+    assert [math.copysign(1.0, obtained) for *_, obtained in back] == [
         math.copysign(1.0, s.obtained) for s in sites]
 
 

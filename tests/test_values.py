@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_world, reward
+from conftest import intended_next, make_world, neighbor_cells, reward
 from gridmind.replay import Experience
 from gridmind.values import (ExpectationBaseline, LearningParams, ValueStore,
                              chain_mdp, curiosity_bonus, epsilon_greedy,
@@ -76,7 +76,7 @@ def test_td_error_discounted():
 def test_td_update_full_step_assignment():
     p = LearningParams(alpha=1.0, **{k: SUBTRACTIVE[k] for k in SUBTRACTIVE})
     store = ValueStore()
-    exp = Experience(s=0, a=Action.STAY, r=1.0, s_next=0, t=0, terminal=True)
+    exp = Experience(s=0, a=Action.STAY, r=1.0, s_next=0, terminal=True)
     td_update(store, exp, p)
     assert store.v(0) == 1.0
     assert store.q(0, Action.STAY) == 1.0
@@ -90,15 +90,15 @@ def test_td_update_zero_alpha_changes_nothing():
     p = LearningParams(alpha=1e-12, gamma=0.9)
     store = ValueStore()
     store.V[0] = 0.5
-    exp = Experience(s=0, a=Action.STAY, r=1.0, s_next=1, t=0)
+    exp = Experience(s=0, a=Action.STAY, r=1.0, s_next=1)
     td_update(store, exp, p)
     assert store.v(0) == pytest.approx(0.5, abs=1e-9)
 
 
 CHAIN_EXPERIENCES = [
-    Experience(s=0, a=Action.EAST, r=-0.1, s_next=1, t=0),
-    Experience(s=1, a=Action.EAST, r=-0.1, s_next=2, t=1),
-    Experience(s=2, a=Action.STAY, r=1.0, s_next=2, t=2, terminal=True),
+    Experience(s=0, a=Action.EAST, r=-0.1, s_next=1),
+    Experience(s=1, a=Action.EAST, r=-0.1, s_next=2),
+    Experience(s=2, a=Action.STAY, r=1.0, s_next=2, terminal=True),
 ]
 
 
@@ -154,7 +154,7 @@ def finite_horizon_dp(world, gamma, horizon):
                 V_new[c] = V[c]
                 continue
             best = max(
-                landing_reward(world.intended_next(c, a)) + gamma * V[world.intended_next(c, a)]
+                landing_reward(intended_next(world, c, a)) + gamma * V[intended_next(world, c, a)]
                 for a in ACTIONS
             )
             V_new[c] = best
@@ -190,7 +190,7 @@ def bfs_distance(world, start, goal_cell):
         cell = queue.popleft()
         if cell == goal_cell:
             return seen[cell]
-        for nxt in world.neighbor_cells(cell):
+        for nxt in neighbor_cells(world, cell):
             if nxt not in seen:
                 seen[nxt] = seen[cell] + 1
                 queue.append(nxt)
@@ -200,15 +200,15 @@ def bfs_distance(world, start, goal_cell):
 def tick_experiences(world, s, a):
     """The live-loop learning convention for one deterministic tick."""
     cell = world.cell_of(s)
-    landed = world.intended_next(cell, a)
+    landed = intended_next(world, cell, a)
     obj = world.object_at(landed)
     s2 = world.state_id(landed)
     if obj is not None and obj.kind == "reward" and obj.consumable:
-        return [Experience(s=s, a=a, r=-world.step_cost, s_next=s2, t=0),
-                Experience(s=s2, a=Action.STAY, r=obj.magnitude, s_next=s2, t=0,
+        return [Experience(s=s, a=a, r=-world.step_cost, s_next=s2),
+                Experience(s=s2, a=Action.STAY, r=obj.magnitude, s_next=s2,
                            terminal=True)]
     r = -world.step_cost + (obj.signed_magnitude() if obj is not None else 0.0)
-    return [Experience(s=s, a=a, r=r, s_next=s2, t=0)]
+    return [Experience(s=s, a=a, r=r, s_next=s2)]
 
 
 @pytest.mark.parametrize("scheme", ["multiplicative", "subtractive"])
@@ -247,7 +247,7 @@ def test_greedy_path_length_equals_bfs(seed=3):
     assert dist is not None
     cell = (0, 0)
     for taken in range(1, 200):
-        cell = w.intended_next(cell, store.greedy_action(w.state_id(cell)))
+        cell = intended_next(w, cell, store.greedy_action(w.state_id(cell)))
         if cell == (7, 7):
             assert taken == dist
             return
@@ -343,11 +343,11 @@ def test_curiosity_coverage_on_reward_free_world():
         bound = 60 * len(all_pairs)
         s = w.state_id(w.start)
         seen = set()
-        for t in range(bound):
+        for _ in range(bound):
             a = epsilon_greedy(store, s, params, rng)
             bonus = curiosity_bonus(store, s, a, params)
             s2, r, _ = step(w, s, a, rng)
-            td_update(store, Experience(s=s, a=a, r=r + bonus, s_next=s2, t=t), params)
+            td_update(store, Experience(s=s, a=a, r=r + bonus, s_next=s2), params)
             seen.add((s, a))
             s = s2
             if seen == all_pairs:

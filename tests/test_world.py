@@ -3,12 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from conftest import hazard, make_world, reward
+from conftest import hazard, intended_next, make_world, neighbor_cells, reward
 from gridmind.inputs import InputError
-from gridmind.world import (ACTIONS, Action, Observation, Relocation, WorldError,
-                            apply_schedule, load_world, observe,
-                            reachable_states, step, world_from_ascii,
-                            world_from_dict)
+from gridmind.world import (ACTIONS, Action, Relocation, WorldError, apply_schedule,
+                            load_world, observe, step, world_from_ascii, world_from_dict)
 
 
 def test_step_cost_only(rng):
@@ -79,15 +77,14 @@ def test_observe_noiseless_channel(rng):
     w = make_world(observation_confusion=0.0)
     s = w.state_id((1, 1))
     for _ in range(20):
-        obs = observe(w, s, rng)
-        assert obs == Observation(s, False)
+        assert observe(w, s, rng) == s
 
 
 def test_observe_corruption_rate(rng):
     w = make_world(observation_confusion=0.2)
     s = w.state_id((1, 1))
     n = 10_000
-    corrupted = sum(observe(w, s, rng).confusion_applied for _ in range(n))
+    corrupted = sum(observe(w, s, rng) != s for _ in range(n))  # a report is never s itself
     sigma = (n * 0.2 * 0.8) ** 0.5
     assert abs(corrupted - n * 0.2) <= 3 * sigma
 
@@ -95,11 +92,11 @@ def test_observe_corruption_rate(rng):
 def test_observe_reports_neighbor_states(rng):
     w = make_world(observation_confusion=0.999)
     s = w.state_id((1, 1))
-    neighbors = {w.state_id(c) for c in w.neighbor_cells((1, 1))}
+    neighbors = {w.state_id(c) for c in neighbor_cells(w, (1, 1))}
     for _ in range(200):
-        obs = observe(w, s, rng)
-        assert obs.reported_state in neighbors | {s}
-        w.cell_of(obs.reported_state)  # still a valid state id
+        reported = observe(w, s, rng)
+        assert reported in neighbors | {s}
+        w.cell_of(reported)  # still a valid state id
 
 
 def test_apply_schedule_empty_is_identity():
@@ -163,8 +160,8 @@ def test_determinism_bit_exact():
         for i in range(200):
             a = ACTIONS[i % 5]
             s, r, c = step(w, s, a, r1)
-            obs = observe(w, s, r2)
-            out.append((s, r, c, obs.reported_state, obs.confusion_applied))
+            reported = observe(w, s, r2)
+            out.append((s, r, c, reported, reported != s))
             if c:
                 w.restore_consumed()
         return out
@@ -180,13 +177,25 @@ def transition_closure(world, origin):
     while frontier:
         cell = frontier.pop()
         for a in ACTIONS:
-            outcomes = [world.intended_next(cell, a)]
+            outcomes = [intended_next(world, cell, a)]
             if a is not Action.STAY and world.slip_probability > 0:
-                outcomes += [world.intended_next(cell, lat) for lat in LATERALS[a]]
+                outcomes += [intended_next(world, cell, lat) for lat in LATERALS[a]]
             for nxt in outcomes:
                 if nxt not in seen:
                     seen.add(nxt)
                     frontier.append(nxt)
+    return {world.state_id(c) for c in seen}
+
+
+def neighbor_closure(world, origin):
+    """The states a walk over the geometry's neighbour table reaches."""
+    seen = {origin}
+    frontier = [origin]
+    while frontier:
+        for nxt in neighbor_cells(world, frontier.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
     return {world.state_id(c) for c in seen}
 
 
@@ -200,7 +209,7 @@ def test_reachability_matches_transition_closure(seed):
     for cell in w.geometry.cells:
         if not w.is_free(cell):
             continue
-        assert reachable_states(w, cell) == transition_closure(w, cell)
+        assert neighbor_closure(w, cell) == transition_closure(w, cell)
 
 
 def test_reward_accounting_zero_slip(rng):
