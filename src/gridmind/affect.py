@@ -11,28 +11,26 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from statistics import mean
+from typing import Annotated
 
+from . import rng as rngmod
+from .inputs import Range, check
+from .planning import suggest_goals
 from .suffering import LossSite, Source
-from .world import WorldModel
+from .world import ACTIONS, WorldModel, observe, step
 
 
 @dataclass(frozen=True)
 class InterruptPolicy:
-    threat_threshold: float = math.inf
-    desire_threshold: float = 0.8
-    miss_cost: float = 1.0
-    false_alarm_cost: float = 0.1
-    decay_length: float = 1.0
-    interrupt_cost: float = 0.0  # optional extra charge per threat interrupt
+    threat_threshold: Annotated[float, Range(0, inf=True)] = math.inf  # inf: no alarm
+    desire_threshold: Annotated[float, Range(inf=True)] = 0.8
+    miss_cost: Annotated[float, Range(0)] = 1.0
+    false_alarm_cost: Annotated[float, Range(0)] = 0.1
+    decay_length: Annotated[float, Range(0, lo_open=True)] = 1.0
+    interrupt_cost: Annotated[float, Range(0)] = 0.0  # optional extra charge per threat interrupt
 
     def __post_init__(self):
-        for name in ("threat_threshold", "miss_cost", "false_alarm_cost", "interrupt_cost"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0")
-        if math.isnan(self.desire_threshold):
-            raise ValueError("desire_threshold must be a number")
-        if self.decay_length <= 0:
-            raise ValueError("decay_length must be > 0")
+        check(self)
 
 
 class InterruptKind(Enum):
@@ -68,8 +66,6 @@ def check_interrupts(agent, s: int, policy: InterruptPolicy):
         return Interrupt(InterruptKind.THREAT, {"threat_level": level})
     intention = getattr(agent, "intention", None)
     if intention is not None and not intention.terminal:
-        from .planning import suggest_goals
-
         for goal in suggest_goals(agent.world, agent.store, s,
                                   reach=agent.goal_reach,
                                   threshold=policy.desire_threshold):
@@ -94,9 +90,6 @@ def sweep_threshold(worlds, thresholds, policy: InterruptPolicy, seeds, *,
     hazard within one step of the true cell; a miss is hazard damage with
     no fire at that step's check.
     """
-    from . import rng as rngmod
-    from .world import ACTIONS, observe, step
-
     if len(thresholds) < 2:
         raise ValueError("need at least two thresholds to sweep")
     if isinstance(worlds, WorldModel):
@@ -145,21 +138,14 @@ def sweep_threshold(worlds, thresholds, policy: InterruptPolicy, seeds, *,
 
 @dataclass(frozen=True)
 class SelfModel:
-    evaluation_window: int = 5
-    standard: float = 0.0
-    meta_rate: float = 0.0
-    failure_limit: int = 3
-    cooldown: int = 25
+    evaluation_window: Annotated[int, Range(1)] = 5
+    standard: Annotated[float, Range()] = 0.0
+    meta_rate: Annotated[float, Range(0, 1)] = 0.0
+    failure_limit: Annotated[int, Range(1)] = 3
+    cooldown: Annotated[int, Range(0)] = 25
 
     def __post_init__(self):
-        if self.evaluation_window < 1:
-            raise ValueError("evaluation_window must be positive")
-        if not 0.0 <= self.meta_rate <= 1.0:
-            raise ValueError("meta_rate must be in [0, 1]")
-        if self.failure_limit < 1:
-            raise ValueError("failure_limit must be positive")
-        if self.cooldown < 0:
-            raise ValueError("cooldown must be >= 0")
+        check(self)
 
 
 @dataclass

@@ -48,6 +48,8 @@ class Agent:
 
         self.learning = config.learning
         self.plan_params = config.planning
+        # an imagined rollout plans as the agent does, as deep as the rollout
+        self.rollout_search = replace(config.planning, max_depth=config.wandering.rollout_depth)
         self.wandering = config.wandering
         self.interrupts = config.interrupts
         self.self_model = config.self_model

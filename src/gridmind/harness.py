@@ -9,15 +9,16 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import statistics
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import Annotated
 
 from . import inputs
 from .agent import Agent
 from .affect import InterruptPolicy, SelfModel
+from .inputs import Range
 from .interventions import InterventionConfig, apply, by_name, canonical_suite, terms
 from .planning import PlanSearchParams
 from .presets import PRESETS, get_world
@@ -48,7 +49,7 @@ MAX_WORLDS = 100
 @dataclass(frozen=True)
 class RunConfig:
     world: str = "corridor"   # preset name or file path (a WorldModel from Python)
-    steps: int = 1000
+    steps: Annotated[int, Range(0, inputs.MAX_STEPS)] = 1000
     seed: int = 0
     learning: LearningParams = field(default_factory=LearningParams)
     planning: PlanSearchParams = field(default_factory=PlanSearchParams)
@@ -56,34 +57,26 @@ class RunConfig:
     interrupts: InterruptPolicy = field(default_factory=InterruptPolicy)
     self_model: SelfModel = field(default_factory=SelfModel)
     intervention: InterventionConfig = field(default_factory=InterventionConfig)
-    goal_reach: int = 4
-    goal_threshold: float = 0.1
-    attention: float = 1.0
+    goal_reach: Annotated[int, Range(1)] = 4
+    goal_threshold: Annotated[float, Range()] = 0.1
+    attention: Annotated[float, Range(0)] = 1.0
     policy: str = "learned"
-    episode_step_limit: int = 200
-    buffer_capacity: int = 10_000
-    baseline_level: float = 0.0
-    baseline_rate: float = 0.1
-    desire_cost: float = 0.0
+    episode_step_limit: Annotated[int, Range(1)] = 200
+    buffer_capacity: Annotated[int, Range(1, 10 ** 7)] = 10_000
+    baseline_level: Annotated[float, Range()] = 0.0
+    baseline_rate: Annotated[float, Range(0, 1)] = 0.1
+    desire_cost: Annotated[float, Range(0)] = 0.0
     meta_aversion: bool = False
-    meta_aversion_scale: float = 0.5
-    depression_stay_bias: float = 0.75
+    meta_aversion_scale: Annotated[float, Range(0)] = 0.5
+    depression_stay_bias: Annotated[float, Range(0, 1)] = 0.75
     trace: bool = False
 
     def __post_init__(self):
-        for name, ok, rule in (
-                ("steps", 0 <= self.steps <= inputs.MAX_STEPS, f"in [0, {inputs.MAX_STEPS}]"),
-                ("seed", 0 <= self.seed < 2 ** 64, "an integer that fits in 64 unsigned bits"),
-                ("policy", self.policy in ("learned", "random"), "'learned' or 'random'"),
-                ("episode_step_limit", self.episode_step_limit >= 1, ">= 1"),
-                ("goal_reach", self.goal_reach >= 1, ">= 1"),
-                ("attention", 0 <= self.attention < math.inf, "finite and >= 0"),
-                ("depression_stay_bias", 0 <= self.depression_stay_bias <= 1, "in [0, 1]"),
-                ("desire_cost", self.desire_cost >= 0, ">= 0"),
-                ("buffer_capacity", 1 <= self.buffer_capacity <= 10 ** 7, "in [1, 10**7]"),
-                ("baseline_rate", 0 <= self.baseline_rate <= 1, "in [0, 1]")):
-            if not ok:
-                raise ValueError(f"{name} must be {rule}")
+        inputs.check(self)
+        if not (inputs.is_integer(self.seed) and 0 <= self.seed < 2 ** 64):
+            raise ValueError("seed must be an integer that fits in 64 unsigned bits")
+        if self.policy not in ("learned", "random"):
+            raise ValueError("policy must be 'learned' or 'random'")
 
     def world_name(self) -> str:
         if isinstance(self.world, str):
@@ -92,15 +85,6 @@ class RunConfig:
 
     def run_id(self) -> str:
         return f"{self.intervention.name}_{self.world_name()}_{self.seed}"
-
-
-def _learning(value, path: str) -> LearningParams:
-    """A ``step_penalty`` selects the subtractive scheme: ``gamma`` defaults to null."""
-    if isinstance(value, dict) and value.get("step_penalty") is not None:
-        if value.get("gamma") is not None:
-            raise ConfigError(path, "set either gamma or step_penalty, not both")
-        value = {"gamma": None, **value}
-    return inputs.section(LearningParams, value, path)
 
 
 def _intervention(value, path: str) -> InterventionConfig:
@@ -114,12 +98,12 @@ def _intervention(value, path: str) -> InterventionConfig:
 
 
 # The readers of the run fields that are not read by their annotation.
-_READERS = {"learning": _learning, "intervention": _intervention}
+_READERS = {"intervention": _intervention}
 
 
 def config_from_dict(data) -> RunConfig:
     config = inputs.section(RunConfig, data, "", _READERS)
-    validate_config(config)
+    open_world(config.world)  # a world that does not load is bad input
     return config
 
 
@@ -133,17 +117,6 @@ def open_world(name_or_path) -> WorldModel:
         return get_world(name_or_path)
     except (OSError, ValueError, WorldError, inputs.InputError) as exc:
         raise ConfigError("world", str(exc)) from None
-
-
-def validate_config(config: RunConfig) -> WorldModel:
-    """The run's world, after the checks that need it."""
-    world = open_world(config.world)
-    if config.learning.subtractive and config.learning.step_penalty != world.step_cost:
-        raise ConfigError(
-            "learning.step_penalty",
-            f"subtractive runs must match the world's step_cost "
-            f"({world.step_cost}), got {config.learning.step_penalty}")
-    return world
 
 
 def sweep_from_dict(data) -> tuple:
@@ -209,7 +182,7 @@ def run(config: RunConfig, out_dir=None) -> tuple[Agent, dict]:
     """Execute one seeded run and score its loss sites once; optionally write
     events.csv (a row as each event is scored, so none is kept), summary.json
     and, when tracing, trace.csv into out_dir. Deterministic per config."""
-    world = validate_config(config)
+    world = open_world(config.world)
     agent = Agent(config, world, config.seed)
     agent.run(config.steps)
     if out_dir is None:

@@ -3,8 +3,10 @@ configs, experiment matrices, sweep policies, world files).
 
 A reader ``read(value, path)`` returns the value as given (an int stays an
 int) or raises InputError with the value's dotted path (``seeds[2]``,
-``objects[0].kind``). Readers check JSON types; the range rules of a
-config section stay in its dataclass's ``__post_init__``.
+``objects[0].kind``). Readers check JSON types. The range of a numeric
+config field is declared beside it (``Annotated[float, Range(0, 1)]``) and
+enforced by ``check``, which each config dataclass's ``__post_init__``
+calls, so JSON input and Python construction meet the same rule.
 """
 
 from __future__ import annotations
@@ -54,13 +56,69 @@ MAX_SEEDS = 10 ** 6  # the largest seed count, so a typo cannot exhaust memory
 MAX_STEPS = 10 ** 6
 
 
+def not_a_number(value) -> str:
+    """Why ``value`` is not a finite number within +-BOUND; '' when it is."""
+    if not (isinstance(value, float) or is_integer(value)) or not -math.inf < value < math.inf:
+        return "must be a finite number"
+    return f"must be within +-{BOUND:g}" if abs(value) > BOUND else ""
+
+
 def number(value, path: str):
     """A finite number within +-BOUND."""
-    if not (is_integer(value) or isinstance(value, float)) or not -math.inf < value < math.inf:
-        raise InputError(path, "must be a finite number")
-    if abs(value) > BOUND:
-        raise InputError(path, f"must be within +-{BOUND:g}")
+    if problem := not_a_number(value):
+        raise InputError(path, problem)
     return value
+
+
+@dataclasses.dataclass(frozen=True)
+class Range:
+    """The rule of a numeric config field, declared beside it as
+    ``Annotated[float, Range(0, 1)]``: at least ``lo`` and at most ``hi``
+    where given, each bound closed unless marked open. An int field holds an
+    integer, never a bool; a float field a number as ``number`` reads it,
+    or +inf where ``inf`` admits it."""
+    lo: float | None = None
+    hi: float | None = None
+    lo_open: bool = False
+    hi_open: bool = False
+    inf: bool = False
+
+    def __str__(self) -> str:
+        if self.hi is None:
+            return f"{'>' if self.lo_open else '>='} {self.lo}"
+        return f"in {'(' if self.lo_open else '['}{self.lo}, {self.hi}{')' if self.hi_open else ']'}"
+
+    def holds(self, v) -> bool:
+        lo, hi = self.lo, self.hi
+        return ((lo is None or (lo < v if self.lo_open else lo <= v))
+                and (hi is None or (v < hi if self.hi_open else v <= hi)))
+
+
+@functools.cache
+def rules(cls) -> tuple:
+    """``(name, rule, int field, takes None)`` for each field of the
+    dataclass ``cls`` that declares a Range."""
+    out = []
+    for name, hint in typing.get_type_hints(cls, include_extras=True).items():
+        if typing.get_origin(hint) is typing.Annotated:
+            tp, rule = typing.get_args(hint)
+            out.append((name, rule, tp is int, type(None) in typing.get_args(tp)))
+    return tuple(out)
+
+
+def check(obj) -> None:
+    """Raise ``ValueError("<field> must be <rule>")`` for the first field of
+    the dataclass ``obj`` that breaks its declared Range; NaN never passes."""
+    for name, rule, integral, optional in rules(type(obj)):
+        v = getattr(obj, name)
+        if v is None and optional or rule.inf and v == math.inf:
+            continue
+        if integral and not is_integer(v):
+            raise ValueError(f"{name} must be an integer")
+        if not integral and (problem := not_a_number(v)):
+            raise ValueError(f"{name} {problem}")
+        if not rule.holds(v):
+            raise ValueError(f"{name} must be {rule}")
 
 
 integer = reader(is_integer, "must be an integer")

@@ -16,37 +16,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
+from .inputs import Range, check
 from .suffering import Terms, certainty_of
 
 
 @dataclass(frozen=True)
 class InterventionConfig:
     name: str = "baseline"
-    expectation_scale: float = 1.0
-    certainty_scale: float = 1.0
-    attention_scale: float = 1.0
-    p_wander_override: float | None = None
-    realness_override: float | None = None
-    desire_threshold_delta: float = 0.0
-    self_standard_scale: float = 1.0
+    expectation_scale: Annotated[float, Range(0, 1)] = 1.0
+    certainty_scale: Annotated[float, Range(0, 1)] = 1.0
+    attention_scale: Annotated[float, Range(0, 1)] = 1.0
+    p_wander_override: Annotated[float | None, Range(0, 1)] = None
+    realness_override: Annotated[float | None, Range(0, 1)] = None
+    desire_threshold_delta: Annotated[float, Range(0)] = 0.0
+    self_standard_scale: Annotated[float, Range(0, 1)] = 1.0
     acceptance: bool = False
     coupled: bool = False  # when set, expectation_scale also scales desire
 
     def __post_init__(self):
+        check(self)
         if "/" in self.name or "\0" in self.name:
             raise ValueError("name must not contain '/' or NUL: it names output files")
-        for field_name in ("expectation_scale", "certainty_scale",
-                           "attention_scale", "self_standard_scale"):
-            v = getattr(self, field_name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{field_name} must be in [0, 1]")
-        for field_name in ("p_wander_override", "realness_override"):
-            v = getattr(self, field_name)
-            if v is not None and not 0.0 <= v <= 1.0:
-                raise ValueError(f"{field_name} must be in [0, 1]")
-        if not self.desire_threshold_delta >= 0:
-            raise ValueError("desire_threshold_delta must be >= 0")
 
 
 def apply(config, iv: InterventionConfig) -> tuple:

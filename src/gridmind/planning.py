@@ -12,8 +12,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
+from typing import Annotated, NamedTuple
 
+from .inputs import Range, check
 from .suffering import LossSite, Source
 from .values import ValueStore
 from .world import MOVES, WorldModel
@@ -86,16 +87,12 @@ class Intention:
 
 @dataclass(frozen=True)
 class PlanSearchParams:
-    max_depth: int = 12
-    branching_cap: int = 5
-    heuristic_weight: float = 1.0
+    max_depth: Annotated[int, Range(1)] = 12
+    branching_cap: Annotated[int, Range(1)] = 5
+    heuristic_weight: Annotated[float, Range(0)] = 1.0
 
     def __post_init__(self):
-        for name in ("max_depth", "branching_cap"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.heuristic_weight < 0:
-            raise ValueError("heuristic_weight must be >= 0")
+        check(self)
 
 
 def suggest_goals(model: WorldModel, store: ValueStore, s: int, reach: int,

@@ -8,12 +8,15 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
 from . import rng as rngmod
+from .inputs import Range, check
+from .planning import plan_search, suggest_goals
 from .suffering import LossSite, Source
-from .values import step_expectation, td_update
+from .values import epsilon_greedy, step_expectation, td_update
 from .world import Action
 
 
@@ -208,20 +211,14 @@ MAX_BATCH_SIZE = MAX_ROLLOUT_DEPTH = 1000
 
 @dataclass(frozen=True)
 class WanderingParams:
-    p_wander: float = 0.2
-    batch_size: int = 4
-    mode_mix: float = 0.7   # share of replay items; the rest are simulated
-    realness: float = 0.5   # how seriously simulated content is taken
-    rollout_depth: int = 4
+    p_wander: Annotated[float, Range(0, 1)] = 0.2
+    batch_size: Annotated[int, Range(1, MAX_BATCH_SIZE)] = 4
+    mode_mix: Annotated[float, Range(0, 1)] = 0.7  # share of replay items; the rest are simulated
+    realness: Annotated[float, Range(0, 1)] = 0.5  # how seriously simulated content is taken
+    rollout_depth: Annotated[int, Range(1, MAX_ROLLOUT_DEPTH)] = 4
 
     def __post_init__(self):
-        for name in ("p_wander", "mode_mix", "realness"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-        for name, cap in (("batch_size", MAX_BATCH_SIZE), ("rollout_depth", MAX_ROLLOUT_DEPTH)):
-            if not 1 <= getattr(self, name) <= cap:
-                raise ValueError(f"{name} must be in [1, {cap}]")
+        check(self)
 
 
 def wandering_step(agent, t: int) -> list:
@@ -277,9 +274,6 @@ def _imagine_rollout(agent, rng):
     Dyna updates and real updates pull the value function toward the same
     fixed point.
     """
-    from .planning import PlanSearchParams, plan_search, suggest_goals
-    from .values import epsilon_greedy
-
     world = agent.world
     geo = world.geometry
     s = agent.s_true
@@ -287,12 +281,7 @@ def _imagine_rollout(agent, rng):
     goals = suggest_goals(world, agent.store, s, reach=agent.wandering.rollout_depth,
                           threshold=agent.goal_threshold)
     if goals:
-        search = PlanSearchParams(
-            max_depth=agent.wandering.rollout_depth,
-            branching_cap=agent.plan_params.branching_cap,
-            heuristic_weight=agent.plan_params.heuristic_weight,
-        )
-        plan = plan_search(world, s, goals[0], agent.store, search)
+        plan = plan_search(world, s, goals[0], agent.store, agent.rollout_search)
     sites = []
     sim_s = s
     for depth in range(agent.wandering.rollout_depth):

@@ -22,7 +22,9 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import Annotated, NamedTuple
+
+from .inputs import Range, check
 
 
 class LedgerError(Exception):
@@ -68,7 +70,7 @@ def evaluate(expected: float, obtained: float, certainty: float,
     """Score one event with the frustration equation."""
     if not 0.0 <= certainty <= 1.0:
         raise LedgerError(f"certainty {certainty} outside [0, 1]")
-    if attention < 0:
+    if not attention >= 0:
         raise LedgerError(f"attention {attention} must be >= 0")
     if count < 1:
         raise LedgerError(f"count {count} must be >= 1")
@@ -171,13 +173,16 @@ class SiteLog:
 @dataclass(frozen=True)
 class Terms:
     """The equation terms a run scores its loss sites with."""
-    expectation_scale: float = 1.0
-    certainty: float = 1.0
-    attention: float = 1.0
-    realness: float = 1.0            # attention multiplier of wander events
-    standard_scale: float = 1.0
+    expectation_scale: Annotated[float, Range(0, 1)] = 1.0
+    certainty: Annotated[float, Range(0, 1)] = 1.0
+    attention: Annotated[float, Range(0)] = 1.0
+    realness: Annotated[float, Range(0, 1)] = 1.0  # attention multiplier of wander events
+    standard_scale: Annotated[float, Range(0, 1)] = 1.0
     meta_aversion: bool = False      # already gated off by acceptance
-    meta_aversion_scale: float = 0.5
+    meta_aversion_scale: Annotated[float, Range(0)] = 0.5
+
+    def __post_init__(self):
+        check(self)
 
 
 # Sources whose expectation the expectation scale lowers; threat and desire

@@ -4,18 +4,20 @@ exploration, curiosity bonus, and the adaptive expectation baseline.
 Two value schemes are supported and never mixed in one run:
 
 * multiplicative — standard discounting with gamma in [0, 1];
-* subtractive    — no discounting (effective gamma 1); a per-step penalty
-  is charged inside the reward stream, with the world's step_cost playing
-  that role for gridworld runs.
+* subtractive    — gamma None: no discounting (effective gamma 1); the
+  per-step penalty is charged inside the reward stream, where the world's
+  step_cost plays that role.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Annotated
 
 import numpy as np
 
+from .inputs import Range, check
 from .world import ACTIONS, LATERALS, Action, WorldModel
 
 
@@ -25,29 +27,17 @@ class ValueIterationError(Exception):
 
 @dataclass(frozen=True)
 class LearningParams:
-    alpha: float = 0.1
-    gamma: float | None = 0.9
-    step_penalty: float | None = None
-    epsilon: float = 0.1
-    curiosity_kappa: float = 0.0
+    alpha: Annotated[float, Range(0, 1, lo_open=True)] = 0.1
+    gamma: Annotated[float | None, Range(0, 1)] = 0.9  # None: the subtractive scheme
+    epsilon: Annotated[float, Range(0, 1)] = 0.1
+    curiosity_kappa: Annotated[float, Range(0)] = 0.0
 
     def __post_init__(self):
-        if (self.gamma is None) == (self.step_penalty is None):
-            raise ValueError("exactly one of gamma / step_penalty must be set")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if self.gamma is not None and not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must be in [0, 1]")
-        if self.step_penalty is not None and not self.step_penalty >= 0:
-            raise ValueError("step_penalty must be >= 0")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must be in [0, 1]")
-        if not self.curiosity_kappa >= 0:
-            raise ValueError("curiosity_kappa must be >= 0")
+        check(self)
 
     @property
     def subtractive(self) -> bool:
-        return self.step_penalty is not None
+        return self.gamma is None
 
     @property
     def disc(self) -> float:
@@ -89,12 +79,11 @@ class ValueStore:
 
 @dataclass(frozen=True)
 class ExpectationBaseline:
-    level: float = 0.0
-    adaptation_rate: float = 0.1
+    level: float = 0.0  # moved by the run's episode rewards; RunConfig checks the start
+    adaptation_rate: Annotated[float, Range(0, 1)] = 0.1
 
     def __post_init__(self):
-        if not 0.0 <= self.adaptation_rate <= 1.0:
-            raise ValueError("adaptation_rate must be in [0, 1]")
+        check(self)
 
 
 def reward_loss(expected: float, obtained: float) -> float:

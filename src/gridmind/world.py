@@ -162,7 +162,7 @@ class WorldModel:
             raise WorldError("width and height must be positive")
         if not 0.0 <= self.slip_probability <= 1.0:
             raise WorldError("slip_probability must be in [0, 1]")
-        if self.step_cost < 0:
+        if not self.step_cost >= 0:
             raise WorldError("step_cost must be >= 0")
         if not 0.0 <= self.observation_confusion < 1.0:
             raise WorldError("observation_confusion must be in [0, 1)")
@@ -174,7 +174,7 @@ class WorldModel:
         for obj in self.objects.values():
             if not self.is_free(obj.at):
                 raise WorldError(f"object {obj.oid!r} sits on a wall or out of bounds")
-            if obj.magnitude <= 0:
+            if not obj.magnitude > 0:
                 raise WorldError(f"object {obj.oid!r} must have magnitude > 0")
             if obj.kind not in ("reward", "hazard"):
                 raise WorldError(f"object {obj.oid!r} has unknown kind {obj.kind!r}")

@@ -31,7 +31,7 @@ def ok(n, msg):
 
 
 def test_criterion_01_bellman_chain():
-    params = LearningParams(gamma=None, step_penalty=0.1)
+    params = LearningParams(gamma=None)
     mdp = chain_mdp(3, terminal_value=1.0, step_penalty=0.1)
     value_iteration(mdp, params, tol=1e-12)  # warm the path
     t0 = time.perf_counter()
@@ -92,7 +92,7 @@ def test_criterion_04_td_fixed_point_and_greedy_paths():
     t0 = time.perf_counter()
     checked = 0
     for seed, params in [(0, LearningParams(gamma=0.9)),
-                         (1, LearningParams(gamma=None, step_penalty=0.1)),
+                         (1, LearningParams(gamma=None)),
                          (2, LearningParams(gamma=0.9))]:
         rng = np.random.default_rng(seed)
         walls = {(int(x), int(y)) for x, y in rng.integers(1, 7, size=(6, 2))}
@@ -179,7 +179,7 @@ def test_criterion_06_rooms_backward_sweep():
         buf.append(exp)
     store = ValueStore()
     backward_sweep(buf, seed_index=2, k=3, store=store,
-                   params=LearningParams(alpha=1.0, gamma=None, step_penalty=0.1))
+                   params=LearningParams(alpha=1.0, gamma=None))
     assert abs(store.v(42) - 1.0) < 1e-9
     assert abs(store.v(13) - 0.9) < 1e-9
     assert abs(store.v(21) - 0.8) < 1e-9

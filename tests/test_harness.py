@@ -14,7 +14,6 @@ from gridmind import rng as rngmod
 from gridmind.cli import main as cli_main
 from gridmind.harness import (EVENT_COLUMNS, ConfigError, config_from_dict,
                               experiment, load_config, run)
-from gridmind.presets import get_world
 from gridmind.inputs import InputError
 from gridmind.world import world_from_dict
 
@@ -62,15 +61,6 @@ def test_config_rejects_both_schemes():
     with pytest.raises(ConfigError):
         config_from_dict({**BASE_CONFIG,
                           "learning": {"gamma": 0.9, "step_penalty": 0.1}})
-
-
-def test_config_subtractive_must_match_step_cost():
-    data = {**BASE_CONFIG, "learning": {"step_penalty": 0.25}}
-    with pytest.raises(ConfigError) as err:
-        config_from_dict(data)
-    assert "step_penalty" in str(err.value)
-    ok = {**BASE_CONFIG, "learning": {"step_penalty": 0.05}}  # corridor's cost
-    assert config_from_dict(ok).learning.subtractive
 
 
 def test_config_unknown_intervention():
@@ -259,6 +249,26 @@ def test_cli_simulate_of_the_shipped_config_is_golden(tmp_path, capsys):
         assert hashlib.sha256(written).hexdigest() == digest, name
 
 
+
+SUBTRACTIVE_RUN_DIGESTS = {
+    "events.csv": "aa55473cf177cee96683cbdcda5bafde8d9643a753bccbadc07797abfe8ccfe1",
+    "summary.json": "0ccbd4d1aebdbd3cc4cc5073f0b482c493f853a7efd506379dd282dfe71e6b14",
+}
+
+
+def test_shipped_config_with_gamma_null_is_golden(tmp_path):
+    """``gamma: null`` selects the subtractive scheme, whose per-step charge
+    is the world's step cost (0.1 in loss_heavy)."""
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "run.json"
+    data = json.loads(shipped.read_text())
+    data["learning"] = {**data["learning"], "gamma": None}
+    config = config_from_dict(data)
+    assert config.learning.subtractive and config.learning.disc == 1.0
+    run(config, out_dir=tmp_path)
+    for name, digest in SUBTRACTIVE_RUN_DIGESTS.items():
+        written = (tmp_path / f"baseline_loss_heavy_0_{name}").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == digest, name
+
 def test_cli_validate_only(tmp_path, capsys):
     config_path = tmp_path / "run.json"
     config_path.write_text(json.dumps(BASE_CONFIG))
@@ -367,7 +377,6 @@ def test_cli_bad_matrix_base_exits_2(tmp_path, base, path):
 
 @pytest.mark.parametrize("section, value, path", [
     ("learning", {"curiosity_kappa": "NaN"}, "learning.curiosity_kappa"),
-    ("learning", {"step_penalty": "NaN"}, "learning.step_penalty"),
     ("intervention", {"name": "x", "desire_threshold_delta": "NaN"},
      "intervention.desire_threshold_delta"),
     ("interrupts", {"threat_threshold": "NaN"}, "interrupts.threat_threshold"),
@@ -391,17 +400,13 @@ def test_infinite_threat_threshold_stays_legal():
 
 
 def test_experiment_checks_world_dependent_fields_per_cell():
-    """A base that is valid in one world only (a step penalty matching
-    loss_heavy's step cost) fails the other world's cells, not the matrix."""
-    step_cost = get_world("loss_heavy").step_cost
-    assert get_world("corridor").step_cost != step_cost
-    matrix = {"interventions": ["baseline"], "worlds": ["corridor", "loss_heavy"],
-              "seeds": [0], "steps": 20,
-              "base": {"learning": {"step_penalty": step_cost}}}
+    """A world that does not load fails its own cells, not the matrix."""
+    matrix = {"interventions": ["baseline"], "worlds": ["no_such_world", "loss_heavy"],
+              "seeds": [0], "steps": 20}
     rows, failures = experiment(matrix)
     statuses = {r["world"]: r["status"] for r in rows if r["seed"] == "0"}
     assert failures == 1
-    assert statuses["corridor"].startswith("failed: learning.step_penalty")
+    assert statuses["no_such_world"].startswith("failed: world:")
     assert statuses["loss_heavy"] == "ok"
 
 

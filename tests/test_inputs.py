@@ -16,9 +16,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gridmind import harness, inputs, world
-from gridmind.affect import InterruptPolicy
+from gridmind.affect import InterruptPolicy, SelfModel
 from gridmind.cli import main as cli_main
 from gridmind.harness import RunConfig, config_from_dict, experiment, run
+from gridmind.planning import PlanSearchParams
+from gridmind.suffering import Terms
+from gridmind.values import ExpectationBaseline
 
 RUN = {"world": "loss_heavy", "steps": 30, "seed": 0}
 MATRIX = {"interventions": ["baseline"], "worlds": ["loss_heavy"], "seeds": [0], "steps": 20}
@@ -286,6 +289,99 @@ def test_huge_int_is_not_a_finite_number():
     assert exc.value.path == "attention"
 
 
+
+# -- declared rules: one per numeric field, from Python as from JSON ---------------
+
+
+def sections(config=RunConfig(), path=""):
+    """(class, dotted path prefix) of the run config and each section under it."""
+    yield type(config), path
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            yield from sections(value, f"{path}{f.name}.")
+
+
+# Every declared rule; the classes a run config does not hold have no JSON path.
+RULES = [(cls, prefix, name, rule, integral)
+         for cls, prefix in [*sections(), (ExpectationBaseline, None), (Terms, None)]
+         for name, rule, integral, _ in inputs.rules(cls)]
+
+
+def finite_bounds(rule, integral) -> list:
+    """(bound, closed, direction outward) of each finite bound; a float
+    field is held within +-BOUND where its rule sets no bound."""
+    lo, hi = rule.lo, rule.hi
+    if not integral:
+        lo = -inputs.BOUND if lo is None else lo
+        hi = inputs.BOUND if hi is None else hi
+    return [(b, not is_open, d) for b, is_open, d in ((lo, rule.lo_open, -1),
+                                                      (hi, rule.hi_open, 1)) if b is not None]
+
+
+def test_declared_rules_cover_every_section():
+    assert {prefix for _, prefix, *_ in RULES} >= {"", "learning.", "planning.", "wandering.",
+                                                  "interrupts.", "self_model.", "intervention."}
+    assert ("", "steps") in {(prefix, name) for _, prefix, name, *_ in RULES}
+    assert [name for _, _, name, rule, _ in RULES if rule.inf] == ["threat_threshold",
+                                                                   "desire_threshold"]
+
+
+@pytest.mark.parametrize("cls, prefix, name, rule, integral", RULES,
+                         ids=[f"{cls.__name__}.{name}" for cls, _, name, *_ in RULES])
+def test_a_declared_rule_holds_from_python_and_from_json(cls, prefix, name, rule, integral):
+    refused = [math.nan, -math.inf] + ([] if rule.inf else [math.inf])
+    accepted = [next(f.default for f in fields(cls) if f.name == name)]
+    for bound, closed, outward in finite_bounds(rule, integral):
+        if closed:
+            accepted.append(bound)
+            refused.append(bound + outward if integral else math.nextafter(bound, outward * math.inf))
+        else:
+            refused.append(bound)
+    if integral:
+        refused += [2.5, True]
+    for value in refused:
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            cls(**{name: value})
+        if prefix is not None:
+            with pytest.raises(inputs.InputError) as exc:
+                config_from_dict(put(RUN, prefix + name, value))
+            assert exc.value.path == prefix + name, value
+    for value in accepted:
+        assert getattr(cls(**{name: value}), name) == value
+        if prefix is not None:
+            config = config_from_dict(put(RUN, prefix + name, value))
+            for key in prefix.split(".")[:-1]:
+                config = getattr(config, key)
+            assert getattr(config, name) == value
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: RunConfig(desire_cost=math.inf), "desire_cost"),
+    (lambda: RunConfig(baseline_level=math.nan), "baseline_level"),
+    (lambda: RunConfig(meta_aversion=True, meta_aversion_scale=math.nan), "meta_aversion_scale"),
+    (lambda: InterruptPolicy(decay_length=math.nan), "decay_length"),
+    (lambda: PlanSearchParams(heuristic_weight=math.nan), "heuristic_weight"),
+    (lambda: PlanSearchParams(max_depth=math.nan), "max_depth"),
+    (lambda: SelfModel(evaluation_window=math.nan), "evaluation_window"),
+    (lambda: SelfModel(failure_limit=math.nan), "failure_limit"),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_python_api_refuses_non_finite_values_at_construction(make, name):
+    """Each of these once built a config that ran to nan in events.csv or
+    to a crash in json.dump after the whole simulation."""
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        make()
+
+
+def test_step_penalty_is_an_unknown_field(tmp_path, capsys):
+    """The subtractive scheme is ``gamma: null``; its step charge is the world's."""
+    text = json.dumps({**RUN, "learning": {"step_penalty": 0.05}})
+    assert cli(tmp_path, "simulate", text, "--validate-only") == 2
+    assert "invalid config: learning.step_penalty: unknown field" in capsys.readouterr().err
+    text = json.dumps({**RUN, "learning": {"gamma": None}})
+    assert cli(tmp_path, "simulate", text, "--validate-only") == 0
+    assert config_from_dict(json.loads(text)).learning.subtractive
+
 def test_run_builds_its_world_once(monkeypatch):
     calls = []
 
@@ -367,6 +463,6 @@ def test_random_input_exits_0_or_2_without_a_traceback(command, data, capsys):
         if code == 1:  # failed cells: only the checks that need each cell's world
             assert command == "experiment"
             for status in failed_statuses(Path(tmp) / "out"):
-                assert status.startswith(("failed: world:", "failed: learning.step_penalty:"))
+                assert status.startswith("failed: world:")
         else:
             assert code in (0, 2), err

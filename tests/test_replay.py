@@ -19,7 +19,7 @@ from gridmind.values import LearningParams, ValueStore, td_update
 from gridmind.world import Action
 
 
-SUB = dict(gamma=None, step_penalty=0.1)
+SUB = dict(gamma=None)
 
 # The rooms trajectory: 21 -> 13 -> 42, reward found in room 42.
 ROOMS = [
@@ -146,8 +146,7 @@ values_st = st.dictionaries(st.integers(0, MAX_STATE + 20),
 
 params_st = st.one_of(
     st.builds(lambda g: LearningParams(gamma=g), st.floats(0.0, 1.0)),
-    st.builds(lambda sp: LearningParams(gamma=None, step_penalty=sp),
-              st.floats(0.0, 1.0)))
+    st.just(LearningParams(gamma=None)))
 
 
 # Few distinct transitions, so items share transition keys, and more items
@@ -308,7 +307,7 @@ def loss_agent(p_wander=1.0, realness=1.0, mode_mix=1.0, seed=0, **config_kw):
     w = make_world(width=3, height=1, step_cost=0.0)
     config = RunConfig(
         world=w, steps=0, seed=seed,
-        learning=LearningParams(alpha=0.5, gamma=None, step_penalty=0.0, epsilon=0.0),
+        learning=LearningParams(alpha=0.5, gamma=None, epsilon=0.0),
         wandering=WanderingParams(p_wander=p_wander, batch_size=1,
                                   mode_mix=mode_mix, realness=realness),
         **config_kw,
@@ -358,8 +357,7 @@ def test_empty_buffer_wanders_in_imagination_only():
     w = make_world(width=3, height=1, step_cost=0.0,
                    objects={"g": reward("g", 1.0, (2, 0))})
     config = RunConfig(world=w, steps=0, seed=3,
-                       learning=LearningParams(alpha=0.5, gamma=None,
-                                               step_penalty=0.0, epsilon=0.0),
+                       learning=LearningParams(alpha=0.5, gamma=None, epsilon=0.0),
                        wandering=WanderingParams(p_wander=1.0, batch_size=2,
                                                  mode_mix=1.0, realness=1.0))
     agent = Agent(config, w, 3)

@@ -31,6 +31,11 @@ def test_certainty_out_of_range_rejected():
         evaluate(5, 0, -0.1, 1, 1)
 
 
+def test_nan_attention_rejected():
+    with pytest.raises(LedgerError):
+        evaluate(5, 0, 1, math.nan, 1)
+
+
 def test_certainty_of_channel():
     assert certainty_of(0.0) == 1.0
     assert certainty_of(0.2) == pytest.approx(0.8)

@@ -15,7 +15,7 @@ from gridmind.values import (ExpectationBaseline, LearningParams, ValueStore,
 from gridmind.world import ACTIONS, Action
 
 
-SUBTRACTIVE = dict(gamma=None, step_penalty=0.1)
+SUBTRACTIVE = dict(gamma=None)
 
 
 # -- reward loss -------------------------------------------------------------
@@ -179,7 +179,7 @@ def test_value_iteration_reports_divergence():
                    step_cost=0.0)
     from gridmind.values import ValueIterationError
     with pytest.raises(ValueIterationError):
-        value_iteration(world_mdp(w), LearningParams(gamma=None, step_penalty=0.0),
+        value_iteration(world_mdp(w), LearningParams(gamma=None),
                         tol=1e-9, max_sweeps=500)
 
 
@@ -221,7 +221,7 @@ def test_td_error_vanishes_on_greedy_transitions(scheme, seed):
                    objects={"g": reward("g", 1.0, (7, 7))}, step_cost=0.1,
                    start=(0, 0))
     params = (LearningParams(gamma=0.9) if scheme == "multiplicative"
-              else LearningParams(gamma=None, step_penalty=0.1))
+              else LearningParams(gamma=None))
     start = time.perf_counter()
     store = value_iteration(world_mdp(w), params, tol=1e-12)
     goal_sid = w.state_id((7, 7))
@@ -333,8 +333,7 @@ def test_curiosity_coverage_on_reward_free_world():
     # freshly boosted pairs outrank the unseen-entry default of 0 for ages.
     from gridmind.presets import open_room
     from gridmind.world import step
-    params = LearningParams(alpha=1.0, gamma=None, step_penalty=0.5,
-                            epsilon=0.0, curiosity_kappa=1.0)
+    params = LearningParams(alpha=1.0, gamma=None, epsilon=0.0, curiosity_kappa=1.0)
     for seed in range(20):
         w = open_room(5, step_cost=0.5)
         rng = np.random.default_rng(seed)
@@ -389,9 +388,3 @@ def test_hedonic_treadmill_property():
         first_lean = r_lo + rng.normal(scale=0.2)
         assert reward_loss(b.level, first_lean) > 0.0
 
-
-def test_params_require_exactly_one_scheme():
-    with pytest.raises(ValueError):
-        LearningParams(gamma=0.9, step_penalty=0.1)
-    with pytest.raises(ValueError):
-        LearningParams(gamma=None, step_penalty=None)

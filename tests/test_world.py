@@ -1,10 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from conftest import hazard, intended_next, make_world, neighbor_cells, reward
 from gridmind.inputs import InputError
+from gridmind.presets import corridor
 from gridmind.world import (ACTIONS, Action, Relocation, WorldError, apply_schedule,
                             load_world, observe, step, world_from_ascii, world_from_dict)
 
@@ -141,6 +143,16 @@ def test_relocation_to_wall_rejected_at_load():
 def test_object_on_wall_rejected():
     with pytest.raises(WorldError):
         make_world(walls={(1, 1)}, objects={"g": reward("g", 1.0, (1, 1))})
+
+
+def test_nan_step_cost_rejected():
+    with pytest.raises(WorldError, match="step_cost"):
+        corridor(step_cost=math.nan)
+
+
+def test_nan_magnitude_rejected():
+    with pytest.raises(WorldError, match="magnitude"):
+        make_world(objects={"g": reward("g", math.nan, (0, 0))})
 
 
 def test_all_wall_world_rejected():
