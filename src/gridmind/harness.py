@@ -50,7 +50,7 @@ MAX_WORLDS = 100
 class RunConfig:
     world: str = "corridor"   # preset name or file path (a WorldModel from Python)
     steps: Annotated[int, Range(0, inputs.MAX_STEPS)] = 1000
-    seed: int = 0
+    seed: Annotated[int, inputs.SEED] = 0
     learning: LearningParams = field(default_factory=LearningParams)
     planning: PlanSearchParams = field(default_factory=PlanSearchParams)
     wandering: WanderingParams = field(default_factory=WanderingParams)
@@ -73,18 +73,18 @@ class RunConfig:
 
     def __post_init__(self):
         inputs.check(self)
-        if not (inputs.is_integer(self.seed) and 0 <= self.seed < 2 ** 64):
-            raise ValueError("seed must be an integer that fits in 64 unsigned bits")
         if self.policy not in ("learned", "random"):
             raise ValueError("policy must be 'learned' or 'random'")
 
-    def world_name(self) -> str:
-        if isinstance(self.world, str):
-            return Path(self.world).stem if self.world not in PRESETS else self.world
-        return "inline"
-
     def run_id(self) -> str:
-        return f"{self.intervention.name}_{self.world_name()}_{self.seed}"
+        return f"{self.intervention.name}_{world_name(self.world)}_{self.seed}"
+
+
+def world_name(world) -> str:
+    """The name of a world in reports and run ids."""
+    if isinstance(world, str):
+        return Path(world).stem if world not in PRESETS else world
+    return "inline"
 
 
 def _intervention(value, path: str) -> InterventionConfig:
@@ -165,7 +165,7 @@ def summarize(agent: Agent, config: RunConfig, ledger: Ledger) -> dict:
         "run_id": config.run_id(),
         "seed": config.seed,
         "steps": agent.t,
-        "world": config.world_name(),
+        "world": world_name(config.world),
         "intervention": config.intervention.name,
         "episodes": agent.episodes,
         "obtained_reward": agent.obtained_total,
@@ -262,10 +262,11 @@ def _matrix(matrix) -> tuple:
     the checks that need a world wait for the cells."""
     inputs.record(matrix, "", ("interventions", "worlds", "seeds", "steps", "base"), root="matrix")
     spec = matrix.get("interventions")
-    interventions = (canonical_suite() if spec in (None, "canonical")
-                     else inputs.list_of(_intervention, MAX_INTERVENTIONS)(spec, "interventions"))
-    worlds = inputs.list_of(inputs.string, MAX_WORLDS)(matrix.get("worlds", ["corridor"]),
-                                                      "worlds")
+    interventions = (canonical_suite() if spec in (None, "canonical") else inputs.distinct(
+        inputs.list_of(_intervention, MAX_INTERVENTIONS)(spec, "interventions"),
+        "interventions", lambda iv: iv.name))
+    worlds = inputs.distinct(inputs.list_of(inputs.string, MAX_WORLDS)(
+        matrix.get("worlds", ["corridor"]), "worlds"), "worlds", world_name)
     seeds = inputs.seeds(matrix.get("seeds", 5), "seeds")
     data = inputs.record(matrix.get("base", {}), "base", _BASE_KEYS)
     base = inputs.section(RunConfig, data, "base", _READERS)
@@ -277,7 +278,7 @@ def _matrix(matrix) -> tuple:
 def _report_row(config: RunConfig, totals: dict, agent: Agent) -> dict:
     by_timescale = totals["by_timescale"]
     return dict(zip(REPORT_COLUMNS, (
-        config.intervention.name, config.world_name(), str(config.seed), "ok",
+        config.intervention.name, world_name(config.world), str(config.seed), "ok",
         totals["total"], totals["weighted_total"], by_timescale[Timescale.STEP.value],
         by_timescale[Timescale.PLAN.value], by_timescale[Timescale.SELF_EVAL.value],
         agent.obtained_total, agent.episodes)))
@@ -313,9 +314,9 @@ def experiment(matrix: dict, out_dir=None) -> tuple[list, int]:
 
     cells = {(i, w): [] for i in range(len(interventions)) for w in range(len(worlds))}
     failures = 0
-    for w, world_name in enumerate(worlds):
+    for w, world in enumerate(worlds):
         for seed in seeds:
-            config = replace(base, world=world_name, seed=seed)
+            config = replace(base, world=world, seed=seed)
             for members in classes.values():
                 ivs = [interventions[i] for i in members]
                 try:
@@ -323,7 +324,7 @@ def experiment(matrix: dict, out_dir=None) -> tuple[list, int]:
                 except Exception as exc:  # noqa: BLE001 - classes fail independently
                     failures += len(members)
                     class_rows = [{**dict.fromkeys(REPORT_COLUMNS, ""),
-                                   "intervention": iv.name, "world": str(world_name),
+                                   "intervention": iv.name, "world": str(world),
                                    "seed": str(seed), "status": f"failed: {exc}"}
                                   for iv in ivs]
                 for i, row in zip(members, class_rows):

@@ -3,10 +3,10 @@ configs, experiment matrices, sweep policies, world files).
 
 A reader ``read(value, path)`` returns the value as given (an int stays an
 int) or raises InputError with the value's dotted path (``seeds[2]``,
-``objects[0].kind``). Readers check JSON types. The range of a numeric
-config field is declared beside it (``Annotated[float, Range(0, 1)]``) and
-enforced by ``check``, which each config dataclass's ``__post_init__``
-calls, so JSON input and Python construction meet the same rule.
+``objects[0].kind``). Readers check JSON types. A numeric field of a config
+or a world declares its rule beside it, ``Annotated[float, Range(0, 1)]``,
+and ``check`` alone enforces it from ``__post_init__``: ``section`` hands
+such a field over as given, so JSON and Python meet one rule.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def number(value, path: str):
 
 @dataclasses.dataclass(frozen=True)
 class Range:
-    """The rule of a numeric config field, declared beside it as
+    """The rule of a numeric field, declared beside it as
     ``Annotated[float, Range(0, 1)]``: at least ``lo`` and at most ``hi``
     where given, each bound closed unless marked open. An int field holds an
     integer, never a bool; a float field a number as ``number`` reads it,
@@ -123,8 +123,8 @@ def check(obj) -> None:
 
 integer = reader(is_integer, "must be an integer")
 count = reader(lambda v: is_integer(v) and v >= 0, "must be an integer >= 0")
-seed = reader(lambda v: is_integer(v) and 0 <= v < 2 ** 64,
-              "must be an integer that fits in 64 unsigned bits")
+SEED = Range(0, 2 ** 64 - 1)  # a seed fits in 64 unsigned bits
+seed = reader(lambda v: is_integer(v) and SEED.holds(v), f"must be an integer {SEED}")
 string = reader(lambda v: isinstance(v, str), "must be a string")
 flag = reader(lambda v: isinstance(v, bool), "must be true or false")
 cell = reader(lambda v: isinstance(v, list) and len(v) == 2 and all(map(is_integer, v)),
@@ -156,10 +156,19 @@ def list_of(read, most: int | None = None):
     return read_list
 
 
+def distinct(items: list, path: str, key=lambda item: item) -> list:
+    """``items``, refused at the first whose ``key`` an earlier item has."""
+    first = {}
+    for i, k in enumerate(map(key, items)):
+        if first.setdefault(k, i) != i:
+            raise InputError(f"{path}[{i}]", f"repeats {path}[{first[k]}] ({k!r})")
+    return items
+
+
 def seeds(value, path: str) -> list:
-    """A seed count n (seeds 0..n-1, n at most MAX_SEEDS) or a list of seeds."""
+    """A seed count n (seeds 0..n-1, n at most MAX_SEEDS) or a list of distinct seeds."""
     if isinstance(value, list):
-        return list_of(seed)(value, path)
+        return distinct(list_of(seed)(value, path), path)
     return list(range(at_most(MAX_SEEDS)(value, path)))
 
 
@@ -186,26 +195,22 @@ def get(entry: dict, key: str, path: str, read, default=MISSING):
     return read(entry[key], full)
 
 
-def _reader_of(tp, default):
-    """The reader of a dataclass field annotated ``tp``; a TypeError for a
-    type that has no JSON reader."""
-    if tp in (bool, int, str):
-        return {bool: flag, int: integer, str: string}[tp]
-    if tp is float:  # +inf only where it is the default
-        return number if default != math.inf else lambda v, p: v if v == math.inf else number(v, p)
+def _reader_of(tp):
+    """The reader of a dataclass field annotated ``tp``, which leaves a field with
+    a Range to ``check``; a TypeError for a type that has no JSON reader."""
+    if typing.get_origin(tp) is typing.Annotated:
+        return lambda value, path: value
+    if tp in (bool, str):
+        return {bool: flag, str: string}[tp]
     if dataclasses.is_dataclass(tp):
         return lambda value, path: section(tp, value, path)
-    if type(None) in typing.get_args(tp):  # X | None
-        (inner,) = set(typing.get_args(tp)) - {type(None)}
-        read = _reader_of(inner, default)
-        return lambda value, path: None if value is None else read(value, path)
     raise TypeError(f"no JSON reader for a field annotated {tp!r}")
 
 
 @functools.cache
 def _field_readers(cls) -> dict:
-    hints = typing.get_type_hints(cls)
-    return {f.name: _reader_of(hints[f.name], f.default) for f in dataclasses.fields(cls)}
+    hints = typing.get_type_hints(cls, include_extras=True)
+    return {f.name: _reader_of(hints[f.name]) for f in dataclasses.fields(cls)}
 
 
 def section(cls, data, path: str, readers: dict | None = None):

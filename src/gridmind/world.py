@@ -13,11 +13,12 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
-from .inputs import (InputError, cell, flag, get, integer, list_of, load_json, number,
-                     reader, record, string)
+from .inputs import (InputError, Range, cell, check, flag, get, integer, list_of, load_json,
+                     number, reader, record, string)
 
 
 class WorldError(Exception):
@@ -58,7 +59,7 @@ Cell = tuple[int, int]
 class WorldObject:
     oid: str
     kind: str  # "reward" | "hazard"
-    magnitude: float
+    magnitude: Annotated[float, Range(0, lo_open=True)]
     consumable: bool
     at: Cell
 
@@ -68,7 +69,7 @@ class WorldObject:
 
 @dataclass(frozen=True)
 class Relocation:
-    t: int
+    t: Annotated[int, Range(0)]
     oid: str
     to: Cell
 
@@ -141,41 +142,40 @@ class Geometry:
 
 @dataclass
 class WorldModel:
-    width: int
-    height: int
+    width: Annotated[int, Range(1)]
+    height: Annotated[int, Range(1)]
     walls: frozenset
     objects: dict  # oid -> WorldObject, positions for the current epoch
-    slip_probability: float = 0.0
-    step_cost: float = 0.0
-    observation_confusion: float = 0.0
+    slip_probability: Annotated[float, Range(0, 1)] = 0.0
+    step_cost: Annotated[float, Range(0)] = 0.0
+    observation_confusion: Annotated[float, Range(0, 1, hi_open=True)] = 0.0
     schedule: tuple = ()
     start: Cell | None = None
-    epoch: int = 0
+    epoch: Annotated[int, Range(0)] = 0
     consumed: set = field(default_factory=set)
-    applied_relocations: int = 0
+    applied_relocations: Annotated[int, Range(0)] = 0
     # Built from width, height and walls unless a fitting one is passed in,
     # so copies share it.
     geometry: Geometry | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise WorldError("width and height must be positive")
-        if not 0.0 <= self.slip_probability <= 1.0:
-            raise WorldError("slip_probability must be in [0, 1]")
-        if not self.step_cost >= 0:
-            raise WorldError("step_cost must be >= 0")
-        if not 0.0 <= self.observation_confusion < 1.0:
-            raise WorldError("observation_confusion must be in [0, 1)")
+        parts = [("", self), *((f"object {o.oid!r}: ", o) for o in self.objects.values()),
+                 *((f"relocation of {r.oid!r}: ", r) for r in self.schedule)]
+        for prefix, part in parts:  # each numeric field by its declared rule
+            try:
+                check(part)
+            except ValueError as exc:
+                raise WorldError(prefix + str(exc)) from None
         geo = self.geometry
         if geo is None or not geo.fits(self.width, self.height, self.walls):
             geo = self.geometry = Geometry(self.width, self.height, self.walls)
+            if geo.free.count(False) != len(self.walls):
+                raise WorldError(f"walls must lie inside the {self.width}x{self.height} grid")
         if not any(geo.free):
             raise WorldError("world has no non-wall cell")
         for obj in self.objects.values():
             if not self.is_free(obj.at):
                 raise WorldError(f"object {obj.oid!r} sits on a wall or out of bounds")
-            if not obj.magnitude > 0:
-                raise WorldError(f"object {obj.oid!r} must have magnitude > 0")
             if obj.kind not in ("reward", "hazard"):
                 raise WorldError(f"object {obj.oid!r} has unknown kind {obj.kind!r}")
         last = -1

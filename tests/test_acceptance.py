@@ -3,12 +3,17 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
+import csv
+import json
 import math
+import re
 import time
 from collections import deque
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from conftest import intended_next, neighbor_cells
 from gridmind.affect import InterruptPolicy, SelfModel, sweep_threshold
@@ -274,7 +279,20 @@ def test_criterion_10_intervention_monotonicity():
            "attention 0 -> total exactly 0")
 
 
-def test_criterion_11_determinism_and_canonical_budget(tmp_path):
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def canonical(tmp_path_factory):
+    """The canonical matrix, run once: (rows, failures, seconds, output directory)."""
+    matrix = json.loads((ROOT / "configs" / "matrix.json").read_text())
+    out = tmp_path_factory.mktemp("canonical")
+    t0 = time.perf_counter()
+    rows, failures = experiment(matrix, out_dir=out)
+    return rows, failures, time.perf_counter() - t0, out
+
+
+def test_criterion_11_determinism_and_canonical_budget(tmp_path, canonical):
     config = RunConfig(seed=4, **LOSSY)
     run(config, out_dir=tmp_path / "a")
     run(config, out_dir=tmp_path / "b")
@@ -282,22 +300,27 @@ def test_criterion_11_determinism_and_canonical_budget(tmp_path):
     assert (tmp_path / "a" / f"{rid}_events.csv").read_bytes() == \
            (tmp_path / "b" / f"{rid}_events.csv").read_bytes()
 
-    matrix = {
-        "interventions": "canonical",
-        "worlds": ["corridor", "loss_heavy"],
-        "seeds": 20,
-        "steps": 800,
-        "base": {"interrupts": {"threat_threshold": 0.8},
-                 "self_model": {"standard": 1.0}},
-    }
-    t0 = time.perf_counter()
-    rows, failures = experiment(matrix, out_dir=tmp_path / "exp")
-    elapsed = time.perf_counter() - t0
+    rows, failures, elapsed, _ = canonical
     assert failures == 0
     data_rows = [r for r in rows if r["seed"] != "median"]
     assert len(data_rows) == 8 * 2 * 20
     assert elapsed < 300.0
     ok(11, f"byte-identical reruns; 8 x 2 x 20 canonical matrix in {elapsed:.0f} s < 300 s")
+
+
+def test_readme_results_table_matches_the_canonical_matrix(canonical):
+    """Each row of the README's results table is the loss_heavy median of its
+    intervention in the canonical report.csv, rounded to 0.1."""
+    with open(canonical[3] / "report.csv", newline="") as fh:
+        medians = {row["intervention"]: row for row in csv.DictReader(fh)
+                   if row["world"] == "loss_heavy" and row["seed"] == "median"}
+    readme = (ROOT / "README.md").read_text()
+    table = re.findall(r"^\| (\w+) +\| +(-?\d+\.\d) \| +(-?\d+\.\d) \|$", readme, re.M)
+    assert [name for name, *_ in table] == sorted(
+        medians, key=lambda name: -float(medians[name]["total_frustration"]))
+    for name, total, reward in table:
+        got = (medians[name]["total_frustration"], medians[name]["obtained_reward"])
+        assert [round(float(v), 1) for v in got] == [float(total), float(reward)], name
 
 
 def test_criterion_12_trace_completeness():

@@ -8,7 +8,8 @@ import csv
 import json
 import math
 import tempfile
-from dataclasses import dataclass, fields, is_dataclass
+import typing
+from dataclasses import field, fields, is_dataclass, make_dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -107,6 +108,15 @@ def test_bad_run_config_exits_2_with_its_path(tmp_path, capsys, text, path):
                  id="interventions-cap+1"),
     pytest.param(json.dumps({**MATRIX, "worlds": ["loss_heavy"] * 101}), "worlds",
                  id="worlds-cap+1"),
+    # Repeats, which once wrote report rows that nothing told apart and
+    # counted a seed twice in the medians.
+    (json.dumps({**MATRIX, "interventions": [{"name": "x", "attention_scale": 0.5},
+                                             {"name": "x"}]}), "interventions[1]"),
+    (json.dumps({**MATRIX, "interventions": ["baseline", "empty_mind", {"name": "baseline"}]}),
+     "interventions[2]"),
+    (json.dumps({**MATRIX, "worlds": ["loss_heavy", "corridor", "loss_heavy"]}), "worlds[2]"),
+    (json.dumps({**MATRIX, "worlds": ["loss_heavy", "maps/loss_heavy.json"]}), "worlds[1]"),
+    (json.dumps({**MATRIX, "seeds": [3, 3]}), "seeds[1]"),
 ])
 def test_bad_matrix_exits_2_before_any_simulation(tmp_path, capsys, monkeypatch, text, path):
     monkeypatch.setattr(harness, "run", lambda *a, **k: pytest.fail("simulated a bad matrix"))
@@ -121,6 +131,7 @@ def test_bad_matrix_exits_2_before_any_simulation(tmp_path, capsys, monkeypatch,
     (with_fields(POLICY, '"seeds": true, "steps": true'), "policy.seeds"),
     (with_fields(POLICY, '"steps": true'), "policy.steps"),
     (with_fields(POLICY, '"seeds": [0.5]'), "policy.seeds[0]"),
+    (with_fields(POLICY, '"seeds": [4, 9, 4]'), "policy.seeds[2]"),
     (with_fields(POLICY, '"seeds": -3'), "policy.seeds"),
     (with_fields(POLICY, '"seeds": 1000001'), "policy.seeds"),  # the cap + 1
     (with_fields(POLICY, '"steps": -5'), "policy.steps"),
@@ -228,6 +239,21 @@ def test_world_size_caps_are_legal_sizes(monkeypatch):
         world.world_from_ascii("H.", schedule=relocations)
 
 
+def test_repeat_names_the_item_it_repeats(tmp_path, capsys):
+    text = json.dumps({**MATRIX, "seeds": [0, 3, 3]})
+    assert cli(tmp_path, "experiment", text) == 2
+    assert "invalid config: seeds[2]: repeats seeds[1] (3)\n" in capsys.readouterr().err
+
+
+def test_wall_outside_the_grid_exits_2(tmp_path, capsys):
+    """Such a wall once passed --validate-only and was silently ignored."""
+    (tmp_path / "world.json").write_text(json.dumps({"width": 3, "height": 1,
+                                                     "walls": [[5, 5]]}))
+    config = json.dumps({"world": str(tmp_path / "world.json")})
+    assert cli(tmp_path, "simulate", config, "--validate-only") == 2
+    assert "invalid config: world: walls must lie inside the 3x1 grid" in capsys.readouterr().err
+
+
 def test_seed_override_goes_through_the_seed_rule(tmp_path, capsys):
     assert cli(tmp_path, "simulate", json.dumps(RUN), "--seed", "-1") == 2
     assert "invalid config: seed:" in capsys.readouterr().err
@@ -257,14 +283,19 @@ def test_section_keeps_ints_as_given():
     assert type(config.desire_cost) is int and type(config.interrupts.miss_cost) is int
 
 
-def test_infinity_only_where_the_default_is_infinite():
-    assert config_from_dict({**RUN, "interrupts": {"threat_threshold": math.inf}})
-    for section, name in (("interrupts", "desire_threshold"), ("self_model", "standard")):
-        with pytest.raises(inputs.InputError) as exc:
-            config_from_dict({**RUN, section: {name: math.inf}})
-        assert exc.value.path == f"{section}.{name}"
-    with pytest.raises(inputs.InputError):
-        config_from_dict({**RUN, "interrupts": {"threat_threshold": -math.inf}})
+def test_infinity_only_where_the_rule_admits_it(tmp_path, capsys):
+    """desire_threshold was refused from JSON although its rule admits +inf."""
+    for name in ("threat_threshold", "desire_threshold"):
+        config = config_from_dict({**RUN, "interrupts": {name: math.inf}})
+        assert getattr(config.interrupts, name) == math.inf
+    text = with_fields(RUN, '"interrupts": {"desire_threshold": Infinity}')
+    assert cli(tmp_path, "simulate", text, "--validate-only") == 0
+    for section, name, value in (("self_model", "standard", "Infinity"),
+                                 ("interrupts", "threat_threshold", "-Infinity")):
+        text = with_fields(RUN, f'"{section}": {{"{name}": {value}}}')
+        assert cli(tmp_path, "simulate", text, "--validate-only") == 2
+        assert f"invalid config: {section}.{name}: must be a finite number" in \
+            capsys.readouterr().err
 
 
 def test_null_only_where_the_field_takes_none():
@@ -274,13 +305,13 @@ def test_null_only_where_the_field_takes_none():
     assert exc.value.path == "interrupts.miss_cost"
 
 
-def test_an_annotation_with_no_json_reader_is_a_type_error():
-    @dataclass(frozen=True)
-    class Section:
-        data: bytes = b""
-
+@pytest.mark.parametrize("tp", [bytes, float, int, float | None], ids=str)
+def test_an_annotation_with_no_json_reader_is_a_type_error(tp):
+    """A number is read only by its declared rule, so a numeric field that
+    declares none fails on its first read."""
+    section = make_dataclass("Section", [("data", tp, field(default=None))], frozen=True)
     with pytest.raises(TypeError, match="no JSON reader"):
-        inputs.section(Section, {}, "section")
+        inputs.section(section, {}, "section")
 
 
 def test_huge_int_is_not_a_finite_number():
@@ -308,15 +339,26 @@ RULES = [(cls, prefix, name, rule, integral)
          for name, rule, integral, _ in inputs.rules(cls)]
 
 
-def finite_bounds(rule, integral) -> list:
-    """(bound, closed, direction outward) of each finite bound; a float
-    field is held within +-BOUND where its rule sets no bound."""
+def probes(rule, integral) -> tuple:
+    """(refused, accepted) values of a rule: NaN, each infinity it refuses,
+    the nearest value past each finite bound (a float field is held within
+    +-BOUND where its rule sets no bound), and 2.5 and True in an int field
+    are refused; each closed bound, and +inf where admitted, is accepted."""
     lo, hi = rule.lo, rule.hi
     if not integral:
         lo = -inputs.BOUND if lo is None else lo
         hi = inputs.BOUND if hi is None else hi
-    return [(b, not is_open, d) for b, is_open, d in ((lo, rule.lo_open, -1),
-                                                      (hi, rule.hi_open, 1)) if b is not None]
+    refused = [math.nan, -math.inf] + ([] if rule.inf else [math.inf])
+    accepted = [math.inf] if rule.inf else []
+    for bound, is_open, outward in ((lo, rule.lo_open, -1), (hi, rule.hi_open, 1)):
+        if bound is None:
+            continue
+        if is_open:
+            refused.append(bound)
+        else:
+            accepted.append(bound)
+            refused.append(bound + outward if integral else math.nextafter(bound, outward * math.inf))
+    return refused + ([2.5, True] if integral else []), accepted
 
 
 def test_declared_rules_cover_every_section():
@@ -330,16 +372,8 @@ def test_declared_rules_cover_every_section():
 @pytest.mark.parametrize("cls, prefix, name, rule, integral", RULES,
                          ids=[f"{cls.__name__}.{name}" for cls, _, name, *_ in RULES])
 def test_a_declared_rule_holds_from_python_and_from_json(cls, prefix, name, rule, integral):
-    refused = [math.nan, -math.inf] + ([] if rule.inf else [math.inf])
-    accepted = [next(f.default for f in fields(cls) if f.name == name)]
-    for bound, closed, outward in finite_bounds(rule, integral):
-        if closed:
-            accepted.append(bound)
-            refused.append(bound + outward if integral else math.nextafter(bound, outward * math.inf))
-        else:
-            refused.append(bound)
-    if integral:
-        refused += [2.5, True]
+    refused, accepted = probes(rule, integral)
+    accepted.append(next(f.default for f in fields(cls) if f.name == name))
     for value in refused:
         with pytest.raises(ValueError, match=f"^{name} must be "):
             cls(**{name: value})
@@ -354,6 +388,73 @@ def test_a_declared_rule_holds_from_python_and_from_json(cls, prefix, name, rule
             for key in prefix.split(".")[:-1]:
                 config = getattr(config, key)
             assert getattr(config, name) == value
+
+
+# Each world class: the dotted path of its fields in a world file, and
+# where a world built from GOOD_WORLD keeps it.
+GOOD_WORLD = {"width": 3, "height": 2,
+              "objects": [{"id": "g", "kind": "reward", "magnitude": 1.0, "at": [0, 0]}],
+              "schedule": [{"t": 5, "object": "g", "to": [0, 0]}]}
+WORLD_PARTS = {world.WorldModel: ("", lambda w: w),
+               world.WorldObject: ("objects[0].", lambda w: w.objects["g"]),
+               world.Relocation: ("schedule[0].", lambda w: w.schedule[0])}
+WORLD_RULES = [(cls, name, rule, integral) for cls in WORLD_PARTS
+               for name, rule, integral, _ in inputs.rules(cls)]
+# The world's run state, which no world file sets.
+RUN_STATE = {"epoch", "applied_relocations"}
+
+
+def built(cls, name, value) -> world.WorldModel:
+    """GOOD_WORLD built from Python, with ``name`` of its ``cls`` part set to ``value``."""
+    parts = {world.WorldObject: world.WorldObject("g", "reward", 1.0, True, (0, 0)),
+             world.Relocation: world.Relocation(5, "g", (0, 0))}
+    top = {"width": 3, "height": 2}
+    if cls is world.WorldModel:
+        top[name] = value
+    else:
+        parts[cls] = replace(parts[cls], **{name: value})
+    return world.WorldModel(**top, walls=frozenset(), objects={"g": parts[world.WorldObject]},
+                            schedule=(parts[world.Relocation],))
+
+
+def numeric(hint) -> bool:
+    """An int or float annotation, optional or not."""
+    args = set(typing.get_args(hint))
+    return bool(((args - {type(None)}) if type(None) in args else {hint}) & {int, float})
+
+
+def test_every_numeric_field_declares_its_rule():
+    classes = [cls for cls, _ in sections()] + list(WORLD_PARTS)
+    undeclared = [f"{cls.__name__}.{name}" for cls in classes
+                  for name, hint in typing.get_type_hints(cls, include_extras=True).items()
+                  if typing.get_origin(hint) is not typing.Annotated and numeric(hint)]
+    assert undeclared == []
+    assert {name for _, name, *_ in WORLD_RULES} >= {"width", "height", "slip_probability",
+                                                    "step_cost", "observation_confusion",
+                                                    "magnitude", "t"}
+
+
+@pytest.mark.parametrize("cls, name, rule, integral", WORLD_RULES,
+                         ids=[f"{cls.__name__}.{name}" for cls, name, *_ in WORLD_RULES])
+def test_a_world_rule_holds_from_python_and_from_a_world_file(tmp_path, capsys, cls, name,
+                                                               rule, integral):
+    prefix, part_of = WORLD_PARTS[cls]
+    refused, accepted = probes(rule, integral)
+    path = tmp_path / "world.json"
+    for value in refused:
+        with pytest.raises(world.WorldError, match=f"(^|: ){name} must be "):
+            built(cls, name, value)
+        if name not in RUN_STATE:
+            path.write_text(json.dumps(put(GOOD_WORLD, prefix + name, value)))
+            assert cli(tmp_path, "simulate", json.dumps({"world": str(path)}),
+                       "--validate-only") == 2, value
+            err = capsys.readouterr().err
+            assert err.startswith("invalid config: world: ") and name in err, (value, err)
+    for value in accepted:
+        assert getattr(part_of(built(cls, name, value)), name) == value
+        if name not in RUN_STATE:
+            spec = put(GOOD_WORLD, prefix + name, value)
+            assert getattr(part_of(world.world_from_dict(spec)), name) == value
 
 
 @pytest.mark.parametrize("make, name", [

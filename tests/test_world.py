@@ -160,6 +160,37 @@ def test_all_wall_world_rejected():
         make_world(width=2, height=1, walls={(0, 0), (1, 0)})
 
 
+def relocating(t):
+    """A world whose object g is relocated at step ``t``."""
+    return make_world(objects={"g": reward("g", 1.0, (0, 0))},
+                      schedule=(Relocation(t, "g", (1, 1)),))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: corridor(step_cost=math.inf), "step_cost must be a finite number"),
+    (lambda: make_world(objects={"g": reward("g", math.inf, (0, 0))}),
+     "object 'g': magnitude must be a finite number"),
+    (lambda: make_world(objects={"h": hazard("h", 1e300, (0, 0))}),
+     "object 'h': magnitude must be within +-1e+12"),
+    (lambda: make_world(objects={"h": hazard("h", 0.0, (0, 0))}),
+     "object 'h': magnitude must be > 0"),
+    (lambda: make_world(width=True), "width must be an integer"),
+    (lambda: make_world(height=0), "height must be >= 1"),
+    (lambda: relocating(2.5), "relocation of 'g': t must be an integer"),
+    (lambda: relocating(-3), "relocation of 'g': t must be >= 0"),
+    (lambda: make_world(width=3, height=1, walls={(5, 5)}), "walls must lie inside the 3x1 grid"),
+], ids=["inf-step-cost", "inf-magnitude", "1e300-magnitude", "zero-magnitude", "bool-width",
+        "zero-height", "fractional-t", "negative-t", "wall-outside"])
+def test_python_api_refuses_what_a_world_file_refuses(make, message):
+    """An infinite cost or magnitude once ran until a wander batch raised, a
+    magnitude of 1e300 ran to totals near 1e302, a bool width, a fractional t
+    and a wall outside the grid were accepted, and a negative t was refused as
+    out of order."""
+    with pytest.raises(WorldError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
 def test_determinism_bit_exact():
     def trace(seed):
         w = make_world(width=5, height=5, slip_probability=0.3,
