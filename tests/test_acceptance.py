@@ -308,6 +308,12 @@ def test_criterion_11_determinism_and_canonical_budget(tmp_path, canonical):
     ok(11, f"byte-identical reruns; 8 x 2 x 20 canonical matrix in {elapsed:.0f} s < 300 s")
 
 
+def test_canonical_report_holds_no_numpy_scalars(canonical):
+    """Totals leave numpy as plain floats: under numpy 2 the repr of an
+    np.float64 reads ``np.float64(...)``."""
+    assert "np." not in (canonical[3] / "report.csv").read_text()
+
+
 def test_readme_results_table_matches_the_canonical_matrix(canonical):
     """Each row of the README's results table is the loss_heavy median of its
     intervention in the canonical report.csv, rounded to 0.1."""

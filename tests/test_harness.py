@@ -147,6 +147,21 @@ def test_per_step_streams_are_stable():
                               rngmod.per_step(5, "wandering", 4).random(4))
 
 
+def test_steps_zero_scores_zero_without_out_dir():
+    """A run and a matrix of no steps score empty site logs: every total is
+    a plain 0.0."""
+    _, summary = run(config_from_dict({**BASE_CONFIG, "steps": 0}))
+    totals = summary["totals"]
+    values = [totals["total"], totals["weighted_total"],
+              *totals["by_source"].values(), *totals["by_timescale"].values()]
+    assert [repr(v) for v in values] == ["0.0"] * len(values)
+    rows, failures = experiment({"worlds": ["corridor", "loss_heavy"], "seeds": [7], "steps": 0})
+    assert failures == 0 and len(rows) == 8 * 2 * 2
+    for row in rows:
+        assert [repr(row[col]) for col in ("total_frustration", "weighted_total", "step_total",
+                                           "plan_total", "self_eval_total")] == ["0.0"] * 5
+
+
 # -- experiment matrix ---------------------------------------------------------
 
 

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridmind.harness import ledger_totals
 from gridmind.suffering import (DEFAULT_TIMESCALE_WEIGHTS, TIMESCALE, FrustrationEvent,
                                 Ledger, LedgerError, LossSite, SiteLog, Source,
-                                Terms, Timescale, certainty_of, evaluate,
+                                Terms, Timescale, certainty_of, evaluate, events,
                                 make_event, rescore, score)
 
 
@@ -182,12 +183,12 @@ def test_a_site_scores_on_its_sources_timescale():
 
 
 @st.composite
-def loss_sites(draw):
+def loss_sites(draw, values=st.floats(-10, 10)):
     n = draw(st.integers(0, 30))
     sites = []
     for t in range(n):
         source = draw(st.sampled_from(SITE_SOURCES))
-        sites.append(LossSite(t, source, draw(st.floats(-10, 10)), draw(st.floats(-10, 10))))
+        sites.append(LossSite(t, source, draw(values), draw(values)))
     return sites
 
 
@@ -239,3 +240,117 @@ def test_rescored_total_never_rises_as_a_term_falls(sites, terms, knob, factor):
 def test_rescored_total_never_rises_when_meta_aversion_is_off(sites, terms):
     assert_no_more_frustration(rescore(sites, replace(terms, meta_aversion=False)),
                                rescore(sites, replace(terms, meta_aversion=True)))
+
+
+# -- a ledger scored in columns equals the per-event fold, bit for bit --------------
+
+
+def folded(sites, terms: Terms) -> Ledger:
+    """The ledger ``Ledger.record`` folds from ``events``, one event at a time:
+    the reference the column sums of ``rescore`` must equal bit for bit."""
+    ledger = Ledger()
+    for event in events(sites, terms):
+        ledger.record(event)
+    return ledger
+
+
+def site_log(sites) -> SiteLog:
+    log = SiteLog()
+    for site in sites:
+        log.append(site)
+    return log
+
+
+def assert_bit_identical(sites, terms: Terms):
+    """Column totals equal the fold's by ``repr``, and are plain floats: under
+    numpy 2 the repr of an np.float64 reads ``np.float64(...)``."""
+    want = repr(ledger_totals(folded(sites, terms)))
+    totals = ledger_totals(rescore(site_log(sites), terms))
+    assert repr(totals) == want
+    assert repr(ledger_totals(rescore(list(sites), terms))) == want  # any iterable of sites
+    values = [totals["total"], totals["weighted_total"],
+              *totals["by_source"].values(), *totals["by_timescale"].values()]
+    assert len(values) == 2 + len(Source) + len(Timescale)
+    assert all(type(v) is float for v in values)
+
+
+signed = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-10, 10)
+signed_unit = st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+any_terms = st.builds(Terms, expectation_scale=signed_unit, certainty=signed_unit,
+                      attention=st.sampled_from([0.0, -0.0]) | st.floats(0.0, 4.0),
+                      realness=signed_unit, standard_scale=signed_unit,
+                      meta_aversion_scale=signed_unit | st.floats(0.0, 4.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(sites=loss_sites(signed), terms=any_terms, meta_aversion=st.booleans())
+def test_column_totals_bit_identical_to_event_fold(sites, terms, meta_aversion):
+    assert_bit_identical(sites, replace(terms, meta_aversion=meta_aversion))
+
+
+S = Source
+
+
+@pytest.mark.parametrize("sites, terms", [
+    ([], Terms(meta_aversion=True)),
+    ([LossSite(0, S.STEP_LOSS, 0.0, -0.0), LossSite(1, S.REPLAYED, -0.0, 0.0),
+      LossSite(2, S.SELF_EVAL, -0.0, -1.0)], Terms(meta_aversion=True)),
+    ([LossSite(0, S.STEP_LOSS, 2.0, 1.0), LossSite(1, S.PLAN_LOSS, 3.0, 0.0)],
+     Terms(certainty=-0.0, meta_aversion=True)),
+    ([LossSite(0, S.IMAGINED, 2.0, 1.0), LossSite(1, S.DESIRE_COST, 1.0, 0.0)],
+     Terms(attention=-0.0, meta_aversion=True, meta_aversion_scale=-0.0)),
+    ([LossSite(t, S.SELF_EVAL, 2.0, -1.0) for t in range(3)], Terms(standard_scale=0.0)),
+    ([LossSite(0, S.SELF_EVAL, -2.0, -3.0), LossSite(1, S.SELF_EVAL, -2.0, -1.5),
+      LossSite(2, S.SELF_EVAL, -0.5, -0.75)], Terms(standard_scale=0.5, meta_aversion=True)),
+    ([LossSite(0, S.STEP_LOSS, -1.0, -3.0), LossSite(1, S.PLAN_LOSS, -0.5, -2.0),
+      LossSite(2, S.THREAT_INTERNAL, 1.0, 0.25), LossSite(3, S.REPLAYED, -1.0, -1.5)],
+     Terms(expectation_scale=0.5, realness=0.25, meta_aversion=True)),
+    ([LossSite(t, S.STEP_LOSS, 0.1, 0.0) for t in range(50)]
+     + [LossSite(50, S.STEP_LOSS, 1e16, 0.0), LossSite(51, S.STEP_LOSS, 1.0, 0.0)],
+     Terms(certainty=0.3, meta_aversion=True, meta_aversion_scale=0.7)),
+], ids=["empty", "signed-zero-sites", "signed-zero-certainty", "signed-zero-attention",
+        "standard-scale-zero", "negative-standards", "negative-expected-costs",
+        "order-sensitive-sums"])
+def test_column_totals_edge_cases(sites, terms):
+    assert_bit_identical(sites, terms)
+    assert_bit_identical(sites, replace(terms, meta_aversion=not terms.meta_aversion))
+
+
+def forced(**changes) -> Terms:
+    """Terms with values their declared ranges refuse, forced past the check."""
+    terms = Terms()
+    for name, value in changes.items():
+        object.__setattr__(terms, name, value)
+    return terms
+
+
+@pytest.mark.parametrize("changes", [
+    {"certainty": 1.5}, {"certainty": -0.1}, {"certainty": math.nan},
+    {"attention": -1.0}, {"attention": math.nan}, {"realness": -0.5}])
+def test_rescore_checks_its_terms_once(changes):
+    sites = [LossSite(0, Source.STEP_LOSS, 2.0, 0.0), LossSite(1, Source.REPLAYED, 2.0, 0.0)]
+    with pytest.raises(LedgerError):
+        folded(sites, forced(**changes))
+    with pytest.raises(LedgerError):
+        rescore(site_log(sites), forced(**changes))
+    with pytest.raises(LedgerError):  # checked per Terms, so with no event as well
+        rescore(SiteLog(), forced(**changes))
+
+
+def test_a_nan_frustration_is_refused_as_the_fold_refuses_it():
+    """A shortfall that overflows to inf times a zero certainty is NaN, which
+    ``Ledger.record``'s re-check never equals."""
+    sites = [LossSite(0, Source.STEP_LOSS, 1e308, -1e308)]
+    with pytest.raises(LedgerError):
+        folded(sites, Terms(certainty=0.0))
+    with pytest.raises(LedgerError):
+        rescore(site_log(sites), Terms(certainty=0.0))
+
+
+def test_rescore_leaves_its_log_appendable():
+    """No column view of the log's buffers outlives the call: an array that
+    exports its buffer cannot grow."""
+    log = site_log([LossSite(0, Source.STEP_LOSS, 2.0, 0.0)])
+    rescore(log, Terms())
+    log.append(LossSite(1, Source.PLAN_LOSS, 3.0, 0.0))
+    assert rescore(log, Terms()).total == 5.0
