@@ -161,7 +161,7 @@ def self_evaluate(self_model: SelfModel, state: SelfState, episode_rewards, *, t
     """Compare mean reward over the last window against the standard.
 
     Returns the SelfEval loss site (the unscaled standard against the
-    window mean) once the window is full, else None; ``suffering.score``
+    window mean) once the window is full, else None; ``suffering.events``
     decides whether it falls short under the run's self-standard scale. A
     standard scaled all the way to zero disables the evaluator: with
     nothing demanded of the self, it never fires. With meta_rate > 0 the

@@ -23,7 +23,7 @@ from .affect import (InterruptKind, SelfState, check_interrupts, depression_gate
 from .interventions import apply, terms
 from .planning import IntentionStatus, commit, plan_site, suggest_goals
 from .replay import ReplayBuffer, experiences, wandering_step
-from .suffering import LossSite, SiteLog, Source, score
+from .suffering import LossSite, SiteLog, Source, events
 from .values import (ExpectationBaseline, ValueStore, curiosity_bonus,
                      epsilon_greedy, reward_loss, step_expectation, td_update,
                      update_baseline)
@@ -228,7 +228,7 @@ class Agent:
         if site is not None:
             self.sites.append(site)
             if self.trace_enabled:
-                for ev in score(site, self.terms):
+                for ev in events((site,), self.terms):
                     if ev.source is Source.SELF_EVAL:
                         self._trace("self_eval_fired", shortfall=ev.expected - ev.obtained)
         self.episode_reward = 0.0

@@ -179,25 +179,23 @@ def summarize(agent: Agent, config: RunConfig, ledger: Ledger) -> dict:
 
 
 def run(config: RunConfig, out_dir=None) -> tuple[Agent, dict]:
-    """Execute one seeded run and score its loss sites once; optionally write
-    events.csv (a row as each event is scored, so none is kept), summary.json
-    and, when tracing, trace.csv into out_dir. Deterministic per config."""
+    """Execute one seeded run and score its loss sites in columns; optionally
+    write events.csv (its rows read from the same columns, a block at a
+    time), summary.json and, when tracing, trace.csv into out_dir.
+    Deterministic per config."""
     world = open_world(config.world)
     agent = Agent(config, world, config.seed)
     agent.run(config.steps)
+    summary = summarize(agent, config, rescore(agent.sites, agent.terms))
     if out_dir is None:
-        return agent, summarize(agent, config, rescore(agent.sites, agent.terms))
+        return agent, summary
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rid = config.run_id()
-    ledger = Ledger()
     with open(out / f"{rid}_events.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(EVENT_COLUMNS)
-        for ev in events(agent.sites, agent.terms):
-            ledger.record(ev)
-            writer.writerow(event_row(rid, ev))
-    summary = summarize(agent, config, ledger)
+        writer.writerows(event_row(rid, ev) for ev in events(agent.sites, agent.terms))
     with open(out / f"{rid}_summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

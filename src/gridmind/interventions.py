@@ -4,7 +4,7 @@ knobs on an agent configuration.
 Equation-term interventions (expectation, certainty, attention,
 realness, self-standard, acceptance) touch frustration evaluation only,
 leaving the policy fixed, so their effect is a pure monotone transform of
-the ledger: ``terms`` builds them, and ``suffering.score`` applies them to
+the ledger: ``terms`` builds them, and ``suffering.rescore`` applies them to
 the loss sites of a run. The wandering override, the desire threshold and
 the coupled flag change what the agent does: ``apply`` turns them into
 the run's wander rate and goal threshold, which the agent runs with and

@@ -11,14 +11,11 @@ source's events all fall on one timescale (``TIMESCALE``).
 
 A run keeps only its raw shortfalls, each once, as a ``LossSite``: its
 source, what was expected before any intervention scaled it, and what was
-obtained.
-One function, ``score``, turns a site into events under a set of equation
-``Terms``, and ``events`` scores a run's sites in order, for the rows of
-``events.csv``. ``rescore`` scores a ledger of the run, under its own terms
-or another intervention's, in columns: one numpy pass over the ``SiteLog``
-applies ``score``'s rules to every site, and each sum is added in event
-order, so it equals the fold of ``events`` through ``Ledger.record`` bit
-for bit.
+obtained. One column pass scores a ``SiteLog`` of them under a set of
+equation ``Terms``, a block of sites at a time: ``rescore`` sums the
+blocks into a ``Ledger``, adding each sum in event order, and ``events``
+reads the same columns back as the ``FrustrationEvent`` rows of
+``events.csv``, the trace audit and the traced self-evaluation.
 """
 
 from __future__ import annotations
@@ -72,6 +69,11 @@ DEFAULT_TIMESCALE_WEIGHTS = {
 }
 
 
+# ``evaluate``, ``make_event`` and ``Ledger.record`` apply the equation one
+# event at a time. Nothing in the package calls them, since the column pass
+# scores every run; the tests fold events through them as the reference the
+# columns must equal, and ``bench/tracing.py`` resolves ``make_event`` and
+# ``Ledger.record`` by name.
 def evaluate(expected: float, obtained: float, certainty: float,
              attention: float, count: int) -> float:
     """Score one event with the frustration equation."""
@@ -113,8 +115,8 @@ def make_event(t: int, source: Source, timescale: Timescale, expected: float,
 
 
 class Ledger:
-    """Per-source and per-timescale sums of a run's events: folded one event
-    at a time by ``record``, or computed in columns by ``rescore``."""
+    """Per-source and per-timescale sums of a run's events: computed in
+    columns by ``rescore``, or folded one event at a time by ``record``."""
 
     def __init__(self):
         self.by_source = {s: 0.0 for s in Source}
@@ -199,45 +201,9 @@ _ANTICIPATED = frozenset({Source.STEP_LOSS, Source.PLAN_LOSS,
                           Source.REPLAYED, Source.IMAGINED})
 _WANDER = frozenset({Source.REPLAYED, Source.IMAGINED})
 
-
-def score(site, terms: Terms) -> list:
-    """The 0-2 events a site ``(t, source, expected, obtained)`` yields
-    under ``terms``: the event itself (a SelfEval site only when the scaled
-    standard falls short), then its MetaAversion child when that stream is
-    on and the event hurt."""
-    t, source, expected, obtained = site
-    if source is Source.SELF_EVAL:
-        expected = expected * terms.standard_scale
-        if expected == 0.0 or expected - obtained <= 0:
-            return []
-    elif source in _ANTICIPATED and expected > 0:
-        # Lowering scales positive expectations only; scaling an expected
-        # cost toward zero would raise it.
-        expected = terms.expectation_scale * expected
-    attention = terms.attention
-    if source in _WANDER:
-        attention = attention * terms.realness
-    timescale = TIMESCALE[source]
-    event = make_event(t=t, source=source, timescale=timescale,
-                       expected=expected, obtained=obtained,
-                       certainty=terms.certainty, attention=attention)
-    if not (terms.meta_aversion and event.frustration > 0):
-        return [event]
-    return [event, make_event(
-        t=t, source=Source.META_AVERSION, timescale=timescale,
-        expected=terms.meta_aversion_scale * event.frustration, obtained=0.0,
-        certainty=1.0, attention=terms.attention)]
-
-
-def events(sites, terms: Terms):
-    """The events a run with these sites records under ``terms``, in order."""
-    for site in sites:
-        yield from score(site, terms)
-
-
-# ``score``'s rules as tables indexed by a SiteLog source code. A MetaAversion
-# child takes its parent's timescale; no site has that source, so its code
-# maps to no timescale.
+# The scoring rules as tables indexed by a SiteLog source code. A
+# MetaAversion child takes its parent's timescale; no site has that source,
+# so its code maps to no timescale.
 _TIMESCALES = tuple(Timescale)
 _META = _SOURCES.index(Source.META_AVERSION)
 _SELF_EVAL = _SOURCES.index(Source.SELF_EVAL)
@@ -246,59 +212,121 @@ _IS_WANDER = np.array([s in _WANDER for s in _SOURCES])
 _TIMESCALE_CODE = np.array([_TIMESCALES.index(TIMESCALE[s]) if s in TIMESCALE
                             else len(_TIMESCALES) for s in _SOURCES])
 
-
-def _fold(x) -> float:
-    """``0.0 + x[0] + x[1] + ...`` added in order, as ``Ledger.record``'s
-    ``+=`` adds: ``np.cumsum`` adds in sequence where ``np.sum`` adds in
-    pairs. The leading 0.0 turns a -0.0 sum into 0.0, as ``+=`` from 0.0
-    does, and lets a zero-event sum read 0.0."""
-    return np.cumsum(np.concatenate(([0.0], x)))[-1].item()
+# Sites scored at once: a long run's columns stay small, and numpy's
+# per-call cost is spread over many sites.
+BLOCK = 8192
 
 
-def _column_sums(log: SiteLog, terms: Terms) -> tuple:
-    """(per-source sums, per-timescale sums, total) of the events ``events``
-    yields, by code, computed in columns. A site with no event scores 0.0,
-    and so does a parent with no MetaAversion child; adding 0.0 to a sum
-    that started from 0.0 changes no bit."""
-    source = np.frombuffer(log.source, dtype=np.uint8)
-    expected = np.frombuffer(log.expected)
-    obtained = np.frombuffer(log.obtained)
-    self_eval = source == _SELF_EVAL
-    expected = np.where(self_eval, expected * terms.standard_scale, np.where(
-        _IS_ANTICIPATED[source] & (expected > 0), terms.expectation_scale * expected, expected))
-    shortfall = expected - obtained
-    fires = ~self_eval | ((expected != 0.0) & ~(shortfall <= 0))
-    attention = np.where(_IS_WANDER[source], terms.attention * terms.realness, terms.attention)
-    frustration = np.where(fires, np.where(shortfall > 0, shortfall, 0.0)
-                           * terms.certainty * attention, 0.0)
-    child = np.zeros_like(frustration)
-    if terms.meta_aversion:
-        # Certainty 1.0 and obtained 0.0 leave a child's terms bit-unchanged.
-        child_expected = terms.meta_aversion_scale * frustration
-        child = np.where(child_expected > 0, child_expected * terms.attention, 0.0)
-    stream = np.column_stack((frustration, child)).ravel()  # each event, then its child
-    codes = np.column_stack((source, np.full_like(source, _META))).ravel()
-    timescales = _TIMESCALE_CODE[source].repeat(2)
-    return ([_fold(stream[codes == k]) for k in range(len(_SOURCES))],
-            [_fold(stream[timescales == k]) for k in range(len(_TIMESCALES))],
-            _fold(stream))
+class _Block(NamedTuple):
+    """The event columns of one block of sites, one entry per site."""
+    t: array                   # ticks, read back as Python ints
+    source: np.ndarray         # source codes
+    expected: np.ndarray       # the expectation, scaled by the terms
+    obtained: np.ndarray
+    fires: np.ndarray          # False for a SelfEval site that does not fall short
+    frustration: np.ndarray    # the event's; 0.0 where none fires
+    child_expected: np.ndarray
+    child: np.ndarray          # the MetaAversion child's frustration; 0.0 where none
+    has_child: np.ndarray
 
 
-def rescore(sites, terms: Terms) -> Ledger:
-    """The ledger a run with these sites records under ``terms``: the sums
-    of ``events(sites, terms)``, bit for bit, computed in columns. The terms
-    are checked once, as ``evaluate`` checks each event's."""
+def _site_log(sites) -> SiteLog:
+    """``sites`` as a SiteLog: a copy when they are another iterable."""
+    if isinstance(sites, SiteLog):
+        return sites
+    log = SiteLog()
+    for site in sites:
+        log.append(site)
+    return log
+
+
+def _blocks(log: SiteLog, terms: Terms):
+    """The events of ``log`` under ``terms`` as columns, ``BLOCK`` sites at a
+    time, in site order. A site yields its event unless it is a SelfEval
+    site whose scaled standard is zero or does not fall short, then a
+    MetaAversion child when that stream is on and the event hurt. Each
+    frustration takes the equation's factors in its order, so every value
+    equals ``evaluate``'s bit for bit (count is always 1). The terms are
+    checked once, as ``evaluate`` checks each event's. Each block reads a
+    copy of the log's columns, so the log stays appendable."""
     if not 0.0 <= terms.certainty <= 1.0:
         raise LedgerError(f"certainty {terms.certainty} outside [0, 1]")
     for attention in (terms.attention, terms.attention * terms.realness):
         if not attention >= 0:
             raise LedgerError(f"attention {attention} must be >= 0")
-    if not isinstance(sites, SiteLog):
-        log, sites = sites, SiteLog()
-        for site in log:
-            sites.append(site)
-    with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic is silent
-        by_source, by_timescale, total = _column_sums(sites, terms)
+    for lo in range(0, len(log), BLOCK):
+        hi = lo + BLOCK
+        source = np.frombuffer(log.source[lo:hi], dtype=np.uint8)
+        expected = np.frombuffer(log.expected[lo:hi])
+        obtained = np.frombuffer(log.obtained[lo:hi])
+        with np.errstate(over="ignore", invalid="ignore"):  # as float arithmetic is silent
+            self_eval = source == _SELF_EVAL
+            # Lowering scales positive expectations only; scaling an
+            # expected cost toward zero would raise it.
+            expected = np.where(self_eval, expected * terms.standard_scale, np.where(
+                _IS_ANTICIPATED[source] & (expected > 0),
+                terms.expectation_scale * expected, expected))
+            shortfall = expected - obtained
+            fires = ~self_eval | ((expected != 0.0) & ~(shortfall <= 0))
+            attention = np.where(_IS_WANDER[source], terms.attention * terms.realness,
+                                 terms.attention)
+            frustration = np.where(fires, np.where(shortfall > 0, shortfall, 0.0)
+                                   * terms.certainty * attention, 0.0)
+            # A child's certainty 1.0 and obtained 0.0 leave its terms bit-unchanged.
+            child_expected = terms.meta_aversion_scale * frustration
+            has_child = (frustration > 0) & terms.meta_aversion
+            child = np.where(has_child, np.where(child_expected > 0, child_expected, 0.0)
+                             * terms.attention, 0.0)
+        yield _Block(log.t[lo:hi], source, expected, obtained, fires, frustration,
+                     child_expected, child, has_child)
+
+
+def events(sites, terms: Terms):
+    """The events a run with these sites ``(t, source, expected, obtained)``
+    records under ``terms``, in order, read from the columns that
+    ``rescore`` sums. Certainty and attention are the terms' own values."""
+    attention = [terms.attention * terms.realness if s in _WANDER else terms.attention
+                 for s in _SOURCES]
+    for block in _blocks(_site_log(sites), terms):
+        for t, code, expected, obtained, fires, frustration, child_expected, child, \
+                has_child in zip(block.t, *(column.tolist() for column in block[1:])):
+            if not fires:
+                continue
+            source = _SOURCES[code]
+            timescale = TIMESCALE[source]
+            yield FrustrationEvent(t, source, timescale, expected, obtained,
+                                   terms.certainty, attention[code], 1, frustration)
+            if has_child:
+                yield FrustrationEvent(t, Source.META_AVERSION, timescale, child_expected,
+                                       0.0, 1.0, terms.attention, 1, child)
+
+
+def _fold(carry: float, x) -> float:
+    """``carry + x[0] + x[1] + ...`` added in order, as ``Ledger.record``'s
+    ``+=`` adds: ``np.cumsum`` adds in sequence where ``np.sum`` adds in
+    pairs. A first carry of 0.0 turns a -0.0 sum into 0.0, as ``+=`` from
+    0.0 does, and lets a zero-event sum read 0.0."""
+    return np.cumsum(np.concatenate(([carry], x)))[-1].item()
+
+
+def rescore(sites, terms: Terms) -> Ledger:
+    """The ledger a run with these sites records under ``terms``: the sums
+    of ``events(sites, terms)``, bit for bit, added block by block with
+    each sum carried across blocks. A site with no event scores 0.0, and so
+    does a parent with no MetaAversion child; adding 0.0 to a sum that
+    started from 0.0 changes no bit."""
+    by_source = [0.0] * len(_SOURCES)
+    by_timescale = [0.0] * len(_TIMESCALES)
+    total = 0.0
+    with np.errstate(over="ignore"):  # a sum past the largest float reads inf
+        for block in _blocks(_site_log(sites), terms):
+            # each event, then its child
+            stream = np.column_stack((block.frustration, block.child)).ravel()
+            codes = np.column_stack((block.source, np.full_like(block.source, _META))).ravel()
+            timescales = _TIMESCALE_CODE[block.source].repeat(2)
+            by_source = [_fold(s, stream[codes == k]) for k, s in enumerate(by_source)]
+            by_timescale = [_fold(s, stream[timescales == k]) for k, s in enumerate(by_timescale)]
+            total = _fold(total, stream)
     if math.isnan(total):  # an event's frustration is NaN, which no check equals
         raise LedgerError("an event's frustration is not a number")
     ledger = Ledger()

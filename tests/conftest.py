@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gridmind.suffering import events
+from gridmind.suffering import TIMESCALE, Source, Terms, events, make_event
 from gridmind.world import WorldModel, WorldObject
 
 
@@ -38,3 +38,46 @@ def rng():
 def run_events(agent) -> list:
     """The events of an agent's run: its loss sites scored under its terms."""
     return list(events(agent.sites, agent.terms))
+
+
+def typed(evs) -> list:
+    """Each event field with its type, so that 1 and 1.0 differ."""
+    return [tuple((type(x), x) for x in ev) for ev in evs]
+
+
+# The scoring rules, restated one site at a time: the reference the column
+# pass of ``suffering`` is checked against.
+ANTICIPATED = {Source.STEP_LOSS, Source.PLAN_LOSS, Source.REPLAYED, Source.IMAGINED}
+WANDER = {Source.REPLAYED, Source.IMAGINED}
+
+
+def score(site, terms: Terms) -> list:
+    """The 0-2 events a site ``(t, source, expected, obtained)`` yields
+    under ``terms``: the event itself (a SelfEval site only when the scaled
+    standard falls short), then its MetaAversion child when that stream is
+    on and the event hurt."""
+    t, source, expected, obtained = site
+    if source is Source.SELF_EVAL:
+        expected = expected * terms.standard_scale
+        if expected == 0.0 or expected - obtained <= 0:
+            return []
+    elif source in ANTICIPATED and expected > 0:
+        expected = terms.expectation_scale * expected
+    attention = terms.attention
+    if source in WANDER:
+        attention = attention * terms.realness
+    timescale = TIMESCALE[source]
+    event = make_event(t=t, source=source, timescale=timescale,
+                       expected=expected, obtained=obtained,
+                       certainty=terms.certainty, attention=attention)
+    if not (terms.meta_aversion and event.frustration > 0):
+        return [event]
+    return [event, make_event(
+        t=t, source=Source.META_AVERSION, timescale=timescale,
+        expected=terms.meta_aversion_scale * event.frustration, obtained=0.0,
+        certainty=1.0, attention=terms.attention)]
+
+
+def scored(sites, terms: Terms) -> list:
+    """The reference events of these sites under ``terms``, in order."""
+    return [ev for site in sites for ev in score(site, terms)]

@@ -10,7 +10,7 @@ from gridmind.affect import (InterruptKind, InterruptPolicy,
 from gridmind.agent import Agent
 from gridmind.harness import RunConfig
 from gridmind.planning import Goal, Intention
-from gridmind.suffering import Source, Terms, Timescale, score
+from gridmind.suffering import Source, Terms, Timescale, events
 from gridmind.world import Action
 
 
@@ -185,8 +185,7 @@ def self_eval_event(sm, rewards, standard_scale=1.0):
     site = self_evaluate(sm, SelfState(sm.standard), rewards)
     if site is None:
         return None
-    events = score(site, Terms(standard_scale=standard_scale))
-    return events[0] if events else None
+    return next(events((site,), Terms(standard_scale=standard_scale)), None)
 
 
 def test_self_evaluate_shortfall():

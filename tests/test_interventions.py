@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import run_events
+from conftest import run_events, typed
 from gridmind import harness
 from gridmind.affect import InterruptPolicy, SelfModel
 from gridmind.cli import main as cli_main
@@ -224,11 +224,6 @@ def rescored_events(simulated, config):
     of ``simulated``, a run of the same behaviour class."""
     confusion = simulated.world.observation_confusion
     return list(events(simulated.sites, terms(config, confusion)))
-
-
-def typed(evs) -> list:
-    """Each event field with its type, so that 1 and 1.0 differ."""
-    return [tuple((type(x), x) for x in ev) for ev in evs]
 
 
 def test_canonical_suite_falls_into_three_behaviour_classes():

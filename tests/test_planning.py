@@ -8,7 +8,7 @@ from gridmind.planning import (Goal, Intention, IntentionStatus,
                                PlanSearchParams, commit, count_paths,
                                plan_search, plan_site, split_cost,
                                suggest_goals)
-from gridmind.suffering import Source, Terms, Timescale, score
+from gridmind.suffering import Source, Terms, Timescale, events
 from gridmind.values import ValueStore
 from gridmind.world import Action, Relocation, apply_schedule, step
 
@@ -293,7 +293,7 @@ def terminal_intention(status, anticipated=1.0, obtained=0.0):
 
 def plan_frustration(intention):
     """The plan event of a terminal intention under identity terms."""
-    [ev] = score(plan_site(intention), Terms())
+    [ev] = events((plan_site(intention),), Terms())
     return ev
 
 

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import scored, typed
+from gridmind import suffering
 from gridmind.harness import ledger_totals
 from gridmind.suffering import (DEFAULT_TIMESCALE_WEIGHTS, TIMESCALE, FrustrationEvent,
                                 Ledger, LedgerError, LossSite, SiteLog, Source,
                                 Terms, Timescale, certainty_of, evaluate, events,
-                                make_event, rescore, score)
+                                make_event, rescore)
 
 
 def test_worked_example_identity_multipliers():
@@ -176,8 +178,8 @@ def test_a_site_scores_on_its_sources_timescale():
     assert sorted(TIMESCALE, key=SITE_SOURCES.index) == SITE_SOURCES
     want = {Source.PLAN_LOSS: Timescale.PLAN, Source.SELF_EVAL: Timescale.SELF_EVAL}
     for source in SITE_SOURCES:
-        events = score(LossSite(3, source, 2.0, 0.0), Terms(meta_aversion=True))
-        assert [(ev.source, ev.timescale) for ev in events] == [
+        evs = events((LossSite(3, source, 2.0, 0.0),), Terms(meta_aversion=True))
+        assert [(ev.source, ev.timescale) for ev in evs] == [
             (source, want.get(source, Timescale.STEP)),
             (Source.META_AVERSION, want.get(source, Timescale.STEP))]
 
@@ -246,10 +248,11 @@ def test_rescored_total_never_rises_when_meta_aversion_is_off(sites, terms):
 
 
 def folded(sites, terms: Terms) -> Ledger:
-    """The ledger ``Ledger.record`` folds from ``events``, one event at a time:
-    the reference the column sums of ``rescore`` must equal bit for bit."""
+    """The ledger ``Ledger.record`` folds from the scalar reference events,
+    one event at a time: the reference the column sums of ``rescore`` must
+    equal bit for bit."""
     ledger = Ledger()
-    for event in events(sites, terms):
+    for event in scored(sites, terms):
         ledger.record(event)
     return ledger
 
@@ -277,7 +280,8 @@ def assert_bit_identical(sites, terms: Terms):
 signed = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-10, 10)
 signed_unit = st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
 any_terms = st.builds(Terms, expectation_scale=signed_unit, certainty=signed_unit,
-                      attention=st.sampled_from([0.0, -0.0]) | st.floats(0.0, 4.0),
+                      attention=st.sampled_from([0.0, -0.0]) | st.floats(0.0, 4.0)
+                      | st.integers(0, 4),
                       realness=signed_unit, standard_scale=signed_unit,
                       meta_aversion_scale=signed_unit | st.floats(0.0, 4.0))
 
@@ -290,8 +294,7 @@ def test_column_totals_bit_identical_to_event_fold(sites, terms, meta_aversion):
 
 S = Source
 
-
-@pytest.mark.parametrize("sites, terms", [
+EDGE_CASES = pytest.mark.parametrize("sites, terms", [
     ([], Terms(meta_aversion=True)),
     ([LossSite(0, S.STEP_LOSS, 0.0, -0.0), LossSite(1, S.REPLAYED, -0.0, 0.0),
       LossSite(2, S.SELF_EVAL, -0.0, -1.0)], Terms(meta_aversion=True)),
@@ -308,9 +311,15 @@ S = Source
     ([LossSite(t, S.STEP_LOSS, 0.1, 0.0) for t in range(50)]
      + [LossSite(50, S.STEP_LOSS, 1e16, 0.0), LossSite(51, S.STEP_LOSS, 1.0, 0.0)],
      Terms(certainty=0.3, meta_aversion=True, meta_aversion_scale=0.7)),
+    ([LossSite(0, S.STEP_LOSS, 2.0, 0.5), LossSite(1, S.REPLAYED, 1.0, 0.0),
+      LossSite(2, S.SELF_EVAL, 1.0, 0.0), LossSite(3, S.THREAT_INTERNAL, 0.5, 0.0)],
+     Terms(attention=2, realness=0.5, meta_aversion=True)),
 ], ids=["empty", "signed-zero-sites", "signed-zero-certainty", "signed-zero-attention",
         "standard-scale-zero", "negative-standards", "negative-expected-costs",
-        "order-sensitive-sums"])
+        "order-sensitive-sums", "integer-attention"])
+
+
+@EDGE_CASES
 def test_column_totals_edge_cases(sites, terms):
     assert_bit_identical(sites, terms)
     assert_bit_identical(sites, replace(terms, meta_aversion=not terms.meta_aversion))
@@ -354,3 +363,61 @@ def test_rescore_leaves_its_log_appendable():
     rescore(log, Terms())
     log.append(LossSite(1, Source.PLAN_LOSS, 3.0, 0.0))
     assert rescore(log, Terms()).total == 5.0
+
+
+# -- the events read from the columns equal the scalar reference, field by field -----
+
+
+def assert_same_events(sites, terms: Terms):
+    """``events`` equals the scalar reference field by field, types and signed
+    zeros included: ``repr`` tells ``-0.0`` from ``0.0`` and ``2`` from ``2.0``."""
+    want = repr(typed(scored(site_log(sites), terms)))
+    assert repr(typed(events(site_log(sites), terms))) == want
+    assert repr(typed(events(list(sites), terms))) == want  # any iterable of sites
+
+
+@settings(max_examples=400, deadline=None)
+@given(sites=loss_sites(signed), terms=any_terms, meta_aversion=st.booleans())
+def test_column_events_equal_the_scalar_reference(sites, terms, meta_aversion):
+    assert_same_events(sites, replace(terms, meta_aversion=meta_aversion))
+
+
+@EDGE_CASES
+def test_column_events_edge_cases(sites, terms):
+    assert_same_events(sites, terms)
+    assert_same_events(sites, replace(terms, meta_aversion=not terms.meta_aversion))
+
+
+# -- sums carry across the blocks of a column pass ----------------------------------
+
+
+def edge_sites(n: int, source=S.STEP_LOSS) -> list:
+    """Sites whose sums change if a block's sum is added as a whole: the
+    first is 1e16, and adding 1.0 to 1e16 rounds back to it, one site at a
+    time, while adding 2.0 or more does not."""
+    return [LossSite(t, source, 1e16 if t == 0 else 1.0, 0.0) for t in range(n)]
+
+
+@pytest.mark.parametrize("source", [S.STEP_LOSS, S.PLAN_LOSS, S.REPLAYED, S.SELF_EVAL])
+@pytest.mark.parametrize("block", [1, 2, 5])
+def test_blocks_carry_each_sum_across_their_edges(monkeypatch, block, source):
+    monkeypatch.setattr(suffering, "BLOCK", block)
+    sites = edge_sites(1 + 2 * block + 3, source)  # past two block edges
+    for terms in (Terms(), Terms(meta_aversion=True, meta_aversion_scale=1.0)):
+        assert_bit_identical(sites, terms)
+        assert_same_events(sites, terms)
+    assert rescore(sites, Terms()).total == folded(sites, Terms()).total == 1e16
+
+
+def test_a_log_longer_than_two_blocks_scores_as_the_reference():
+    rng = np.random.default_rng(7)
+    n = 2 * suffering.BLOCK + 3
+    sources = rng.choice(len(SITE_SOURCES), n)
+    values = rng.normal(0.0, 2.0, (n, 2))
+    sites = edge_sites(1) + [LossSite(t, SITE_SOURCES[k], e, o) for t, k, (e, o)
+                             in zip(range(1, n), sources.tolist(), values.tolist())]
+    terms = Terms(expectation_scale=0.7, certainty=0.9, realness=0.5, standard_scale=0.8,
+                  meta_aversion=True)
+    assert_bit_identical(sites, terms)
+    assert_same_events(sites, terms)
+
