@@ -15,7 +15,6 @@ GRIDMIND_VERBOSE=1 prints progress lines.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -57,14 +56,9 @@ def cmd_sweep(args) -> int:
     world = harness.open_world(args.world)
     thresholds, policy, seeds, steps = harness.sweep_from_dict(load_json(args.policy))
     table = sweep_threshold(world, thresholds, policy, seeds, steps=steps)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "sweep.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=("threshold", "false_alarms",
-                                                "misses", "realized_cost"))
-        writer.writeheader()
-        writer.writerows(table)
+    path = Path(args.out) / "sweep.csv"
+    harness.write_table(path, harness.SWEEP_COLUMNS,
+                        ([row[c] for c in harness.SWEEP_COLUMNS] for row in table))
     print(f"wrote {path} ({len(table)} thresholds)")
     return 0
 

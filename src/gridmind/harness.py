@@ -22,19 +22,20 @@ from .inputs import Range
 from .interventions import InterventionConfig, apply, by_name, canonical_suite, terms
 from .planning import PlanSearchParams
 from .presets import PRESETS, get_world
-from .replay import WanderingParams
-from .suffering import Ledger, Source, Timescale, events, rescore
+from .replay import MAX_ROLLOUT_DEPTH, WanderingParams
+from .suffering import FrustrationEvent, Ledger, Source, Timescale, events, rescore
 from .values import LearningParams
 from .world import WorldError, WorldModel
 
 VERSION = "0.1.0"
 
-EVENT_COLUMNS = ("run_id", "t", "source", "timescale", "expected", "obtained",
-                 "certainty", "attention", "count", "frustration")
+EVENT_COLUMNS = ("run_id", *FrustrationEvent._fields)
 
 REPORT_COLUMNS = ("intervention", "world", "seed", "status", "total_frustration",
                   "weighted_total", "step_total", "plan_total", "self_eval_total",
                   "obtained_reward", "episodes")
+
+SWEEP_COLUMNS = ("threshold", "false_alarms", "misses", "realized_cost")
 
 
 ConfigError = inputs.InputError  # bad input, with the dotted path of the value
@@ -57,7 +58,8 @@ class RunConfig:
     interrupts: InterruptPolicy = field(default_factory=InterruptPolicy)
     self_model: SelfModel = field(default_factory=SelfModel)
     intervention: InterventionConfig = field(default_factory=InterventionConfig)
-    goal_reach: Annotated[int, Range(1)] = 4
+    # suggest_goals' other reach is wandering.rollout_depth: one ceiling for both
+    goal_reach: Annotated[int, Range(1, MAX_ROLLOUT_DEPTH)] = 4
     goal_threshold: Annotated[float, Range()] = 0.1
     attention: Annotated[float, Range(0)] = 1.0
     policy: str = "learned"
@@ -138,16 +140,16 @@ def sweep_from_dict(data) -> tuple:
 # -- running ---------------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
-def event_row(run_id: str, ev) -> tuple:
-    return (run_id, ev.t, ev.source.value, ev.timescale.value, _fmt(ev.expected),
-            _fmt(ev.obtained), _fmt(ev.certainty), _fmt(ev.attention),
-            ev.count, _fmt(ev.frustration))
+def write_table(path, columns, rows):
+    """Write a CSV file: the ``columns`` header, then each row, a sequence in
+    column order, creating the file's directory. ``csv`` formats every
+    number: a float as its ``repr``, an int as its digits."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def ledger_totals(ledger: Ledger) -> dict:
@@ -179,10 +181,11 @@ def summarize(agent: Agent, config: RunConfig, ledger: Ledger) -> dict:
 
 
 def run(config: RunConfig, out_dir=None) -> tuple[Agent, dict]:
-    """Execute one seeded run and score its loss sites in columns; optionally
-    write events.csv (its rows read from the same columns, a block at a
-    time), summary.json and, when tracing, trace.csv into out_dir.
-    Deterministic per config."""
+    """Execute one seeded run and score its loss sites in columns. With
+    out_dir, write there events.csv (a row per event of ``events``, read
+    from the same columns, with its source and timescale by name),
+    summary.json and, when tracing, trace.csv; each CSV through
+    ``write_table``. Deterministic per config."""
     world = open_world(config.world)
     agent = Agent(config, world, config.seed)
     agent.run(config.steps)
@@ -190,21 +193,17 @@ def run(config: RunConfig, out_dir=None) -> tuple[Agent, dict]:
     if out_dir is None:
         return agent, summary
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rid = config.run_id()
-    with open(out / f"{rid}_events.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EVENT_COLUMNS)
-        writer.writerows(event_row(rid, ev) for ev in events(agent.sites, agent.terms))
+    write_table(out / f"{rid}_events.csv", EVENT_COLUMNS,
+                ((rid, ev.t, ev.source.value, ev.timescale.value, *ev[3:])
+                 for ev in events(agent.sites, agent.terms)))
     with open(out / f"{rid}_summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     if config.trace:
-        with open(out / f"{rid}_trace.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("t", "kind", "detail"))
-            for item in agent.trace:
-                writer.writerow((item.t, item.kind, json.dumps(item.detail, sort_keys=True)))
+        write_table(out / f"{rid}_trace.csv", ("t", "kind", "detail"),
+                    ((item.t, item.kind, json.dumps(item.detail, sort_keys=True))
+                     for item in agent.trace))
     return agent, summary
 
 
@@ -346,12 +345,6 @@ def experiment(matrix: dict, out_dir=None) -> tuple[list, int]:
     rows.sort(key=lambda r: (r["intervention"], r["world"], r["seed"] == "median",
                              int(r["seed"]) if r["seed"].isdigit() else -1))
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "report.csv", "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS)
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({k: _fmt(v) if isinstance(v, float) else v
-                                 for k, v in row.items()})
+        write_table(Path(out_dir) / "report.csv", REPORT_COLUMNS,
+                    ([row[c] for c in REPORT_COLUMNS] for row in rows))
     return rows, failures

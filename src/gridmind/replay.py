@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Annotated
 
 import numpy as np
@@ -141,19 +142,17 @@ def priorities(buffer: ReplayBuffer, store, params) -> np.ndarray:
     much replaying it would move V.
 
     The same elementwise float operations, in the same order, as the scalar
-    abs(r + disc * v_after - v(s)), applied once per transition key over a
-    dense copy of V (state ids are non-negative ints; unseen states read
-    0), then gathered into item order.
+    abs(r + disc * v_after - v(s)), applied once per transition key, then
+    gathered into item order. V is looked up once per key state (unseen
+    states read 0), so the cost follows the key table, not the size of the
+    state ids, which grow with every relocation epoch.
     """
     n = len(buffer)
     m = buffer.n_keys
-    s, s_next = buffer.s[:m], buffer.s_next[:m]
-    keys = np.fromiter(store.V.keys(), np.int64, len(store.V))
-    vals = np.zeros(int(max(s.max(initial=0), s_next.max(initial=0))) + 1)
-    known = keys < len(vals)
-    vals[keys[known]] = np.fromiter(store.V.values(), np.float64, len(store.V))[known]
-    v_after = np.where(buffer.terminal[:m], 0.0, vals[s_next])
-    per_key = np.abs(buffer.r[:m] + params.disc * v_after - vals[s])
+    states = np.concatenate((buffer.s[:m], buffer.s_next[:m])).tolist()
+    vals = np.fromiter(map(store.V.get, states, repeat(0.0)), np.float64, 2 * m)
+    v_after = np.where(buffer.terminal[:m], 0.0, vals[m:])
+    per_key = np.abs(buffer.r[:m] + params.disc * v_after - vals[:m])
     return per_key.take(buffer.key[buffer.head:buffer.head + n])
 
 

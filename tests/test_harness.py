@@ -15,6 +15,7 @@ from gridmind.cli import main as cli_main
 from gridmind.harness import (EVENT_COLUMNS, ConfigError, config_from_dict,
                               experiment, load_config, run)
 from gridmind.inputs import InputError
+from gridmind.suffering import Source, events
 from gridmind.world import world_from_dict
 
 
@@ -284,6 +285,33 @@ def test_shipped_config_with_gamma_null_is_golden(tmp_path):
         written = (tmp_path / f"baseline_loss_heavy_0_{name}").read_bytes()
         assert hashlib.sha256(written).hexdigest() == digest, name
 
+
+# sha256 of what a 1,500-step run of configs/run.json with "meta_aversion":
+# true writes (numpy 2.4.6): the one golden run with MetaAversion children.
+META_AVERSION_RUN_DIGESTS = {
+    "events.csv": "02c2dd6004e09e162e4e490fe182b9a9ed2ec20b03098fe8f9b5731d128bfb49",
+    "summary.json": "97aab1b7f4c4a220cbfb7469747ecf57a515cf5ad68ffe2af357588cbebbb4c7",
+}
+
+
+def test_meta_aversion_run_writes_each_event_as_its_row(tmp_path):
+    """Each events.csv row is its event's fields, a float as its ``repr``."""
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "run.json"
+    config = config_from_dict({**json.loads(shipped.read_text()), "steps": 1500,
+                               "meta_aversion": True})
+    agent, _ = run(config, out_dir=tmp_path)
+    rid = config.run_id()
+    evs = list(events(agent.sites, agent.terms))
+    assert sum(ev.source is Source.META_AVERSION for ev in evs) > 1000
+    rows = [",".join(EVENT_COLUMNS)] + [
+        ",".join((rid, str(ev.t), ev.source.value, ev.timescale.value, *map(repr, ev[3:])))
+        for ev in evs]
+    assert (tmp_path / f"{rid}_events.csv").read_text().splitlines() == rows
+    for name, digest in META_AVERSION_RUN_DIGESTS.items():
+        written = (tmp_path / f"{rid}_{name}").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == digest, name
+
+
 def test_cli_validate_only(tmp_path, capsys):
     config_path = tmp_path / "run.json"
     config_path.write_text(json.dumps(BASE_CONFIG))
@@ -332,6 +360,16 @@ def test_cli_sweep_threshold(tmp_path, capsys):
     lines = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
     assert lines[0] == "threshold,false_alarms,misses,realized_cost"
     assert len(lines) == 4
+
+
+def test_cli_sweep_threshold_of_the_shipped_policy_is_golden(tmp_path):
+    """sha256 of what `gridmind sweep-threshold --world hazard_alley --policy
+    configs/policy.json` writes (numpy 2.4.6)."""
+    policy = Path(__file__).resolve().parent.parent / "configs" / "policy.json"
+    assert cli_main(["sweep-threshold", "--world", "hazard_alley", "--policy", str(policy),
+                     "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest() == \
+        "cb73c53c5392a5209f7010726931bf675f0db6c52819a6211be38d3e008f5880"
 
 
 # -- input boundary: bad input exits 2 with a path, never a traceback -----------

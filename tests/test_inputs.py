@@ -191,6 +191,15 @@ def test_rollout_depth_cap_is_checked_before_anything_runs(tmp_path, capsys):
     assert capped.wandering.rollout_depth == 1000
 
 
+def test_goal_reach_shares_the_rollout_depth_cap(tmp_path, capsys):
+    """``suggest_goals`` takes a goal reach and a rollout depth alike as its
+    reach, so both have one ceiling."""
+    text = json.dumps({**RUN, "goal_reach": 1001})
+    assert cli(tmp_path, "simulate", text, "--validate-only") == 2
+    assert "invalid config: goal_reach: must be in [1, 1000]" in capsys.readouterr().err
+    assert config_from_dict({**RUN, "goal_reach": 1000}).goal_reach == 1000
+
+
 CELLS_CAP = "width: width * height must be at most 100000"
 
 

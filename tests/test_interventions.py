@@ -401,7 +401,7 @@ def test_integer_costs_are_written_as_the_rescored_path_holds_them(tmp_path):
     with open(tmp_path / f"{config.run_id()}_events.csv", newline="") as fh:
         written = [(row["source"], row["expected"]) for row in csv.DictReader(fh)]
     classmate, _ = run(replace(config, intervention=by_name("acceptance")))
-    assert written == [(ev.source.value, harness._fmt(ev.expected))
+    assert written == [(ev.source.value, repr(ev.expected))
                        for ev in rescored_events(classmate, config)]
     for source in (Source.DESIRE_COST, Source.THREAT_INTERNAL):
         assert {expected for s, expected in written if s == source.value} == {"1.0"}

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,28 @@ def test_priority_bad_news_transition():
 
 def test_priorities_of_empty_buffer():
     assert len(priorities(ReplayBuffer(), ValueStore(), LearningParams(**SUB))) == 0
+
+
+# State ids grow as epoch * cells + flat, so a world at the size caps
+# reaches ids near 10^8. Ids near 0 and near 10^7 in one buffer: an offset
+# by the smallest id would still span them all.
+@pytest.mark.parametrize("ids", [range(10 ** 7, 10 ** 7 + 100),
+                                 [*range(50), *range(10 ** 7, 10 ** 7 + 50)]],
+                         ids=["near 10^7", "near 0 and 10^7"])
+def test_priorities_memory_follows_the_keys_not_the_state_ids(ids):
+    items = [Experience(s=s, a=Action.EAST, r=-0.1, s_next=s + 1) for s in ids]
+    store = ValueStore(V={s: 0.25 * (s % 7) for s in ids})
+    params = LearningParams()
+    buf = filled(items)
+    tracemalloc.start()
+    try:
+        got = priorities(buf, store, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert got.tolist() == [abs(e.r + params.disc * store.v(e.s_next) - store.v(e.s))
+                            for e in items]
 
 
 def test_backward_sweep_rooms_example():
