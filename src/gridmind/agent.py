@@ -207,7 +207,7 @@ class Agent:
         for i, exp in enumerate(tick):
             self.buffer.append(exp)
             if i == 0 and bonus:
-                exp = replace(exp, r=exp.r + bonus)
+                exp = exp._replace(r=exp.r + bonus)
             td_update(store, exp, self.learning)
 
         loss = raw_expected - r

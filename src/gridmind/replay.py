@@ -9,11 +9,10 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Annotated
+from typing import Annotated, NamedTuple
 
 import numpy as np
 
-from . import rng as rngmod
 from .inputs import Range, check
 from .planning import plan_search, suggest_goals
 from .suffering import LossSite, Source
@@ -21,8 +20,10 @@ from .values import epsilon_greedy, step_expectation, td_update
 from .world import Action
 
 
-@dataclass(frozen=True)
-class Experience:
+class Experience(NamedTuple):
+    """One transition. A tuple, since one is built for every step and every
+    wander item."""
+
     s: int
     a: Action
     r: float
@@ -35,10 +36,10 @@ def experiences(s: int, a: Action, r: float, s_next: int,
     """One tick as experiences. A tick that consumes a reward of magnitude
     ``consumed`` splits into the move (r is then the move's own reward)
     and a terminal consume, so learning bootstraps nothing past the goal."""
-    move = [Experience(s=s, a=a, r=r, s_next=s_next)]
+    move = [Experience(s, a, r, s_next)]
     if consumed is None:
         return move
-    return move + [Experience(s=s_next, a=Action.STAY, r=consumed, s_next=s_next, terminal=True)]
+    return move + [Experience(s_next, Action.STAY, consumed, s_next, True)]
 
 
 class ReplayBuffer:
@@ -129,9 +130,8 @@ class ReplayBuffer:
             raise IndexError("replay buffer index out of range")
         row = (self.head + i) % self.capacity
         k = self.key[row]
-        return Experience(s=int(self.s[k]), a=Action(int(self.a[row])),
-                          r=float(self.r[k]), s_next=int(self.s_next[k]),
-                          terminal=bool(self.terminal[k]))
+        return Experience(int(self.s[k]), Action(int(self.a[row])), float(self.r[k]),
+                          int(self.s_next[k]), bool(self.terminal[k]))
 
     def __iter__(self):
         return (self[i] for i in range(self._len))
@@ -225,17 +225,17 @@ def wandering_step(agent, t: int) -> list:
 
     The first draw of the step's wandering stream gates the whole batch
     against the agent's p_wander (``interventions.apply``), so runs that
-    differ only in p_wander wander on nested step sets. It is read from the agent's table of first draws
-    (``agent.wander_gate``); the stream's Generator is built only on a step
-    that passes. Replay items are drawn proportionally to priority; the
-    remainder are simulated rollouts from the current state. Negative
-    items are returned as loss sites, which the ledger scores with
-    attention scaled by realness; positive ones only count.
+    differ only in p_wander wander on nested step sets. It is read from the
+    agent's table of first draws (``agent.wander_gate``); only a step that
+    passes takes the rest of its stream, a Generator the table loads with
+    the step's state after that draw. Replay items are drawn proportionally
+    to priority; the remainder are simulated rollouts from the current
+    state. Negative items are returned as loss sites, which the ledger
+    scores with attention scaled by realness; positive ones only count.
     """
     if agent.wander_gate[t] >= agent.p_wander:
         return []
-    rng = rngmod.per_step(agent.seed, "wandering", t)
-    rng.random()  # the gate draw, read above from the table
+    rng = agent.wander_gate.generator(t)
     sites = []
     cdf = None  # sampling distribution computed once per batch
     wp = agent.wandering

@@ -5,10 +5,13 @@ adding draws to one stream never perturbs another. Per-step streams are
 additionally keyed by the step index, which keeps scheduler decisions
 aligned across runs that differ only in how often they fire.
 
-A per-step stream's first double is also available without building its
-Generator: ``first_doubles`` computes it for a block of steps at once, by
-numpy's own seeding arithmetic (SeedSequence pool mixing, then PCG64
-seeding and one XSL-RR output), and ``FirstDraws`` serves it step by step.
+A per-step stream is also available without ``default_rng``:
+``first_draws`` computes, for a block of steps at once and by numpy's own
+seeding arithmetic (SeedSequence pool mixing, then PCG64 seeding), each
+step's PCG64 state right after its first draw, and that draw (one XSL-RR
+output). ``FirstDraws`` serves the first draw step by step, and loads a
+step's state into one reused Generator when the step needs the rest of
+its stream.
 """
 
 from __future__ import annotations
@@ -57,15 +60,19 @@ def _words(x: int) -> list:
     return out
 
 
-def first_doubles(seed: int, label: str, start: int, count: int) -> np.ndarray:
-    """``per_step(seed, label, t).random()`` for t in [start, start + count).
+def first_draws(seed: int, label: str, start: int, count: int):
+    """``per_step(seed, label, t)`` for t in [start, start + count), right
+    after its first ``random()``: that double, and the PCG64 ``(state,
+    inc)`` the Generator then holds.
 
-    Equal bit for bit to numpy's own draw (seed and steps non-negative)
-    while the entropy ``[seed, stream, t]`` fits the SeedSequence pool of 4
-    words. Entropy shorter than the pool hashes like zero words, so a t
-    below 2**32 is given its (zero) high word and every t runs the same
-    vector arithmetic. A t whose entropy would not fit (``t >= 2**32``
-    beside a seed of 2**32 or more) is drawn by ``default_rng`` itself.
+    Returns the doubles as an array and the pairs as a list. Equal bit for
+    bit to numpy's own stream (seed and steps non-negative) while the
+    entropy ``[seed, stream, t]`` fits the SeedSequence pool of 4 words.
+    Entropy shorter than the pool hashes like zero words, so a t below
+    2**32 is given its (zero) high word and every t runs the same vector
+    arithmetic. A t whose entropy would not fit (``t >= 2**32`` beside a
+    seed of 2**32 or more) is drawn by ``default_rng`` itself, and its
+    pair is None.
     """
     seed, stream = int(seed), STREAMS[label]
     head = _words(seed) + [stream]
@@ -104,24 +111,42 @@ def first_doubles(seed: int, label: str, start: int, count: int) -> np.ndarray:
         (state[2 * k] | state[2 * k + 1] << np.uint64(32)).tolist() for k in range(4))
 
     out = np.empty(count)
+    pairs = []
     for i, (a, b, c, d) in enumerate(zip(w0, w1, w2, w3)):
-        inc = (c << 64 | d) << 1 | 1
+        # the shifted word can reach 129 bits; PCG64 keeps 128 of them
+        inc = ((c << 64 | d) << 1 | 1) & MASK128
         s = ((inc + (a << 64 | b)) * PCG_MULT_SQ + inc * (PCG_MULT + 1)) & MASK128
         hi = s >> 64
         x = (hi ^ s) & MASK64
         rot = hi >> 58
         x = (x >> rot | x << (64 - rot)) & MASK64
         out[i] = (x >> 11) * 2.0 ** -53  # random(): the top 53 bits
+        pairs.append((s, inc))
     for i in wide.tolist():
-        out[i] = np.random.default_rng([seed, stream, start + i]).random()
-    return out
+        out[i] = per_step(seed, label, start + i).random()
+        pairs[i] = None
+    return out, pairs
+
+
+def first_doubles(seed: int, label: str, start: int, count: int) -> np.ndarray:
+    """``per_step(seed, label, t).random()`` for t in [start, start + count),
+    as ``first_draws`` computes it."""
+    return first_draws(seed, label, start, count)[0]
 
 
 class FirstDraws:
-    """The first double of ``per_step(seed, label, t)`` at any step t, from a
-    table of ``first_doubles``. The first table covers the run's expected
-    ``horizon`` steps (at most BLOCK); a step outside the table refills it
-    with the BLOCK steps from there."""
+    """``per_step(seed, label, t)`` at any step t, from a table of
+    ``first_draws``: its first double by indexing, and the Generator right
+    after that draw by ``generator(t)``. The first table covers the run's
+    expected ``horizon`` steps (at most BLOCK); a step outside the table
+    refills it with the BLOCK steps from there.
+
+    ``generator`` loads the step's PCG64 state into the one Generator this
+    table owns, built once from a constant seed, so each call overwrites
+    what the previous step left in it: a step's Generator is good until
+    the next call. A step whose entropy does not fit the pool gets a
+    Generator of its own from ``per_step``.
+    """
 
     BLOCK = 2048
 
@@ -131,11 +156,32 @@ class FirstDraws:
         self.block = max(1, min(horizon, self.BLOCK))
         self.start = 0
         self.values = np.empty(0)
+        self.pairs = []
+        self._generator = np.random.Generator(np.random.PCG64(0))
+        self._state = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 0},
+                       "has_uint32": 0, "uinteger": 0}
 
-    def __getitem__(self, t: int) -> float:
+    def _index(self, t: int) -> int:
         i = t - self.start
         if not 0 <= i < len(self.values):
             self.start, i = t, 0
-            self.values = first_doubles(self.seed, self.label, t, self.block)
+            self.values, self.pairs = first_draws(self.seed, self.label, t, self.block)
             self.block = self.BLOCK
+        return i
+
+    def __getitem__(self, t: int) -> float:
+        i = self._index(t)  # before reading values: it may refill them
         return self.values[i]
+
+    def generator(self, t: int) -> np.random.Generator:
+        """``per_step(seed, label, t)`` after its first ``random()``."""
+        i = self._index(t)
+        pair = self.pairs[i]
+        if pair is None:
+            rng = per_step(self.seed, self.label, t)
+            rng.random()
+            return rng
+        pcg = self._state["state"]
+        pcg["state"], pcg["inc"] = pair
+        self._generator.bit_generator.state = self._state
+        return self._generator

@@ -312,6 +312,26 @@ def test_meta_aversion_run_writes_each_event_as_its_row(tmp_path):
         assert hashlib.sha256(written).hexdigest() == digest, name
 
 
+# sha256 of what a 1,500-step run of configs/run.json with "curiosity_kappa":
+# 0.5 writes (numpy 2.4.6): the one golden run whose learning adds the
+# curiosity bonus to each move's reward.
+CURIOSITY_RUN_DIGESTS = {
+    "events.csv": "42e4e4ae0b6d43d0b807f184d343b603f6194e80d69300a047b1a92df294052a",
+    "summary.json": "4a996c53692683c1273ab5749907c7011057eb1ab606dc0fbe74668aba9b02df",
+}
+
+
+def test_shipped_config_with_curiosity_is_golden(tmp_path):
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "run.json"
+    data = json.loads(shipped.read_text())
+    data["learning"] = {**data["learning"], "curiosity_kappa": 0.5}
+    config = config_from_dict({**data, "steps": 1500})
+    run(config, out_dir=tmp_path)
+    for name, digest in CURIOSITY_RUN_DIGESTS.items():
+        written = (tmp_path / f"{config.run_id()}_{name}").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == digest, name
+
+
 def test_cli_validate_only(tmp_path, capsys):
     config_path = tmp_path / "run.json"
     config_path.write_text(json.dumps(BASE_CONFIG))

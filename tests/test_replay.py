@@ -418,18 +418,18 @@ def test_frustration_monotone_in_p_wander():
 
 
 def gated_steps(monkeypatch, config):
-    """The steps of a run that built their wandering stream: those that
-    passed the gate."""
-    built, per_step = [], rngmod.per_step
+    """The steps of a run that took their wandering stream's Generator from
+    the gate table: those that passed the gate."""
+    taken, generator = [], rngmod.FirstDraws.generator
 
-    def recording(seed, label, t):
-        built.append(t)
-        return per_step(seed, label, t)
+    def recording(table, t):
+        taken.append(t)
+        return generator(table, t)
 
     with monkeypatch.context() as patch:
-        patch.setattr(rngmod, "per_step", recording)
+        patch.setattr(rngmod.FirstDraws, "generator", recording)
         run(config)
-    return built
+    return taken
 
 
 def test_gated_steps_nest_in_p_wander(monkeypatch):

@@ -1,6 +1,7 @@
-"""Guards on the two draws gridmind computes by numpy's algorithm instead of
+"""Guards on the draws gridmind computes by numpy's algorithm instead of
 asking numpy: the wander gate's table of first draws (``rng.first_doubles``,
-``rng.FirstDraws``) and the per-batch CDF of replay sampling
+``rng.FirstDraws``), the Generator that table loads for a gated step
+(``FirstDraws.generator``) and the per-batch CDF of replay sampling
 (``replay.priority_cdf`` with ``replay.sample_from``).
 
 Every check compares with numpy itself (``default_rng`` and
@@ -57,6 +58,49 @@ def test_first_doubles_match_a_whole_run():
 def test_first_draws_serve_any_step_across_blocks(seed, horizon, steps):
     gate = rngmod.FirstDraws(seed, "wandering", horizon=horizon)
     assert [gate[t] for t in steps] == [numpy_gate(seed, t) for t in steps]
+
+
+def numpy_after_gate(seed, t):
+    rng = rngmod.per_step(seed, "wandering", t)
+    rng.random()
+    return rng
+
+
+def assert_same_stream(got, want):
+    assert got.bit_generator.state == want.bit_generator.state
+    assert got.random(8).tolist() == want.random(8).tolist()
+    assert got.integers(5, size=8).tolist() == want.integers(5, size=8).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
+def test_table_generator_equals_per_step_after_its_first_draw(seed):
+    """The Generator the table loads for step t is ``per_step(seed, label,
+    t)`` after its own first ``random()``: same state, same draws, across
+    block refills (at 4, 2052 and back at 1) and on a lane whose entropy
+    does not fit the pool (seed 2**32 at t = 2**32)."""
+    table = rngmod.FirstDraws(seed, "wandering", horizon=4)
+    steps = [0, 4, 2051, 2052, 1] + ([2**32] if seed == 2**32 else [])
+    for t in steps:
+        assert_same_stream(table.generator(t), numpy_after_gate(seed, t))
+        assert table[t] == numpy_gate(seed, t)
+
+
+def test_draws_at_one_gated_step_leave_the_next_alone():
+    """The table reuses one Generator, so a gated step's stream must not
+    depend on what the gated step before it drew, a buffered 32-bit half
+    included."""
+    seed = 9
+    table = rngmod.FirstDraws(seed, "wandering", horizon=200)
+    gated = [t for t in range(200) if table[t] < 0.3]
+    assert len(gated) > 20
+    halves = 0
+    for n, t in enumerate(gated):
+        rng = table.generator(t)
+        assert_same_stream(rng, numpy_after_gate(seed, t))
+        rng.random(n)
+        rng.integers(7, size=n % 3 + 1, dtype=np.int32)
+        halves += rng.bit_generator.state["has_uint32"]
+    assert halves > 0
 
 
 # -- one CDF per batch ------------------------------------------------------------
