@@ -23,7 +23,8 @@ from .interventions import InterventionConfig, apply, by_name, canonical_suite, 
 from .planning import PlanSearchParams
 from .presets import PRESETS, get_world
 from .replay import MAX_ROLLOUT_DEPTH, WanderingParams
-from .suffering import FrustrationEvent, Ledger, Source, Timescale, events, rescore
+from .suffering import (NAMES, FrustrationEvent, Ledger, Source, Timescale, event_rows, events,
+                        rescore)
 from .values import LearningParams
 from .world import WorldError, WorldModel
 
@@ -182,10 +183,9 @@ def summarize(agent: Agent, config: RunConfig, ledger: Ledger) -> dict:
 
 def run(config: RunConfig, out_dir=None) -> tuple[Agent, dict]:
     """Execute one seeded run and score its loss sites in columns. With
-    out_dir, write there events.csv (a row per event of ``events``, read
-    from the same columns, with its source and timescale by name),
-    summary.json and, when tracing, trace.csv; each CSV through
-    ``write_table``. Deterministic per config."""
+    out_dir, write there events.csv (its ``event_rows``, read from the
+    slot columns: no ``FrustrationEvent`` is built), summary.json and, when
+    tracing, trace.csv; each CSV through ``write_table``. Deterministic."""
     world = open_world(config.world)
     agent = Agent(config, world, config.seed)
     agent.run(config.steps)
@@ -195,8 +195,7 @@ def run(config: RunConfig, out_dir=None) -> tuple[Agent, dict]:
     out = Path(out_dir)
     rid = config.run_id()
     write_table(out / f"{rid}_events.csv", EVENT_COLUMNS,
-                ((rid, ev.t, ev.source.value, ev.timescale.value, *ev[3:])
-                 for ev in events(agent.sites, agent.terms)))
+                event_rows(agent.sites, agent.terms, NAMES, (rid,)))
     with open(out / f"{rid}_summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

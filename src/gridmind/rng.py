@@ -128,12 +128,6 @@ def first_draws(seed: int, label: str, start: int, count: int):
     return out, pairs
 
 
-def first_doubles(seed: int, label: str, start: int, count: int) -> np.ndarray:
-    """``per_step(seed, label, t).random()`` for t in [start, start + count),
-    as ``first_draws`` computes it."""
-    return first_draws(seed, label, start, count)[0]
-
-
 class FirstDraws:
     """``per_step(seed, label, t)`` at any step t, from a table of
     ``first_draws``: its first double by indexing, and the Generator right

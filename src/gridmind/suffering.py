@@ -12,10 +12,10 @@ source's events all fall on one timescale (``TIMESCALE``).
 A run keeps only its raw shortfalls, each once, as a ``LossSite``: its
 source, what was expected before any intervention scaled it, and what was
 obtained. One column pass scores a ``SiteLog`` of them under a set of
-equation ``Terms``, a block of sites at a time: ``rescore`` sums the
-blocks into a ``Ledger``, adding each sum in event order, and ``events``
-reads the same columns back as the ``FrustrationEvent`` rows of
-``events.csv``, the trace audit and the traced self-evaluation.
+equation ``Terms`` into event slots, two a site: its event, then its
+MetaAversion child. ``rescore`` sums the slots into a ``Ledger`` with
+``np.add.at``, in slot order; ``event_rows`` reads the fired slots as
+the fields of ``events`` and of the rows of ``events.csv``.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import repeat
 from enum import Enum
 from typing import Annotated, NamedTuple
 
@@ -208,9 +209,11 @@ _TIMESCALES = tuple(Timescale)
 _META = _SOURCES.index(Source.META_AVERSION)
 _SELF_EVAL = _SOURCES.index(Source.SELF_EVAL)
 _IS_ANTICIPATED = np.array([s in _ANTICIPATED for s in _SOURCES])
-_IS_WANDER = np.array([s in _WANDER for s in _SOURCES])
 _TIMESCALE_CODE = np.array([_TIMESCALES.index(TIMESCALE[s]) if s in TIMESCALE
-                            else len(_TIMESCALES) for s in _SOURCES])
+                            else len(_TIMESCALES) for s in _SOURCES], dtype=np.uint8)
+
+# The names that events.csv writes, by source and by timescale code.
+NAMES = (tuple(s.value for s in _SOURCES), tuple(ts.value for ts in _TIMESCALES))
 
 # Sites scored at once: a long run's columns stay small, and numpy's
 # per-call cost is spread over many sites.
@@ -218,16 +221,17 @@ BLOCK = 8192
 
 
 class _Block(NamedTuple):
-    """The event columns of one block of sites, one entry per site."""
-    t: array                   # ticks, read back as Python ints
-    source: np.ndarray         # source codes
-    expected: np.ndarray       # the expectation, scaled by the terms
+    """A block's event slots, two a site: its event, then its MetaAversion
+    child; the fields are ``FrustrationEvent``'s but count, always 1."""
+    fires: np.ndarray          # the slots that hold an event
+    t: np.ndarray
+    source: np.ndarray         # source codes; a child's is _META
+    timescale: np.ndarray      # timescale codes; a child's is its parent's
+    expected: np.ndarray       # a site's expectation scaled by the terms
     obtained: np.ndarray
-    fires: np.ndarray          # False for a SelfEval site that does not fall short
-    frustration: np.ndarray    # the event's; 0.0 where none fires
-    child_expected: np.ndarray
-    child: np.ndarray          # the MetaAversion child's frustration; 0.0 where none
-    has_child: np.ndarray
+    certainty: np.ndarray      # object columns: the terms' own values, so an
+    attention: np.ndarray      # int attention stays an int
+    frustration: np.ndarray    # 0.0 in a slot that holds no event
 
 
 def _site_log(sites) -> SiteLog:
@@ -240,13 +244,20 @@ def _site_log(sites) -> SiteLog:
     return log
 
 
+def _slots(n: int, parent, child, dtype=np.float64) -> np.ndarray:
+    """2n slots: each site's ``parent`` value, then its ``child`` value."""
+    slots = np.empty((n, 2), dtype)
+    slots[:, 0] = parent
+    slots[:, 1] = child
+    return slots.ravel()
+
+
 def _blocks(log: SiteLog, terms: Terms):
-    """The events of ``log`` under ``terms`` as columns, ``BLOCK`` sites at a
-    time, in site order. A site yields its event unless it is a SelfEval
-    site whose scaled standard is zero or does not fall short, then a
-    MetaAversion child when that stream is on and the event hurt. Each
-    frustration takes the equation's factors in its order, so every value
-    equals ``evaluate``'s bit for bit (count is always 1). The terms are
+    """The event slots of ``log`` under ``terms``, ``BLOCK`` sites at a time.
+    A site's slot fires unless it is a SelfEval site whose scaled standard
+    is zero or does not fall short; its child's, when MetaAversion is on
+    and the event hurt. Each frustration takes the equation's factors in
+    its order, so it equals ``evaluate``'s bit for bit; the terms are
     checked once, as ``evaluate`` checks each event's. Each block reads a
     copy of the log's columns, so the log stays appendable."""
     if not 0.0 <= terms.certainty <= 1.0:
@@ -254,8 +265,11 @@ def _blocks(log: SiteLog, terms: Terms):
     for attention in (terms.attention, terms.attention * terms.realness):
         if not attention >= 0:
             raise LedgerError(f"attention {attention} must be >= 0")
+    attention_of = np.array([terms.attention * terms.realness if s in _WANDER
+                             else terms.attention for s in _SOURCES], dtype=object)
     for lo in range(0, len(log), BLOCK):
         hi = lo + BLOCK
+        t = np.frombuffer(log.t[lo:hi], dtype=np.int64)
         source = np.frombuffer(log.source[lo:hi], dtype=np.uint8)
         expected = np.frombuffer(log.expected[lo:hi])
         obtained = np.frombuffer(log.obtained[lo:hi])
@@ -268,69 +282,60 @@ def _blocks(log: SiteLog, terms: Terms):
                 terms.expectation_scale * expected, expected))
             shortfall = expected - obtained
             fires = ~self_eval | ((expected != 0.0) & ~(shortfall <= 0))
-            attention = np.where(_IS_WANDER[source], terms.attention * terms.realness,
-                                 terms.attention)
             frustration = np.where(fires, np.where(shortfall > 0, shortfall, 0.0)
-                                   * terms.certainty * attention, 0.0)
+                                   * terms.certainty * attention_of.astype(float)[source], 0.0)
             # A child's certainty 1.0 and obtained 0.0 leave its terms bit-unchanged.
             child_expected = terms.meta_aversion_scale * frustration
             has_child = (frustration > 0) & terms.meta_aversion
             child = np.where(has_child, np.where(child_expected > 0, child_expected, 0.0)
                              * terms.attention, 0.0)
-        yield _Block(log.t[lo:hi], source, expected, obtained, fires, frustration,
-                     child_expected, child, has_child)
+        n = len(t)
+        yield _Block(_slots(n, fires, has_child, bool), t.repeat(2),
+                     _slots(n, source, _META, np.uint8), _TIMESCALE_CODE[source].repeat(2),
+                     _slots(n, expected, child_expected), _slots(n, obtained, 0.0),
+                     _slots(n, terms.certainty, 1.0, object),
+                     _slots(n, attention_of[source], terms.attention, object),
+                     _slots(n, frustration, child))
+
+
+def event_rows(sites, terms: Terms, lookup=(_SOURCES, _TIMESCALES), lead=()):
+    """The fields of ``events(sites, terms)`` as rows, read from the fired
+    slots a block at a time, after the ``lead`` values, with source and
+    timescale looked up in ``lookup``: the enums, or events.csv's ``NAMES``."""
+    sources, timescales = lookup
+    for fires, t, source, timescale, *values, frustration in _blocks(_site_log(sites), terms):
+        yield from zip(*map(repeat, lead), t[fires].tolist(),
+                       map(sources.__getitem__, source[fires].tolist()),
+                       map(timescales.__getitem__, timescale[fires].tolist()),
+                       *(value[fires].tolist() for value in values), repeat(1),
+                       frustration[fires].tolist())
 
 
 def events(sites, terms: Terms):
     """The events a run with these sites ``(t, source, expected, obtained)``
-    records under ``terms``, in order, read from the columns that
-    ``rescore`` sums. Certainty and attention are the terms' own values."""
-    attention = [terms.attention * terms.realness if s in _WANDER else terms.attention
-                 for s in _SOURCES]
-    for block in _blocks(_site_log(sites), terms):
-        for t, code, expected, obtained, fires, frustration, child_expected, child, \
-                has_child in zip(block.t, *(column.tolist() for column in block[1:])):
-            if not fires:
-                continue
-            source = _SOURCES[code]
-            timescale = TIMESCALE[source]
-            yield FrustrationEvent(t, source, timescale, expected, obtained,
-                                   terms.certainty, attention[code], 1, frustration)
-            if has_child:
-                yield FrustrationEvent(t, Source.META_AVERSION, timescale, child_expected,
-                                       0.0, 1.0, terms.attention, 1, child)
-
-
-def _fold(carry: float, x) -> float:
-    """``carry + x[0] + x[1] + ...`` added in order, as ``Ledger.record``'s
-    ``+=`` adds: ``np.cumsum`` adds in sequence where ``np.sum`` adds in
-    pairs. A first carry of 0.0 turns a -0.0 sum into 0.0, as ``+=`` from
-    0.0 does, and lets a zero-event sum read 0.0."""
-    return np.cumsum(np.concatenate(([carry], x)))[-1].item()
+    records under ``terms``, in order: a ``FrustrationEvent`` a fired slot.
+    Certainty and attention are the terms' own values."""
+    return map(FrustrationEvent._make, event_rows(sites, terms))
 
 
 def rescore(sites, terms: Terms) -> Ledger:
     """The ledger a run with these sites records under ``terms``: the sums
-    of ``events(sites, terms)``, bit for bit, added block by block with
-    each sum carried across blocks. A site with no event scores 0.0, and so
-    does a parent with no MetaAversion child; adding 0.0 to a sum that
-    started from 0.0 changes no bit."""
-    by_source = [0.0] * len(_SOURCES)
-    by_timescale = [0.0] * len(_TIMESCALES)
-    total = 0.0
+    of ``events(sites, terms)``, bit for bit. ``np.add.at`` adds the slots
+    one at a time in index order, as ``Ledger.record``'s ``+=`` does, and
+    each sum carries across blocks from +0.0, to which a -0.0 frustration
+    or a slot with no event (0.0) adds no bit."""
+    by_source = np.zeros(len(_SOURCES))
+    by_timescale = np.zeros(len(_TIMESCALES))
+    total = np.zeros(1)
     with np.errstate(over="ignore"):  # a sum past the largest float reads inf
         for block in _blocks(_site_log(sites), terms):
-            # each event, then its child
-            stream = np.column_stack((block.frustration, block.child)).ravel()
-            codes = np.column_stack((block.source, np.full_like(block.source, _META))).ravel()
-            timescales = _TIMESCALE_CODE[block.source].repeat(2)
-            by_source = [_fold(s, stream[codes == k]) for k, s in enumerate(by_source)]
-            by_timescale = [_fold(s, stream[timescales == k]) for k, s in enumerate(by_timescale)]
-            total = _fold(total, stream)
-    if math.isnan(total):  # an event's frustration is NaN, which no check equals
+            np.add.at(by_source, block.source, block.frustration)
+            np.add.at(by_timescale, block.timescale, block.frustration)
+            np.add.at(total, np.zeros(len(block.t), np.intp), block.frustration)
+    if math.isnan(total[0]):  # an event's frustration is NaN, which no check equals
         raise LedgerError("an event's frustration is not a number")
     ledger = Ledger()
-    ledger.by_source = dict(zip(_SOURCES, by_source))
-    ledger.by_timescale = dict(zip(_TIMESCALES, by_timescale))
-    ledger.total = total
+    ledger.by_source = dict(zip(_SOURCES, by_source.tolist()))
+    ledger.by_timescale = dict(zip(_TIMESCALES, by_timescale.tolist()))
+    ledger.total = total.item()
     return ledger

@@ -437,7 +437,7 @@ def test_gated_steps_nest_in_p_wander(monkeypatch):
     gate table, and on a learned-policy run, whose wander steps are exactly
     those whose own stream's first double falls below p_wander."""
     seed, steps = 4, 300
-    table = rngmod.first_doubles(seed, "wandering", 0, steps)
+    table = rngmod.first_draws(seed, "wandering", 0, steps)[0]
     first = [np.random.default_rng([seed, 3, t]).random() for t in range(steps)]
     ps = (0.0, 0.1, 0.3, 0.6, 1.0)
     runs = []

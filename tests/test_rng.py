@@ -1,5 +1,5 @@
 """Guards on the draws gridmind computes by numpy's algorithm instead of
-asking numpy: the wander gate's table of first draws (``rng.first_doubles``,
+asking numpy: the wander gate's table of first draws (``rng.first_draws``,
 ``rng.FirstDraws``), the Generator that table loads for a gated step
 (``FirstDraws.generator``) and the per-batch CDF of replay sampling
 (``replay.priority_cdf`` with ``replay.sample_from``).
@@ -39,14 +39,14 @@ def numpy_gate(seed, t):
 @example(seed=2**64 - 1, start=2**32 - 3, count=6)
 @example(seed=5, start=2**32 - 3, count=6)          # a one-word seed needs none
 def test_first_doubles_equal_default_rng(seed, start, count):
-    got = rngmod.first_doubles(seed, "wandering", start, count)
+    got = rngmod.first_draws(seed, "wandering", start, count)[0]
     assert got.tolist() == [numpy_gate(seed, t) for t in range(start, start + count)]
 
 
 def test_first_doubles_match_a_whole_run():
     """A run-sized table, every stream id: the vector path on every lane."""
     for label, stream in rngmod.STREAMS.items():
-        got = rngmod.first_doubles(11, label, 0, 2000)
+        got = rngmod.first_draws(11, label, 0, 2000)[0]
         assert got.tolist() == [np.random.default_rng([11, stream, t]).random()
                                 for t in range(2000)], label
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 from dataclasses import replace
 
@@ -10,9 +12,9 @@ from conftest import scored, typed
 from gridmind import suffering
 from gridmind.harness import ledger_totals
 from gridmind.suffering import (DEFAULT_TIMESCALE_WEIGHTS, TIMESCALE, FrustrationEvent,
-                                Ledger, LedgerError, LossSite, SiteLog, Source,
-                                Terms, Timescale, certainty_of, evaluate, events,
-                                make_event, rescore)
+                                NAMES, Ledger, LedgerError, LossSite, SiteLog, Source,
+                                Terms, Timescale, certainty_of, evaluate, event_rows,
+                                events, make_event, rescore)
 
 
 def test_worked_example_identity_multipliers():
@@ -368,12 +370,24 @@ def test_rescore_leaves_its_log_appendable():
 # -- the events read from the columns equal the scalar reference, field by field -----
 
 
+def rendered(rows) -> str:
+    """Rows as ``csv`` writes them to events.csv."""
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    return out.getvalue()
+
+
 def assert_same_events(sites, terms: Terms):
     """``events`` equals the scalar reference field by field, types and signed
-    zeros included: ``repr`` tells ``-0.0`` from ``0.0`` and ``2`` from ``2.0``."""
-    want = repr(typed(scored(site_log(sites), terms)))
+    zeros included: ``repr`` tells ``-0.0`` from ``0.0`` and ``2`` from ``2.0``.
+    The rows of events.csv, read from the same slots, render to the bytes
+    of the reference events' rows."""
+    reference = scored(site_log(sites), terms)
+    want = repr(typed(reference))
     assert repr(typed(events(site_log(sites), terms))) == want
     assert repr(typed(events(list(sites), terms))) == want  # any iterable of sites
+    assert rendered(event_rows(site_log(sites), terms, NAMES, ("r",))) == rendered(
+        ("r", ev.t, ev.source.value, ev.timescale.value, *ev[3:]) for ev in reference)
 
 
 @settings(max_examples=400, deadline=None)
