@@ -80,59 +80,49 @@ def threat_site(t: int, level: float, policy: InterruptPolicy) -> LossSite:
     return LossSite(t, Source.THREAT_INTERNAL, policy.interrupt_cost, -level)
 
 
-def sweep_threshold(worlds, thresholds, policy: InterruptPolicy, seeds, *,
+def sweep_threshold(world: WorldModel, thresholds, policy: InterruptPolicy, seeds, *,
                     steps: int = 300) -> list:
     """Signal-detection table over detector thresholds.
 
-    Each (world, seed) episode is a uniform-random walk, identical across
-    thresholds, so false alarms are pathwise non-increasing and misses
-    non-decreasing in the threshold. A false alarm is a fire with no
-    hazard within one step of the true cell; a miss is hazard damage with
+    Each seed's episode is a uniform-random walk on a copy of ``world``,
+    identical across thresholds, so false alarms are pathwise non-increasing
+    and misses non-decreasing in the threshold. A false alarm is a fire with
+    no hazard within one step of the true cell; a miss is hazard damage with
     no fire at that step's check.
     """
     if len(thresholds) < 2:
         raise ValueError("need at least two thresholds to sweep")
-    if isinstance(worlds, WorldModel):
-        worlds = [worlds]
 
-    # One trajectory per (world, seed): (threat_level_observed, adjacent_true, damage)
-    traces = []
-    for world in worlds:
-        for seed in seeds:
-            w = world.copy()
-            rng_world = rngmod.substream(seed, "world")
-            rng_obs = rngmod.substream(seed, "observation")
-            rng_act = rngmod.substream(seed, "exploration")
-            s = w.state_id(w.start)
-            rows = []
-            for _ in range(steps):
-                level = threat_level(w, observe(w, s, rng_obs), policy)
-                cell = w.cell_of(s)
-                adjacent = any(
-                    abs(hz.at[0] - cell[0]) + abs(hz.at[1] - cell[1]) <= 1
-                    for hz in w.active_hazards()
-                )
-                act = ACTIONS[int(rng_act.integers(len(ACTIONS)))]
-                s_next, reward, _ = step(w, s, act, rng_world)
-                damaged = w.object_at(w.cell_of(s_next)) is not None and \
-                    w.object_at(w.cell_of(s_next)).kind == "hazard"
-                rows.append((level, adjacent, damaged))
-                s = s_next
-            traces.append(rows)
+    # One row per (seed, step): (threat_level_observed, adjacent_true, damage)
+    rows = []
+    for seed in seeds:
+        w = world.copy()
+        rng_world = rngmod.substream(seed, "world")
+        rng_obs = rngmod.substream(seed, "observation")
+        rng_act = rngmod.substream(seed, "exploration")
+        s = w.state_id(w.start)
+        for _ in range(steps):
+            level = threat_level(w, observe(w, s, rng_obs), policy)
+            cell = w.cell_of(s)
+            adjacent = any(abs(hz.at[0] - cell[0]) + abs(hz.at[1] - cell[1]) <= 1
+                           for hz in w.active_hazards())
+            act = ACTIONS[int(rng_act.integers(len(ACTIONS)))]
+            s_next, _, _ = step(w, s, act, rng_world)
+            landed = w.object_at(w.cell_of(s_next))
+            rows.append((level, adjacent, landed is not None and landed.kind == "hazard"))
+            s = s_next
 
     table = []
     for theta in thresholds:
         fa = misses = 0
-        for rows in traces:
-            for level, adjacent, damaged in rows:
-                fired = level > theta
-                if fired and not adjacent:
-                    fa += 1
-                if damaged and not fired:
-                    misses += 1
-        cost = policy.false_alarm_cost * fa + policy.miss_cost * misses
-        table.append({"threshold": theta, "false_alarms": fa,
-                      "misses": misses, "realized_cost": cost})
+        for level, adjacent, damaged in rows:
+            fired = level > theta
+            if fired and not adjacent:
+                fa += 1
+            if damaged and not fired:
+                misses += 1
+        table.append({"threshold": theta, "false_alarms": fa, "misses": misses,
+                      "realized_cost": policy.false_alarm_cost * fa + policy.miss_cost * misses})
     return table
 
 

@@ -74,7 +74,7 @@ class Agent:
         self.t = 0
         self.s_true = self.world.state_id(self.world.start)
         self.s_obs = self.s_true
-        self.intention = None
+        self.intention = None  # or Active: _finalize_intention clears it when it leaves
         self.replan_cooldown = 0
         self.consecutive_failed = 0
 
@@ -82,7 +82,7 @@ class Agent:
         self.episode_reward = 0.0
         self.episode_steps = 0
         self.episode_rewards: list[float] = []
-        self.episode_losses: list[float] = []
+        self.episode_loss_total = 0.0
         self.obtained_total = 0.0
         self.threat_interrupts = 0
         self.desire_interrupts = 0
@@ -114,7 +114,7 @@ class Agent:
     # -- action selection ------------------------------------------------------
 
     def _select_action(self):
-        if self.intention is not None and not self.intention.terminal:
+        if self.intention is not None:
             return self.intention.next_action(), True
         if self.config.policy == "random":
             return ACTIONS[int(self.rng_expl.integers(len(ACTIONS)))], False
@@ -156,15 +156,14 @@ class Agent:
             else:
                 self.desire_interrupts += 1
                 self._trace("interrupt_desire")
-            if self.intention is not None and not self.intention.terminal:
+            if self.intention is not None:
                 self.intention.abort()
                 self._finalize_intention()
 
         tick_depression(self.self_state)
 
         a, from_plan = self._select_action()
-        if (self.intention is not None and not self.intention.terminal
-                and self.config.desire_cost > 0):
+        if self.intention is not None and self.config.desire_cost > 0:
             self.sites.append(LossSite(t, Source.DESIRE_COST, self.config.desire_cost, 0.0))
 
         s = self.s_true
@@ -217,12 +216,12 @@ class Agent:
             self.sites.append(LossSite(self.t, Source.STEP_LOSS, raw_expected, r))
 
     def _finish_episode(self):
-        if self.intention is not None and not self.intention.terminal:
+        if self.intention is not None:
             self.intention.status = IntentionStatus.FAILED
             self._finalize_intention()
         self.episodes += 1
         self.episode_rewards.append(self.episode_reward)
-        self.episode_losses.append(reward_loss(self.baseline.level, self.episode_reward))
+        self.episode_loss_total += reward_loss(self.baseline.level, self.episode_reward)
         self.baseline = update_baseline(self.baseline, self.episode_reward)
         site = self_evaluate(self.self_model, self.self_state, self.episode_rewards, t=self.t)
         if site is not None:

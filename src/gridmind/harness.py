@@ -174,7 +174,7 @@ def summarize(agent: Agent, config: RunConfig, ledger: Ledger) -> dict:
         "obtained_reward": agent.obtained_total,
         "totals": ledger_totals(ledger),
         "baseline_level": agent.baseline.level,
-        "episode_reward_loss_total": sum(agent.episode_losses),
+        "episode_reward_loss_total": agent.episode_loss_total,
         "threat_interrupts": agent.threat_interrupts,
         "desire_interrupts": agent.desire_interrupts,
         "positive_wanderings": agent.positive_wanderings,

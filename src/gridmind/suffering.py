@@ -23,8 +23,10 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import repeat
+from functools import reduce
 from enum import Enum
+from itertools import repeat
+from operator import add
 from typing import Annotated, NamedTuple
 
 import numpy as np
@@ -135,8 +137,9 @@ class Ledger:
         self.by_timescale[event.timescale] += event.frustration
         self.total += event.frustration
 
-    def weighted_total(self) -> float:
-        return sum(DEFAULT_TIMESCALE_WEIGHTS[ts] * v for ts, v in self.by_timescale.items())
+    def weighted_total(self) -> float:  # a left fold: from Python 3.12 on, sum() compensates
+        return reduce(add, (DEFAULT_TIMESCALE_WEIGHTS[ts] * v
+                            for ts, v in self.by_timescale.items()), 0.0)
 
 
 class LossSite(NamedTuple):
@@ -222,15 +225,13 @@ BLOCK = 8192
 
 class _Block(NamedTuple):
     """A block's event slots, two a site: its event, then its MetaAversion
-    child; the fields are ``FrustrationEvent``'s but count, always 1."""
+    child; ``FrustrationEvent``'s fields but certainty, attention and count."""
     fires: np.ndarray          # the slots that hold an event
     t: np.ndarray
     source: np.ndarray         # source codes; a child's is _META
     timescale: np.ndarray      # timescale codes; a child's is its parent's
     expected: np.ndarray       # a site's expectation scaled by the terms
     obtained: np.ndarray
-    certainty: np.ndarray      # object columns: the terms' own values, so an
-    attention: np.ndarray      # int attention stays an int
     frustration: np.ndarray    # 0.0 in a slot that holds no event
 
 
@@ -242,6 +243,20 @@ def _site_log(sites) -> SiteLog:
     for site in sites:
         log.append(site)
     return log
+
+
+def _factors(terms: Terms) -> tuple:
+    """Each source code's certainty and attention, checked once as ``evaluate``
+    checks an event's: the terms' own (an int stays an int), but attention
+    times realness for a wander source, and certainty 1.0 for a child."""
+    wander = terms.attention * terms.realness
+    if not 0.0 <= terms.certainty <= 1.0:
+        raise LedgerError(f"certainty {terms.certainty} outside [0, 1]")
+    for attention in (terms.attention, wander):
+        if not attention >= 0:
+            raise LedgerError(f"attention {attention} must be >= 0")
+    return (tuple(1.0 if s is Source.META_AVERSION else terms.certainty for s in _SOURCES),
+            tuple(wander if s in _WANDER else terms.attention for s in _SOURCES))
 
 
 def _slots(n: int, parent, child, dtype=np.float64) -> np.ndarray:
@@ -257,16 +272,9 @@ def _blocks(log: SiteLog, terms: Terms):
     A site's slot fires unless it is a SelfEval site whose scaled standard
     is zero or does not fall short; its child's, when MetaAversion is on
     and the event hurt. Each frustration takes the equation's factors in
-    its order, so it equals ``evaluate``'s bit for bit; the terms are
-    checked once, as ``evaluate`` checks each event's. Each block reads a
+    its order, so it equals ``evaluate``'s bit for bit. Each block reads a
     copy of the log's columns, so the log stays appendable."""
-    if not 0.0 <= terms.certainty <= 1.0:
-        raise LedgerError(f"certainty {terms.certainty} outside [0, 1]")
-    for attention in (terms.attention, terms.attention * terms.realness):
-        if not attention >= 0:
-            raise LedgerError(f"attention {attention} must be >= 0")
-    attention_of = np.array([terms.attention * terms.realness if s in _WANDER
-                             else terms.attention for s in _SOURCES], dtype=object)
+    attention_of = np.array(_factors(terms)[1], dtype=float)
     for lo in range(0, len(log), BLOCK):
         hi = lo + BLOCK
         t = np.frombuffer(log.t[lo:hi], dtype=np.int64)
@@ -283,7 +291,7 @@ def _blocks(log: SiteLog, terms: Terms):
             shortfall = expected - obtained
             fires = ~self_eval | ((expected != 0.0) & ~(shortfall <= 0))
             frustration = np.where(fires, np.where(shortfall > 0, shortfall, 0.0)
-                                   * terms.certainty * attention_of.astype(float)[source], 0.0)
+                                   * terms.certainty * attention_of[source], 0.0)
             # A child's certainty 1.0 and obtained 0.0 leave its terms bit-unchanged.
             child_expected = terms.meta_aversion_scale * frustration
             has_child = (frustration > 0) & terms.meta_aversion
@@ -293,22 +301,23 @@ def _blocks(log: SiteLog, terms: Terms):
         yield _Block(_slots(n, fires, has_child, bool), t.repeat(2),
                      _slots(n, source, _META, np.uint8), _TIMESCALE_CODE[source].repeat(2),
                      _slots(n, expected, child_expected), _slots(n, obtained, 0.0),
-                     _slots(n, terms.certainty, 1.0, object),
-                     _slots(n, attention_of[source], terms.attention, object),
                      _slots(n, frustration, child))
 
 
 def event_rows(sites, terms: Terms, lookup=(_SOURCES, _TIMESCALES), lead=()):
     """The fields of ``events(sites, terms)`` as rows, read from the fired
     slots a block at a time, after the ``lead`` values, with source and
-    timescale looked up in ``lookup``: the enums, or events.csv's ``NAMES``."""
+    timescale looked up in ``lookup``: the enums, or events.csv's ``NAMES``.
+    Certainty and attention are looked up by source code (``_factors``)."""
     sources, timescales = lookup
+    certainty, attention = _factors(terms)
     for fires, t, source, timescale, *values, frustration in _blocks(_site_log(sites), terms):
-        yield from zip(*map(repeat, lead), t[fires].tolist(),
-                       map(sources.__getitem__, source[fires].tolist()),
+        codes = source[fires].tolist()
+        yield from zip(*map(repeat, lead), t[fires].tolist(), map(sources.__getitem__, codes),
                        map(timescales.__getitem__, timescale[fires].tolist()),
-                       *(value[fires].tolist() for value in values), repeat(1),
-                       frustration[fires].tolist())
+                       *(value[fires].tolist() for value in values),
+                       map(certainty.__getitem__, codes), map(attention.__getitem__, codes),
+                       repeat(1), frustration[fires].tolist())
 
 
 def events(sites, terms: Terms):

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from operator import add
 from typing import Annotated
 
 import numpy as np
@@ -105,18 +107,18 @@ def td_update(store: ValueStore, exp, params: LearningParams, *, count_visit: bo
     """One TD step on V and Q from a single experience.
 
     Terminal experiences bootstrap from 0: their value is entirely in the
-    reward. Q uses the max over next actions (off-policy).
+    reward. Q uses the max over next actions (off-policy). Every entry is
+    read before any is written, so a self-loop bootstraps from old values.
     """
-    v_after = 0.0 if exp.terminal else store.v(exp.s_next)
-    dv = td_error(exp.r, store.v(exp.s), v_after, params)
-    store.V[exp.s] = store.v(exp.s) + params.alpha * dv
-
-    q_after = 0.0 if exp.terminal else store.max_q(exp.s_next)
-    dq = exp.r + params.disc * q_after - store.q(exp.s, exp.a)
-    store.Q[(exp.s, exp.a)] = store.q(exp.s, exp.a) + params.alpha * dq
-
+    s, a, r, s_next, terminal = exp
+    disc, alpha = params.disc, params.alpha
+    key = (s, a)
+    v_before, q_before = store.v(s), store.q(s, a)
+    v_after = 0.0 if terminal else store.v(s_next)
+    q_after = 0.0 if terminal else store.max_q(s_next)
+    store.V[s] = v_before + alpha * (r + disc * v_after - v_before)
+    store.Q[key] = q_before + alpha * (r + disc * q_after - q_before)
     if count_visit:
-        key = (exp.s, exp.a)
         store.visit_counts[key] = store.visit_counts.get(key, 0) + 1
     return store
 
@@ -161,9 +163,6 @@ class Mdp:
     actions: tuple
     transitions: dict
     terminal: dict  # s -> clamped value; absent keys are non-terminal
-
-    def is_terminal(self, s) -> bool:
-        return s in self.terminal
 
 
 def chain_mdp(n: int, terminal_value: float, step_penalty: float) -> Mdp:
@@ -238,7 +237,7 @@ def value_iteration(mdp: Mdp, params: LearningParams, tol: float,
     disc = params.disc
     V = {s: 0.0 for s in mdp.states}
     V.update(mdp.terminal)
-    nonterminal = [s for s in mdp.states if not mdp.is_terminal(s)]
+    nonterminal = [s for s in mdp.states if s not in mdp.terminal]
     for _ in range(max_sweeps):
         delta = 0.0
         for s in nonterminal:
@@ -247,7 +246,8 @@ def value_iteration(mdp: Mdp, params: LearningParams, tol: float,
                 trans = mdp.transitions.get((s, a))
                 if not trans:
                     continue
-                val = sum(p * (r + disc * V[s2]) for p, s2, r in trans)
+                # a left fold from 0.0: from Python 3.12 on, sum() compensates
+                val = reduce(add, (p * (r + disc * V[s2]) for p, s2, r in trans), 0.0)
                 if best is None or val > best:
                     best = val
             if best is None:
@@ -265,5 +265,5 @@ def value_iteration(mdp: Mdp, params: LearningParams, tol: float,
         for a in mdp.actions:
             trans = mdp.transitions.get((s, a))
             if trans:
-                store.Q[(s, a)] = sum(p * (r + disc * V[s2]) for p, s2, r in trans)
+                store.Q[(s, a)] = reduce(add, (p * (r + disc * V[s2]) for p, s2, r in trans), 0.0)
     return store

@@ -3,7 +3,8 @@ import pytest
 from conftest import hazard, make_world, reward, run_events
 from gridmind.affect import InterruptPolicy, SelfModel
 from gridmind.agent import Agent
-from gridmind.harness import RunConfig, audit, run
+from gridmind.harness import RunConfig, audit, open_world, run
+from gridmind.planning import IntentionStatus
 from gridmind.replay import WanderingParams
 from gridmind.suffering import Source
 from gridmind.values import LearningParams, value_iteration, world_mdp
@@ -228,3 +229,19 @@ def test_certainty_factor_follows_channel():
     w = make_world(width=4, height=1, observation_confusion=0.25)
     agent = Agent(quiet_config(w), w, 0)
     assert agent.terms.certainty == pytest.approx(0.75)
+
+
+def test_an_intention_is_none_or_active_after_every_step():
+    """``_finalize_intention`` clears an intention whenever it leaves Active
+    (abort, advance, episode end), so the agent never holds a terminal one."""
+    config = RunConfig(world="loss_heavy", steps=2000, seed=0, trace=True,
+                       interrupts=InterruptPolicy(threat_threshold=0.8, desire_threshold=0.8))
+    agent = Agent(config, open_world(config.world), config.seed)
+    held = 0
+    for _ in range(config.steps):
+        agent.step_once()
+        assert agent.intention is None or agent.intention.status is IntentionStatus.ACTIVE
+        held += agent.intention is not None
+    ended = {i.detail["status"] for i in agent.trace if i.kind == "intention_terminal"}
+    assert agent.desire_interrupts > 0 and held > 0
+    assert {"Aborted", "Failed", "Reached"} <= ended

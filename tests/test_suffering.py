@@ -169,6 +169,15 @@ def test_weighted_total_default_weights():
     assert DEFAULT_TIMESCALE_WEIGHTS[Timescale.PLAN] == 2.0
 
 
+def test_weighted_total_folds_left_to_right():
+    """1e16 + 1.0 rounds back to 1e16, so a left fold gives 0.0 on every
+    Python; from 3.12 on, the builtin sum() compensates and gives 1.0."""
+    led = Ledger()
+    led.by_timescale = {Timescale.STEP: 1e16, Timescale.PLAN: 0.5,
+                        Timescale.SELF_EVAL: -2.5e15}
+    assert led.weighted_total() == 0.0
+
+
 # -- re-scoring is monotone in every equation term ----------------------------------
 
 SITE_SOURCES = [s for s in Source if s is not Source.META_AVERSION]  # a child, never a site

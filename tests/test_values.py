@@ -1,3 +1,4 @@
+import math
 import time
 from collections import deque
 
@@ -93,6 +94,41 @@ def test_td_update_zero_alpha_changes_nothing():
     exp = Experience(s=0, a=Action.STAY, r=1.0, s_next=1)
     td_update(store, exp, p)
     assert store.v(0) == pytest.approx(0.5, abs=1e-9)
+
+
+# Thirds round, so a reordered float expression shows in the last bits.
+entry = st.integers(-30, 30).map(lambda i: i / 3) | st.floats(-10, 10)
+
+
+def table(keys):
+    """A store table over ``keys``, each entry present or unseen."""
+    return st.lists(st.none() | entry, min_size=len(keys), max_size=len(keys)).map(
+        lambda vals: {k: v for k, v in zip(keys, vals) if v is not None})
+
+
+@given(V=table(range(4)), Q=table([(s, a) for s in range(4) for a in ACTIONS]),
+       s=st.integers(0, 3), a=st.sampled_from(ACTIONS), r=entry,
+       s_next=st.integers(0, 3), terminal=st.booleans(),
+       alpha=st.floats(0.01, 1), gamma=st.one_of(st.none(), st.floats(0, 1)),
+       count_visit=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_td_update_equals_the_reference_rule(V, Q, s, a, r, s_next, terminal, alpha, gamma,
+                                             count_visit):
+    """Bit for bit on random stores, self-loops and terminal steps included,
+    in both schemes: every entry is read before either is written."""
+    disc = 1.0 if gamma is None else gamma
+    v_after = 0.0 if terminal else V.get(s_next, 0.0)
+    q_after = 0.0 if terminal else max(Q.get((s_next, b), 0.0) for b in ACTIONS)
+    want_v = V.get(s, 0.0) + alpha * (r + disc * v_after - V.get(s, 0.0))
+    want_q = Q.get((s, a), 0.0) + alpha * (r + disc * q_after - Q.get((s, a), 0.0))
+
+    store = ValueStore(V=dict(V), Q=dict(Q), visit_counts={(s, a): 2})
+    td_update(store, Experience(s, a, r, s_next, terminal),
+              LearningParams(alpha=alpha, gamma=gamma), count_visit=count_visit)
+    assert store.V == {**V, s: want_v} and store.Q == {**Q, (s, a): want_q}
+    assert math.copysign(1.0, store.V[s]) == math.copysign(1.0, want_v)
+    assert math.copysign(1.0, store.Q[(s, a)]) == math.copysign(1.0, want_q)
+    assert store.visit_counts == {(s, a): 3 if count_visit else 2}
 
 
 CHAIN_EXPERIENCES = [
