@@ -8,6 +8,7 @@ setting removes both.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from statistics import mean
@@ -89,41 +90,49 @@ def sweep_threshold(world: WorldModel, thresholds, policy: InterruptPolicy, seed
     and misses non-decreasing in the threshold. A false alarm is a fire with
     no hazard within one step of the true cell; a miss is hazard damage with
     no fire at that step's check.
+
+    The schedule is never applied and only rewards are consumed, so the
+    threat field and the cells within one step of a hazard are built once
+    per sweep, from one copy of ``world``. A seed draws its actions in one
+    call on its ``exploration`` stream, which feeds nothing else, and keeps
+    the levels it observed away from every hazard and on damage: memory is
+    O(steps), not O(seeds x steps). Bisecting those counts each threshold,
+    comparing ``level > theta`` exactly (numpy would round an int to float).
     """
     if len(thresholds) < 2:
         raise ValueError("need at least two thresholds to sweep")
-
-    # One row per (seed, step): (threat_level_observed, adjacent_true, damage)
-    rows = []
+    tables = world.copy()
+    field = tables.threat_field(policy.decay_length)
+    geo = tables.geometry
+    base = tables.epoch * geo.n
+    near = set()  # flat cells within one step of an active hazard
+    for hz in tables.active_hazards():
+        f = tables.state_id(hz.at) - base
+        near.update((f, *geo.neighbors[f]))
+    false_alarms, misses = [0] * len(thresholds), [0] * len(thresholds)
     for seed in seeds:
         w = world.copy()
         rng_world = rngmod.substream(seed, "world")
         rng_obs = rngmod.substream(seed, "observation")
-        rng_act = rngmod.substream(seed, "exploration")
+        actions = rngmod.substream(seed, "exploration").integers(len(ACTIONS), size=steps)
+        quiet, hurt = [], []  # observed levels: away from every hazard; on damage
         s = w.state_id(w.start)
-        for _ in range(steps):
-            level = threat_level(w, observe(w, s, rng_obs), policy)
-            cell = w.cell_of(s)
-            adjacent = any(abs(hz.at[0] - cell[0]) + abs(hz.at[1] - cell[1]) <= 1
-                           for hz in w.active_hazards())
-            act = ACTIONS[int(rng_act.integers(len(ACTIONS)))]
-            s_next, _, _ = step(w, s, act, rng_world)
-            landed = w.object_at(w.cell_of(s_next))
-            rows.append((level, adjacent, landed is not None and landed.kind == "hazard"))
-            s = s_next
-
-    table = []
-    for theta in thresholds:
-        fa = misses = 0
-        for level, adjacent, damaged in rows:
-            fired = level > theta
-            if fired and not adjacent:
-                fa += 1
-            if damaged and not fired:
-                misses += 1
-        table.append({"threshold": theta, "false_alarms": fa, "misses": misses,
-                      "realized_cost": policy.false_alarm_cost * fa + policy.miss_cost * misses})
-    return table
+        for a in actions.tolist():
+            level = field[observe(w, s, rng_obs) - base]
+            if s - base not in near:
+                quiet.append(level)
+            s = step(w, s, ACTIONS[a], rng_world)[0]
+            landed = w.object_at(geo.cells[s - base])
+            if landed is not None and landed.kind == "hazard":
+                hurt.append(level)
+        quiet.sort()
+        hurt.sort()
+        for i, theta in enumerate(thresholds):
+            false_alarms[i] += len(quiet) - bisect_right(quiet, theta)
+            misses[i] += bisect_right(hurt, theta)
+    return [{"threshold": theta, "false_alarms": fa, "misses": miss,
+             "realized_cost": policy.false_alarm_cost * fa + policy.miss_cost * miss}
+            for theta, fa, miss in zip(thresholds, false_alarms, misses)]
 
 
 @dataclass(frozen=True)

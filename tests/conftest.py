@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from gridmind import rng as rngmod
+from gridmind.affect import threat_level
 from gridmind.suffering import TIMESCALE, Source, Terms, events, make_event
-from gridmind.world import WorldModel, WorldObject
+from gridmind.world import ACTIONS, WorldModel, WorldObject, observe, step
 
 
 def make_world(width=4, height=4, walls=(), objects=None, **kw):
@@ -81,3 +83,44 @@ def score(site, terms: Terms) -> list:
 def scored(sites, terms: Terms) -> list:
     """The reference events of these sites under ``terms``, in order."""
     return [ev for site in sites for ev in score(site, terms)]
+
+
+def ref_sweep_threshold(world, thresholds, policy, seeds, *, steps=300) -> list:
+    """The threshold sweep one step and one row at a time: the reference
+    ``affect.sweep_threshold`` is checked against. Every step reads the
+    threat level, scans the hazards and draws its own action; every
+    ``(seed, step)`` row is kept, then scanned once per threshold."""
+    if len(thresholds) < 2:
+        raise ValueError("need at least two thresholds to sweep")
+
+    # One row per (seed, step): (threat_level_observed, adjacent_true, damage)
+    rows = []
+    for seed in seeds:
+        w = world.copy()
+        rng_world = rngmod.substream(seed, "world")
+        rng_obs = rngmod.substream(seed, "observation")
+        rng_act = rngmod.substream(seed, "exploration")
+        s = w.state_id(w.start)
+        for _ in range(steps):
+            level = threat_level(w, observe(w, s, rng_obs), policy)
+            cell = w.cell_of(s)
+            adjacent = any(abs(hz.at[0] - cell[0]) + abs(hz.at[1] - cell[1]) <= 1
+                           for hz in w.active_hazards())
+            act = ACTIONS[int(rng_act.integers(len(ACTIONS)))]
+            s_next, _, _ = step(w, s, act, rng_world)
+            landed = w.object_at(w.cell_of(s_next))
+            rows.append((level, adjacent, landed is not None and landed.kind == "hazard"))
+            s = s_next
+
+    table = []
+    for theta in thresholds:
+        fa = misses = 0
+        for level, adjacent, damaged in rows:
+            fired = level > theta
+            if fired and not adjacent:
+                fa += 1
+            if damaged and not fired:
+                misses += 1
+        table.append({"threshold": theta, "false_alarms": fa, "misses": misses,
+                      "realized_cost": policy.false_alarm_cost * fa + policy.miss_cost * misses})
+    return table

@@ -1,8 +1,12 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import hazard, make_world, run_events
+from conftest import hazard, make_world, ref_sweep_threshold, reward, run_events
 from gridmind.affect import (InterruptKind, InterruptPolicy,
                              SelfModel, SelfState, check_interrupts,
                              depression_gate, release_depression, self_evaluate,
@@ -11,7 +15,7 @@ from gridmind.agent import Agent
 from gridmind.harness import RunConfig
 from gridmind.planning import Goal, Intention
 from gridmind.suffering import Source, Terms, Timescale, events
-from gridmind.world import Action
+from gridmind.world import Action, Relocation, WorldModel, WorldObject, apply_schedule
 
 
 def alley():
@@ -175,6 +179,101 @@ def test_no_misses_with_clean_channel_and_low_threshold():
 def test_sweep_requires_two_thresholds():
     with pytest.raises(ValueError):
         sweep_threshold(alley(), [1.0], InterruptPolicy(), seeds=[0])
+
+
+@st.composite
+def sweep_worlds(draw):
+    """Small worlds with walls, stacked and pre-consumed objects, slip,
+    confusion, and an epoch past 0 from an applied schedule."""
+    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    cells = [(x, y) for y in range(height) for x in range(width)]
+    walls = draw(st.sets(st.sampled_from(cells), max_size=len(cells) - 1))
+    spot = st.sampled_from([c for c in cells if c not in walls])
+    objects = {}
+
+    def add(kind, consumable, at):
+        oid = f"o{len(objects)}"
+        objects[oid] = WorldObject(oid, kind, draw(st.sampled_from([0.5, 1.0, 3.0])),
+                                   consumable, at)
+
+    if draw(st.booleans()):  # a consumable reward stacked before or after a hazard
+        at = draw(spot)
+        for kind in draw(st.permutations(["reward", "hazard"])):
+            add(kind, kind == "reward", at)
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["reward", "hazard"]))
+        add(kind, kind == "reward" and draw(st.booleans()), draw(spot))
+    schedule = tuple(Relocation(t, oid, draw(spot)) for t, oid in enumerate(
+        draw(st.lists(st.sampled_from(sorted(objects)), max_size=2)) if objects else []))
+    world = WorldModel(width=width, height=height, walls=frozenset(walls), objects=objects,
+                       slip_probability=draw(st.sampled_from([0.0, 0.2, 1.0])),
+                       observation_confusion=draw(st.sampled_from([0.0, 0.3, 0.9])),
+                       schedule=schedule, start=draw(spot))
+    apply_schedule(world, draw(st.integers(-1, len(schedule))))
+    if objects:
+        world.consumed = draw(st.sets(st.sampled_from(sorted(objects))))
+    return world
+
+
+thresholds = st.lists(st.sampled_from([0, 1, 3, 0.0, -0.0, 0.05, 0.5, 1.2, math.inf,
+                                       -math.inf, 2 ** 53 + 1, 10 ** 400]),
+                      min_size=2, max_size=6)
+
+
+@settings(deadline=None)
+@given(world=sweep_worlds(), thresholds=thresholds,
+       decay=st.sampled_from([0.25, 1.0, 3.0]),
+       seeds=st.lists(st.integers(0, 2 ** 64 - 1), max_size=3, unique=True),
+       steps=st.integers(0, 40))
+@example(world=alley(), thresholds=[math.inf, 0, -0.0, 0.0, 0.5, 0.5], decay=1.0,
+         seeds=[0, 1], steps=200)
+def test_sweep_equals_the_scalar_reference(world, thresholds, decay, seeds, steps):
+    """The table-driven sweep gives the step-by-step sweep's table: the
+    same thresholds, counts and costs, each count a Python int."""
+    policy = InterruptPolicy(decay_length=decay, miss_cost=1.5, false_alarm_cost=0.1)
+    got = sweep_threshold(world, thresholds, policy, seeds, steps=steps)
+    assert repr(got) == repr(ref_sweep_threshold(world, thresholds, policy, seeds, steps=steps))
+    assert all(type(row[k]) is int for row in got for k in ("false_alarms", "misses"))
+
+
+def test_sweep_builds_one_threat_field_and_leaves_the_world_alone(monkeypatch):
+    """Five seeds share one threat field, and the walks consume rewards on
+    copies: the caller's objects, consumed set and epoch come back as
+    they went in."""
+    w = make_world(width=4, height=1, start=(0, 0),
+                   objects={"r": reward("r", 1.0, (1, 0)), "h": hazard("h", 2.0, (3, 0)),
+                            "g": reward("g", 1.0, (2, 0))},
+                   schedule=(Relocation(0, "h", (2, 0)),))
+    apply_schedule(w, 0)
+    w.consumed.add("g")
+    before = ({oid: replace(o) for oid, o in w.objects.items()}, set(w.consumed), w.epoch)
+    built = []
+    threat_field = WorldModel.threat_field
+
+    def counted(self, decay_length):
+        built.append(decay_length)
+        return threat_field(self, decay_length)
+
+    monkeypatch.setattr(WorldModel, "threat_field", counted)
+    table = sweep_threshold(w, [0.0, math.inf], InterruptPolicy(decay_length=2.0),
+                            seeds=range(5), steps=100)
+    assert built == [2.0]
+    assert table[0]["false_alarms"] > 0 and table[1]["misses"] > 0
+    assert (w.objects, w.consumed, w.epoch) == before
+
+
+def test_sweep_memory_does_not_grow_with_seeds_times_steps():
+    """100,000 steps over 50 seeds: each seed folds its counts before the
+    next starts, so the peak stays that of one seed's 2,000 steps."""
+    policy = InterruptPolicy()
+    sweep_threshold(alley(), [0.0, 1.0], policy, seeds=[0], steps=10)  # warm caches
+    tracemalloc.start()
+    try:
+        sweep_threshold(alley(), [0.0, 0.5, math.inf], policy, seeds=range(50), steps=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 # -- self evaluation -----------------------------------------------------------

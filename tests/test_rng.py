@@ -1,8 +1,9 @@
 """Guards on the draws gridmind computes by numpy's algorithm instead of
 asking numpy: the wander gate's table of first draws (``rng.first_draws``,
 ``rng.FirstDraws``), the Generator that table loads for a gated step
-(``FirstDraws.generator``) and the per-batch CDF of replay sampling
-(``replay.priority_cdf`` with ``replay.sample_from``).
+(``FirstDraws.generator``), the per-batch CDF of replay sampling
+(``replay.priority_cdf`` with ``replay.sample_from``), and the one batch
+of bounded integers the threshold sweep draws per seed for its actions.
 
 Every check compares with numpy itself (``default_rng`` and
 ``Generator.choice``), never with a copy of its algorithm, so a numpy
@@ -144,3 +145,22 @@ def test_non_finite_total_raises_as_choice_does(pri):
             np.random.default_rng(0).choice(len(pri), p=pri / pri.sum())
         with pytest.raises(ValueError):
             priority_cdf(pri)
+
+
+# -- one batch of bounded integers ------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_batched_integers_equal_scalar_draws(n):
+    """``affect.sweep_threshold`` draws a seed's actions in one
+    ``integers(n, size=k)`` call: it must give what k scalar calls give
+    and leave the stream where they leave it, a buffered 32-bit half
+    included (odd k)."""
+    for seed in (0, 5, 2**32, 2**64 - 1):
+        for label in ("exploration", "world"):
+            for k in (1, 2, 257, 3000):
+                batch, scalar = rngmod.substream(seed, label), rngmod.substream(seed, label)
+                assert batch.integers(n, size=k).tolist() == [
+                    int(scalar.integers(n)) for _ in range(k)]
+                assert batch.bit_generator.state == scalar.bit_generator.state
+                assert batch.random() == scalar.random()
