@@ -9,7 +9,7 @@ Exit codes: 0 ok; 1 some experiment cells failed (each is marked in
 report.csv); 2 bad input (a config, matrix, policy or world file that
 cannot be read, or a value that breaks a rule, named by its dotted path);
 3 any other error. Errors are one line on stderr, never a traceback.
-GRIDMIND_VERBOSE=1 prints progress lines.
+GRIDMIND_VERBOSE=1 prints one summary line after simulate or experiment.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ def cmd_simulate(args) -> int:
         data["seed"] = args.seed  # read by the same rule as the file's seed
     config = harness.config_from_dict(data)
     if args.validate_only:
+        harness.open_world(config.world)  # a run builds it when it starts
         print("config ok")
         return 0
     _, summary = harness.run(config, out_dir=args.out)

@@ -50,7 +50,7 @@ MAX_WORLDS = 100
 
 @dataclass(frozen=True)
 class RunConfig:
-    world: str = "corridor"   # preset name or file path (a WorldModel from Python)
+    world: str = "corridor"   # preset or file, built as a run starts; or a built WorldModel
     steps: Annotated[int, Range(0, inputs.MAX_STEPS)] = 1000
     seed: Annotated[int, inputs.SEED] = 0
     learning: LearningParams = field(default_factory=LearningParams)
@@ -105,19 +105,20 @@ _READERS = {"intervention": _intervention}
 
 
 def config_from_dict(data) -> RunConfig:
-    config = inputs.section(RunConfig, data, "", _READERS)
-    open_world(config.world)  # a world that does not load is bad input
-    return config
+    """The run a config names; its world is built, and checked, by ``open_world``."""
+    return inputs.section(RunConfig, data, "", _READERS)
 
 
 def load_config(path) -> RunConfig:
     return config_from_dict(inputs.load_json(path))
 
 
-def open_world(name_or_path) -> WorldModel:
-    """The world a run or a sweep names; one that fails to build is bad input."""
+def open_world(world) -> WorldModel:
+    """The world a run or a sweep names, built; one that fails to build is bad input."""
+    if isinstance(world, WorldModel):
+        return world
     try:
-        return get_world(name_or_path)
+        return get_world(world)
     except (OSError, ValueError, WorldError, inputs.InputError) as exc:
         raise ConfigError("world", str(exc)) from None
 
@@ -271,26 +272,26 @@ def _matrix(matrix) -> tuple:
     return interventions, worlds, seeds, base
 
 
-def _report_row(config: RunConfig, totals: dict, agent: Agent) -> dict:
+def _report_row(config: RunConfig, world: str, totals: dict, agent: Agent) -> dict:
     by_timescale = totals["by_timescale"]
     return dict(zip(REPORT_COLUMNS, (
-        config.intervention.name, world_name(config.world), str(config.seed), "ok",
+        config.intervention.name, world, str(config.seed), "ok",
         totals["total"], totals["weighted_total"], by_timescale[Timescale.STEP.value],
         by_timescale[Timescale.PLAN.value], by_timescale[Timescale.SELF_EVAL.value],
         agent.obtained_total, agent.episodes)))
 
 
-def _class_rows(config: RunConfig, ivs: list) -> list:
-    """Report rows of interventions that ``apply`` gives the same behaviour:
-    the first is simulated, and the loss sites of its run are re-scored
-    under the equation terms of each of the others."""
+def _class_rows(config: RunConfig, world: str, ivs: list) -> list:
+    """Report rows, naming ``world``, of interventions that ``apply`` gives
+    the same behaviour: the first is simulated, and the loss sites of its
+    run are re-scored under the equation terms of each of the others."""
     configs = [replace(config, intervention=iv) for iv in ivs]
     agent, summary = run(configs[0])
     confusion = agent.world.observation_confusion
-    rows = [_report_row(configs[0], summary["totals"], agent)]
+    rows = [_report_row(configs[0], world, summary["totals"], agent)]
     for member in configs[1:]:
         ledger = rescore(agent.sites, terms(member, confusion))
-        rows.append(_report_row(member, ledger_totals(ledger), agent))
+        rows.append(_report_row(member, world, ledger_totals(ledger), agent))
     return rows
 
 
@@ -298,11 +299,11 @@ def experiment(matrix: dict, out_dir=None) -> tuple[list, int]:
     """Run interventions x worlds x seeds; one report row per cell plus
     per-(intervention, world) medians. Failed cells are marked and kept.
 
-    Interventions that ``apply`` gives the same (p_wander, goal_threshold)
-    act the same, so each (world, seed) simulates each class once and
-    re-scores the rest of the class; a simulation that raises fails every
-    cell of its class.
-    """
+    Each world is built once and its runs copy it; one that fails to build
+    fails its own cells. Interventions that ``apply`` gives the same
+    (p_wander, goal_threshold) act the same, so each (world, seed)
+    simulates each class once and re-scores the rest of the class; a
+    simulation that raises fails every cell of its class."""
     interventions, worlds, seeds, base = _matrix(matrix)
     classes: dict[tuple, list] = {}
     for i, iv in enumerate(interventions):
@@ -310,17 +311,23 @@ def experiment(matrix: dict, out_dir=None) -> tuple[list, int]:
 
     cells = {(i, w): [] for i in range(len(interventions)) for w in range(len(worlds))}
     failures = 0
-    for w, world in enumerate(worlds):
+    for w, name in enumerate(worlds):
+        try:
+            world, error = open_world(name), None
+        except ConfigError as exc:
+            world, error = None, exc
         for seed in seeds:
             config = replace(base, world=world, seed=seed)
             for members in classes.values():
                 ivs = [interventions[i] for i in members]
                 try:
-                    class_rows = _class_rows(config, ivs)
+                    if error is not None:
+                        raise error.with_traceback(None)  # no traceback kept per raise
+                    class_rows = _class_rows(config, world_name(name), ivs)
                 except Exception as exc:  # noqa: BLE001 - classes fail independently
                     failures += len(members)
                     class_rows = [{**dict.fromkeys(REPORT_COLUMNS, ""),
-                                   "intervention": iv.name, "world": str(world),
+                                   "intervention": iv.name, "world": name,
                                    "seed": str(seed), "status": f"failed: {exc}"}
                                   for iv in ivs]
                 for i, row in zip(members, class_rows):
@@ -330,15 +337,8 @@ def experiment(matrix: dict, out_dir=None) -> tuple[list, int]:
     for cell_rows in cells.values():
         ok = [r for r in cell_rows if r["status"] == "ok"]
         if ok:
-            med = {
-                "intervention": cell_rows[0]["intervention"],
-                "world": cell_rows[0]["world"],
-                "seed": "median",
-                "status": "ok",
-            }
-            for col in REPORT_COLUMNS[4:]:
-                med[col] = statistics.median(r[col] for r in ok)
-            cell_rows.append(med)
+            cell_rows.append({**cell_rows[0], "seed": "median", "status": "ok", **{
+                col: statistics.median(r[col] for r in ok) for col in REPORT_COLUMNS[4:]}})
         rows.extend(cell_rows)
 
     rows.sort(key=lambda r: (r["intervention"], r["world"], r["seed"] == "median",

@@ -59,8 +59,6 @@ PRESETS = {
 
 
 def get_world(name_or_path) -> WorldModel:
-    if isinstance(name_or_path, WorldModel):
-        return name_or_path
     if name_or_path in PRESETS:
         return PRESETS[name_or_path]()
     return load_world(name_or_path)

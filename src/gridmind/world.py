@@ -85,7 +85,8 @@ class Geometry:
     * n + flat), so one set of tables serves every epoch of a world and
     every copy of it:
 
-    * ``cells[f]``: the (x, y) cell; ``free[f]``: not a wall;
+    * ``cells[f]``: the (x, y) cell; ``xs``, ``ys``: its coordinates as
+      numpy arrays; ``free[f]``: not a wall;
     * ``next_flat[f][a]``: where the intended move ``a`` lands (walls and
       edges block, leaving the agent in place);
     * ``neighbors[f]``: the cells one move away, in N, E, S, W order,
@@ -98,6 +99,7 @@ class Geometry:
         self.width, self.height, self.walls = width, height, walls
         self.n = width * height
         self.cells = tuple((f % width, f // width) for f in range(self.n))
+        self.ys, self.xs = np.divmod(np.arange(self.n), width)
         self.free = tuple(c not in walls for c in self.cells)
         self.next_flat = tuple(tuple(self._target(f, a) for a in ACTIONS)
                                for f in range(self.n))
@@ -235,23 +237,22 @@ class WorldModel:
     def threat_field(self, decay_length: float) -> tuple:
         """The hazard potential of every flat cell this epoch: the sum, over
         active hazards in dict order, of magnitude * exp(-d / decay_length),
-        d the Manhattan distance. Objects move only through the schedule,
-        which bumps the epoch, and hazards are never consumed, so one field
-        per decay_length holds for the whole epoch; a past epoch's states
-        are stale, so its fields are dropped."""
+        d the Manhattan distance, read from a table of ``math.exp`` by d and
+        folded one hazard at a time, so each cell adds as a scalar loop would.
+        Objects move only through the schedule, which bumps the epoch, and
+        hazards are never consumed, so one field per decay_length holds for the
+        whole epoch; a past epoch's states are stale, so its fields are dropped."""
         if self._threat_epoch != self.epoch:
             self._threat, self._threat_epoch = {}, self.epoch
         levels = self._threat.get(decay_length)
         if levels is None:
-            hazards = self.active_hazards()
-            out = []
-            for x, y in self.geometry.cells:
-                level = 0.0
-                for hz in hazards:
-                    d = abs(hz.at[0] - x) + abs(hz.at[1] - y)
-                    level += hz.magnitude * math.exp(-d / decay_length)
-                out.append(level)
-            levels = self._threat[decay_length] = tuple(out)
+            geo = self.geometry
+            decay = np.array([math.exp(-d / decay_length) for d in range(self.width + self.height)])
+            acc = np.zeros(geo.n)
+            for hz in self.active_hazards():
+                x, y = hz.at
+                acc += hz.magnitude * decay[np.abs(geo.xs - x) + np.abs(geo.ys - y)]
+            levels = self._threat[decay_length] = tuple(acc.tolist())
         return levels
 
     def restore_consumed(self):

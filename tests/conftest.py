@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,20 @@ def neighbor_cells(world, cell):
     """The cells one move away, in N, E, S, W order, from the geometry table."""
     geo = world.geometry
     return [geo.cells[f] for f in geo.neighbors[world.flat_of(world.state_id(cell))]]
+
+
+def ref_threat_field(world, decay_length) -> tuple:
+    """The threat field one cell and one hazard at a time: the reference
+    ``WorldModel.threat_field`` is checked against."""
+    hazards = world.active_hazards()
+    out = []
+    for x, y in world.geometry.cells:
+        level = 0.0
+        for hz in hazards:
+            d = abs(hz.at[0] - x) + abs(hz.at[1] - y)
+            level += hz.magnitude * math.exp(-d / decay_length)
+        out.append(level)
+    return tuple(out)
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import neighbor_cells
+from conftest import hazard, make_world, neighbor_cells, ref_threat_field
 from gridmind.affect import InterruptPolicy, threat_level
 from gridmind.planning import Goal, PlanSearchParams, plan_search, suggest_goals
 from gridmind.values import ValueStore
@@ -294,6 +294,29 @@ def test_threat_level_is_the_closed_form_sum_across_relocations(world, decay):
         apply_schedule(world, t)
         for s in free_states(world):
             assert threat_level(world, s, policy) == ref_threat_level(world, s, decay)
+
+
+@st.composite
+def hazard_worlds(draw):
+    """A world of 1-12 cells per side with random walls and up to six
+    hazards, stacked at times, of magnitudes from 1e-300 to 1e12, ints too."""
+    width, height = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    cells = [(x, y) for y in range(height) for x in range(width)]
+    walls = draw(st.sets(st.sampled_from(cells), max_size=len(cells) - 1))
+    spots = draw(st.lists(st.sampled_from([c for c in cells if c not in walls]), max_size=6))
+    magnitude = st.one_of(st.floats(1e-300, 1e12), st.integers(1, 10 ** 12))
+    return make_world(width, height, walls,
+                      {f"h{i}": hazard(f"h{i}", draw(magnitude), at) for i, at in enumerate(spots)})
+
+
+@SETTINGS
+@given(world=hazard_worlds(),
+       decay=st.one_of(st.floats(1e-300, 1e12), st.integers(1, 10 ** 12)))
+def test_threat_field_equals_the_scalar_reference(world, decay):
+    """The table-and-fold field is bit-identical, cell by cell, to the
+    double loop over cells and hazards; every level is a Python float."""
+    assert ([level.hex() for level in world.threat_field(decay)]
+            == [level.hex() for level in ref_threat_field(world, decay)])
 
 
 # -- stale epochs and walls still raise --------------------------------------------

@@ -505,7 +505,24 @@ def test_run_builds_its_world_once(monkeypatch):
     assert calls == ["loss_heavy"]
     calls.clear()
     experiment({**MATRIX, "interventions": ["baseline", "empty_mind"], "seeds": 2})
-    assert calls == ["loss_heavy"] * 4  # one per simulation: 2 seeds x 2 behaviour classes
+    assert calls == ["loss_heavy"]  # once, not once per simulation (2 seeds x 2 classes)
+
+
+@pytest.mark.parametrize("extra", [(), ("--validate-only",)])
+def test_simulate_builds_its_world_once(tmp_path, monkeypatch, extra):
+    """Reading the config builds no world; the check or the run builds it."""
+    calls = []
+    get_world = harness.get_world
+    monkeypatch.setattr(harness, "get_world", lambda name: calls.append(name) or get_world(name))
+    assert cli(tmp_path, "simulate", json.dumps(RUN), *extra) == 0
+    assert calls == ["loss_heavy"]
+
+
+def test_simulate_of_a_missing_world_file_exits_2_and_writes_nothing(tmp_path, capsys):
+    text = json.dumps({**RUN, "world": str(tmp_path / "missing.json")})
+    assert cli(tmp_path, "simulate", text) == 2
+    assert capsys.readouterr().err.startswith("invalid config: world: ")
+    assert not (tmp_path / "out").exists()
 
 
 # -- property: the boundary has no holes --------------------------------------------
