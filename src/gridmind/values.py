@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import cached_property, reduce
 from operator import add
 from typing import Annotated
 
@@ -41,42 +41,51 @@ class LearningParams:
     def subtractive(self) -> bool:
         return self.gamma is None
 
-    @property
+    @cached_property
     def disc(self) -> float:
-        """Bootstrap discount: gamma, or 1 in the subtractive scheme."""
+        """Bootstrap discount: gamma, or 1 in the subtractive scheme. Kept
+        on this object after its first read; a replaced copy computes its own."""
         return 1.0 if self.subtractive else float(self.gamma)
 
 
 @dataclass
 class ValueStore:
-    """Tabular V, Q and visit counts. Unseen entries read as 0."""
+    """Tabular V, Q and visit counts. Unseen entries read as 0.
+
+    V maps s -> v and visit_counts (s, a) -> count. Q holds one row a
+    state, s -> [q per action, in ``actions`` order], made on the state's
+    first write with 0.0 for every action; a state without a row reads 0.0
+    for every action. Outside this module, read Q through q, max_q and
+    greedy_action.
+    """
 
     V: dict = field(default_factory=dict)
     Q: dict = field(default_factory=dict)
     visit_counts: dict = field(default_factory=dict)
     actions: tuple = ACTIONS
 
+    def __post_init__(self):
+        self.slot = {a: i for i, a in enumerate(self.actions)}  # action -> row position
+
     def v(self, s) -> float:
         return self.V.get(s, 0.0)
 
     def q(self, s, a) -> float:
-        return self.Q.get((s, a), 0.0)
+        row = self.Q.get(s)
+        return 0.0 if row is None else row[self.slot[a]]
 
     def visits(self, s, a) -> int:
         return self.visit_counts.get((s, a), 0)
 
     def max_q(self, s) -> float:
-        return max(self.q(s, a) for a in self.actions)
+        row = self.Q.get(s)
+        return 0.0 if row is None else max(row)
 
     def greedy_action(self, s):
-        """Argmax over Q, ties broken by fixed action-enumeration order."""
-        best = self.actions[0]
-        best_q = self.q(s, best)
-        for a in self.actions[1:]:
-            qa = self.q(s, a)
-            if qa > best_q:
-                best, best_q = a, qa
-        return best
+        """Argmax over Q, ties broken by fixed action-enumeration order:
+        the first position of the row's max, which ``max`` keeps on ties."""
+        row = self.Q.get(s)
+        return self.actions[0 if row is None else row.index(max(row))]
 
 
 @dataclass(frozen=True)
@@ -100,7 +109,8 @@ def td_error(r: float, v_before: float, v_after: float, params: LearningParams) 
 
 def step_expectation(store: ValueStore, s, s_next, terminal: bool, disc: float) -> float:
     """v(s) - disc * v(s_next), bootstrapping nothing past a terminal step."""
-    return store.v(s) - disc * (0.0 if terminal else store.v(s_next))
+    V = store.V
+    return V.get(s, 0.0) - disc * (0.0 if terminal else V.get(s_next, 0.0))
 
 
 def td_update(store: ValueStore, exp, params: LearningParams, *, count_visit: bool = True) -> ValueStore:
@@ -112,13 +122,22 @@ def td_update(store: ValueStore, exp, params: LearningParams, *, count_visit: bo
     """
     s, a, r, s_next, terminal = exp
     disc, alpha = params.disc, params.alpha
-    key = (s, a)
-    v_before, q_before = store.v(s), store.q(s, a)
-    v_after = 0.0 if terminal else store.v(s_next)
-    q_after = 0.0 if terminal else store.max_q(s_next)
-    store.V[s] = v_before + alpha * (r + disc * v_after - v_before)
-    store.Q[key] = q_before + alpha * (r + disc * q_after - q_before)
+    V, Q, i = store.V, store.Q, store.slot[a]
+    row = Q.get(s)
+    v_before = V.get(s, 0.0)
+    q_before = 0.0 if row is None else row[i]
+    if terminal:
+        v_after = q_after = 0.0
+    else:
+        v_after = V.get(s_next, 0.0)
+        row_next = Q.get(s_next)
+        q_after = 0.0 if row_next is None else max(row_next)
+    V[s] = v_before + alpha * (r + disc * v_after - v_before)
+    if row is None:
+        row = Q[s] = [0.0] * len(store.actions)
+    row[i] = q_before + alpha * (r + disc * q_after - q_before)
     if count_visit:
+        key = (s, a)
         store.visit_counts[key] = store.visit_counts.get(key, 0) + 1
     return store
 
@@ -259,11 +278,9 @@ def value_iteration(mdp: Mdp, params: LearningParams, tol: float,
     else:
         raise ValueIterationError(f"no convergence after {max_sweeps} sweeps (delta={delta:.3g})")
 
-    store = ValueStore(actions=mdp.actions)
-    store.V = dict(V)
+    store = ValueStore(V=dict(V), actions=mdp.actions)
     for s in nonterminal:
-        for a in mdp.actions:
-            trans = mdp.transitions.get((s, a))
-            if trans:
-                store.Q[(s, a)] = reduce(add, (p * (r + disc * V[s2]) for p, s2, r in trans), 0.0)
+        store.Q[s] = [reduce(add, (p * (r + disc * V[s2])
+                                   for p, s2, r in mdp.transitions.get((s, a), ())), 0.0)
+                      for a in mdp.actions]
     return store

@@ -6,6 +6,7 @@ import pytest
 from gridmind import rng as rngmod
 from gridmind.affect import threat_level
 from gridmind.suffering import TIMESCALE, Source, Terms, events, make_event
+from gridmind.values import ValueStore
 from gridmind.world import ACTIONS, WorldModel, WorldObject, observe, step
 
 
@@ -46,6 +47,16 @@ def ref_threat_field(world, decay_length) -> tuple:
             level += hz.magnitude * math.exp(-d / decay_length)
         out.append(level)
     return tuple(out)
+
+
+def store_from(V=None, Q=None, actions=ACTIONS, **kw) -> ValueStore:
+    """A store that reads ``V`` (``s -> v``) and the ``(s, a) -> q`` table
+    ``Q`` through ``v`` and ``q``, every other entry 0.0. Each call builds
+    its own rows, so two stores made from one table never share a list."""
+    store = ValueStore(V=dict(V or {}), actions=actions, **kw)
+    for (s, a), q in (Q or {}).items():
+        store.Q.setdefault(s, [0.0] * len(actions))[actions.index(a)] = q
+    return store
 
 
 @pytest.fixture

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import hazard, make_world, reward, run_events
+from conftest import hazard, make_world, reward, run_events, store_from
 from gridmind.affect import InterruptPolicy, SelfModel
 from gridmind.agent import Agent
 from gridmind.harness import RunConfig, audit, open_world, run
@@ -29,8 +29,8 @@ def primed_agent(world, config=None, episodes_of_training=40):
     config = config or quiet_config(world)
     agent = Agent(config, world, config.seed)
     solved = value_iteration(world_mdp(world), config.learning, tol=1e-10)
-    agent.store.V.update(solved.V)
-    agent.store.Q.update(solved.Q)
+    agent.store = store_from(solved.V, {(s, a): solved.q(s, a)
+                                        for s in solved.V for a in solved.actions})
     return agent
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_world, reward
+from conftest import make_world, reward, store_from
 from gridmind import rng as rngmod
 from gridmind import suffering
 from gridmind.agent import Agent
@@ -100,11 +100,13 @@ def test_backward_sweep_rooms_example():
 
 def test_backward_sweep_k1_is_single_update():
     p = LearningParams(alpha=0.7, **SUB)
-    store_a, store_b = ValueStore(), ValueStore()
+    V, Q = {13: 0.5, 42: 0.25}, {(13, Action.EAST): -0.5, (42, Action.NORTH): 0.75}
+    store_a, store_b = store_from(V, Q), store_from(V, Q)
     backward_sweep(rooms_buffer(), seed_index=1, k=1, store=store_a, params=p)
     td_update(store_b, ROOMS[1], p, count_visit=False)
     assert store_a.V == store_b.V
     assert store_a.Q == store_b.Q
+    assert store_a.q(13, Action.EAST) == -0.5 + 0.7 * (-0.1 + 0.75 + 0.5)
 
 
 def test_backward_sweep_truncates_at_trajectory_start():
@@ -258,10 +260,19 @@ tick_st = st.tuples(st.integers(0, 9).map(lambda x: x == 0), st.integers(0, MAX_
                     st.floats(-5.0, 5.0))
 
 
+# A starting store: a few values on the states the ticks visit
+start_st = st.tuples(
+    st.dictionaries(st.integers(0, MAX_STATE), st.floats(-5.0, 5.0), max_size=8),
+    st.dictionaries(st.tuples(st.integers(0, MAX_STATE), st.sampled_from(list(Action))),
+                    st.floats(-5.0, 5.0), max_size=8))
+
+
 @settings(max_examples=200, deadline=None)
 @given(capacity=st.integers(1, 50), ticks=st.lists(tick_st, min_size=1, max_size=150),
-       pick=st.tuples(st.floats(0.0, 1.0), st.integers(1, 51)), params=params_st)
-def test_backward_sweep_matches_list_walk_across_the_wrap(capacity, ticks, pick, params):
+       pick=st.tuples(st.floats(0.0, 1.0), st.integers(1, 51)), params=params_st,
+       start=start_st)
+def test_backward_sweep_matches_list_walk_across_the_wrap(capacity, ticks, pick, params,
+                                                          start):
     # chained trajectories with occasional breaks and terminals
     items, s = [], 0
     for restart, s_restart, s_next, terminal, r in ticks:
@@ -272,8 +283,8 @@ def test_backward_sweep_matches_list_walk_across_the_wrap(capacity, ticks, pick,
     kept = items[-capacity:]
     seed_index = min(int(pick[0] * len(kept)), len(kept) - 1)
     k = pick[1]
-    got = backward_sweep(filled(items, capacity), seed_index, k, ValueStore(), params)
-    want = reference_sweep(kept, seed_index, k, ValueStore(), params)
+    got = backward_sweep(filled(items, capacity), seed_index, k, store_from(*start), params)
+    want = reference_sweep(kept, seed_index, k, store_from(*start), params)
     assert got.V == want.V
     assert got.Q == want.Q
 

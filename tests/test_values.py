@@ -1,13 +1,16 @@
+import dataclasses
 import math
 import time
 from collections import deque
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import intended_next, make_world, neighbor_cells, reward
+from conftest import intended_next, make_world, neighbor_cells, reward, store_from
 from gridmind.replay import Experience
 from gridmind.values import (ExpectationBaseline, LearningParams, ValueStore,
                              chain_mdp, curiosity_bonus, epsilon_greedy,
@@ -100,9 +103,9 @@ def test_td_update_zero_alpha_changes_nothing():
 entry = st.integers(-30, 30).map(lambda i: i / 3) | st.floats(-10, 10)
 
 
-def table(keys):
+def table(keys, entries=entry):
     """A store table over ``keys``, each entry present or unseen."""
-    return st.lists(st.none() | entry, min_size=len(keys), max_size=len(keys)).map(
+    return st.lists(st.none() | entries, min_size=len(keys), max_size=len(keys)).map(
         lambda vals: {k: v for k, v in zip(keys, vals) if v is not None})
 
 
@@ -122,12 +125,16 @@ def test_td_update_equals_the_reference_rule(V, Q, s, a, r, s_next, terminal, al
     want_v = V.get(s, 0.0) + alpha * (r + disc * v_after - V.get(s, 0.0))
     want_q = Q.get((s, a), 0.0) + alpha * (r + disc * q_after - Q.get((s, a), 0.0))
 
-    store = ValueStore(V=dict(V), Q=dict(Q), visit_counts={(s, a): 2})
+    store = store_from(V, Q, visit_counts={(s, a): 2})
     td_update(store, Experience(s, a, r, s_next, terminal),
               LearningParams(alpha=alpha, gamma=gamma), count_visit=count_visit)
-    assert store.V == {**V, s: want_v} and store.Q == {**Q, (s, a): want_q}
+    assert store.V == {**V, s: want_v}
     assert math.copysign(1.0, store.V[s]) == math.copysign(1.0, want_v)
-    assert math.copysign(1.0, store.Q[(s, a)]) == math.copysign(1.0, want_q)
+    want = {**Q, (s, a): want_q}
+    for s2 in range(4):
+        for b in ACTIONS:
+            got, ref = store.q(s2, b), want.get((s2, b), 0.0)
+            assert got == ref and math.copysign(1.0, got) == math.copysign(1.0, ref)
     assert store.visit_counts == {(s, a): 3 if count_visit else 2}
 
 
@@ -290,17 +297,79 @@ def test_greedy_path_length_equals_bfs(seed=3):
     pytest.fail("greedy policy never reached the reward")
 
 
-# -- exploration ---------------------------------------------------------------
+# Few distinct values, signed zeros among them, so rows tie often.
+tie_entry = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1 / 3]) | st.floats(-10, 10)
+# (Action.EAST,): the actions of the store a solved chain returns
+CHAIN_ACTIONS = value_iteration(chain_mdp(3, 1.0, 0.1), LearningParams(gamma=0.9),
+                                tol=1e-12).actions
 
-def make_store_with_q(qs):
-    store = ValueStore()
-    for (s, a), v in qs.items():
-        store.Q[(s, a)] = v
-    return store
+
+def ref_greedy(Q, s, actions):
+    """The per-action loop on an ``(s, a)`` table: the first action whose
+    value no later action beats, and that value."""
+    best, best_q = actions[0], Q.get((s, actions[0]), 0.0)
+    for a in actions[1:]:
+        qa = Q.get((s, a), 0.0)
+        if qa > best_q:
+            best, best_q = a, qa
+    return best, best_q
+
+
+@given(data=st.data(), actions=st.sampled_from([ACTIONS, CHAIN_ACTIONS]))
+@settings(max_examples=300, deadline=None)
+def test_greedy_reads_equal_the_reference_loop(data, actions):
+    """max_q, greedy_action and epsilon_greedy at epsilon 0 read a state's
+    row as the per-action loop reads the table: the same first maximum, the
+    same bits, signed zeros included; a state without a row included."""
+    Q = data.draw(table([(s, a) for s in range(4) for a in actions], tie_entry))
+    store = store_from(Q=Q, actions=actions)
+    p = LearningParams(epsilon=0.0)
+    for s in range(5):
+        best, best_q = ref_greedy(Q, s, actions)
+        assert store.max_q(s).hex() == best_q.hex()
+        assert store.greedy_action(s) is best
+        assert epsilon_greedy(store, s, p, np.random.default_rng(s)) is best
+
+
+@given(n=st.integers(2, 6), terminal_value=entry, step_penalty=st.floats(0, 1),
+       gamma=st.one_of(st.none(), st.floats(0, 0.95)), slip=st.floats(0, 1))
+@settings(max_examples=100, deadline=None)
+def test_value_iteration_rows_equal_the_left_fold(n, terminal_value, step_penalty, gamma,
+                                                  slip):
+    """Every Q entry value_iteration writes is the per-(s, a) left fold
+    from 0.0 over that pair's transitions, bit for bit, and 0.0 for a pair
+    without any: on the one-action chain and on a slippery five-action world."""
+    params = LearningParams(gamma=gamma)
+    world = make_world(width=3, height=2, objects={"g": reward("g", 1.0, (2, 1))},
+                       slip_probability=slip, step_cost=0.1)
+    for mdp in (chain_mdp(n, terminal_value, step_penalty), world_mdp(world)):
+        store = value_iteration(mdp, params, tol=1e-9)
+        assert store.actions == mdp.actions
+        for s in mdp.states:
+            for a in mdp.actions:
+                trans = mdp.transitions.get((s, a), ()) if s not in mdp.terminal else ()
+                want = reduce(add, (p * (r + params.disc * store.v(s2)) for p, s2, r in trans),
+                              0.0)
+                assert store.q(s, a).hex() == want.hex()
+
+
+def test_disc_is_computed_per_params_object():
+    """disc is read once per params object; a replaced copy never sees an
+    earlier object's value, and reading it changes neither equality nor hash."""
+    multiplicative, subtractive = LearningParams(gamma=0.5), LearningParams(gamma=None)
+    assert multiplicative.disc == 0.5 and subtractive.disc == 1.0
+    assert dataclasses.replace(multiplicative, gamma=None).disc == 1.0
+    assert dataclasses.replace(subtractive, gamma=0.25).disc == 0.25
+    assert multiplicative.disc == 0.5 and subtractive.disc == 1.0
+    assert multiplicative == LearningParams(gamma=0.5)
+    assert hash(multiplicative) == hash(LearningParams(gamma=0.5))
+
+
+# -- exploration ---------------------------------------------------------------
 
 
 def test_epsilon_zero_pure_exploitation(rng):
-    store = make_store_with_q({(0, Action.SOUTH): 1.0, (0, Action.EAST): 0.5})
+    store = store_from(Q={(0, Action.SOUTH): 1.0, (0, Action.EAST): 0.5})
     p = LearningParams(epsilon=0.0)
     assert all(epsilon_greedy(store, 0, p, rng) is Action.SOUTH for _ in range(100))
 
@@ -318,7 +387,7 @@ def test_epsilon_one_uniform(rng):
 
 
 def test_epsilon_mixture_law(rng):
-    store = make_store_with_q({(0, Action.NORTH): 5.0})
+    store = store_from(Q={(0, Action.NORTH): 5.0})
     p = LearningParams(epsilon=0.1)
     n = 10_000
     non_argmax = sum(epsilon_greedy(store, 0, p, rng) is not Action.NORTH
@@ -329,7 +398,7 @@ def test_epsilon_mixture_law(rng):
 
 
 def test_ties_break_by_action_order(rng):
-    store = make_store_with_q({(0, Action.EAST): 1.0, (0, Action.WEST): 1.0})
+    store = store_from(Q={(0, Action.EAST): 1.0, (0, Action.WEST): 1.0})
     p = LearningParams(epsilon=0.0)
     assert epsilon_greedy(store, 0, p, rng) is Action.EAST
 
@@ -337,8 +406,8 @@ def test_ties_break_by_action_order(rng):
 @given(st.floats(0.001, 1e6), st.lists(st.floats(-100, 100), min_size=5, max_size=5))
 @settings(max_examples=200)
 def test_argmax_invariant_under_positive_scaling(scale, qs):
-    store = make_store_with_q({(0, a): q for a, q in zip(ACTIONS, qs)})
-    scaled = make_store_with_q({(0, a): scale * q for a, q in zip(ACTIONS, qs)})
+    store = store_from(Q={(0, a): q for a, q in zip(ACTIONS, qs)})
+    scaled = store_from(Q={(0, a): scale * q for a, q in zip(ACTIONS, qs)})
     assert store.greedy_action(0) is scaled.greedy_action(0)
 
 
