@@ -91,23 +91,22 @@ def sweep_threshold(world: WorldModel, thresholds, policy: InterruptPolicy, seed
     no hazard within one step of the true cell; a miss is hazard damage with
     no fire at that step's check.
 
-    The schedule is never applied and only rewards are consumed, so the
-    threat field and the cells within one step of a hazard are built once
-    per sweep, from one copy of ``world``. A seed draws its actions in one
-    call on its ``exploration`` stream, which feeds nothing else, and keeps
-    the levels it observed away from every hazard and on damage: memory is
-    O(steps), not O(seeds x steps). Bisecting those counts each threshold,
-    comparing ``level > theta`` exactly (numpy would round an int to float).
+    The schedule is never applied and only rewards are consumed, so the threat
+    field and the cells within one step of a hazard are read from ``world``
+    once; its copies share the field. A seed draws its actions in one call on
+    its ``exploration`` stream, which feeds nothing else, and keeps the levels
+    it observed away from every hazard and on damage: memory is O(steps), not
+    O(seeds x steps). Bisecting those counts each threshold, comparing
+    ``level > theta`` exactly (numpy would round an int to float).
     """
     if len(thresholds) < 2:
         raise ValueError("need at least two thresholds to sweep")
-    tables = world.copy()
-    field = tables.threat_field(policy.decay_length)
-    geo = tables.geometry
-    base = tables.epoch * geo.n
+    field = world.threat_field(policy.decay_length)
+    geo = world.geometry
+    base = world.epoch * geo.n
     near = set()  # flat cells within one step of an active hazard
-    for hz in tables.active_hazards():
-        f = tables.state_id(hz.at) - base
+    for hz in world.active_hazards():
+        f = world.state_id(hz.at) - base
         near.update((f, *geo.neighbors[f]))
     false_alarms, misses = [0] * len(thresholds), [0] * len(thresholds)
     for seed in seeds:

@@ -269,9 +269,10 @@ def _replay_item(agent, rng, cdf):
 def _imagine_rollout(agent, rng):
     """Simulate a short future with the known model; never touches the world.
 
-    Imagined experiences are built like real ones (``experiences``), so
-    Dyna updates and real updates pull the value function toward the same
-    fixed point.
+    Imagined experiences are built like real ones (``experiences``), but a
+    reward may differ in its last bits: a real move onto a consumed reward
+    carries ``(-step_cost + m) - m``, an imagined one ``-step_cost``, and at
+    step_cost 0 an empty cell gives a real ``-0.0`` but an imagined ``0.0``.
     """
     world = agent.world
     geo = world.geometry
@@ -292,7 +293,7 @@ def _imagine_rollout(agent, rng):
         landed = geo.next_flat[flat][a]
         landed_sid = sim_s - flat + landed
         obj = world.object_at(geo.cells[landed])
-        consuming = obj is not None and obj.kind == "reward" and obj.consumable
+        consuming = obj is not None and obj.consumable
         if consuming:
             imagined = experiences(sim_s, a, -world.step_cost, landed_sid, consumed=obj.magnitude)
         else:

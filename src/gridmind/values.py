@@ -208,13 +208,13 @@ def world_mdp(world: WorldModel) -> Mdp:
     terminal = {}
     for s in states:
         obj = world.object_at(geo.cells[s - base])
-        if obj is not None and obj.kind == "reward" and obj.consumable:
+        if obj is not None and obj.consumable:
             terminal[s] = obj.magnitude
 
     def landing_reward(flat) -> float:
         r = -world.step_cost
         obj = world.object_at(geo.cells[flat])
-        if obj is not None and not (obj.kind == "reward" and obj.consumable):
+        if obj is not None and not obj.consumable:
             r += obj.signed_magnitude()
         return r
 

@@ -60,7 +60,7 @@ class WorldObject:
     oid: str
     kind: str  # "reward" | "hazard"
     magnitude: Annotated[float, Range(0, lo_open=True)]
-    consumable: bool
+    consumable: bool  # rewards only
     at: Cell
 
     def signed_magnitude(self) -> float:
@@ -82,8 +82,8 @@ class Geometry:
     """Flat-cell tables of one wall layout; flat id ``y * width + x``.
 
     Walls never change and an epoch only offsets state ids (state = epoch
-    * n + flat), so one set of tables serves every epoch of a world and
-    every copy of it:
+    * n + flat), so the tables built with a world serve its every epoch and
+    copy; ``replace`` with other walls builds new ones:
 
     * ``cells[f]``: the (x, y) cell; ``xs``, ``ys``: its coordinates as
       numpy arrays; ``free[f]``: not a wall;
@@ -96,7 +96,7 @@ class Geometry:
     """
 
     def __init__(self, width: int, height: int, walls: frozenset):
-        self.width, self.height, self.walls = width, height, walls
+        self.width, self.height = width, height
         self.n = width * height
         self.cells = tuple((f % width, f // width) for f in range(self.n))
         self.ys, self.xs = np.divmod(np.arange(self.n), width)
@@ -113,10 +113,6 @@ class Geometry:
         if 0 <= x < self.width and 0 <= y < self.height and self.free[y * self.width + x]:
             return y * self.width + x
         return f
-
-    def fits(self, width: int, height: int, walls) -> bool:
-        return (width, height) == (self.width, self.height) and (
-            walls is self.walls or walls == self.walls)
 
     def within(self, reach: int, f: int) -> tuple:
         table = self._within.get(reach)
@@ -156,9 +152,7 @@ class WorldModel:
     epoch: Annotated[int, Range(0)] = 0
     consumed: set = field(default_factory=set)
     applied_relocations: Annotated[int, Range(0)] = 0
-    # Built from width, height and walls unless a fitting one is passed in,
-    # so copies share it.
-    geometry: Geometry | None = field(default=None, repr=False, compare=False)
+    geometry: Geometry = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         parts = [("", self), *((f"object {o.oid!r}: ", o) for o in self.objects.values()),
@@ -168,11 +162,9 @@ class WorldModel:
                 check(part)
             except ValueError as exc:
                 raise WorldError(prefix + str(exc)) from None
-        geo = self.geometry
-        if geo is None or not geo.fits(self.width, self.height, self.walls):
-            geo = self.geometry = Geometry(self.width, self.height, self.walls)
-            if geo.free.count(False) != len(self.walls):
-                raise WorldError(f"walls must lie inside the {self.width}x{self.height} grid")
+        geo = self.geometry = Geometry(self.width, self.height, self.walls)
+        if geo.free.count(False) != len(self.walls):
+            raise WorldError(f"walls must lie inside the {self.width}x{self.height} grid")
         if not any(geo.free):
             raise WorldError("world has no non-wall cell")
         for obj in self.objects.values():
@@ -180,6 +172,8 @@ class WorldModel:
                 raise WorldError(f"object {obj.oid!r} sits on a wall or out of bounds")
             if obj.kind not in ("reward", "hazard"):
                 raise WorldError(f"object {obj.oid!r} has unknown kind {obj.kind!r}")
+            if obj.consumable and obj.kind != "reward":
+                raise WorldError(f"object {obj.oid!r}: only a reward can be consumable")
         last = -1
         for rel in self.schedule:
             if rel.t <= last:
@@ -240,8 +234,8 @@ class WorldModel:
         d the Manhattan distance, read from a table of ``math.exp`` by d and
         folded one hazard at a time, so each cell adds as a scalar loop would.
         Objects move only through the schedule, which bumps the epoch, and
-        hazards are never consumed, so one field per decay_length holds for the
-        whole epoch; a past epoch's states are stale, so its fields are dropped."""
+        only rewards are consumed, so one field per decay_length serves the
+        epoch and every copy in it; a world that leaves the epoch starts its own."""
         if self._threat_epoch != self.epoch:
             self._threat, self._threat_epoch = {}, self.epoch
         levels = self._threat.get(decay_length)
@@ -259,8 +253,13 @@ class WorldModel:
         self.consumed.clear()
 
     def copy(self) -> "WorldModel":
-        return replace(self, consumed=set(self.consumed),
-                       objects={oid: replace(o) for oid, o in self.objects.items()})
+        """Its own objects and consumed set; the rest, checked at the build, is shared."""
+        twin = object.__new__(WorldModel)
+        for name, value in vars(self).items():  # one by one: copy.copy's reads are ~3x slower
+            setattr(twin, name, value)
+        twin.objects = {oid: replace(o) for oid, o in self.objects.items()}
+        twin.consumed = set(self.consumed)
+        return twin
 
 
 # -- core operations -----------------------------------------------------
@@ -287,7 +286,7 @@ def step(world: WorldModel, s: int, a: Action, rng: np.random.Generator):
     obj = world.object_at(geo.cells[landed])
     if obj is not None:
         reward += obj.signed_magnitude()
-        if obj.kind == "reward" and obj.consumable:
+        if obj.consumable:
             world.consumed.add(obj.oid)
             consumed = obj.oid
     return world.epoch * geo.n + landed, reward, consumed

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import hazard, make_world, neighbor_cells, ref_threat_field
+from gridmind import world as world_module
 from gridmind.affect import InterruptPolicy, threat_level
 from gridmind.planning import Goal, PlanSearchParams, plan_search, suggest_goals
 from gridmind.values import ValueStore
@@ -354,16 +355,38 @@ def test_bad_states_raise_world_error(which):
 # -- who owns the tables --------------------------------------------------------------
 
 
+def hexes(levels):
+    return [level.hex() for level in levels]
+
+
 def test_copies_share_the_geometry_and_keep_their_own_threat_fields():
-    world = world_from_ascii("S.H\n.#.\n")
+    """Objects move only through the schedule, so a copy that moves reads
+    its new epoch's field, and the world it was copied from keeps its own."""
+    world = world_from_ascii("S.H\n.#.\n", schedule=(Relocation(3, "h0", (0, 1)),))
     twin = world.copy()
     assert twin.geometry is world.geometry
-    policy = InterruptPolicy()
-    s = ref_state_id(world, (0, 0))
-    before = threat_level(world, s, policy)
-    twin.objects["h0"].at = (0, 1)  # a copy's objects are its own
-    assert threat_level(twin, s, policy) == ref_threat_level(twin, s, 1.0) != before
-    assert threat_level(world, s, policy) == before
+    before = world.threat_field(1.0)
+    apply_schedule(twin, 3)
+    assert twin.objects["h0"].at == (0, 1) != world.objects["h0"].at  # its objects are its own
+    assert hexes(twin.threat_field(1.0)) == hexes(ref_threat_field(twin, 1.0))
+    assert hexes(twin.threat_field(1.0)) != hexes(before)
+    assert world.threat_field(1.0) is before
+    assert hexes(before) == hexes(ref_threat_field(world, 1.0))
+
+
+def test_a_copy_checks_nothing_and_shares_its_epochs_fields(monkeypatch):
+    """A copy is checked at the build it copies: it runs no field check,
+    builds no geometry and reads the fields its world built."""
+    world = world_from_ascii("S.H\nR#.\n")
+    field = world.threat_field(1.0)
+    calls = []
+    monkeypatch.setattr(world_module, "check", lambda part: calls.append("check"))
+    monkeypatch.setattr(world_module, "Geometry", lambda *a: calls.append("Geometry"))
+    twin = world.copy()
+    assert calls == []
+    assert twin.threat_field(1.0) is field
+    assert twin.objects == world.objects and twin.objects["r0"] is not world.objects["r0"]
+    assert twin.consumed == world.consumed and twin.consumed is not world.consumed
 
 
 def test_a_world_keeps_the_threat_fields_of_its_current_epoch_only():

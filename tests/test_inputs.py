@@ -263,6 +263,17 @@ def test_wall_outside_the_grid_exits_2(tmp_path, capsys):
     assert "invalid config: world: walls must lie inside the 3x1 grid" in capsys.readouterr().err
 
 
+def test_a_consumable_hazard_in_a_world_file_exits_2(tmp_path, capsys):
+    """Such a hazard once passed --validate-only and was never consumed."""
+    pit = {"id": "pit", "kind": "hazard", "magnitude": 1, "consumable": True, "at": [1, 0]}
+    (tmp_path / "world.json").write_text(json.dumps({"width": 3, "height": 1,
+                                                     "objects": [pit]}))
+    config = json.dumps({"world": str(tmp_path / "world.json")})
+    assert cli(tmp_path, "simulate", config, "--validate-only") == 2
+    assert ("invalid config: world: object 'pit': only a reward can be consumable"
+            in capsys.readouterr().err)
+
+
 def test_seed_override_goes_through_the_seed_rule(tmp_path, capsys):
     assert cli(tmp_path, "simulate", json.dumps(RUN), "--seed", "-1") == 2
     assert "invalid config: seed:" in capsys.readouterr().err
@@ -506,6 +517,18 @@ def test_run_builds_its_world_once(monkeypatch):
     calls.clear()
     experiment({**MATRIX, "interventions": ["baseline", "empty_mind"], "seeds": 2})
     assert calls == ["loss_heavy"]  # once, not once per simulation (2 seeds x 2 classes)
+
+
+def test_experiment_builds_a_threat_field_once_per_world(monkeypatch):
+    """Its runs copy one build, and copies in one epoch share its fields, so
+    hazard_alley (no schedule) builds one field for 2 seeds x 3 classes."""
+    calls = []
+    active_hazards = world.WorldModel.active_hazards
+    monkeypatch.setattr(world.WorldModel, "active_hazards",
+                        lambda self: calls.append(1) or active_hazards(self))
+    rows, failures = experiment({"worlds": ["hazard_alley"], "seeds": 2, "steps": 20})
+    assert failures == 0 and len(rows) == 8 * 3
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("extra", [(), ("--validate-only",)])

@@ -7,8 +7,9 @@ import pytest
 from conftest import hazard, intended_next, make_world, neighbor_cells, reward
 from gridmind.inputs import InputError
 from gridmind.presets import corridor
-from gridmind.world import (ACTIONS, Action, Relocation, WorldError, apply_schedule,
-                            load_world, observe, step, world_from_ascii, world_from_dict)
+from gridmind.world import (ACTIONS, Action, Relocation, WorldError, WorldObject,
+                            apply_schedule, load_world, observe, step, world_from_ascii,
+                            world_from_dict)
 
 
 def test_step_cost_only(rng):
@@ -179,13 +180,15 @@ def relocating(t):
     (lambda: relocating(2.5), "relocation of 'g': t must be an integer"),
     (lambda: relocating(-3), "relocation of 'g': t must be >= 0"),
     (lambda: make_world(width=3, height=1, walls={(5, 5)}), "walls must lie inside the 3x1 grid"),
+    (lambda: make_world(objects={"pit": WorldObject("pit", "hazard", 1.0, True, (0, 0))}),
+     "object 'pit': only a reward can be consumable"),
 ], ids=["inf-step-cost", "inf-magnitude", "1e300-magnitude", "zero-magnitude", "bool-width",
-        "zero-height", "fractional-t", "negative-t", "wall-outside"])
+        "zero-height", "fractional-t", "negative-t", "wall-outside", "consumable-hazard"])
 def test_python_api_refuses_what_a_world_file_refuses(make, message):
     """An infinite cost or magnitude once ran until a wander batch raised, a
     magnitude of 1e300 ran to totals near 1e302, a bool width, a fractional t
-    and a wall outside the grid were accepted, and a negative t was refused as
-    out of order."""
+    and a wall outside the grid were accepted, a negative t was refused as
+    out of order, and a consumable hazard was accepted and never consumed."""
     with pytest.raises(WorldError) as exc:
         make()
     assert str(exc.value) == message
