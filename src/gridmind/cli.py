@@ -9,25 +9,20 @@ Exit codes: 0 ok; 1 some experiment cells failed (each is marked in
 report.csv); 2 bad input (a config, matrix, policy or world file that
 cannot be read, or a value that breaks a rule, named by its dotted path);
 3 any other error. Errors are one line on stderr, never a traceback.
-GRIDMIND_VERBOSE=1 prints one summary line after simulate or experiment.
+GRIDMIND_VERBOSE=1 prints, on stderr, a progress line per (world, seed)
+of experiment and one summary line after simulate or experiment.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 from . import harness
 from .affect import sweep_threshold
 from .inputs import InputError, load_json
-
-
-def _say(msg: str):
-    if os.environ.get("GRIDMIND_VERBOSE", "") not in ("", "0"):
-        print(msg, file=sys.stderr)
 
 
 def cmd_simulate(args) -> int:
@@ -40,15 +35,15 @@ def cmd_simulate(args) -> int:
         print("config ok")
         return 0
     _, summary = harness.run(config, out_dir=args.out)
-    _say(f"run {summary['run_id']} done: total frustration "
-         f"{summary['totals']['total']:.4f}")
+    harness.say(f"run {summary['run_id']} done: total frustration "
+                f"{summary['totals']['total']:.4f}")
     print(json.dumps(summary, indent=2, sort_keys=True, allow_nan=False))
     return 0
 
 
 def cmd_experiment(args) -> int:
     rows, failures = harness.experiment(load_json(args.matrix), out_dir=args.out)
-    _say(f"{len(rows)} report rows, {failures} failed cells")
+    harness.say(f"{len(rows)} report rows, {failures} failed cells")
     print(f"wrote {Path(args.out) / 'report.csv'} ({len(rows)} rows)")
     return 1 if failures else 0
 

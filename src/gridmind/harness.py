@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import statistics
+import sys
+import time
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -37,6 +40,12 @@ REPORT_COLUMNS = ("intervention", "world", "seed", "status", "total_frustration"
                   "obtained_reward", "episodes")
 
 SWEEP_COLUMNS = ("threshold", "false_alarms", "misses", "realized_cost")
+
+
+def say(msg: str):
+    """One line on stderr when GRIDMIND_VERBOSE is set (not 0); never to a file."""
+    if os.environ.get("GRIDMIND_VERBOSE", "") not in ("", "0"):
+        print(msg, file=sys.stderr)
 
 
 ConfigError = inputs.InputError  # bad input, with the dotted path of the value
@@ -303,14 +312,16 @@ def experiment(matrix: dict, out_dir=None) -> tuple[list, int]:
     fails its own cells. Interventions that ``apply`` gives the same
     (p_wander, goal_threshold) act the same, so each (world, seed)
     simulates each class once and re-scores the rest of the class; a
-    simulation that raises fails every cell of its class."""
+    simulation that raises fails every cell of its class. Each (world,
+    seed) done ``say``s the cells done and failed so far, and an ETA."""
     interventions, worlds, seeds, base = _matrix(matrix)
     classes: dict[tuple, list] = {}
     for i, iv in enumerate(interventions):
         classes.setdefault(apply(base, iv), []).append(i)
 
     cells = {(i, w): [] for i in range(len(interventions)) for w in range(len(worlds))}
-    failures = 0
+    failures, done, total = 0, 0, len(cells) * len(seeds)
+    began = time.monotonic()
     for w, name in enumerate(worlds):
         try:
             world, error = open_world(name), None
@@ -332,6 +343,10 @@ def experiment(matrix: dict, out_dir=None) -> tuple[list, int]:
                                   for iv in ivs]
                 for i, row in zip(members, class_rows):
                     cells[i, w].append(row)
+            done += len(interventions)
+            eta = (time.monotonic() - began) / done * (total - done)
+            say(f"world {name} seed {seed}: {done}/{total} cells done, {failures} failed, "
+                f"ETA {eta:.1f} s")
 
     rows = []
     for cell_rows in cells.values():

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Annotated, NamedTuple
 
 import numpy as np
@@ -48,9 +48,11 @@ class ReplayBuffer:
     An item's priority depends only on its transition ``(s, s_next, r,
     terminal)``, and a run repeats few of them: each distinct transition is
     stored once, in a key table of numpy columns, and the ring keeps each
-    item's action and transition key. A row's key is written at
-    ``row`` and at ``row + capacity``, so ``key[head:head + len]`` lists the
-    items oldest first. Items are read back as Experiences of plain Python
+    item's action and transition key. ``states`` maps each state the keys
+    read V at to its ordinal, in ordinal order, and each key holds the
+    ordinals of its ``s`` and, unless terminal (-1), its ``s_next``. A
+    row's key is written at ``row`` and at ``row + capacity``, so
+    ``key[head:head + len]`` lists the items oldest first. Items are read back as Experiences of plain Python
     values. Indices are positional, oldest first; eviction shifts them.
     Until the buffer is full the oldest item is row 0, after that row
     ``head``.
@@ -67,17 +69,17 @@ class ReplayBuffer:
         self._len = 0
         self.n_keys = 0     # rows of the key table in use
         self._key_of = {}   # (s, s_next, r, terminal, sign of r) -> key
+        self.states = {}
         self._table(16)
 
-    def _table(self, room: int, keep=None):
-        """Give the key table ``room`` rows, keeping its rows in order (only
-        the rows ``keep`` lists, when given)."""
+    def _table(self, room: int):
+        """Give the key table ``room`` rows, keeping its rows in order."""
         for name, dtype in (("s", np.int64), ("s_next", np.int64), ("r", np.float64),
-                            ("terminal", np.bool_)):
+                            ("terminal", np.bool_), ("s_ord", np.intp),
+                            ("after_ord", np.intp)):
             col = np.empty(room, dtype)
             if self.n_keys:
-                old = getattr(self, name)
-                col[:self.n_keys] = old[:self.n_keys] if keep is None else old[keep]
+                col[:self.n_keys] = getattr(self, name)[:self.n_keys]
             setattr(self, name, col)
 
     def _new_key(self, ident) -> int:
@@ -88,22 +90,25 @@ class ReplayBuffer:
             self._table(2 * k)
         s, s_next, r, terminal, _ = ident
         self.s[k], self.s_next[k], self.r[k], self.terminal[k] = s, s_next, r, terminal
+        self.s_ord[k] = self.states.setdefault(s, len(self.states))
+        self.after_ord[k] = -1 if terminal else self.states.setdefault(s_next, len(self.states))
         self._key_of[ident] = k
         self.n_keys += 1
         return k
 
     def _compact(self):
-        """Drop the keys no item holds, renumbering the rest in order, so
-        the table never outgrows twice the ring."""
+        """Drop the keys no item holds, and the states no key reads, so the
+        table never outgrows twice the ring: the live keys are entered
+        again in order (``_key_of`` lists keys in order), as their ranks."""
         live = np.unique(self.key[self.head:self.head + self._len])
         renumber = np.zeros(self.n_keys, np.int32)
         renumber[live] = np.arange(len(live), dtype=np.int32)
         self.key = renumber[self.key]
-        alive, renumbered = set(live.tolist()), renumber.tolist()
-        self._key_of = {ident: renumbered[k] for ident, k in self._key_of.items()
-                        if k in alive}
-        self.n_keys = len(live)
-        self._table(len(self.r), keep=live)
+        alive = set(live.tolist())
+        kept = [ident for ident, k in self._key_of.items() if k in alive]
+        self.n_keys, self._key_of, self.states = 0, {}, {}
+        for ident in kept:
+            self._new_key(ident)
 
     def append(self, exp: Experience):
         row = (self.head + self._len) % self.capacity
@@ -143,17 +148,17 @@ def priorities(buffer: ReplayBuffer, store, params) -> np.ndarray:
 
     The same elementwise float operations, in the same order, as the scalar
     abs(r + disc * v_after - v(s)), applied once per transition key, then
-    gathered into item order. V is looked up once per key state (unseen
-    states read 0), so the cost follows the key table, not the size of the
-    state ids, which grow with every relocation epoch.
+    gathered into item order. V is looked up once per distinct key state
+    (unseen states read 0), so the cost follows the key table, not the size
+    of the state ids, which grow with every relocation epoch; a terminal
+    key's ordinal -1 reads the trailing 0.0.
     """
-    n = len(buffer)
-    m = buffer.n_keys
-    states = np.concatenate((buffer.s[:m], buffer.s_next[:m])).tolist()
-    vals = np.fromiter(map(store.V.get, states, repeat(0.0)), np.float64, 2 * m)
-    v_after = np.where(buffer.terminal[:m], 0.0, vals[m:])
-    per_key = np.abs(buffer.r[:m] + params.disc * v_after - vals[:m])
-    return per_key.take(buffer.key[buffer.head:buffer.head + n])
+    m, states = buffer.n_keys, buffer.states
+    vals = np.fromiter(chain(map(store.V.get, states, repeat(0.0)), (0.0,)), np.float64,
+                       len(states) + 1)
+    per_key = np.abs(buffer.r[:m] + params.disc * vals[buffer.after_ord[:m]]
+                     - vals[buffer.s_ord[:m]])
+    return per_key.take(buffer.key[buffer.head:buffer.head + len(buffer)])
 
 
 def backward_sweep(buffer: ReplayBuffer, seed_index: int, k: int, store, params):
@@ -182,10 +187,10 @@ def priority_cdf(pri: np.ndarray) -> np.ndarray:
     as ``Generator.choice(len(pri), p=pri / total)`` builds it (linear
     normalization, no softmax), so ``sample_from`` draws the very index
     ``choice`` would. All zeros when every priority is zero."""
-    total = pri.sum()
+    total = float(pri.sum())
     if total <= 0.0:
         return np.zeros(len(pri))
-    if not np.isfinite(total):
+    if not math.isfinite(total):
         raise ValueError("priorities must have a finite sum")
     cdf = pri / total
     np.cumsum(cdf, out=cdf)

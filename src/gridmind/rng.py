@@ -9,9 +9,10 @@ A per-step stream is also available without ``default_rng``:
 ``first_draws`` computes, for a block of steps at once and by numpy's own
 seeding arithmetic (SeedSequence pool mixing, then PCG64 seeding), each
 step's PCG64 state right after its first draw, and that draw (one XSL-RR
-output). ``FirstDraws`` serves the first draw step by step, and loads a
-step's state into one reused Generator when the step needs the rest of
-its stream.
+output), as uint64 arrays; the 128-bit arithmetic runs on (hi, lo) halves.
+``FirstDraws`` serves the first draw step by step, and loads a step's
+state into one reused Generator when the step needs the rest of its
+stream.
 """
 
 from __future__ import annotations
@@ -49,6 +50,28 @@ MASK32, MASK64, MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 # Seeding steps the LCG twice (state += initstate between) and random()
 # steps it once more: state3 = (inc + init) * M**2 + inc * (M + 1).
 PCG_MULT_SQ = PCG_MULT * PCG_MULT & MASK128
+MASK32_U, SHIFT32 = np.uint64(MASK32), np.uint64(32)
+
+
+def _hash_consts(init: int, mult: int, n: int) -> np.ndarray:
+    """The xor and multiply constants of n successive SeedSequence hashes,
+    shape (2, n, 1), so each hash is one row of a stacked pool."""
+    consts = []
+    for _ in range(n):
+        xor, init = init, init * mult & MASK32
+        consts.append((xor, init))
+    return np.array(consts, np.uint32).T[:, :, None]
+
+
+# 4 hashes fill the pool and 3 per word mix it; 8 more draw it out
+HASH_A = _hash_consts(INIT_A, MULT_A, POOL_SIZE * POOL_SIZE)
+HASH_B = _hash_consts(INIT_B, MULT_B, 2 * POOL_SIZE)
+
+
+def _hashmix(value, consts):
+    xor, mul = consts
+    value = (value ^ xor) * mul
+    return value ^ value >> XSHIFT
 
 
 def _words(x: int) -> list:
@@ -65,14 +88,15 @@ def first_draws(seed: int, label: str, start: int, count: int):
     after its first ``random()``: that double, and the PCG64 ``(state,
     inc)`` the Generator then holds.
 
-    Returns the doubles as an array and the pairs as a list. Equal bit for
-    bit to numpy's own stream (seed and steps non-negative) while the
-    entropy ``[seed, stream, t]`` fits the SeedSequence pool of 4 words.
+    Returns the doubles, and the pairs as rows ``(state_hi, state_lo,
+    inc_hi, inc_lo)`` of a uint64 array. Equal bit for bit to numpy's own
+    stream (seed and steps non-negative) while the entropy ``[seed,
+    stream, t]`` fits the SeedSequence pool of 4 words.
     Entropy shorter than the pool hashes like zero words, so a t below
     2**32 is given its (zero) high word and every t runs the same vector
     arithmetic. A t whose entropy would not fit (``t >= 2**32`` beside a
     seed of 2**32 or more) is drawn by ``default_rng`` itself, and its
-    pair is None.
+    row is zeros.
     """
     seed, stream = int(seed), STREAMS[label]
     head = _words(seed) + [stream]
@@ -81,51 +105,43 @@ def first_draws(seed: int, label: str, start: int, count: int):
     entropy = [np.full(count, w, np.uint32) for w in head] + [t.astype(np.uint32), high]
     wide = np.flatnonzero(len(head) + 1 + (high > 0) > POOL_SIZE)
 
-    hash_const = INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * MULT_A & MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> XSHIFT)
-
-    def mix(x, y):
-        result = np.uint32(MIX_MULT_L) * x - np.uint32(MIX_MULT_R) * y
-        return result ^ (result >> XSHIFT)
-
-    pool = [hashmix(w) for w in entropy[:POOL_SIZE]]
-    for src in range(POOL_SIZE):
-        for dst in range(POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-
-    hash_const = INIT_B
-    state = []  # generate_state(4, np.uint64): 8 uint32 words, paired low first
-    for i in range(2 * POOL_SIZE):
-        value = pool[i % POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = hash_const * MULT_B & MASK32
-        value = value * np.uint32(hash_const)
-        state.append((value ^ (value >> XSHIFT)).astype(np.uint64))
-    w0, w1, w2, w3 = (
-        (state[2 * k] | state[2 * k + 1] << np.uint64(32)).tolist() for k in range(4))
-
-    out = np.empty(count)
-    pairs = []
-    for i, (a, b, c, d) in enumerate(zip(w0, w1, w2, w3)):
-        # the shifted word can reach 129 bits; PCG64 keeps 128 of them
-        inc = ((c << 64 | d) << 1 | 1) & MASK128
-        s = ((inc + (a << 64 | b)) * PCG_MULT_SQ + inc * (PCG_MULT + 1)) & MASK128
-        hi = s >> 64
-        x = (hi ^ s) & MASK64
-        rot = hi >> 58
-        x = (x >> rot | x << (64 - rot)) & MASK64
-        out[i] = (x >> 11) * 2.0 ** -53  # random(): the top 53 bits
-        pairs.append((s, inc))
+    pool = _hashmix(np.stack(entropy[:POOL_SIZE]), HASH_A[:, :POOL_SIZE])
+    for src in range(POOL_SIZE):  # mix_entropy: each word into the three others
+        dst, j = [d for d in range(POOL_SIZE) if d != src], POOL_SIZE + 3 * src
+        mixed = (np.uint32(MIX_MULT_L) * pool[dst]
+                 - np.uint32(MIX_MULT_R) * _hashmix(pool[src], HASH_A[:, j:j + 3]))
+        pool[dst] = mixed ^ mixed >> XSHIFT
+    # generate_state(4, np.uint64): 8 uint32 words, paired low first
+    drawn = _hashmix(pool[np.arange(2 * POOL_SIZE) % POOL_SIZE], HASH_B).astype(np.uint64)
+    a, b, c, d = drawn[0::2] | drawn[1::2] << SHIFT32
+    # inc = (c << 64 | d) << 1 | 1 and s = (inc + init) * M**2 + inc * (M + 1),
+    # mod 2**128, in (hi, lo) uint64 halves; uint64 products wrap mod 2**64
+    inc_hi, inc_lo = c << np.uint64(1) | d >> np.uint64(63), d << np.uint64(1) | np.uint64(1)
+    s_hi, s_lo = _add128(*_mul128(*_add128(inc_hi, inc_lo, a, b), PCG_MULT_SQ),
+                         *_mul128(inc_hi, inc_lo, PCG_MULT + 1))
+    x, rot = s_hi ^ s_lo, s_hi >> np.uint64(58)  # XSL-RR
+    x = x >> rot | x << (np.uint64(64) - rot & np.uint64(63))
+    out = (x >> np.uint64(11)).astype(np.float64) * 2.0 ** -53  # random(): the top 53 bits
+    lanes = np.stack((s_hi, s_lo, inc_hi, inc_lo), axis=1)
     for i in wide.tolist():
         out[i] = per_step(seed, label, start + i).random()
-        pairs[i] = None
-    return out, pairs
+        lanes[i] = 0  # a PCG64 inc is odd: 0 marks a lane numpy draws itself
+    return out, lanes
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _mul128(hi, lo, k: int):
+    """(hi, lo) * k mod 2**128; the high half of lo * k_lo from 32-bit limbs."""
+    k_hi, k_lo = np.uint64(k >> 64), np.uint64(k & MASK64)
+    x0, x1, k0, k1 = lo & MASK32_U, lo >> SHIFT32, k_lo & MASK32_U, k_lo >> SHIFT32
+    p00, p01, p10 = x0 * k0, x0 * k1, x1 * k0
+    mid = (p00 >> SHIFT32) + (p01 & MASK32_U) + (p10 & MASK32_U)
+    carry = x1 * k1 + (p01 >> SHIFT32) + (p10 >> SHIFT32) + (mid >> SHIFT32)
+    return carry + lo * k_hi + hi * k_lo, lo * k_lo
 
 
 class FirstDraws:
@@ -150,7 +166,7 @@ class FirstDraws:
         self.block = max(1, min(horizon, self.BLOCK))
         self.start = 0
         self.values = np.empty(0)
-        self.pairs = []
+        self.lanes = np.empty((0, 4), np.uint64)
         self._generator = np.random.Generator(np.random.PCG64(0))
         self._state = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 0},
                        "has_uint32": 0, "uinteger": 0}
@@ -159,7 +175,7 @@ class FirstDraws:
         i = t - self.start
         if not 0 <= i < len(self.values):
             self.start, i = t, 0
-            self.values, self.pairs = first_draws(self.seed, self.label, t, self.block)
+            self.values, self.lanes = first_draws(self.seed, self.label, t, self.block)
             self.block = self.BLOCK
         return i
 
@@ -170,12 +186,12 @@ class FirstDraws:
     def generator(self, t: int) -> np.random.Generator:
         """``per_step(seed, label, t)`` after its first ``random()``."""
         i = self._index(t)
-        pair = self.pairs[i]
-        if pair is None:
+        s_hi, s_lo, inc_hi, inc_lo = self.lanes[i].tolist()
+        if not inc_lo:
             rng = per_step(self.seed, self.label, t)
             rng.random()
             return rng
         pcg = self._state["state"]
-        pcg["state"], pcg["inc"] = pair
+        pcg["state"], pcg["inc"] = s_hi << 64 | s_lo, inc_hi << 64 | inc_lo
         self._generator.bit_generator.state = self._state
         return self._generator

@@ -389,6 +389,17 @@ def test_a_copy_checks_nothing_and_shares_its_epochs_fields(monkeypatch):
     assert twin.consumed == world.consumed and twin.consumed is not world.consumed
 
 
+def test_a_copy_holds_every_attribute_of_a_fresh_build():
+    """``copy`` sets a fixed list of names, so a field added to the world
+    and left off that list would be dropped from every run's world."""
+    world = world_from_ascii("S.H\nR#.\n", schedule=(Relocation(3, "h0", (0, 1)),))
+    fresh, twin = world_from_ascii("S.H\nR#.\n"), world.copy()
+    assert list(vars(twin)) == list(vars(fresh))
+    for name, value in vars(twin).items():
+        if name not in ("objects", "consumed"):
+            assert value is getattr(world, name), name
+
+
 def test_a_world_keeps_the_threat_fields_of_its_current_epoch_only():
     """A past epoch's states are stale, so its fields are never read again."""
     world = world_from_ascii("S.#\n.RH\n", schedule=(Relocation(5, "h0", (0, 1)),))

@@ -365,6 +365,34 @@ def test_cli_experiment(tmp_path, capsys):
     assert len(report) == 1 + 2 * 3
 
 
+def test_verbose_experiment_prints_progress_and_changes_no_output(tmp_path, capsys,
+                                                                 monkeypatch):
+    """GRIDMIND_VERBOSE=1 adds one stderr line per (world, seed), failed
+    cells counted, and leaves report.csv and stdout byte for byte alone."""
+    matrix_path = tmp_path / "matrix.json"
+    matrix_path.write_text(json.dumps({
+        "interventions": ["baseline", "empty_mind"],
+        "worlds": ["corridor", str(tmp_path / "missing.json")], "seeds": 2, "steps": 30,
+    }))
+    runs = {}
+    for verbose in ("", "1"):
+        monkeypatch.setenv("GRIDMIND_VERBOSE", verbose)
+        code = cli_main(["experiment", "--matrix", str(matrix_path),
+                         "--out", str(tmp_path / "exp")])
+        out, err = capsys.readouterr()
+        runs[verbose] = code, out, (tmp_path / "exp" / "report.csv").read_bytes(), err
+    assert runs[""][:3] == runs["1"][:3]
+    assert runs[""][0] == 1 and runs[""][3] == ""
+    *progress, summary = runs["1"][3].splitlines()
+    assert summary == "10 report rows, 4 failed cells"
+    assert [line.split(", ETA ")[0] for line in progress] == [
+        "world corridor seed 0: 2/8 cells done, 0 failed",
+        "world corridor seed 1: 4/8 cells done, 0 failed",
+        f"world {tmp_path / 'missing.json'} seed 0: 6/8 cells done, 2 failed",
+        f"world {tmp_path / 'missing.json'} seed 1: 8/8 cells done, 4 failed"]
+    assert all(line.endswith(" s") for line in progress)
+
+
 def test_cli_sweep_threshold(tmp_path, capsys):
     policy_path = tmp_path / "policy.json"
     policy_path.write_text(json.dumps({

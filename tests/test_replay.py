@@ -187,18 +187,64 @@ items_st = st.lists(experience_st, max_size=200) | st.lists(repeated_st, min_siz
                                                            max_size=200)
 
 
+def scalar_priorities(items, store, params):
+    return [abs(e.r + params.disc * (0.0 if e.terminal else store.v(e.s_next)) - store.v(e.s))
+            for e in items]
+
+
 @settings(max_examples=200, deadline=None)
 @given(capacity=st.integers(1, 50), items=items_st, V=values_st, params=params_st)
 def test_priorities_bit_identical_to_scalar_rule(capacity, items, V, params):
     store = ValueStore(V=V)
-    kept = items[-capacity:] if items else []
-    expected = [abs(e.r + params.disc * (0.0 if e.terminal else store.v(e.s_next))
-                    - store.v(e.s)) for e in kept]
+    expected = scalar_priorities(items[-capacity:] if items else [], store, params)
     got = priorities(filled(items, capacity), store, params)
     assert got.dtype == np.float64
     assert len(got) == len(expected)
     for g, e in zip(got.tolist(), expected):
         assert g == e
+
+
+# State ids epoch * cells + flat from many relocation epochs; few enough
+# per example that transitions repeat, many enough that the key table
+# fills and compacts again and again.
+epoch_state_st = st.builds(lambda epoch, flat: epoch * 100 + flat,
+                           st.integers(0, 10 ** 4), st.integers(0, 99))
+
+
+@st.composite
+def epoch_runs(draw):
+    pool = draw(st.lists(epoch_state_st, min_size=2, max_size=40, unique=True))
+    ids = st.sampled_from(pool)
+    items = draw(st.lists(st.builds(Experience, s=ids, a=st.sampled_from(list(Action)),
+                                    r=st.sampled_from([0.0, -0.0, -0.1, 1.0]), s_next=ids,
+                                    terminal=st.booleans()), min_size=50, max_size=300))
+    V = draw(st.dictionaries(ids, st.floats(-50.0, 50.0, allow_nan=False)))
+    return items, V
+
+
+@settings(max_examples=60, deadline=None)
+@given(capacity=st.integers(1, 12), run=epoch_runs(), params=params_st)
+def test_state_ordinals_follow_compaction(capacity, run, params):
+    """The key table reads V through ordinals into ``buffer.states``: after
+    every append the priorities equal the scalar rule bit for bit, and each
+    compaction leaves at most two states per live key."""
+    items, V = run
+    store, buf = ValueStore(V=V), ReplayBuffer(capacity=capacity)
+    compactions, compact = [], buf._compact
+
+    def checked_compact():
+        compact()
+        live = len(np.unique(buf.key[buf.head:buf.head + len(buf)]))
+        assert buf.n_keys == live and len(buf.states) <= 2 * live
+        compactions.append(live)
+
+    buf._compact = checked_compact
+    for n, exp in enumerate(items, 1):
+        buf.append(exp)
+        assert priorities(buf, store, params).tolist() == scalar_priorities(
+            items[max(0, n - capacity):n], store, params)
+    distinct = {(e.s, e.s_next, e.r, e.terminal, math.copysign(1.0, e.r)) for e in items}
+    assert compactions or len(distinct) <= 2 * capacity
 
 
 def test_signed_zero_rewards_keep_their_own_sign():

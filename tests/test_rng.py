@@ -86,6 +86,20 @@ def test_table_generator_equals_per_step_after_its_first_draw(seed):
         assert table[t] == numpy_gate(seed, t)
 
 
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**63, 2**64 - 1])
+def test_every_lane_of_a_full_block_loads_per_step_after_its_first_draw(seed):
+    """Every lane of a BLOCK-lane table, every stream: all-ones seed words
+    carry through every limb of the 128-bit seeding arithmetic."""
+    steps = rngmod.FirstDraws.BLOCK
+    for label in rngmod.STREAMS:
+        table = rngmod.FirstDraws(seed, label, horizon=steps)
+        for t in range(steps):
+            want = rngmod.per_step(seed, label, t)
+            assert table[t] == want.random()
+            assert table.generator(t).bit_generator.state == want.bit_generator.state
+        assert table.start == 0  # one table served them all
+
+
 def test_draws_at_one_gated_step_leave_the_next_alone():
     """The table reuses one Generator, so a gated step's stream must not
     depend on what the gated step before it drew, a buffered 32-bit half
