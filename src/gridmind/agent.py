@@ -184,7 +184,8 @@ class Agent:
 
         for site in wandering_step(self, t):
             self.sites.append(site)
-            self._trace("wander_negative", source=site.source.value)
+            if self.trace_enabled:
+                self._trace("wander_negative", source=site.source.value)
 
         if consumed is not None or self.episode_steps >= self.config.episode_step_limit:
             self._finish_episode()
@@ -210,8 +211,9 @@ class Agent:
             td_update(store, exp, self.learning)
 
         loss = raw_expected - r
-        self._trace("step", action=int(a), raw_expected=raw_expected, obtained=r,
-                    loss=max(0.0, loss))
+        if self.trace_enabled:  # runs every step: build the record only when it is kept
+            self._trace("step", action=int(a), raw_expected=raw_expected, obtained=r,
+                        loss=max(0.0, loss))
         if loss > 0.0:
             self.sites.append(LossSite(self.t, Source.STEP_LOSS, raw_expected, r))
 

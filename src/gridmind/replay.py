@@ -17,7 +17,7 @@ from .inputs import Range, check
 from .planning import plan_search, suggest_goals
 from .suffering import LossSite, Source
 from .values import epsilon_greedy, step_expectation, td_update
-from .world import Action
+from .world import ACTIONS, Action
 
 
 class Experience(NamedTuple):
@@ -135,7 +135,7 @@ class ReplayBuffer:
             raise IndexError("replay buffer index out of range")
         row = (self.head + i) % self.capacity
         k = self.key[row]
-        return Experience(int(self.s[k]), Action(int(self.a[row])), float(self.r[k]),
+        return Experience(int(self.s[k]), ACTIONS[self.a[row]], float(self.r[k]),
                           int(self.s_next[k]), bool(self.terminal[k]))
 
     def __iter__(self):

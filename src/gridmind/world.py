@@ -189,6 +189,15 @@ class WorldModel:
             raise WorldError("start cell is a wall or out of bounds")
         # decay_length -> threat level per flat cell, for _threat_epoch only
         self._threat, self._threat_epoch = {}, self.epoch
+        self._index_objects()
+
+    def _index_objects(self):
+        """Map each occupied cell to its objects, in dict order; rebuilt
+        whenever an object moves or the objects are replaced."""
+        by_cell = {}
+        for obj in self.objects.values():
+            by_cell.setdefault(obj.at, []).append(obj)
+        self._by_cell = {at: tuple(objs) for at, objs in by_cell.items()}
 
     # -- geometry --------------------------------------------------------
 
@@ -220,8 +229,9 @@ class WorldModel:
     # -- content ---------------------------------------------------------
 
     def object_at(self, cell: Cell):
-        for obj in self.objects.values():
-            if obj.at == cell and obj.oid not in self.consumed:
+        """The first object in dict order on ``cell`` not yet consumed, or None."""
+        for obj in self._by_cell.get(cell, ()):
+            if obj.oid not in self.consumed:
                 return obj
         return None
 
@@ -253,12 +263,14 @@ class WorldModel:
         self.consumed.clear()
 
     def copy(self) -> "WorldModel":
-        """Its own objects and consumed set; the rest, checked at the build, is shared."""
+        """Its own objects, consumed set and object index; the rest, checked
+        at the build, is shared."""
         twin = object.__new__(WorldModel)
         for name in WORLD_ATTRS:  # vars(self), like copy.copy, would slow self's reads ~3x
             setattr(twin, name, getattr(self, name))
         twin.objects = {oid: replace(o) for oid, o in self.objects.items()}
         twin.consumed = set(self.consumed)
+        twin._index_objects()
         return twin
 
 
@@ -277,7 +289,8 @@ def step(world: WorldModel, s: int, a: Action, rng: np.random.Generator):
     consumable reward objects are removed on collection.
     """
     flat = world.flat_of(s)
-    a = Action(a)
+    if type(a) is not Action:
+        a = Action(a)
     actual = a
     if a is not Action.STAY and world.slip_probability > 0:
         if rng.random() < world.slip_probability:
@@ -316,6 +329,7 @@ def apply_schedule(world: WorldModel, t: int) -> WorldModel:
 
     Every applied relocation bumps the epoch. Idempotent for repeated t.
     """
+    applied = world.applied_relocations
     while world.applied_relocations < len(world.schedule):
         rel = world.schedule[world.applied_relocations]
         if rel.t > t:
@@ -323,6 +337,8 @@ def apply_schedule(world: WorldModel, t: int) -> WorldModel:
         world.objects[rel.oid].at = rel.to
         world.applied_relocations += 1
         world.epoch += 1
+    if world.applied_relocations != applied:
+        world._index_objects()
     return world
 
 
@@ -331,8 +347,9 @@ def apply_schedule(world: WorldModel, t: int) -> WorldModel:
 
 # The largest world a definition may give, far above every preset (49 cells,
 # 4 objects, 1 relocation at most): Geometry keeps ~400 bytes a cell (40 MB
-# at the cap), every step scans the objects, and every relocation starts an
-# epoch that re-keys all states and computes a new threat field.
+# at the cap), a step reads only the objects on the cell it lands on, and
+# every relocation starts an epoch that re-keys all states, re-indexes the
+# objects by cell and computes a new threat field.
 MAX_CELLS = 10 ** 5
 MAX_OBJECTS = MAX_RELOCATIONS = 1000
 

@@ -17,11 +17,12 @@ from hypothesis import strategies as st
 
 from conftest import hazard, make_world, neighbor_cells, ref_threat_field
 from gridmind import world as world_module
-from gridmind.affect import InterruptPolicy, threat_level
+from gridmind.affect import InterruptPolicy, sweep_threshold, threat_level
 from gridmind.planning import Goal, PlanSearchParams, plan_search, suggest_goals
 from gridmind.values import ValueStore
 from gridmind.world import (ACTIONS, DELTAS, LATERALS, MOVES, Action, Relocation,
-                            WorldError, apply_schedule, observe, step, world_from_ascii)
+                            WorldError, WorldObject, apply_schedule, observe, step,
+                            world_from_ascii)
 
 SETTINGS = settings(max_examples=60, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -64,6 +65,14 @@ def ref_neighbor_cells(world, cell):
     return out
 
 
+def ref_object_at(world, cell):
+    """The first object on ``cell`` in dict order not yet consumed: a scan."""
+    for obj in world.objects.values():
+        if obj.at == cell and obj.oid not in world.consumed:
+            return obj
+    return None
+
+
 def ref_step(world, s, a, rng):
     cell = ref_cell_of(world, s)
     a = Action(a)
@@ -74,7 +83,7 @@ def ref_step(world, s, a, rng):
     landed = ref_intended_next(world, cell, actual)
     reward = -world.step_cost
     consumed = None
-    obj = world.object_at(landed)
+    obj = ref_object_at(world, landed)
     if obj is not None:
         reward += obj.signed_magnitude()
         if obj.kind == "reward" and obj.consumable:
@@ -320,6 +329,127 @@ def test_threat_field_equals_the_scalar_reference(world, decay):
             == [level.hex() for level in ref_threat_field(world, decay)])
 
 
+# -- the object index ----------------------------------------------------------------
+
+
+@st.composite
+def stacked_worlds(draw):
+    """A world of 1-4 cells per side with up to seven objects crowded onto
+    few cells, and up to four relocations, each onto an occupied cell or
+    off one at times."""
+    width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cells = [(x, y) for y in range(height) for x in range(width)]
+    walls = draw(st.sets(st.sampled_from(cells), max_size=len(cells) - 1))
+    spots = draw(st.lists(st.sampled_from([c for c in cells if c not in walls]),
+                          min_size=1, max_size=3, unique=True))
+    objects = {}
+    for i in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(["reward", "hazard"]))
+        objects[f"o{i}"] = WorldObject(f"o{i}", kind, draw(st.sampled_from([0.5, 2.0])),
+                                       kind == "reward" and draw(st.booleans()),
+                                       draw(st.sampled_from(spots)))
+    free = [c for c in cells if c not in walls]
+    schedule = tuple(Relocation(t, draw(st.sampled_from(sorted(objects))),
+                                draw(st.sampled_from(spots + free)))
+                     for t in range(draw(st.integers(0, 4))))
+    return make_world(width, height, walls, objects, schedule=schedule, start=spots[0])
+
+
+EVENTS = st.one_of(
+    st.tuples(st.just("step"), st.integers(0, 15), st.sampled_from(ACTIONS)),
+    st.tuples(st.just("consume"), st.integers(0, 6)),
+    st.tuples(st.just("restore")),
+    st.tuples(st.just("schedule"), st.integers(0, 4)),
+    st.tuples(st.just("copy")),
+)
+
+
+@SETTINGS
+@given(world=stacked_worlds(), events=st.lists(EVENTS, max_size=25),
+       seed=st.integers(0, 1000))
+def test_object_at_equals_a_scan_through_every_event(world, events, seed):
+    """Stacked objects, consumption by ``step`` and by ``consumed.add``,
+    ``restore_consumed``, relocations and copies: after every event each
+    world built so far finds, on every cell, the very object a dict-order
+    scan of its own objects finds."""
+    rng = np.random.default_rng(seed)
+    worlds = [world]
+    cells = [(x, y) for y in range(-1, world.height + 1) for x in range(-1, world.width + 1)]
+    for event in events:
+        kind = event[0]
+        if kind == "step":
+            free = [c for c in world.geometry.cells if world.is_free(c)]
+            step(world, world.state_id(free[event[1] % len(free)]), event[2], rng)
+        elif kind == "consume":
+            world.consumed.add(f"o{event[1] % len(world.objects)}")
+        elif kind == "restore":
+            world.restore_consumed()
+        elif kind == "schedule":
+            apply_schedule(world, event[1])
+        else:
+            world = world.copy()
+            worlds.append(world)
+        for w in worlds:
+            for cell in cells:
+                assert w.object_at(cell) is ref_object_at(w, cell), (event, cell)
+
+
+class CountingDict(dict):
+    """A dict that counts every pass made over it."""
+
+    passes = 0
+
+    def _counted(self, view):
+        self.passes += 1
+        return view
+
+    def values(self):
+        return self._counted(super().values())
+
+    def items(self):
+        return self._counted(super().items())
+
+    def keys(self):
+        return self._counted(super().keys())
+
+    def __iter__(self):
+        return self._counted(super().__iter__())
+
+
+def test_a_step_at_the_object_cap_reads_no_object_list(monkeypatch):
+    """With ``MAX_OBJECTS`` objects, one on every cell, 300 steps and
+    observations and a threshold sweep's walk pass over no world's objects:
+    a step reads only the cell it lands on."""
+    width, height = 40, world_module.MAX_OBJECTS // 40
+    objects = CountingDict(
+        (f"o{i}", hazard(f"o{i}", 1.0, (i % width, i // width)) if i == 41 else
+         WorldObject(f"o{i}", "reward", 0.5, True, (i % width, i // width)))
+        for i in range(world_module.MAX_OBJECTS))
+    world = make_world(width, height, (), objects, slip_probability=0.2,
+                       observation_confusion=0.3, start=(1, 1))
+    objects.passes = 0  # the build reads them all once
+    rng = np.random.default_rng(3)
+    s = world.state_id(world.start)
+    for a in rng.integers(len(ACTIONS), size=300).tolist():
+        observe(world, s, rng)
+        s = step(world, s, ACTIONS[a], rng)[0]
+    assert objects.passes == 0
+    assert world.consumed  # the walk did collect rewards
+
+    copy, walks = world_module.WorldModel.copy, []
+
+    def counted_copy(self):
+        twin = copy(self)
+        twin.objects = CountingDict(twin.objects)  # same objects: the index holds
+        walks.append(twin)
+        return twin
+
+    monkeypatch.setattr(world_module.WorldModel, "copy", counted_copy)
+    table = sweep_threshold(world, [0.0, 0.5], InterruptPolicy(), seeds=[0], steps=300)
+    assert [twin.objects.passes for twin in walks] == [0]
+    assert table[0]["false_alarms"] + table[0]["misses"] > 0
+
+
 # -- stale epochs and walls still raise --------------------------------------------
 
 
@@ -396,7 +526,9 @@ def test_a_copy_holds_every_attribute_of_a_fresh_build():
     fresh, twin = world_from_ascii("S.H\nR#.\n"), world.copy()
     assert list(vars(twin)) == list(vars(fresh))
     for name, value in vars(twin).items():
-        if name not in ("objects", "consumed"):
+        if name in ("objects", "consumed", "_by_cell"):  # the copy's own state
+            assert value == getattr(world, name) and value is not getattr(world, name), name
+        else:
             assert value is getattr(world, name), name
 
 

@@ -7,7 +7,7 @@ from operator import add
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import intended_next, make_world, neighbor_cells, reward, store_from
@@ -404,11 +404,21 @@ def test_ties_break_by_action_order(rng):
 
 
 @given(st.floats(0.001, 1e6), st.lists(st.floats(-100, 100), min_size=5, max_size=5))
+@example(scale=0.5, qs=[0.0, 0.0, 0.0, 0.0, 5e-324])  # the product rounds to 0.0: a new tie
 @settings(max_examples=200)
 def test_argmax_invariant_under_positive_scaling(scale, qs):
+    """Scaling by a positive factor keeps the greedy action wherever the
+    float products keep every pairwise order and tie; where rounding
+    merges or splits values, the choice still follows the tie rule: the
+    first position of the scaled row's max."""
+    scaled_qs = [scale * q for q in qs]
     store = store_from(Q={(0, a): q for a, q in zip(ACTIONS, qs)})
-    scaled = store_from(Q={(0, a): scale * q for a, q in zip(ACTIONS, qs)})
-    assert store.greedy_action(0) is scaled.greedy_action(0)
+    scaled = store_from(Q={(0, a): q for a, q in zip(ACTIONS, scaled_qs)})
+    assert scaled.greedy_action(0) is ACTIONS[scaled_qs.index(max(scaled_qs))]
+    pairs = [(i, j) for i in range(len(qs)) for j in range(len(qs))]
+    if all((qs[i] < qs[j]) == (scaled_qs[i] < scaled_qs[j])
+           and (qs[i] == qs[j]) == (scaled_qs[i] == scaled_qs[j]) for i, j in pairs):
+        assert store.greedy_action(0) is scaled.greedy_action(0)
 
 
 # -- curiosity -----------------------------------------------------------------

@@ -31,6 +31,17 @@ def test_step_collects_reward_magnitude(rng):
     assert w.object_at((1, 0)) is None
 
 
+def test_step_reads_an_int_action_as_its_action_and_refuses_a_bad_one():
+    w = make_world(slip_probability=0.5)
+    s = w.state_id((1, 1))
+    for a in ACTIONS:
+        rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
+        assert step(w, s, int(a), rng_a) == step(w, s, a, rng_b)
+        assert rng_a.random() == rng_b.random()
+    with pytest.raises(ValueError):
+        step(w, s, len(ACTIONS), np.random.default_rng(7))
+
+
 def test_hazard_costs_its_magnitude(rng):
     w = make_world(objects={"h": hazard("h", 2.0, (1, 0))}, step_cost=0.1)
     s = w.state_id((0, 0))
