@@ -55,7 +55,7 @@ LATERALS = {
 Cell = tuple[int, int]
 
 
-@dataclass
+@dataclass(frozen=True)
 class WorldObject:
     oid: str
     kind: str  # "reward" | "hazard"
@@ -143,15 +143,14 @@ class WorldModel:
     width: Annotated[int, Range(1)]
     height: Annotated[int, Range(1)]
     walls: frozenset
-    objects: dict  # oid -> WorldObject, positions for the current epoch
+    objects: dict  # oid -> WorldObject, positions for the current epoch; never changed in place
     slip_probability: Annotated[float, Range(0, 1)] = 0.0
     step_cost: Annotated[float, Range(0)] = 0.0
     observation_confusion: Annotated[float, Range(0, 1, hi_open=True)] = 0.0
     schedule: tuple = ()
     start: Cell | None = None
-    epoch: Annotated[int, Range(0)] = 0
-    consumed: set = field(default_factory=set)
-    applied_relocations: Annotated[int, Range(0)] = 0
+    epoch: int = field(init=False, default_factory=int)  # relocations applied
+    consumed: set = field(init=False, default_factory=set)
     geometry: Geometry = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -187,17 +186,18 @@ class WorldModel:
             self.start = geo.cells[geo.free.index(True)]
         elif not self.is_free(self.start):
             raise WorldError("start cell is a wall or out of bounds")
-        # decay_length -> threat level per flat cell, for _threat_epoch only
-        self._threat, self._threat_epoch = {}, self.epoch
-        self._index_objects()
+        self._epoch_tables()
 
-    def _index_objects(self):
-        """Map each occupied cell to its objects, in dict order; rebuilt
-        whenever an object moves or the objects are replaced."""
+    def _epoch_tables(self):
+        """New tables for the objects of this epoch: each occupied cell to
+        its objects in dict order, and an empty map from decay_length to
+        threat field. Made at the build and after a relocation, never
+        changed in place, so copies in one epoch share them."""
         by_cell = {}
         for obj in self.objects.values():
             by_cell.setdefault(obj.at, []).append(obj)
         self._by_cell = {at: tuple(objs) for at, objs in by_cell.items()}
+        self._threat = {}
 
     # -- geometry --------------------------------------------------------
 
@@ -246,8 +246,6 @@ class WorldModel:
         Objects move only through the schedule, which bumps the epoch, and
         only rewards are consumed, so one field per decay_length serves the
         epoch and every copy in it; a world that leaves the epoch starts its own."""
-        if self._threat_epoch != self.epoch:
-            self._threat, self._threat_epoch = {}, self.epoch
         levels = self._threat.get(decay_length)
         if levels is None:
             geo = self.geometry
@@ -263,18 +261,16 @@ class WorldModel:
         self.consumed.clear()
 
     def copy(self) -> "WorldModel":
-        """Its own objects, consumed set and object index; the rest, checked
-        at the build, is shared."""
+        """Its own consumed set; the rest, checked at the build or made for
+        this epoch and never changed in place, is shared."""
         twin = object.__new__(WorldModel)
         for name in WORLD_ATTRS:  # vars(self), like copy.copy, would slow self's reads ~3x
             setattr(twin, name, getattr(self, name))
-        twin.objects = {oid: replace(o) for oid, o in self.objects.items()}
         twin.consumed = set(self.consumed)
-        twin._index_objects()
         return twin
 
 
-WORLD_ATTRS = (*(f.name for f in fields(WorldModel)), "_threat", "_threat_epoch")
+WORLD_ATTRS = (*(f.name for f in fields(WorldModel)), "_by_cell", "_threat")
 
 
 # -- core operations -----------------------------------------------------
@@ -327,18 +323,18 @@ def observe(world: WorldModel, s: int, rng: np.random.Generator) -> int:
 def apply_schedule(world: WorldModel, t: int) -> WorldModel:
     """Apply all relocations with step index <= t, each exactly once.
 
-    Every applied relocation bumps the epoch. Idempotent for repeated t.
+    Every applied relocation bumps the epoch and binds a new objects dict,
+    so a copy that shares the old one keeps it. Idempotent for repeated t.
     """
-    applied = world.applied_relocations
-    while world.applied_relocations < len(world.schedule):
-        rel = world.schedule[world.applied_relocations]
+    epoch = world.epoch
+    while world.epoch < len(world.schedule):
+        rel = world.schedule[world.epoch]
         if rel.t > t:
             break
-        world.objects[rel.oid].at = rel.to
-        world.applied_relocations += 1
+        world.objects = {**world.objects, rel.oid: replace(world.objects[rel.oid], at=rel.to)}
         world.epoch += 1
-    if world.applied_relocations != applied:
-        world._index_objects()
+    if world.epoch != epoch:
+        world._epoch_tables()
     return world
 
 
@@ -348,8 +344,8 @@ def apply_schedule(world: WorldModel, t: int) -> WorldModel:
 # The largest world a definition may give, far above every preset (49 cells,
 # 4 objects, 1 relocation at most): Geometry keeps ~400 bytes a cell (40 MB
 # at the cap), a step reads only the objects on the cell it lands on, and
-# every relocation starts an epoch that re-keys all states, re-indexes the
-# objects by cell and computes a new threat field.
+# every relocation starts an epoch that re-keys all states, binds a new
+# objects dict, re-indexes the objects by cell and computes a new threat field.
 MAX_CELLS = 10 ** 5
 MAX_OBJECTS = MAX_RELOCATIONS = 1000
 

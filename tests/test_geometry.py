@@ -418,8 +418,9 @@ class CountingDict(dict):
 
 def test_a_step_at_the_object_cap_reads_no_object_list(monkeypatch):
     """With ``MAX_OBJECTS`` objects, one on every cell, 300 steps and
-    observations and a threshold sweep's walk pass over no world's objects:
-    a step reads only the cell it lands on."""
+    observations, a copy and a threshold sweep's walk pass over no world's
+    objects: a step reads only the cell it lands on, and a copy shares the
+    objects and their index."""
     width, height = 40, world_module.MAX_OBJECTS // 40
     objects = CountingDict(
         (f"o{i}", hazard(f"o{i}", 1.0, (i % width, i // width)) if i == 41 else
@@ -435,6 +436,12 @@ def test_a_step_at_the_object_cap_reads_no_object_list(monkeypatch):
         s = step(world, s, ACTIONS[a], rng)[0]
     assert objects.passes == 0
     assert world.consumed  # the walk did collect rewards
+    twin = world.copy()
+    assert objects.passes == 0
+    for flat, at in enumerate(world.geometry.cells):
+        oid = f"o{flat}"
+        own = None if oid in world.consumed else objects[oid]
+        assert twin.object_at(at) is own and world.object_at(at) is own, at
 
     copy, walks = world_module.WorldModel.copy, []
 
@@ -497,7 +504,8 @@ def test_copies_share_the_geometry_and_keep_their_own_threat_fields():
     assert twin.geometry is world.geometry
     before = world.threat_field(1.0)
     apply_schedule(twin, 3)
-    assert twin.objects["h0"].at == (0, 1) != world.objects["h0"].at  # its objects are its own
+    assert twin.objects is not world.objects  # a relocation binds the twin a new dict
+    assert twin.objects["h0"].at == (0, 1) and world.objects["h0"].at == (2, 0)
     assert hexes(twin.threat_field(1.0)) == hexes(ref_threat_field(twin, 1.0))
     assert hexes(twin.threat_field(1.0)) != hexes(before)
     assert world.threat_field(1.0) is before
@@ -515,7 +523,7 @@ def test_a_copy_checks_nothing_and_shares_its_epochs_fields(monkeypatch):
     twin = world.copy()
     assert calls == []
     assert twin.threat_field(1.0) is field
-    assert twin.objects == world.objects and twin.objects["r0"] is not world.objects["r0"]
+    assert twin.objects is world.objects
     assert twin.consumed == world.consumed and twin.consumed is not world.consumed
 
 
@@ -526,8 +534,8 @@ def test_a_copy_holds_every_attribute_of_a_fresh_build():
     fresh, twin = world_from_ascii("S.H\nR#.\n"), world.copy()
     assert list(vars(twin)) == list(vars(fresh))
     for name, value in vars(twin).items():
-        if name in ("objects", "consumed", "_by_cell"):  # the copy's own state
-            assert value == getattr(world, name) and value is not getattr(world, name), name
+        if name == "consumed":  # the copy's own state
+            assert value == world.consumed and value is not world.consumed
         else:
             assert value is getattr(world, name), name
 

@@ -117,6 +117,12 @@ def test_bad_run_config_exits_2_with_its_path(tmp_path, capsys, text, path):
     (json.dumps({**MATRIX, "worlds": ["loss_heavy", "corridor", "loss_heavy"]}), "worlds[2]"),
     (json.dumps({**MATRIX, "worlds": ["loss_heavy", "maps/loss_heavy.json"]}), "worlds[1]"),
     (json.dumps({**MATRIX, "seeds": [3, 3]}), "seeds[1]"),
+    # Empty axes, which once wrote a header-only report.csv or, with no
+    # interventions, crashed on the progress line's ETA.
+    (json.dumps({**MATRIX, "interventions": []}), "interventions"),
+    (json.dumps({**MATRIX, "worlds": []}), "worlds"),
+    pytest.param(json.dumps({**MATRIX, "seeds": []}), "seeds", id="seeds-empty-list"),
+    pytest.param(json.dumps({**MATRIX, "seeds": 0}), "seeds", id="seeds-zero"),
 ])
 def test_bad_matrix_exits_2_before_any_simulation(tmp_path, capsys, monkeypatch, text, path):
     monkeypatch.setattr(harness, "run", lambda *a, **k: pytest.fail("simulated a bad matrix"))
@@ -420,8 +426,6 @@ WORLD_PARTS = {world.WorldModel: ("", lambda w: w),
                world.Relocation: ("schedule[0].", lambda w: w.schedule[0])}
 WORLD_RULES = [(cls, name, rule, integral) for cls in WORLD_PARTS
                for name, rule, integral, _ in inputs.rules(cls)]
-# The world's run state, which no world file sets.
-RUN_STATE = {"epoch", "applied_relocations"}
 
 
 def built(cls, name, value) -> world.WorldModel:
@@ -444,10 +448,12 @@ def numeric(hint) -> bool:
 
 
 def test_every_numeric_field_declares_its_rule():
+    """Every numeric field a caller can set; the rest (a world's epoch) is run state."""
     classes = [cls for cls, _ in sections()] + list(WORLD_PARTS)
-    undeclared = [f"{cls.__name__}.{name}" for cls in classes
-                  for name, hint in typing.get_type_hints(cls, include_extras=True).items()
-                  if typing.get_origin(hint) is not typing.Annotated and numeric(hint)]
+    hints = {cls: typing.get_type_hints(cls, include_extras=True) for cls in classes}
+    undeclared = [f"{cls.__name__}.{f.name}" for cls in classes for f in fields(cls)
+                  if f.init and typing.get_origin(hints[cls][f.name]) is not typing.Annotated
+                  and numeric(hints[cls][f.name])]
     assert undeclared == []
     assert {name for _, name, *_ in WORLD_RULES} >= {"width", "height", "slip_probability",
                                                     "step_cost", "observation_confusion",
@@ -464,17 +470,15 @@ def test_a_world_rule_holds_from_python_and_from_a_world_file(tmp_path, capsys, 
     for value in refused:
         with pytest.raises(world.WorldError, match=f"(^|: ){name} must be "):
             built(cls, name, value)
-        if name not in RUN_STATE:
-            path.write_text(json.dumps(put(GOOD_WORLD, prefix + name, value)))
-            assert cli(tmp_path, "simulate", json.dumps({"world": str(path)}),
-                       "--validate-only") == 2, value
-            err = capsys.readouterr().err
-            assert err.startswith("invalid config: world: ") and name in err, (value, err)
+        path.write_text(json.dumps(put(GOOD_WORLD, prefix + name, value)))
+        assert cli(tmp_path, "simulate", json.dumps({"world": str(path)}),
+                   "--validate-only") == 2, value
+        err = capsys.readouterr().err
+        assert err.startswith("invalid config: world: ") and name in err, (value, err)
     for value in accepted:
         assert getattr(part_of(built(cls, name, value)), name) == value
-        if name not in RUN_STATE:
-            spec = put(GOOD_WORLD, prefix + name, value)
-            assert getattr(part_of(world.world_from_dict(spec)), name) == value
+        spec = put(GOOD_WORLD, prefix + name, value)
+        assert getattr(part_of(world.world_from_dict(spec)), name) == value
 
 
 @pytest.mark.parametrize("make, name", [
