@@ -274,7 +274,7 @@ def _matrix(matrix) -> tuple:
     worlds = inputs.distinct(inputs.list_of(inputs.string, MAX_WORLDS)(
         matrix.get("worlds", ["corridor"]), "worlds"), "worlds", world_name)
     seeds = inputs.seeds(matrix.get("seeds", 5), "seeds")
-    for path, axis in (("interventions", interventions), ("worlds", worlds), ("seeds", seeds)):
+    for path, axis in (("interventions", interventions), ("worlds", worlds)):
         if not axis:
             raise inputs.InputError(path, "need at least one")
     data = inputs.record(matrix.get("base", {}), "base", _BASE_KEYS)

@@ -166,10 +166,15 @@ def distinct(items: list, path: str, key=lambda item: item) -> list:
 
 
 def seeds(value, path: str) -> list:
-    """A seed count n (seeds 0..n-1, n at most MAX_SEEDS) or a list of distinct seeds."""
+    """A seed count n (seeds 0..n-1, n at most MAX_SEEDS) or a list of
+    distinct seeds; at least one either way."""
     if isinstance(value, list):
-        return distinct(list_of(seed)(value, path), path)
-    return list(range(at_most(MAX_SEEDS)(value, path)))
+        out = distinct(list_of(seed)(value, path), path)
+    else:
+        out = list(range(at_most(MAX_SEEDS)(value, path)))
+    if not out:
+        raise InputError(path, "need at least one")
+    return out
 
 
 def record(value, path: str, allowed, root: str = "config") -> dict:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Annotated, NamedTuple
 
 from .inputs import Range, check
@@ -107,13 +108,13 @@ def suggest_goals(model: WorldModel, store: ValueStore, s: int, reach: int,
     flat = model.flat_of(s)
     base = s - flat
     V = store.V
-    candidates = []
-    for f in model.geometry.within(reach, flat):
+    goals = []
+    for f in model.geometry.within(reach, flat):  # ascending flat order
         v = V.get(base + f, 0.0)
         if v > threshold:
-            candidates.append((-v, base + f))
-    candidates.sort()
-    return [Goal(sid, -neg_v) for neg_v, sid in candidates]
+            goals.append(Goal(base + f, v))
+    goals.sort(key=itemgetter(1), reverse=True)  # stable: ties keep ascending ids
+    return goals
 
 
 def plan_search(model: WorldModel, s: int, goal: Goal, store: ValueStore,

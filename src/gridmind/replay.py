@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 import operator
+from array import array
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Annotated, NamedTuple
@@ -47,12 +48,13 @@ class ReplayBuffer:
 
     An item's priority depends only on its transition ``(s, s_next, r,
     terminal)``, and a run repeats few of them: each distinct transition is
-    stored once, in a key table of numpy columns, and the ring keeps each
-    item's action and transition key. ``states`` maps each state the keys
-    read V at to its ordinal, in ordinal order, and each key holds the
-    ordinals of its ``s`` and, unless terminal (-1), its ``s_next``. A
-    row's key is written at ``row`` and at ``row + capacity``, so
-    ``key[head:head + len]`` lists the items oldest first. Items are read back as Experiences of plain Python
+    stored once, as its ident ``(s, s_next, r, terminal, sign of r)`` at
+    its key in ``idents``, and the ring keeps each item's action and key.
+    Growable columns give each key's ``r`` and the ordinals of its ``s``
+    and, unless terminal (-1), its ``s_next`` in ``states``, which maps each
+    state the keys read V at to its ordinal, in ordinal order. A row's key
+    is written at ``row`` and at ``row + capacity``, so ``key[head:head +
+    len]`` lists the items oldest first. Items read back as their ident's
     values. Indices are positional, oldest first; eviction shifts them.
     Until the buffer is full the oldest item is row 0, after that row
     ``head``.
@@ -67,46 +69,35 @@ class ReplayBuffer:
         self.key = np.zeros(2 * capacity, np.int32)
         self.head = 0
         self._len = 0
-        self.n_keys = 0     # rows of the key table in use
-        self._key_of = {}   # (s, s_next, r, terminal, sign of r) -> key
-        self.states = {}
-        self._table(16)
+        self._empty_keys()
 
-    def _table(self, room: int):
-        """Give the key table ``room`` rows, keeping its rows in order."""
-        for name, dtype in (("s", np.int64), ("s_next", np.int64), ("r", np.float64),
-                            ("terminal", np.bool_), ("s_ord", np.intp),
-                            ("after_ord", np.intp)):
-            col = np.empty(room, dtype)
-            if self.n_keys:
-                col[:self.n_keys] = getattr(self, name)[:self.n_keys]
-            setattr(self, name, col)
+    def _empty_keys(self):
+        self.idents = []    # key -> (s, s_next, r, terminal, sign of r)
+        self._key_of = {}   # ident -> key
+        self.states = {}
+        self.r, self.s_ord, self.after_ord = array("d"), array("q"), array("q")
 
     def _new_key(self, ident) -> int:
-        if self.n_keys == 2 * self.capacity:
+        if len(self.idents) == 2 * self.capacity:
             self._compact()
-        k = self.n_keys
-        if k == len(self.r):
-            self._table(2 * k)
+        k = self._key_of[ident] = len(self.idents)
+        self.idents.append(ident)
         s, s_next, r, terminal, _ = ident
-        self.s[k], self.s_next[k], self.r[k], self.terminal[k] = s, s_next, r, terminal
-        self.s_ord[k] = self.states.setdefault(s, len(self.states))
-        self.after_ord[k] = -1 if terminal else self.states.setdefault(s_next, len(self.states))
-        self._key_of[ident] = k
-        self.n_keys += 1
+        self.r.append(r)
+        self.s_ord.append(self.states.setdefault(s, len(self.states)))
+        self.after_ord.append(-1 if terminal else self.states.setdefault(s_next, len(self.states)))
         return k
 
     def _compact(self):
         """Drop the keys no item holds, and the states no key reads, so the
         table never outgrows twice the ring: the live keys are entered
-        again in order (``_key_of`` lists keys in order), as their ranks."""
+        again in order, as their ranks."""
         live = np.unique(self.key[self.head:self.head + self._len])
-        renumber = np.zeros(self.n_keys, np.int32)
+        renumber = np.zeros(len(self.idents), np.int32)
         renumber[live] = np.arange(len(live), dtype=np.int32)
         self.key = renumber[self.key]
-        alive = set(live.tolist())
-        kept = [ident for ident, k in self._key_of.items() if k in alive]
-        self.n_keys, self._key_of, self.states = 0, {}, {}
+        kept = [self.idents[k] for k in live.tolist()]
+        self._empty_keys()
         for ident in kept:
             self._new_key(ident)
 
@@ -134,9 +125,8 @@ class ReplayBuffer:
         if not 0 <= i < self._len:
             raise IndexError("replay buffer index out of range")
         row = (self.head + i) % self.capacity
-        k = self.key[row]
-        return Experience(int(self.s[k]), ACTIONS[self.a[row]], float(self.r[k]),
-                          int(self.s_next[k]), bool(self.terminal[k]))
+        s, s_next, r, terminal, _ = self.idents[self.key[row]]
+        return Experience(s, ACTIONS[self.a[row]], r, s_next, terminal)
 
     def __iter__(self):
         return (self[i] for i in range(self._len))
@@ -151,13 +141,16 @@ def priorities(buffer: ReplayBuffer, store, params) -> np.ndarray:
     gathered into item order. V is looked up once per distinct key state
     (unseen states read 0), so the cost follows the key table, not the size
     of the state ids, which grow with every relocation epoch; a terminal
-    key's ordinal -1 reads the trailing 0.0.
+    key's ordinal -1 reads the trailing 0.0. The key columns are read
+    through views that end with the call, since an ``array`` that exports
+    its buffer cannot grow.
     """
-    m, states = buffer.n_keys, buffer.states
+    states = buffer.states
     vals = np.fromiter(chain(map(store.V.get, states, repeat(0.0)), (0.0,)), np.float64,
                        len(states) + 1)
-    per_key = np.abs(buffer.r[:m] + params.disc * vals[buffer.after_ord[:m]]
-                     - vals[buffer.s_ord[:m]])
+    per_key = np.abs(np.frombuffer(buffer.r)
+                     + params.disc * vals[np.frombuffer(buffer.after_ord, np.int64)]
+                     - vals[np.frombuffer(buffer.s_ord, np.int64)])
     return per_key.take(buffer.key[buffer.head:buffer.head + len(buffer)])
 
 

@@ -92,7 +92,7 @@ class Geometry:
     * ``neighbors[f]``: the cells one move away, in N, E, S, W order,
       blocked moves left out;
     * ``within(reach, f)``: the cells within ``reach`` moves, without f
-      itself, each built on first use.
+      itself, in ascending flat order, each built on first use.
     """
 
     def __init__(self, width: int, height: int, walls: frozenset):
@@ -134,7 +134,7 @@ class Geometry:
                     break
                 found.extend(layer)
                 frontier = layer
-            ball = table[f] = tuple(found)
+            ball = table[f] = tuple(sorted(found))
         return ball
 
 

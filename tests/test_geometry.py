@@ -277,6 +277,27 @@ def test_suggest_goals_matches_bfs(world, seed, threshold):
                     == ref_suggest_goals(world, store, s, reach, threshold))
 
 
+def goal_bits(goals):
+    return [(g.target, g.anticipated_value.hex()) for g in goals]
+
+
+@SETTINGS
+@given(world=ascii_worlds(), data=st.data(), threshold=st.sampled_from([-0.5, 0.0, 0.25]))
+def test_suggest_goals_equal_the_sorted_ball_bit_for_bit(world, data, threshold):
+    """Few values, so that goals tie, and both zeros, so that ties mix signs
+    (a state without a value reads 0.0): a stable sort by value over a ball
+    in ascending order must give the reference's (-v, sid) order and each
+    goal its state's value, bit for bit."""
+    states = free_states(world)
+    values = data.draw(st.lists(st.sampled_from([None, -1.0, -0.0, 0.0, 0.5, 2.0]),
+                                min_size=len(states), max_size=len(states)))
+    store = ValueStore(V={s: v for s, v in zip(states, values) if v is not None})
+    for s in states:
+        for reach in range(1, 7):
+            assert (goal_bits(suggest_goals(world, store, s, reach=reach, threshold=threshold))
+                    == goal_bits(ref_suggest_goals(world, store, s, reach, threshold)))
+
+
 @SETTINGS
 @given(world=ascii_worlds(), seed=st.integers(0, 1000),
        max_depth=st.integers(1, 8), branching_cap=st.integers(1, 4),

@@ -164,6 +164,14 @@ def test_missing_thresholds_keep_their_message(tmp_path, capsys):
     assert "invalid config: policy.thresholds: need at least two" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seeds", [0, []], ids=["zero", "empty-list"])
+def test_a_sweep_without_seeds_exits_2(tmp_path, capsys, seeds):
+    """No seeds measure nothing; a table of zeros would read as a perfect detector."""
+    assert cli(tmp_path, "sweep-threshold", json.dumps({**POLICY, "seeds": seeds})) == 2
+    assert "invalid config: policy.seeds: need at least one\n" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
 def test_sweep_policy_seeds_follow_the_matrix_rule():
     thresholds, policy, seeds, steps = harness.sweep_from_dict(
         {"thresholds": [0, 1e9], "seeds": 3, "steps": 7, "miss_cost": 2})

@@ -1,9 +1,10 @@
 import math
 import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_world, reward, store_from
@@ -213,37 +214,66 @@ epoch_state_st = st.builds(lambda epoch, flat: epoch * 100 + flat,
 
 @st.composite
 def epoch_runs(draw):
-    pool = draw(st.lists(epoch_state_st, min_size=2, max_size=40, unique=True))
+    """Items picked by index from a pool of transitions, more than twice the
+    largest capacity so that most runs compact: one draw an item keeps a
+    failing run quick to shrink."""
+    pool = draw(st.lists(epoch_state_st, min_size=2, max_size=40))
     ids = st.sampled_from(pool)
-    items = draw(st.lists(st.builds(Experience, s=ids, a=st.sampled_from(list(Action)),
-                                    r=st.sampled_from([0.0, -0.0, -0.1, 1.0]), s_next=ids,
-                                    terminal=st.booleans()), min_size=50, max_size=300))
-    V = draw(st.dictionaries(ids, st.floats(-50.0, 50.0, allow_nan=False)))
-    return items, V
+    transitions = draw(st.lists(st.builds(
+        Experience, s=ids, a=st.sampled_from(list(Action)),
+        r=st.sampled_from([0.0, -0.0, -0.1, 1.0]), s_next=ids, terminal=st.booleans()),
+        min_size=25, max_size=40))
+    picks = draw(st.lists(st.integers(0, len(transitions) - 1), min_size=50, max_size=150))
+    V = draw(st.dictionaries(ids, st.sampled_from([-41.3, -0.7, 0.0, 0.1, 3.9, 17.0])))
+    return [transitions[i] for i in picks], V
 
 
-@settings(max_examples=60, deadline=None)
+def ident(exp):
+    """An item's transition as the key table stores it."""
+    return exp.s, exp.s_next, exp.r, exp.terminal, math.copysign(1.0, exp.r)
+
+
+# No explain phase: it reruns a shrunk failure about 2,000 times, each
+# formatting a traceback, which took minutes to report one failure.
+@settings(max_examples=60, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
 @given(capacity=st.integers(1, 12), run=epoch_runs(), params=params_st)
 def test_state_ordinals_follow_compaction(capacity, run, params):
     """The key table reads V through ordinals into ``buffer.states``: after
     every append the priorities equal the scalar rule bit for bit, and each
-    compaction leaves at most two states per live key."""
+    compaction leaves in ``idents`` the live transitions in the order they
+    were first seen, one entry of each column per ident, and in ``states``
+    only the states they read."""
     items, V = run
     store, buf = ValueStore(V=V), ReplayBuffer(capacity=capacity)
+    entered = {}  # the transitions that hold a key, first seen first
     compactions, compact = [], buf._compact
 
-    def checked_compact():
+    def recorded_compact():
         compact()
-        live = len(np.unique(buf.key[buf.head:buf.head + len(buf)]))
-        assert buf.n_keys == live and len(buf.states) <= 2 * live
-        compactions.append(live)
+        compactions.append((n, list(buf.idents), list(buf.states),
+                            (len(buf.r), len(buf.s_ord), len(buf.after_ord))))
 
-    buf._compact = checked_compact
+    buf._compact = recorded_compact
     for n, exp in enumerate(items, 1):
         buf.append(exp)
+        # checked here, not in the hook, so that a failure reports one frame
+        if compactions and compactions[-1][0] == n:
+            _, idents, states, columns = compactions[-1]
+            # it ran before this item's transition entered, while the ring
+            # still held the item this append evicts
+            live = set(map(ident, items[n - 1 - capacity:n - 1]))
+            kept = [i for i in entered if i in live]
+            assert idents == kept
+            assert columns == (len(kept),) * 3
+            # exactly the states the kept keys read V at, first read first
+            read = [(s,) if terminal else (s, s_next) for s, s_next, _, terminal, _ in kept]
+            assert states == list(dict.fromkeys(chain.from_iterable(read)))
+            entered = dict.fromkeys(kept)
+        entered.setdefault(ident(exp))
         assert priorities(buf, store, params).tolist() == scalar_priorities(
             items[max(0, n - capacity):n], store, params)
-    distinct = {(e.s, e.s_next, e.r, e.terminal, math.copysign(1.0, e.r)) for e in items}
+    distinct = set(map(ident, items))
     assert compactions or len(distinct) <= 2 * capacity
 
 
@@ -268,7 +298,7 @@ def test_ring_reads_back_like_a_list(capacity, items):
     buf = filled(items, capacity)
     kept = items[-capacity:] if items else []
     assert len(buf) == len(kept)
-    assert buf.n_keys <= 2 * capacity   # the key table stays bounded by the ring
+    assert len(buf.idents) <= 2 * capacity   # the key table stays bounded by the ring
     assert list(buf) == kept
     for i, exp in enumerate(kept):
         assert buf[i] == exp
