@@ -163,11 +163,21 @@ def self_evaluate(self_model: SelfModel, state: SelfState, episode_rewards, *, t
     decides whether it falls short under the run's self-standard scale. A
     standard scaled all the way to zero disables the evaluator: with
     nothing demanded of the self, it never fires. With meta_rate > 0 the
-    standard drifts toward recent performance after each evaluation.
+    standard drifts toward recent performance after each evaluation. The
+    window mean is ``statistics.mean``'s, bit for bit.
     """
     if len(episode_rewards) < self_model.evaluation_window:
         return None
-    m = mean(episode_rewards[-self_model.evaluation_window:])
+    window = episode_rewards[-self_model.evaluation_window:]
+    try:
+        ratios = [x.as_integer_ratio() for x in window]
+    except (OverflowError, ValueError):  # inf or nan has no ratio
+        m = mean(window)
+    else:
+        # statistics.mean without its Fractions: the exact sum over the common
+        # power-of-two denominator, divided once by a correctly rounded int / int
+        d = max(e for _, e in ratios)
+        m = sum(n * (d // e) for n, e in ratios) / (d * len(ratios))
     site = LossSite(t, Source.SELF_EVAL, state.standard, m)
     if self_model.meta_rate > 0:
         state.standard = (1.0 - self_model.meta_rate) * state.standard + self_model.meta_rate * m

@@ -108,11 +108,9 @@ def suggest_goals(model: WorldModel, store: ValueStore, s: int, reach: int,
     flat = model.flat_of(s)
     base = s - flat
     V = store.V
-    goals = []
-    for f in model.geometry.within(reach, flat):  # ascending flat order
-        v = V.get(base + f, 0.0)
-        if v > threshold:
-            goals.append(Goal(base + f, v))
+    goals = [tuple.__new__(Goal, (base + f, v))  # ascending flat order
+             for f in model.geometry.within(reach, flat)
+             if (v := V.get(base + f, 0.0)) > threshold]
     goals.sort(key=itemgetter(1), reverse=True)  # stable: ties keep ascending ids
     return goals
 
@@ -120,38 +118,41 @@ def suggest_goals(model: WorldModel, store: ValueStore, s: int, reach: int,
 def plan_search(model: WorldModel, s: int, goal: Goal, store: ValueStore,
                 params: PlanSearchParams, stats: dict | None = None):
     """Best-first search for a path to goal.target; None when the budget
-    runs out. Returns the action list (possibly empty when s is the target)."""
+    runs out. Returns the action list (possibly empty when s is the target).
+    It runs on the flat cells f of s's epoch and reads V at ``base + f``, so
+    a target of another epoch is never reached."""
     if s == goal.target:
         if stats is not None:
             stats["expansions"] = 0
         return []
+    flat = model.flat_of(s)
+    base = s - flat
+    target = goal.target - base
+    V = store.V
     w = params.heuristic_weight
     next_flat = model.geometry.next_flat
     counter = 0
-    heap = [(-w * store.v(s), counter, s, 0)]
-    parent = {s: None}
+    heap = [(-w * V.get(s, 0.0), counter, flat, 0)]
+    parent = {flat: None}
     expansions = 0
     while heap:
-        _, _, state, depth = heapq.heappop(heap)
+        _, _, f, depth = heapq.heappop(heap)
         expansions += 1
         if depth >= params.max_depth:
             continue
         children = []
-        flat = model.flat_of(state)
-        base = state - flat
-        for a in MOVES:
-            nxt = base + next_flat[flat][a]
-            if nxt != state and nxt not in parent:
-                children.append((nxt, a))
-        children.sort(key=lambda ch: (-store.v(ch[0]), ch[1]))
-        for nxt, a in children[: params.branching_cap]:
-            parent[nxt] = (state, a)
-            if nxt == goal.target:
+        for a, nxt in zip(MOVES, next_flat[f]):  # rows follow ACTIONS: MOVES, then STAY
+            if nxt != f and nxt not in parent:
+                children.append((-V.get(base + nxt, 0.0), a, nxt))
+        children.sort()  # by value, then action
+        for neg_v, a, nxt in children[: params.branching_cap]:
+            parent[nxt] = (f, a)
+            if nxt == target:
                 if stats is not None:
                     stats["expansions"] = expansions
                 return _reconstruct(parent, nxt)
             counter += 1
-            heapq.heappush(heap, (-w * store.v(nxt), counter, nxt, depth + 1))
+            heapq.heappush(heap, (w * neg_v, counter, nxt, depth + 1))  # -w * v, bit for bit
     if stats is not None:
         stats["expansions"] = expansions
     return None

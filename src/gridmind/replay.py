@@ -176,10 +176,11 @@ def backward_sweep(buffer: ReplayBuffer, seed_index: int, k: int, store, params)
 
 
 def priority_cdf(pri: np.ndarray) -> np.ndarray:
-    """The cumulative distribution of a non-negative priority vector, built
-    as ``Generator.choice(len(pri), p=pri / total)`` builds it (linear
-    normalization, no softmax), so ``sample_from`` draws the very index
-    ``choice`` would. All zeros when every priority is zero."""
+    """The running sums ``cumsum(pri / total)`` of a non-negative priority
+    vector: the CDF ``Generator.choice(len(pri), p=pri / total)`` builds
+    (linear normalization, no softmax) before it divides by the last sum,
+    which ``sample_from`` does only where it draws. All zeros when every
+    priority is zero."""
     total = float(pri.sum())
     if total <= 0.0:
         return np.zeros(len(pri))
@@ -187,16 +188,25 @@ def priority_cdf(pri: np.ndarray) -> np.ndarray:
         raise ValueError("priorities must have a finite sum")
     cdf = pri / total
     np.cumsum(cdf, out=cdf)
-    cdf /= cdf[-1]
     return cdf
 
 
 def sample_from(cdf: np.ndarray, rng: np.random.Generator) -> int:
     """Index drawn proportionally to priority from a ``priority_cdf``, by one
-    double; uniform when all priorities are zero (the all-zero CDF)."""
-    if cdf[-1] <= 0.0:
+    double; uniform when all priorities are zero (the all-zero CDF). It is
+    the index ``choice`` draws, the first i with ``cdf[i] / last > u``: a
+    correctly rounded division by ``last > 0`` keeps order, so the test is
+    monotone in i and a step or two from ``searchsorted(u * last)``."""
+    last = float(cdf[-1])
+    if last <= 0.0:
         return int(rng.integers(len(cdf)))
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    u = rng.random()
+    i = int(cdf.searchsorted(u * last, side="right"))
+    while i > 0 and cdf[i - 1] / last > u:
+        i -= 1
+    while not cdf[i] / last > u:  # cdf[-1] / last is 1.0 > u: stops in range
+        i += 1
+    return i
 
 
 # The most items one wandering tick replays or imagines, and the most steps
@@ -282,12 +292,12 @@ def _imagine_rollout(agent, rng):
         plan = plan_search(world, s, goals[0], agent.store, agent.rollout_search)
     sites = []
     sim_s = s
+    flat = world.flat_of(s)  # once: a rollout never leaves s's epoch
     for depth in range(agent.wandering.rollout_depth):
         if plan and depth < len(plan):
             a = plan[depth]
         else:
             a = epsilon_greedy(agent.store, sim_s, agent.learning, rng)
-        flat = world.flat_of(sim_s)
         landed = geo.next_flat[flat][a]
         landed_sid = sim_s - flat + landed
         obj = world.object_at(geo.cells[landed])
@@ -302,5 +312,5 @@ def _imagine_rollout(agent, rng):
             td_update(agent.store, exp, agent.learning, count_visit=False)
         if consuming:
             break
-        sim_s = landed_sid
+        sim_s, flat = landed_sid, landed
     return sites

@@ -161,6 +161,8 @@ class WorldModel:
                 check(part)
             except ValueError as exc:
                 raise WorldError(prefix + str(exc)) from None
+        for name in ("slip_probability", "step_cost", "observation_confusion"):
+            setattr(self, name, float(getattr(self, name)))  # an int would make int rewards
         geo = self.geometry = Geometry(self.width, self.height, self.walls)
         if geo.free.count(False) != len(self.walls):
             raise WorldError(f"walls must lie inside the {self.width}x{self.height} grid")
@@ -407,9 +409,9 @@ def world_from_dict(spec: dict) -> WorldModel:
         height=height,
         walls=walls,
         objects=objects,
-        slip_probability=float(get(spec, "slip_probability", "", number, 0.0)),
-        step_cost=float(get(spec, "step_cost", "", number, 0.0)),
-        observation_confusion=float(get(spec, "observation_confusion", "", number, 0.0)),
+        slip_probability=get(spec, "slip_probability", "", number, 0.0),
+        step_cost=get(spec, "step_cost", "", number, 0.0),
+        observation_confusion=get(spec, "observation_confusion", "", number, 0.0),
         schedule=tuple(schedule),
         start=get(spec, "start", "", cell, None),
     )

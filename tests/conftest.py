@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from gridmind import rng as rngmod
 from gridmind.affect import threat_level
 from gridmind.suffering import TIMESCALE, Source, Terms, events, make_event
 from gridmind.values import ValueStore
-from gridmind.world import ACTIONS, WorldModel, WorldObject, observe, step
+from gridmind.world import ACTIONS, MOVES, WorldModel, WorldObject, observe, step
 
 
 def make_world(width=4, height=4, walls=(), objects=None, **kw):
@@ -72,6 +73,58 @@ def run_events(agent) -> list:
 def typed(evs) -> list:
     """Each event field with its type, so that 1 and 1.0 differ."""
     return [tuple((type(x), x) for x in ev) for ev in evs]
+
+
+def ref_plan_search(model, s, goal, store, params, stats=None):
+    """The planner's state-keyed search, one ``flat_of`` per expansion and
+    children sorted by a key over ``store.v``: the reference
+    ``planning.plan_search`` is checked against. Best-first search for a
+    path to goal.target; None when the budget runs out. Returns the action
+    list (possibly empty when s is the target)."""
+    if s == goal.target:
+        if stats is not None:
+            stats["expansions"] = 0
+        return []
+    w = params.heuristic_weight
+    next_flat = model.geometry.next_flat
+    counter = 0
+    heap = [(-w * store.v(s), counter, s, 0)]
+    parent = {s: None}
+    expansions = 0
+    while heap:
+        _, _, state, depth = heapq.heappop(heap)
+        expansions += 1
+        if depth >= params.max_depth:
+            continue
+        children = []
+        flat = model.flat_of(state)
+        base = state - flat
+        for a in MOVES:
+            nxt = base + next_flat[flat][a]
+            if nxt != state and nxt not in parent:
+                children.append((nxt, a))
+        children.sort(key=lambda ch: (-store.v(ch[0]), ch[1]))
+        for nxt, a in children[: params.branching_cap]:
+            parent[nxt] = (state, a)
+            if nxt == goal.target:
+                if stats is not None:
+                    stats["expansions"] = expansions
+                return _ref_reconstruct(parent, nxt)
+            counter += 1
+            heapq.heappush(heap, (-w * store.v(nxt), counter, nxt, depth + 1))
+    if stats is not None:
+        stats["expansions"] = expansions
+    return None
+
+
+def _ref_reconstruct(parent: dict, state: int) -> list:
+    actions = []
+    while parent[state] is not None:
+        prev, a = parent[state]
+        actions.append(a)
+        state = prev
+    actions.reverse()
+    return actions
 
 
 # The scoring rules, restated one site at a time: the reference the column

@@ -1,4 +1,6 @@
 import math
+import statistics
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -312,6 +314,27 @@ def test_scaled_negative_standard_can_fire_where_the_unscaled_one_does_not():
     ev = self_eval_event(sm, [-0.8], standard_scale=0.5)
     assert ev.expected == -0.5
     assert ev.expected - ev.obtained == pytest.approx(0.3)
+
+
+EDGES = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, sys.float_info.max,
+         -sys.float_info.max, math.inf, -math.inf, math.nan]
+window_values = st.sampled_from(EDGES) | st.floats() | st.floats(-1e-300, 1e-300) | st.floats(-9, 9)
+
+
+@settings(max_examples=500, deadline=None)
+@given(values=st.lists(window_values, min_size=1, max_size=10))
+@example(values=[sys.float_info.max, sys.float_info.max, -0.0])     # an exact sum past max
+@example(values=[5e-324, 0.0, 0.0])                                 # a subnormal mean
+@example(values=[-0.0, -0.0])
+@example(values=[math.inf, -math.inf])
+@example(values=[0.1, 0.2, 0.3, 0.4, 0.5])
+def test_window_mean_is_statistics_mean_bit_for_bit(values):
+    """The window mean ``self_evaluate`` reports is ``statistics.mean``'s,
+    compared by ``float.hex``: zeros of either sign, subnormals, sums past
+    the largest float, and non-finite values, which take its own path."""
+    sm = SelfModel(evaluation_window=len(values))
+    site = self_evaluate(sm, SelfState(sm.standard), values)
+    assert site.obtained.hex() == statistics.mean(values).hex()
 
 
 def test_self_evaluate_needs_full_window():

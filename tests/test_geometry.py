@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import hazard, make_world, neighbor_cells, ref_threat_field
+from conftest import hazard, make_world, neighbor_cells, ref_plan_search, ref_threat_field
 from gridmind import world as world_module
 from gridmind.affect import InterruptPolicy, sweep_threshold, threat_level
 from gridmind.planning import Goal, PlanSearchParams, plan_search, suggest_goals
@@ -122,7 +122,7 @@ def ref_suggest_goals(world, store, s, reach, threshold):
             for sid in candidates]
 
 
-def ref_plan_search(world, s, goal, store, params):
+def ref_cell_plan_search(world, s, goal, store, params):
     """Returns (plan or None, expansions)."""
     if s == goal.target:
         return [], 0
@@ -313,7 +313,38 @@ def test_plan_search_matches_reference(world, seed, max_depth, branching_cap,
             goal = Goal(target=target, anticipated_value=1.0)
             stats = {}
             plan = plan_search(world, s, goal, store, params, stats)
-            assert (plan, stats["expansions"]) == ref_plan_search(world, s, goal, store, params)
+            assert (plan, stats["expansions"]) == ref_cell_plan_search(world, s, goal, store, params)
+
+
+@SETTINGS
+@given(world=ascii_worlds(), data=st.data(), later=st.booleans(),
+       max_depth=st.integers(1, 12), branching_cap=st.integers(1, 5),
+       heuristic_weight=st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+def test_plan_search_equals_the_state_keyed_reference(world, data, later, max_depth,
+                                                      branching_cap, heuristic_weight):
+    """The flat-cell search plans and expands as the state-keyed one does:
+    few values, so that children tie and the action breaks the tie, both
+    zeros, V set in other epochs too, and targets in s's epoch, in another
+    epoch (never reached) and at s itself, at epoch 0 or after every
+    relocation."""
+    if later:
+        apply_schedule(world, 10 ** 6)
+    n = world.width * world.height
+    states = free_states(world)
+    elsewhere = [s + k * n for s in states for k in (-1, 1)]
+    values = st.sampled_from([None, -1.0, -0.0, 0.0, 0.5, 2.0])
+    store = ValueStore(V={s: v for s, v in zip(states + elsewhere, data.draw(
+        st.lists(values, min_size=3 * len(states), max_size=3 * len(states))))
+        if v is not None})
+    params = PlanSearchParams(max_depth=max_depth, branching_cap=branching_cap,
+                              heuristic_weight=heuristic_weight)
+    for s in data.draw(st.lists(st.sampled_from(states), min_size=1, max_size=4)):
+        for target in states + data.draw(st.lists(st.sampled_from(elsewhere), max_size=3)):
+            goal = Goal(target=target, anticipated_value=1.0)
+            got, want = {}, {}
+            assert (plan_search(world, s, goal, store, params, got)
+                    == ref_plan_search(world, s, goal, store, params, want))
+            assert got == want
 
 
 @SETTINGS

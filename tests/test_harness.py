@@ -12,11 +12,12 @@ import pytest
 
 from gridmind import rng as rngmod
 from gridmind.cli import main as cli_main
-from gridmind.harness import (EVENT_COLUMNS, ConfigError, config_from_dict,
+from gridmind.harness import (EVENT_COLUMNS, ConfigError, RunConfig, config_from_dict,
                               experiment, load_config, run)
 from gridmind.inputs import InputError
 from gridmind.suffering import Source, events
-from gridmind.world import world_from_dict
+from gridmind.presets import corridor
+from gridmind.world import Action, WorldModel, WorldObject, step, world_from_dict
 
 
 BASE_CONFIG = {
@@ -87,6 +88,33 @@ def test_run_byte_identical(tmp_path):
     for name in (f"{rid}_events.csv", f"{rid}_summary.json"):
         assert (tmp_path / "a" / name).read_bytes() == \
                (tmp_path / "b" / name).read_bytes()
+
+
+def test_a_python_world_with_int_fields_runs_as_its_json_file(tmp_path):
+    """``WorldModel`` stores step_cost, slip_probability and
+    observation_confusion as floats, as a world file reads them: a Python
+    build with ints charges an empty cell -0.0, not int 0, and its run
+    writes the events.csv of the same world read from JSON (named
+    ``inline`` too, so that the run ids agree)."""
+    w = corridor(step_cost=0)
+    r = step(w, w.state_id(w.start), Action.EAST, None)[1]
+    assert type(r) is float and math.copysign(1.0, r) == -1.0
+    objects = {"goal": WorldObject("goal", "reward", 1.0, True, (5, 1)),
+               "pit": WorldObject("pit", "hazard", 1.0, False, (2, 1))}
+    built = WorldModel(width=6, height=3, walls=frozenset({(3, 0)}), objects=objects,
+                       step_cost=0, slip_probability=1, observation_confusion=0, start=(0, 0))
+    spec = {"width": 6, "height": 3, "walls": [[3, 0]], "step_cost": 0,
+            "slip_probability": 1, "observation_confusion": 0, "start": [0, 0],
+            "objects": [{"id": "goal", "kind": "reward", "magnitude": 1, "at": [5, 1]},
+                        {"id": "pit", "kind": "hazard", "magnitude": 1, "at": [2, 1]}]}
+    (tmp_path / "inline.json").write_text(json.dumps(spec))
+    csvs = []
+    for name, world in (("built", built), ("file", str(tmp_path / "inline.json"))):
+        config = RunConfig(world=world, steps=600, seed=3)
+        (tmp_path / name).mkdir()
+        run(config, out_dir=tmp_path / name)
+        csvs.append((tmp_path / name / f"{config.run_id()}_events.csv").read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 def test_config_and_its_sections_are_read_only():

@@ -124,6 +124,10 @@ priority_vectors = st.lists(
     st.sampled_from([0.0, 1e-300, 1.0]) | st.floats(0.0, 1e6), min_size=1, max_size=60,
 ).map(np.array)
 
+# A full buffer's worth of items (the default capacity) sharing about 200
+# distinct priorities, as a long run's transition keys do.
+FULL_BUFFER = np.random.default_rng(10).choice(np.linspace(0.0, 3.0, 200), 10_000)
+
 
 @settings(deadline=None)
 @given(pri=priority_vectors, seed=st.integers(0, 2**32), draws=st.integers(1, 6))
@@ -131,6 +135,10 @@ priority_vectors = st.lists(
 @example(pri=np.array([0.0]), seed=0, draws=3)                # one item, all zero
 @example(pri=np.array([0.0, 2.0, 0.0, 0.0, 5.0, 0.0]), seed=1, draws=6)
 @example(pri=np.zeros(7), seed=2, draws=4)                    # the uniform fallback
+# The running sums end one ulp under 1.0, and seed 649's first double falls
+# between cdf[1] and cdf[1] / last: a search for u itself would draw 2, not 1.
+@example(pri=np.array([5.0, 32.354806329621795, 9.0, 7.0]), seed=649, draws=3)
+@example(pri=FULL_BUFFER, seed=3, draws=40)
 def test_cdf_draws_equal_choice(pri, seed, draws):
     """One CDF reused for a batch draws what a fresh ``choice`` per item
     draws, and leaves the generator in the same state."""
@@ -145,6 +153,25 @@ def test_cdf_draws_equal_choice(pri, seed, draws):
         want = [int(theirs.integers(len(pri))) for _ in range(draws)]
     assert got == want
     assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@settings(deadline=None)
+@given(steps=st.lists(st.integers(1, 9) | st.floats(1e-3, 1e3), min_size=1, max_size=30),
+       seed=st.integers(0, 2**32), draws=st.integers(1, 6))
+# Found by a seeded scan: searchsorted(u * last) lands one past the index
+# (seed 322) and one short of it (seed 980), so each fix-up step runs.
+@example(steps=[4.0, 0.32121785249916535, 7.678782147500835, 2.0], seed=322, draws=1)
+@example(steps=[9.0, 3.7893086909652585, 4.2106913090347415, 3.0], seed=980, draws=1)
+def test_draws_take_the_choice_rule_on_any_scale(steps, seed, draws):
+    """On running sums of any scale, not only the near-1 ones of
+    ``priority_cdf``, a draw is the index ``Generator.choice`` takes in its
+    last two steps: the first i with ``cdf[i] / cdf[-1] > u``."""
+    cdf = np.cumsum(steps)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = [sample_from(cdf, ours) for _ in range(draws)]
+    want = [int((cdf / cdf[-1]).searchsorted(theirs.random(), side="right"))
+            for _ in range(draws)]
+    assert got == want
 
 
 @pytest.mark.parametrize("pri", [
