@@ -121,7 +121,7 @@ def sweep_threshold(world: WorldModel, thresholds, policy: InterruptPolicy, seed
             if s - base not in near:
                 quiet.append(level)
             s = step(w, s, ACTIONS[a], rng_world)[0]
-            landed = w.object_at(geo.cells[s - base])
+            landed = w.object_at(s - base)
             if landed is not None and landed.kind == "hazard":
                 hurt.append(level)
         quiet.sort()

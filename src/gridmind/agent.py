@@ -178,7 +178,7 @@ class Agent:
         self.s_true = s_next
 
         if from_plan and self.intention is not None:
-            self.intention.advance(world.cell_of(s_next), s_next, r)
+            self.intention.advance(world.flat_of(s_next), s_next, r)
             if self.intention.terminal:
                 self._finalize_intention()
 

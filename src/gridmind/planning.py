@@ -55,7 +55,7 @@ class Intention:
     goal: Goal
     plan: list
     status: IntentionStatus = IntentionStatus.ACTIVE
-    expected_cells: list = field(default_factory=list)
+    path: list = field(default_factory=list)  # the flat cell each action lands on
     cursor: int = 0
     obtained: float = 0.0
 
@@ -69,17 +69,17 @@ class Intention:
     def abort(self):
         self.status = IntentionStatus.ABORTED
 
-    def advance(self, landed_cell, landed_state: int, reward: float):
+    def advance(self, landed_flat: int, landed_state: int, reward: float):
         """Account one executed plan action and settle the status.
 
-        Fails on divergence from the predicted cell; on plan exhaustion
+        Fails on divergence from the predicted flat cell; on plan exhaustion
         the goal counts as reached only if the full (cell, epoch) state
         matches, so a world that changed underfoot fails on arrival.
         """
         self.obtained += reward
-        predicted = self.expected_cells[self.cursor]
+        predicted = self.path[self.cursor]
         self.cursor += 1
-        if landed_cell != predicted:
+        if landed_flat != predicted:
             self.status = IntentionStatus.FAILED
         elif self.cursor >= len(self.plan):
             self.status = (IntentionStatus.REACHED if landed_state == self.goal.target
@@ -178,13 +178,13 @@ def commit(model: WorldModel, s: int, goals: list, store: ValueStore,
     for goal in goals:
         plan = plan_search(model, s, goal, store, params)
         if plan:
-            geo = model.geometry
-            cells = []
+            next_flat = model.geometry.next_flat
+            path = []
             cur = model.flat_of(s)
             for a in plan:
-                cur = geo.next_flat[cur][a]
-                cells.append(geo.cells[cur])
-            return Intention(goal=goal, plan=plan, expected_cells=cells)
+                cur = next_flat[cur][a]
+                path.append(cur)
+            return Intention(goal=goal, plan=plan, path=path)
     return None
 
 

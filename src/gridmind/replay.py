@@ -66,7 +66,7 @@ class ReplayBuffer:
         self.capacity = capacity
         self.a = np.empty(capacity, np.int8)
         # zeros, not empty: _compact renumbers rows not yet written too
-        self.key = np.zeros(2 * capacity, np.int32)
+        self.key = np.zeros(2 * capacity, np.intp)
         self.head = 0
         self._len = 0
         self._empty_keys()
@@ -93,8 +93,8 @@ class ReplayBuffer:
         table never outgrows twice the ring: the live keys are entered
         again in order, as their ranks."""
         live = np.unique(self.key[self.head:self.head + self._len])
-        renumber = np.zeros(len(self.idents), np.int32)
-        renumber[live] = np.arange(len(live), dtype=np.int32)
+        renumber = np.zeros(len(self.idents), np.intp)
+        renumber[live] = np.arange(len(live))
         self.key = renumber[self.key]
         kept = [self.idents[k] for k in live.tolist()]
         self._empty_keys()
@@ -300,7 +300,7 @@ def _imagine_rollout(agent, rng):
             a = epsilon_greedy(agent.store, sim_s, agent.learning, rng)
         landed = geo.next_flat[flat][a]
         landed_sid = sim_s - flat + landed
-        obj = world.object_at(geo.cells[landed])
+        obj = world.object_at(landed)
         consuming = obj is not None and obj.consumable
         if consuming:
             imagined = experiences(sim_s, a, -world.step_cost, landed_sid, consumed=obj.magnitude)

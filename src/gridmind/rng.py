@@ -94,16 +94,17 @@ def first_draws(seed: int, label: str, start: int, count: int):
     stream, t]`` fits the SeedSequence pool of 4 words.
     Entropy shorter than the pool hashes like zero words, so a t below
     2**32 is given its (zero) high word and every t runs the same vector
-    arithmetic. A t whose entropy would not fit (``t >= 2**32`` beside a
-    seed of 2**32 or more) is drawn by ``default_rng`` itself, and its
-    row is zeros.
+    arithmetic. Entropy that would not fit (``t >= 2**32`` beside a seed
+    of 2**32 or more, past every run's caps) raises ValueError.
     """
     seed, stream = int(seed), STREAMS[label]
     head = _words(seed) + [stream]
     t = np.arange(start, start + count, dtype=np.uint64)
     high = (t >> np.uint64(32)).astype(np.uint32)
     entropy = [np.full(count, w, np.uint32) for w in head] + [t.astype(np.uint32), high]
-    wide = np.flatnonzero(len(head) + 1 + (high > 0) > POOL_SIZE)
+    if len(head) + 1 + bool(high.any()) > POOL_SIZE:
+        raise ValueError(f"seed {seed} at a t of 2**32 or more: [seed, stream, t] "
+                         "outgrows the SeedSequence pool of 4 words")
 
     pool = _hashmix(np.stack(entropy[:POOL_SIZE]), HASH_A[:, :POOL_SIZE])
     for src in range(POOL_SIZE):  # mix_entropy: each word into the three others
@@ -122,11 +123,7 @@ def first_draws(seed: int, label: str, start: int, count: int):
     x, rot = s_hi ^ s_lo, s_hi >> np.uint64(58)  # XSL-RR
     x = x >> rot | x << (np.uint64(64) - rot & np.uint64(63))
     out = (x >> np.uint64(11)).astype(np.float64) * 2.0 ** -53  # random(): the top 53 bits
-    lanes = np.stack((s_hi, s_lo, inc_hi, inc_lo), axis=1)
-    for i in wide.tolist():
-        out[i] = per_step(seed, label, start + i).random()
-        lanes[i] = 0  # a PCG64 inc is odd: 0 marks a lane numpy draws itself
-    return out, lanes
+    return out, np.stack((s_hi, s_lo, inc_hi, inc_lo), axis=1)
 
 
 def _add128(a_hi, a_lo, b_hi, b_lo):
@@ -154,8 +151,7 @@ class FirstDraws:
     ``generator`` loads the step's PCG64 state into the one Generator this
     table owns, built once from a constant seed, so each call overwrites
     what the previous step left in it: a step's Generator is good until
-    the next call. A step whose entropy does not fit the pool gets a
-    Generator of its own from ``per_step``.
+    the next call.
     """
 
     BLOCK = 2048
@@ -174,8 +170,8 @@ class FirstDraws:
     def _index(self, t: int) -> int:
         i = t - self.start
         if not 0 <= i < len(self.values):
-            self.start, i = t, 0
             self.values, self.lanes = first_draws(self.seed, self.label, t, self.block)
+            self.start, i = t, 0
             self.block = self.BLOCK
         return i
 
@@ -187,10 +183,6 @@ class FirstDraws:
         """``per_step(seed, label, t)`` after its first ``random()``."""
         i = self._index(t)
         s_hi, s_lo, inc_hi, inc_lo = self.lanes[i].tolist()
-        if not inc_lo:
-            rng = per_step(self.seed, self.label, t)
-            rng.random()
-            return rng
         pcg = self._state["state"]
         pcg["state"], pcg["inc"] = s_hi << 64 | s_lo, inc_hi << 64 | inc_lo
         self._generator.bit_generator.state = self._state

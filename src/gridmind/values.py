@@ -207,13 +207,13 @@ def world_mdp(world: WorldModel) -> Mdp:
     states = tuple(world.free_states())
     terminal = {}
     for s in states:
-        obj = world.object_at(geo.cells[s - base])
+        obj = world.object_at(s - base)
         if obj is not None and obj.consumable:
             terminal[s] = obj.magnitude
 
     def landing_reward(flat) -> float:
         r = -world.step_cost
-        obj = world.object_at(geo.cells[flat])
+        obj = world.object_at(flat)
         if obj is not None and not obj.consumable:
             r += obj.signed_magnitude()
         return r

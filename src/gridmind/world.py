@@ -85,8 +85,8 @@ class Geometry:
     * n + flat), so the tables built with a world serve its every epoch and
     copy; ``replace`` with other walls builds new ones:
 
-    * ``cells[f]``: the (x, y) cell; ``xs``, ``ys``: its coordinates as
-      numpy arrays; ``free[f]``: not a wall;
+    * ``xs``, ``ys``: the coordinates of every cell as numpy arrays;
+      ``free[f]``: not a wall;
     * ``next_flat[f][a]``: where the intended move ``a`` lands (walls and
       edges block, leaving the agent in place);
     * ``neighbors[f]``: the cells one move away, in N, E, S, W order,
@@ -98,9 +98,8 @@ class Geometry:
     def __init__(self, width: int, height: int, walls: frozenset):
         self.width, self.height = width, height
         self.n = width * height
-        self.cells = tuple((f % width, f // width) for f in range(self.n))
         self.ys, self.xs = np.divmod(np.arange(self.n), width)
-        self.free = tuple(c not in walls for c in self.cells)
+        self.free = tuple((f % width, f // width) not in walls for f in range(self.n))
         self.next_flat = tuple(tuple(self._target(f, a) for a in ACTIONS)
                                for f in range(self.n))
         self.neighbors = tuple(tuple(row[a] for a in MOVES if row[a] != f)
@@ -109,7 +108,7 @@ class Geometry:
 
     def _target(self, f: int, a: Action) -> int:
         dx, dy = DELTAS[a]
-        x, y = self.cells[f][0] + dx, self.cells[f][1] + dy
+        x, y = f % self.width + dx, f // self.width + dy
         if 0 <= x < self.width and 0 <= y < self.height and self.free[y * self.width + x]:
             return y * self.width + x
         return f
@@ -185,20 +184,22 @@ class WorldModel:
             if not self.is_free(rel.to):
                 raise WorldError(f"relocation of {rel.oid!r} targets a wall or out of bounds")
         if self.start is None:
-            self.start = geo.cells[geo.free.index(True)]
+            y, x = divmod(geo.free.index(True), self.width)
+            self.start = (x, y)
         elif not self.is_free(self.start):
             raise WorldError("start cell is a wall or out of bounds")
         self._epoch_tables()
 
     def _epoch_tables(self):
-        """New tables for the objects of this epoch: each occupied cell to
-        its objects in dict order, and an empty map from decay_length to
-        threat field. Made at the build and after a relocation, never
-        changed in place, so copies in one epoch share them."""
+        """New tables for the objects of this epoch: each occupied flat
+        cell to its objects in dict order, and an empty map from
+        decay_length to threat field. Made at the build and after a
+        relocation, never changed in place, so copies in one epoch share them."""
         by_cell = {}
         for obj in self.objects.values():
-            by_cell.setdefault(obj.at, []).append(obj)
-        self._by_cell = {at: tuple(objs) for at, objs in by_cell.items()}
+            x, y = obj.at
+            by_cell.setdefault(y * self.width + x, []).append(obj)
+        self._by_cell = {f: tuple(objs) for f, objs in by_cell.items()}
         self._threat = {}
 
     # -- geometry --------------------------------------------------------
@@ -218,11 +219,9 @@ class WorldModel:
         if epoch != self.epoch:
             raise WorldError(f"state {s} belongs to epoch {epoch}, world is at epoch {self.epoch}")
         if not self.geometry.free[flat]:
-            raise WorldError(f"state {s} maps to a wall cell {self.geometry.cells[flat]}")
+            y, x = divmod(flat, self.width)
+            raise WorldError(f"state {s} maps to a wall cell {(x, y)}")
         return flat
-
-    def cell_of(self, s: int) -> Cell:
-        return self.geometry.cells[self.flat_of(s)]
 
     def free_states(self) -> list:
         base = self.epoch * self.geometry.n
@@ -230,9 +229,9 @@ class WorldModel:
 
     # -- content ---------------------------------------------------------
 
-    def object_at(self, cell: Cell):
-        """The first object in dict order on ``cell`` not yet consumed, or None."""
-        for obj in self._by_cell.get(cell, ()):
+    def object_at(self, flat: int):
+        """The first object in dict order on flat cell ``flat`` not yet consumed, or None."""
+        for obj in self._by_cell.get(flat, ()):
             if obj.oid not in self.consumed:
                 return obj
         return None
@@ -297,7 +296,7 @@ def step(world: WorldModel, s: int, a: Action, rng: np.random.Generator):
     landed = geo.next_flat[flat][actual]
     reward = -world.step_cost
     consumed = None
-    obj = world.object_at(geo.cells[landed])
+    obj = world.object_at(landed)
     if obj is not None:
         reward += obj.signed_magnitude()
         if obj.consumable:
@@ -344,7 +343,7 @@ def apply_schedule(world: WorldModel, t: int) -> WorldModel:
 
 
 # The largest world a definition may give, far above every preset (49 cells,
-# 4 objects, 1 relocation at most): Geometry keeps ~400 bytes a cell (40 MB
+# 4 objects, 1 relocation at most): Geometry keeps ~350 bytes a cell (35 MB
 # at the cap), a step reads only the objects on the cell it lands on, and
 # every relocation starts an epoch that re-keys all states, binds a new
 # objects dict, re-indexes the objects by cell and computes a new threat field.

@@ -24,16 +24,36 @@ def hazard(oid, magnitude, at):
     return WorldObject(oid, "hazard", magnitude, False, at)
 
 
+def cell_at(world, flat) -> tuple:
+    """The (x, y) cell of a flat cell ``y * width + x``."""
+    y, x = divmod(flat, world.width)
+    return x, y
+
+
+def flat_at(world, cell) -> int:
+    """The flat cell ``y * width + x`` of an (x, y) cell."""
+    x, y = cell
+    return y * world.width + x
+
+
+def cell_of(world, s) -> tuple:
+    """The (x, y) cell of state ``s``, which must be of the world's epoch."""
+    return cell_at(world, world.flat_of(s))
+
+
+def all_cells(world) -> list:
+    """Every (x, y) cell of the grid, walls included, in flat order."""
+    return [cell_at(world, f) for f in range(world.geometry.n)]
+
+
 def intended_next(world, cell, action):
     """Where the intended move lands, from the world's geometry table."""
-    geo = world.geometry
-    return geo.cells[geo.next_flat[world.flat_of(world.state_id(cell))][action]]
+    return cell_at(world, world.geometry.next_flat[world.flat_of(world.state_id(cell))][action])
 
 
 def neighbor_cells(world, cell):
     """The cells one move away, in N, E, S, W order, from the geometry table."""
-    geo = world.geometry
-    return [geo.cells[f] for f in geo.neighbors[world.flat_of(world.state_id(cell))]]
+    return [cell_at(world, f) for f in world.geometry.neighbors[world.flat_of(world.state_id(cell))]]
 
 
 def ref_threat_field(world, decay_length) -> tuple:
@@ -41,7 +61,7 @@ def ref_threat_field(world, decay_length) -> tuple:
     ``WorldModel.threat_field`` is checked against."""
     hazards = world.active_hazards()
     out = []
-    for x, y in world.geometry.cells:
+    for x, y in all_cells(world):
         level = 0.0
         for hz in hazards:
             d = abs(hz.at[0] - x) + abs(hz.at[1] - y)
@@ -183,12 +203,12 @@ def ref_sweep_threshold(world, thresholds, policy, seeds, *, steps=300) -> list:
         s = w.state_id(w.start)
         for _ in range(steps):
             level = threat_level(w, observe(w, s, rng_obs), policy)
-            cell = w.cell_of(s)
+            cell = cell_of(w, s)
             adjacent = any(abs(hz.at[0] - cell[0]) + abs(hz.at[1] - cell[1]) <= 1
                            for hz in w.active_hazards())
             act = ACTIONS[int(rng_act.integers(len(ACTIONS)))]
             s_next, _, _ = step(w, s, act, rng_world)
-            landed = w.object_at(w.cell_of(s_next))
+            landed = w.object_at(w.flat_of(s_next))
             rows.append((level, adjacent, landed is not None and landed.kind == "hazard"))
             s = s_next
 

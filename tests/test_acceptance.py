@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import intended_next, neighbor_cells
+from conftest import cell_of, flat_at, intended_next, neighbor_cells
 from gridmind.affect import InterruptPolicy, SelfModel, sweep_threshold
 from gridmind.harness import RunConfig, experiment, run
 from gridmind.interventions import InterventionConfig
@@ -68,9 +68,9 @@ def test_criterion_03_reward_loss_contract():
 
 
 def _tick_experiences(world, s, a):
-    cell = world.cell_of(s)
+    cell = cell_of(world, s)
     landed = intended_next(world, cell, a)
-    obj = world.object_at(landed)
+    obj = world.object_at(flat_at(world, landed))
     s2 = world.state_id(landed)
     if obj is not None and obj.kind == "reward" and obj.consumable:
         return [Experience(s=s, a=a, r=-world.step_cost, s_next=s2),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import hazard, make_world, ref_sweep_threshold, reward, run_events
+from conftest import flat_at, hazard, make_world, ref_sweep_threshold, reward, run_events
 from gridmind.affect import (InterruptKind, InterruptPolicy,
                              SelfModel, SelfState, check_interrupts,
                              depression_gate, release_depression, self_evaluate,
@@ -79,7 +79,7 @@ def test_desire_interrupt_during_active_intention():
     shiny = w.state_id((1, 0))
     store.V[shiny] = 0.95
     goal = Goal(target=w.state_id((4, 0)), anticipated_value=0.3)
-    intention = Intention(goal=goal, plan=[Action.EAST], expected_cells=[(4, 0)])
+    intention = Intention(goal=goal, plan=[Action.EAST], path=[flat_at(w, (4, 0))])
     agent = StubAgent(w, store=store, intention=intention)
     policy = InterruptPolicy(desire_threshold=0.9)
     s = w.state_id((0, 0))
@@ -104,7 +104,7 @@ def test_threat_outranks_desire():
     store = ValueStore()
     store.V[w.state_id((1, 0))] = 5.0
     goal = Goal(target=w.state_id((6, 0)), anticipated_value=0.1)
-    intention = Intention(goal=goal, plan=[Action.EAST], expected_cells=[(6, 0)])
+    intention = Intention(goal=goal, plan=[Action.EAST], path=[flat_at(w, (6, 0))])
     agent = StubAgent(w, store=store, intention=intention)
     policy = InterruptPolicy(threat_threshold=0.01, desire_threshold=0.5)
     s = w.state_id((2, 0))  # near the hazard AND next to the shiny state
@@ -222,6 +222,7 @@ thresholds = st.lists(st.sampled_from([0, 1, 3, 0.0, -0.0, 0.05, 0.5, 1.2, math.
                       min_size=2, max_size=6)
 
 
+@pytest.mark.guard
 @settings(deadline=None)
 @given(world=sweep_worlds(), thresholds=thresholds,
        decay=st.sampled_from([0.25, 1.0, 3.0]),
@@ -321,6 +322,7 @@ EDGES = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, sys.float_info.max,
 window_values = st.sampled_from(EDGES) | st.floats() | st.floats(-1e-300, 1e-300) | st.floats(-9, 9)
 
 
+@pytest.mark.guard
 @settings(max_examples=500, deadline=None)
 @given(values=st.lists(window_values, min_size=1, max_size=10))
 @example(values=[sys.float_info.max, sys.float_info.max, -0.0])     # an exact sum past max

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import hazard, make_world, reward, run_events, store_from
+from conftest import cell_of, flat_at, hazard, make_world, reward, run_events, store_from
 from gridmind.affect import InterruptPolicy, SelfModel
 from gridmind.agent import Agent
 from gridmind.harness import RunConfig, audit, open_world, run
@@ -87,8 +87,9 @@ def test_reaching_the_goal_ends_episode_and_restores_world():
     agent = primed_agent(w)
     agent.run(12)
     assert agent.episodes >= 2
-    assert agent.world.object_at((3, 0)) is not None  # restored after collection
-    assert agent.world.cell_of(agent.s_true)  # valid somewhere
+    goal = flat_at(agent.world, (3, 0))
+    assert agent.world.object_at(goal) is not None  # restored after collection
+    assert cell_of(agent.world, agent.s_true)  # valid somewhere
     assert agent.episode_rewards
     assert agent.episode_rewards[0] == pytest.approx(1.0 - 0.1 * 3)
 
@@ -115,7 +116,7 @@ def test_epoch_bump_rekeys_agent_state():
     for _ in range(6):
         agent.step_once()
     assert agent.world.epoch == 1
-    assert agent.world.cell_of(agent.s_true)  # state id valid for new epoch
+    assert cell_of(agent.world, agent.s_true)  # state id valid for new epoch
 
 
 def test_mid_plan_relocation_fails_on_arrival():

@@ -8,6 +8,7 @@ raise on the same stale-epoch and wall states.
 
 import heapq
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,12 +16,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import hazard, make_world, neighbor_cells, ref_plan_search, ref_threat_field
+from conftest import (all_cells, cell_at, cell_of, hazard, make_world, neighbor_cells,
+                      ref_plan_search, ref_threat_field)
 from gridmind import world as world_module
 from gridmind.affect import InterruptPolicy, sweep_threshold, threat_level
 from gridmind.planning import Goal, PlanSearchParams, plan_search, suggest_goals
 from gridmind.values import ValueStore
-from gridmind.world import (ACTIONS, DELTAS, LATERALS, MOVES, Action, Relocation,
+from gridmind.world import (ACTIONS, DELTAS, LATERALS, MOVES, Action, Geometry, Relocation,
                             WorldError, WorldObject, apply_schedule, observe, step,
                             world_from_ascii)
 
@@ -228,18 +230,17 @@ def test_cell_reads_match_reference(world):
     for y in range(world.height):
         for x in range(world.width):
             cell, f = (x, y), y * world.width + x
-            assert geo.cells[f] == cell
             for a in ACTIONS:
-                assert geo.cells[geo.next_flat[f][a]] == ref_intended_next(world, cell, a)
-            assert [geo.cells[g] for g in geo.neighbors[f]] == ref_neighbor_cells(world, cell)
+                assert cell_at(world, geo.next_flat[f][a]) == ref_intended_next(world, cell, a)
+            assert [cell_at(world, g) for g in geo.neighbors[f]] == ref_neighbor_cells(world, cell)
     for s in range(-1, 3 * world.width * world.height):
         try:
             want = ref_cell_of(world, s)
         except WorldError:
             with pytest.raises(WorldError):
-                world.cell_of(s)
+                cell_of(world, s)
         else:
-            assert world.cell_of(s) == want
+            assert cell_of(world, s) == want
 
 
 @SETTINGS
@@ -281,6 +282,7 @@ def goal_bits(goals):
     return [(g.target, g.anticipated_value.hex()) for g in goals]
 
 
+@pytest.mark.guard
 @SETTINGS
 @given(world=ascii_worlds(), data=st.data(), threshold=st.sampled_from([-0.5, 0.0, 0.25]))
 def test_suggest_goals_equal_the_sorted_ball_bit_for_bit(world, data, threshold):
@@ -316,6 +318,7 @@ def test_plan_search_matches_reference(world, seed, max_depth, branching_cap,
             assert (plan, stats["expansions"]) == ref_cell_plan_search(world, s, goal, store, params)
 
 
+@pytest.mark.guard
 @SETTINGS
 @given(world=ascii_worlds(), data=st.data(), later=st.booleans(),
        max_depth=st.integers(1, 12), branching_cap=st.integers(1, 5),
@@ -416,21 +419,22 @@ EVENTS = st.one_of(
 )
 
 
+@pytest.mark.guard
 @SETTINGS
 @given(world=stacked_worlds(), events=st.lists(EVENTS, max_size=25),
        seed=st.integers(0, 1000))
 def test_object_at_equals_a_scan_through_every_event(world, events, seed):
     """Stacked objects, consumption by ``step`` and by ``consumed.add``,
     ``restore_consumed``, relocations and copies: after every event each
-    world built so far finds, on every cell, the very object a dict-order
-    scan of its own objects finds."""
+    world built so far finds, on every flat cell (and one past each end),
+    the very object a dict-order scan of its own objects finds."""
     rng = np.random.default_rng(seed)
     worlds = [world]
-    cells = [(x, y) for y in range(-1, world.height + 1) for x in range(-1, world.width + 1)]
+    flats = range(-1, world.geometry.n + 1)
     for event in events:
         kind = event[0]
         if kind == "step":
-            free = [c for c in world.geometry.cells if world.is_free(c)]
+            free = [c for c in all_cells(world) if world.is_free(c)]
             step(world, world.state_id(free[event[1] % len(free)]), event[2], rng)
         elif kind == "consume":
             world.consumed.add(f"o{event[1] % len(world.objects)}")
@@ -442,8 +446,8 @@ def test_object_at_equals_a_scan_through_every_event(world, events, seed):
             world = world.copy()
             worlds.append(world)
         for w in worlds:
-            for cell in cells:
-                assert w.object_at(cell) is ref_object_at(w, cell), (event, cell)
+            for f in flats:
+                assert w.object_at(f) is ref_object_at(w, cell_at(w, f)), (event, f)
 
 
 class CountingDict(dict):
@@ -468,6 +472,7 @@ class CountingDict(dict):
         return self._counted(super().__iter__())
 
 
+@pytest.mark.guard
 def test_a_step_at_the_object_cap_reads_no_object_list(monkeypatch):
     """With ``MAX_OBJECTS`` objects, one on every cell, 300 steps and
     observations, a copy and a threshold sweep's walk pass over no world's
@@ -490,10 +495,10 @@ def test_a_step_at_the_object_cap_reads_no_object_list(monkeypatch):
     assert world.consumed  # the walk did collect rewards
     twin = world.copy()
     assert objects.passes == 0
-    for flat, at in enumerate(world.geometry.cells):
+    for flat in range(world.geometry.n):
         oid = f"o{flat}"
         own = None if oid in world.consumed else objects[oid]
-        assert twin.object_at(at) is own and world.object_at(at) is own, at
+        assert twin.object_at(flat) is own and world.object_at(flat) is own, flat
 
     copy, walks = world_module.WorldModel.copy, []
 
@@ -507,6 +512,22 @@ def test_a_step_at_the_object_cap_reads_no_object_list(monkeypatch):
     table = sweep_threshold(world, [0.0, 0.5], InterruptPolicy(), seeds=[0], steps=300)
     assert [twin.objects.passes for twin in walks] == [0]
     assert table[0]["false_alarms"] + table[0]["misses"] > 0
+
+
+@pytest.mark.guard
+def test_a_geometry_near_the_cell_cap_holds_no_per_cell_tuples():
+    """The tables of a 316x316 grid (99,856 cells, near ``MAX_CELLS``)
+    hold under 36 MiB by tracemalloc: a table of (x, y) tuples beside
+    them would add about 7 MiB."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        geo = Geometry(316, 316, frozenset({(5, 5), (100, 7)}))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert geo.n == 316 * 316 and geo.free.count(False) == 2
+    assert held < 36 * 2 ** 20, f"{held / 2 ** 20:.1f} MiB"
 
 
 # -- stale epochs and walls still raise --------------------------------------------
@@ -528,7 +549,7 @@ def test_bad_states_raise_world_error(which):
     rng = np.random.default_rng(0)
     goal = Goal(target=ref_state_id(world, (0, 0)), anticipated_value=1.0)
     calls = [
-        lambda: world.cell_of(s),
+        lambda: cell_of(world, s),
         lambda: world.flat_of(s),
         lambda: step(world, s, Action.EAST, rng),
         lambda: observe(world, s, rng),
@@ -548,6 +569,7 @@ def hexes(levels):
     return [level.hex() for level in levels]
 
 
+@pytest.mark.guard
 def test_copies_share_the_geometry_and_keep_their_own_threat_fields():
     """Objects move only through the schedule, so a copy that moves reads
     its new epoch's field, and the world it was copied from keeps its own."""
@@ -564,6 +586,7 @@ def test_copies_share_the_geometry_and_keep_their_own_threat_fields():
     assert hexes(before) == hexes(ref_threat_field(world, 1.0))
 
 
+@pytest.mark.guard
 def test_a_copy_checks_nothing_and_shares_its_epochs_fields(monkeypatch):
     """A copy is checked at the build it copies: it runs no field check,
     builds no geometry and reads the fields its world built."""
@@ -579,6 +602,7 @@ def test_a_copy_checks_nothing_and_shares_its_epochs_fields(monkeypatch):
     assert twin.consumed == world.consumed and twin.consumed is not world.consumed
 
 
+@pytest.mark.guard
 def test_a_copy_holds_every_attribute_of_a_fresh_build():
     """``copy`` sets a fixed list of names, so a field added to the world
     and left off that list would be dropped from every run's world."""
@@ -624,4 +648,4 @@ def test_cell_reads_reject_out_of_bounds_cells():
     for cell in ((2, 0), (-1, 0)):
         assert not world.is_free(cell)
         with pytest.raises(WorldError):  # its id is no state of this epoch
-            world.cell_of(world.state_id(cell))
+            cell_of(world, world.state_id(cell))

@@ -3,7 +3,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from conftest import intended_next, make_world, neighbor_cells, reward
+from conftest import cell_of, flat_at, intended_next, make_world, neighbor_cells, reward
 from gridmind.planning import (Goal, Intention, IntentionStatus,
                                PlanSearchParams, commit, count_paths,
                                plan_search, plan_site, split_cost,
@@ -220,11 +220,11 @@ def drive(intention, world, s, rng, check_interrupt=None):
         if check_interrupt is not None and check_interrupt(s):
             intention.abort()
             break
-        cell = world.cell_of(s)
+        cell = cell_of(world, s)
         apply_schedule(world, t)
         s = world.state_id(cell)  # re-key after any epoch bump
         s2, r, _ = step(world, s, intention.next_action(), rng)
-        intention.advance(world.cell_of(s2), s2, r)
+        intention.advance(world.flat_of(s2), s2, r)
         s = s2
         t += 1
     return intention
@@ -237,7 +237,7 @@ def make_intention(world, start_cell, plan):
         cur = intended_next(world, cur, a)
         cells.append(cur)
     goal = Goal(target=world.state_id(cells[-1]), anticipated_value=1.0)
-    return Intention(goal=goal, plan=list(plan), expected_cells=cells)
+    return Intention(goal=goal, plan=list(plan), path=[flat_at(world, c) for c in cells])
 
 
 def test_execute_deterministic_plan_reaches(rng):
@@ -288,7 +288,7 @@ def test_execute_slip_divergence_fails(rng):
 def terminal_intention(status, anticipated=1.0, obtained=0.0):
     goal = Goal(target=0, anticipated_value=anticipated)
     return Intention(goal=goal, plan=[Action.EAST], status=status,
-                     expected_cells=[(1, 0)], obtained=obtained)
+                     path=[1], obtained=obtained)
 
 
 def plan_frustration(intention):

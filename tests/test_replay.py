@@ -193,6 +193,7 @@ def scalar_priorities(items, store, params):
             for e in items]
 
 
+@pytest.mark.guard
 @settings(max_examples=200, deadline=None)
 @given(capacity=st.integers(1, 50), items=items_st, V=values_st, params=params_st)
 def test_priorities_bit_identical_to_scalar_rule(capacity, items, V, params):
@@ -235,6 +236,7 @@ def ident(exp):
 
 # No explain phase: it reruns a shrunk failure about 2,000 times, each
 # formatting a traceback, which took minutes to report one failure.
+@pytest.mark.guard
 @settings(max_examples=60, deadline=None,
           phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
 @given(capacity=st.integers(1, 12), run=epoch_runs(), params=params_st)
@@ -277,12 +279,14 @@ def test_state_ordinals_follow_compaction(capacity, run, params):
     assert compactions or len(distinct) <= 2 * capacity
 
 
+@pytest.mark.guard
 def test_signed_zero_rewards_keep_their_own_sign():
     items = [Experience(s=1, a=Action.EAST, r=r, s_next=2) for r in (0.0, -0.0, -0.0, 0.0)]
     buf = filled(items, capacity=3)
     assert [math.copysign(1.0, exp.r) for exp in buf] == [-1.0, -1.0, 1.0]
 
 
+@pytest.mark.guard
 @settings(max_examples=100, deadline=None)
 @given(pri=st.lists(st.floats(0.0, 1e6), max_size=50))
 def test_priority_cdf_leaves_its_input_alone(pri):
@@ -292,6 +296,7 @@ def test_priority_cdf_leaves_its_input_alone(pri):
     assert pri.tobytes() == before.tobytes()
 
 
+@pytest.mark.guard
 @settings(max_examples=200, deadline=None)
 @given(capacity=st.integers(1, 50), items=items_st)
 def test_ring_reads_back_like_a_list(capacity, items):

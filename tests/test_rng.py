@@ -23,7 +23,7 @@ WANDERING = rngmod.STREAMS["wandering"]
 
 seeds = st.sampled_from([0, 1, 7, 2**32 - 1, 2**32, 2**63, 2**64 - 1]) | st.integers(0, 2**64 - 1)
 # t = 0, the 2**32 boundary where a two-word seed's entropy outgrows the
-# pool, and steps far past it.
+# pool (and first_draws refuses it), and steps far past it.
 starts = st.sampled_from([0, 2**32 - 3, 2**32, 2**40]) | st.integers(0, 2**34)
 
 
@@ -31,19 +31,26 @@ def numpy_gate(seed, t):
     return np.random.default_rng([seed, WANDERING, t]).random()
 
 
+@pytest.mark.guard
 @settings(deadline=None)
 @given(seed=seeds, start=starts, count=st.integers(1, 8))
 @example(seed=0, start=0, count=1)
 @example(seed=2**32, start=0, count=1)
 @example(seed=2**64 - 1, start=0, count=1)
-@example(seed=2**32, start=2**32 - 3, count=6)      # into the default_rng fallback
+@example(seed=2**32, start=2**32 - 3, count=6)      # refused: past the pool
 @example(seed=2**64 - 1, start=2**32 - 3, count=6)
-@example(seed=5, start=2**32 - 3, count=6)          # a one-word seed needs none
+@example(seed=2**32, start=2**32 - 4, count=4)      # the last block that fits
+@example(seed=5, start=2**32 - 3, count=6)          # a one-word seed fits at any t
 def test_first_doubles_equal_default_rng(seed, start, count):
+    if seed > 2**32 - 1 and start + count - 1 > 2**32 - 1:  # five entropy words
+        with pytest.raises(ValueError, match="SeedSequence pool"):
+            rngmod.first_draws(seed, "wandering", start, count)
+        return
     got = rngmod.first_draws(seed, "wandering", start, count)[0]
     assert got.tolist() == [numpy_gate(seed, t) for t in range(start, start + count)]
 
 
+@pytest.mark.guard
 def test_first_doubles_match_a_whole_run():
     """A run-sized table, every stream id: the vector path on every lane."""
     for label, stream in rngmod.STREAMS.items():
@@ -52,6 +59,7 @@ def test_first_doubles_match_a_whole_run():
                                 for t in range(2000)], label
 
 
+@pytest.mark.guard
 @settings(deadline=None)
 @given(seed=seeds, horizon=st.integers(1, 7),
        steps=st.lists(st.integers(0, 40), min_size=1, max_size=30))
@@ -73,19 +81,25 @@ def assert_same_stream(got, want):
     assert got.integers(5, size=8).tolist() == want.integers(5, size=8).tolist()
 
 
+@pytest.mark.guard
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1])
 def test_table_generator_equals_per_step_after_its_first_draw(seed):
     """The Generator the table loads for step t is ``per_step(seed, label,
     t)`` after its own first ``random()``: same state, same draws, across
-    block refills (at 4, 2052 and back at 1) and on a lane whose entropy
-    does not fit the pool (seed 2**32 at t = 2**32)."""
+    block refills (at 4, 2052, 2**32 and back at 1). At t = 2**32 a
+    one-word seed still fits the pool; a two-word seed is refused."""
     table = rngmod.FirstDraws(seed, "wandering", horizon=4)
-    steps = [0, 4, 2051, 2052, 1] + ([2**32] if seed == 2**32 else [])
-    for t in steps:
+    for t in [0, 4, 2051, 2052, 2**32, 1]:
+        if seed > 2**32 - 1 and t == 2**32:
+            for u in (t, t + 5):  # a refused refill leaves the old block in place
+                with pytest.raises(ValueError, match="SeedSequence pool"):
+                    table.generator(u)
+            continue
         assert_same_stream(table.generator(t), numpy_after_gate(seed, t))
         assert table[t] == numpy_gate(seed, t)
 
 
+@pytest.mark.guard
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**63, 2**64 - 1])
 def test_every_lane_of_a_full_block_loads_per_step_after_its_first_draw(seed):
     """Every lane of a BLOCK-lane table, every stream: all-ones seed words
@@ -100,6 +114,7 @@ def test_every_lane_of_a_full_block_loads_per_step_after_its_first_draw(seed):
         assert table.start == 0  # one table served them all
 
 
+@pytest.mark.guard
 def test_draws_at_one_gated_step_leave_the_next_alone():
     """The table reuses one Generator, so a gated step's stream must not
     depend on what the gated step before it drew, a buffered 32-bit half
@@ -129,6 +144,7 @@ priority_vectors = st.lists(
 FULL_BUFFER = np.random.default_rng(10).choice(np.linspace(0.0, 3.0, 200), 10_000)
 
 
+@pytest.mark.guard
 @settings(deadline=None)
 @given(pri=priority_vectors, seed=st.integers(0, 2**32), draws=st.integers(1, 6))
 @example(pri=np.array([3.0]), seed=0, draws=3)                # one-item buffer
@@ -155,6 +171,7 @@ def test_cdf_draws_equal_choice(pri, seed, draws):
     assert ours.bit_generator.state == theirs.bit_generator.state
 
 
+@pytest.mark.guard
 @settings(deadline=None)
 @given(steps=st.lists(st.integers(1, 9) | st.floats(1e-3, 1e3), min_size=1, max_size=30),
        seed=st.integers(0, 2**32), draws=st.integers(1, 6))
@@ -174,6 +191,7 @@ def test_draws_take_the_choice_rule_on_any_scale(steps, seed, draws):
     assert got == want
 
 
+@pytest.mark.guard
 @pytest.mark.parametrize("pri", [
     [1.0, np.inf, 2.0],
     [np.nan, 1.0],
@@ -191,6 +209,7 @@ def test_non_finite_total_raises_as_choice_does(pri):
 # -- one batch of bounded integers ------------------------------------------------
 
 
+@pytest.mark.guard
 @pytest.mark.parametrize("n", range(1, 9))
 def test_batched_integers_equal_scalar_draws(n):
     """``affect.sweep_threshold`` draws a seed's actions in one

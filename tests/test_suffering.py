@@ -297,6 +297,7 @@ any_terms = st.builds(Terms, expectation_scale=signed_unit, certainty=signed_uni
                       meta_aversion_scale=signed_unit | st.floats(0.0, 4.0))
 
 
+@pytest.mark.guard
 @settings(max_examples=400, deadline=None)
 @given(sites=loss_sites(signed), terms=any_terms, meta_aversion=st.booleans())
 def test_column_totals_bit_identical_to_event_fold(sites, terms, meta_aversion):
@@ -330,6 +331,7 @@ EDGE_CASES = pytest.mark.parametrize("sites, terms", [
         "order-sensitive-sums", "integer-attention"])
 
 
+@pytest.mark.guard
 @EDGE_CASES
 def test_column_totals_edge_cases(sites, terms):
     assert_bit_identical(sites, terms)
@@ -399,12 +401,14 @@ def assert_same_events(sites, terms: Terms):
         ("r", ev.t, ev.source.value, ev.timescale.value, *ev[3:]) for ev in reference)
 
 
+@pytest.mark.guard
 @settings(max_examples=400, deadline=None)
 @given(sites=loss_sites(signed), terms=any_terms, meta_aversion=st.booleans())
 def test_column_events_equal_the_scalar_reference(sites, terms, meta_aversion):
     assert_same_events(sites, replace(terms, meta_aversion=meta_aversion))
 
 
+@pytest.mark.guard
 @EDGE_CASES
 def test_column_events_edge_cases(sites, terms):
     assert_same_events(sites, terms)
@@ -421,6 +425,7 @@ def edge_sites(n: int, source=S.STEP_LOSS) -> list:
     return [LossSite(t, source, 1e16 if t == 0 else 1.0, 0.0) for t in range(n)]
 
 
+@pytest.mark.guard
 @pytest.mark.parametrize("source", [S.STEP_LOSS, S.PLAN_LOSS, S.REPLAYED, S.SELF_EVAL])
 @pytest.mark.parametrize("block", [1, 2, 5])
 def test_blocks_carry_each_sum_across_their_edges(monkeypatch, block, source):
@@ -432,6 +437,7 @@ def test_blocks_carry_each_sum_across_their_edges(monkeypatch, block, source):
     assert rescore(sites, Terms()).total == folded(sites, Terms()).total == 1e16
 
 
+@pytest.mark.guard
 def test_a_log_longer_than_two_blocks_scores_as_the_reference():
     rng = np.random.default_rng(7)
     n = 2 * suffering.BLOCK + 3

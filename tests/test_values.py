@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import intended_next, make_world, neighbor_cells, reward, store_from
+from conftest import (all_cells, cell_of, flat_at, intended_next, make_world, neighbor_cells,
+                      reward, store_from)
 from gridmind.replay import Experience
 from gridmind.values import (ExpectationBaseline, LearningParams, ValueStore,
                              chain_mdp, curiosity_bonus, epsilon_greedy,
@@ -109,6 +110,7 @@ def table(keys, entries=entry):
         lambda vals: {k: v for k, v in zip(keys, vals) if v is not None})
 
 
+@pytest.mark.guard
 @given(V=table(range(4)), Q=table([(s, a) for s in range(4) for a in ACTIONS]),
        s=st.integers(0, 3), a=st.sampled_from(ACTIONS), r=entry,
        s_next=st.integers(0, 3), terminal=st.booleans(),
@@ -176,20 +178,20 @@ def test_value_iteration_null_fixed_point():
 
 def finite_horizon_dp(world, gamma, horizon):
     """Oracle: backward induction over an explicit horizon."""
-    free = [c for c in world.geometry.cells if world.is_free(c)]
+    free = [c for c in all_cells(world) if world.is_free(c)]
 
     def terminal(cell):
-        obj = world.object_at(cell)
+        obj = world.object_at(flat_at(world, cell))
         return obj is not None and obj.kind == "reward" and obj.consumable
 
     def landing_reward(cell):
-        obj = world.object_at(cell)
+        obj = world.object_at(flat_at(world, cell))
         r = -world.step_cost
         if obj is not None and not terminal(cell):
             r += obj.signed_magnitude()
         return r
 
-    V = {c: (world.object_at(c).magnitude if terminal(c) else 0.0) for c in free}
+    V = {c: (world.object_at(flat_at(world, c)).magnitude if terminal(c) else 0.0) for c in free}
     for _ in range(horizon):
         V_new = {}
         for c in free:
@@ -242,9 +244,9 @@ def bfs_distance(world, start, goal_cell):
 
 def tick_experiences(world, s, a):
     """The live-loop learning convention for one deterministic tick."""
-    cell = world.cell_of(s)
+    cell = cell_of(world, s)
     landed = intended_next(world, cell, a)
-    obj = world.object_at(landed)
+    obj = world.object_at(flat_at(world, landed))
     s2 = world.state_id(landed)
     if obj is not None and obj.kind == "reward" and obj.consumable:
         return [Experience(s=s, a=a, r=-world.step_cost, s_next=s2),
@@ -315,6 +317,7 @@ def ref_greedy(Q, s, actions):
     return best, best_q
 
 
+@pytest.mark.guard
 @given(data=st.data(), actions=st.sampled_from([ACTIONS, CHAIN_ACTIONS]))
 @settings(max_examples=300, deadline=None)
 def test_greedy_reads_equal_the_reference_loop(data, actions):
@@ -331,6 +334,7 @@ def test_greedy_reads_equal_the_reference_loop(data, actions):
         assert epsilon_greedy(store, s, p, np.random.default_rng(s)) is best
 
 
+@pytest.mark.guard
 @given(n=st.integers(2, 6), terminal_value=entry, step_penalty=st.floats(0, 1),
        gamma=st.one_of(st.none(), st.floats(0, 0.95)), slip=st.floats(0, 1))
 @settings(max_examples=100, deadline=None)
@@ -403,6 +407,7 @@ def test_ties_break_by_action_order(rng):
     assert epsilon_greedy(store, 0, p, rng) is Action.EAST
 
 
+@pytest.mark.guard
 @given(st.floats(0.001, 1e6), st.lists(st.floats(-100, 100), min_size=5, max_size=5))
 @example(scale=0.5, qs=[0.0, 0.0, 0.0, 0.0, 5e-324])  # the product rounds to 0.0: a new tie
 @settings(max_examples=200)
@@ -453,7 +458,7 @@ def test_curiosity_coverage_on_reward_free_world():
         w = open_room(5, step_cost=0.5)
         rng = np.random.default_rng(seed)
         store = ValueStore()
-        all_pairs = {(w.state_id(c), a) for c in w.geometry.cells for a in ACTIONS}
+        all_pairs = {(w.state_id(c), a) for c in all_cells(w) for a in ACTIONS}
         bound = 60 * len(all_pairs)
         s = w.state_id(w.start)
         seen = set()

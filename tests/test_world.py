@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import hazard, intended_next, make_world, neighbor_cells, reward
+from conftest import (all_cells, cell_of, flat_at, hazard, intended_next, make_world,
+                      neighbor_cells, reward)
 from gridmind.inputs import InputError
 from gridmind.presets import corridor
 from gridmind.world import (ACTIONS, Action, Relocation, WorldError, WorldObject,
@@ -16,7 +17,7 @@ def test_step_cost_only(rng):
     w = make_world(step_cost=0.1)
     s = w.state_id((0, 0))
     s2, r, consumed = step(w, s, Action.EAST, rng)
-    assert w.cell_of(s2) == (1, 0)
+    assert cell_of(w, s2) == (1, 0)
     assert r == pytest.approx(-0.1)
     assert consumed is None
 
@@ -28,7 +29,7 @@ def test_step_collects_reward_magnitude(rng):
     assert r == 10.0
     assert consumed == "g"
     # consumable objects are removed after collection
-    assert w.object_at((1, 0)) is None
+    assert w.object_at(flat_at(w, (1, 0))) is None
 
 
 def test_step_reads_an_int_action_as_its_action_and_refuses_a_bad_one():
@@ -48,7 +49,7 @@ def test_hazard_costs_its_magnitude(rng):
     _, r, consumed = step(w, s, Action.EAST, rng)
     assert r == pytest.approx(-2.1)
     assert consumed is None
-    assert w.object_at((1, 0)) is not None  # hazards persist
+    assert w.object_at(flat_at(w, (1, 0))) is not None  # hazards persist
 
 
 def test_walls_block_yielding_stay(rng):
@@ -66,7 +67,7 @@ def test_full_slip_is_lateral_only(rng):
     counts = {(1, 0): 0, (0, 1): 0, (2, 1): 0, (1, 2): 0}
     for _ in range(n):
         s2, _, _ = step(w, s, Action.NORTH, rng)
-        counts[w.cell_of(s2)] += 1
+        counts[cell_of(w, s2)] += 1
     assert counts[(1, 0)] == 0 and counts[(1, 2)] == 0
     sigma = (n * 0.25) ** 0.5
     assert abs(counts[(0, 1)] - n / 2) <= 3 * sigma
@@ -110,7 +111,7 @@ def test_observe_reports_neighbor_states(rng):
     for _ in range(200):
         reported = observe(w, s, rng)
         assert reported in neighbors | {s}
-        w.cell_of(reported)  # still a valid state id
+        cell_of(w, reported)  # still a valid state id
 
 
 def test_apply_schedule_empty_is_identity():
@@ -263,7 +264,7 @@ def test_reachability_matches_transition_closure(seed):
     # keep the start free
     walls.discard((0, 0))
     w = make_world(width=8, height=8, walls=walls, slip_probability=0.5, start=(0, 0))
-    for cell in w.geometry.cells:
+    for cell in all_cells(w):
         if not w.is_free(cell):
             continue
         assert neighbor_closure(w, cell) == transition_closure(w, cell)
