@@ -12,7 +12,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from statistics import mean
-from typing import Annotated
+from typing import Annotated, NamedTuple
 
 from . import rng as rngmod
 from .inputs import Range, check
@@ -39,8 +39,7 @@ class InterruptKind(Enum):
     DESIRE = "Desire"
 
 
-@dataclass(frozen=True)
-class Interrupt:
+class Interrupt(NamedTuple):
     kind: InterruptKind
     payload: dict
 
@@ -61,24 +60,34 @@ def check_interrupts(agent, s: int, policy: InterruptPolicy):
     threshold. Desire fires only while an intention is Active, when some
     non-goal state within reach looks better than the desire threshold.
     The caller applies the effects (abort + internal reward).
+
+    The desire check ranks the ball once, at the lower of the desire and
+    the agent's goal threshold, and reads the prefix above the desire
+    threshold. A Desire payload carries that list as ``goals``: filtered by
+    ``v > goal_threshold`` it is ``suggest_goals`` at the goal threshold,
+    in order, so the step that aborts for it need not rank the ball again.
     """
     level = threat_level(agent.world, s, policy)
     if level > policy.threat_threshold:
         return Interrupt(InterruptKind.THREAT, {"threat_level": level})
     intention = getattr(agent, "intention", None)
     if intention is not None and not intention.terminal:
-        for goal in suggest_goals(agent.world, agent.store, s,
-                                  reach=agent.goal_reach,
-                                  threshold=policy.desire_threshold):
-            if goal.target != intention.goal.target:
-                return Interrupt(InterruptKind.DESIRE, {"candidate": goal})
+        desire = policy.desire_threshold
+        goals = suggest_goals(agent.world, agent.store, s, reach=agent.goal_reach,
+                              threshold=min(desire, agent.goal_threshold))
+        target = intention.goal.target
+        for goal in goals:
+            if not goal[1] > desire:  # sorted by value, best first: the rest are no better
+                break
+            if goal[0] != target:
+                return Interrupt(InterruptKind.DESIRE, {"candidate": goal, "goals": goals})
     return None
 
 
 def threat_site(t: int, level: float, policy: InterruptPolicy) -> LossSite:
     """The internal reward of a threat interrupt as a loss site: expected 0
     (plus the optional per-interrupt cost), obtained -level."""
-    return LossSite(t, Source.THREAT_INTERNAL, policy.interrupt_cost, -level)
+    return tuple.__new__(LossSite, (t, Source.THREAT_INTERNAL, policy.interrupt_cost, -level))
 
 
 def sweep_threshold(world: WorldModel, thresholds, policy: InterruptPolicy, seeds, *,

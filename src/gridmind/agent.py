@@ -101,8 +101,9 @@ class Agent:
     def _finalize_intention(self):
         intention = self.intention
         self.sites.append(plan_site(intention, t=self.t))
-        self._trace("intention_terminal", status=intention.status.value,
-                    target=intention.goal.target)
+        if self.trace_enabled:
+            self._trace("intention_terminal", status=intention.status.value,
+                        target=intention.goal.target)
         if intention.status is IntentionStatus.FAILED:
             self.consecutive_failed += 1
             depression_gate(self.self_model, self.self_state, self.consecutive_failed)
@@ -113,7 +114,10 @@ class Agent:
 
     # -- action selection ------------------------------------------------------
 
-    def _select_action(self):
+    def _select_action(self, ranked=None):
+        """The step's action and whether a plan chose it. ``ranked`` is the
+        goal list a Desire interrupt ranked this step, at or below the goal
+        threshold (``check_interrupts``); it stands in for ranking again."""
         if self.intention is not None:
             return self.intention.next_action(), True
         if self.config.policy == "random":
@@ -125,13 +129,18 @@ class Agent:
         if self.replan_cooldown > 0:
             self.replan_cooldown -= 1
         else:
-            goals = suggest_goals(self.world, self.store, self.s_obs, reach=self.goal_reach,
-                                  threshold=self.goal_threshold)
+            if ranked is None:
+                goals = suggest_goals(self.world, self.store, self.s_obs, reach=self.goal_reach,
+                                      threshold=self.goal_threshold)
+            else:
+                threshold = self.goal_threshold
+                goals = [goal for goal in ranked if goal[1] > threshold]
             intent = commit(self.world, self.s_obs, goals, self.store, self.plan_params)
             if intent is not None:
                 self.intention = intent
-                self._trace("commit", target=intent.goal.target,
-                            plan=[int(a) for a in intent.plan])
+                if self.trace_enabled:
+                    self._trace("commit", target=intent.goal.target,
+                                plan=[int(a) for a in intent.plan])
                 return intent.next_action(), True
         return epsilon_greedy(self.store, self.s_obs, self.learning, self.rng_expl), False
 
@@ -147,24 +156,30 @@ class Agent:
 
         self.s_obs = observe(world, self.s_true, self.rng_obs)
 
+        ranked = None
         itr = check_interrupts(self, self.s_obs, self.interrupts)
         if itr is not None:
             if itr.kind is InterruptKind.THREAT:
                 self.threat_interrupts += 1
-                self.sites.append(threat_site(t, itr.payload["threat_level"], self.interrupts))
-                self._trace("interrupt_threat", level=itr.payload["threat_level"])
+                level = itr.payload["threat_level"]
+                self.sites.append(threat_site(t, level, self.interrupts))
+                if self.trace_enabled:
+                    self._trace("interrupt_threat", level=level)
             else:
                 self.desire_interrupts += 1
-                self._trace("interrupt_desire")
+                ranked = itr.payload["goals"]
+                if self.trace_enabled:
+                    self._trace("interrupt_desire")
             if self.intention is not None:
                 self.intention.abort()
                 self._finalize_intention()
 
         tick_depression(self.self_state)
 
-        a, from_plan = self._select_action()
+        a, from_plan = self._select_action(ranked)
         if self.intention is not None and self.config.desire_cost > 0:
-            self.sites.append(LossSite(t, Source.DESIRE_COST, self.config.desire_cost, 0.0))
+            self.sites.append(tuple.__new__(LossSite, (t, Source.DESIRE_COST,
+                                                       self.config.desire_cost, 0.0)))
 
         s = self.s_true
         s_next, r, consumed = step(world, s, a, self.rng_world)
@@ -215,7 +230,7 @@ class Agent:
             self._trace("step", action=int(a), raw_expected=raw_expected, obtained=r,
                         loss=max(0.0, loss))
         if loss > 0.0:
-            self.sites.append(LossSite(self.t, Source.STEP_LOSS, raw_expected, r))
+            self.sites.append(tuple.__new__(LossSite, (self.t, Source.STEP_LOSS, raw_expected, r)))
 
     def _finish_episode(self):
         if self.intention is not None:

@@ -197,4 +197,5 @@ def plan_site(intention: Intention, *, t: int = 0) -> LossSite:
     if not intention.terminal:
         raise ValueError("plan_site requires a terminal intention")
     obtained = intention.obtained if intention.status is IntentionStatus.REACHED else 0.0
-    return LossSite(t, Source.PLAN_LOSS, intention.goal.anticipated_value, obtained)
+    return tuple.__new__(LossSite, (t, Source.PLAN_LOSS, intention.goal.anticipated_value,
+                                    obtained))

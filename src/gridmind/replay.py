@@ -37,10 +37,10 @@ def experiences(s: int, a: Action, r: float, s_next: int,
     """One tick as experiences. A tick that consumes a reward of magnitude
     ``consumed`` splits into the move (r is then the move's own reward)
     and a terminal consume, so learning bootstraps nothing past the goal."""
-    move = [Experience(s, a, r, s_next)]
+    move = [tuple.__new__(Experience, (s, a, r, s_next, False))]
     if consumed is None:
         return move
-    return move + [Experience(s_next, Action.STAY, consumed, s_next, True)]
+    return move + [tuple.__new__(Experience, (s_next, Action.STAY, consumed, s_next, True))]
 
 
 class ReplayBuffer:
@@ -126,7 +126,7 @@ class ReplayBuffer:
             raise IndexError("replay buffer index out of range")
         row = (self.head + i) % self.capacity
         s, s_next, r, terminal, _ = self.idents[self.key[row]]
-        return Experience(s, ACTIONS[self.a[row]], r, s_next, terminal)
+        return tuple.__new__(Experience, (s, ACTIONS[self.a[row]], r, s_next, terminal))
 
     def __iter__(self):
         return (self[i] for i in range(self._len))
@@ -261,7 +261,7 @@ def _wander_site(agent, exp: Experience, source: Source):
     raw_expected = step_expectation(agent.store, exp.s, exp.s_next, exp.terminal,
                                     agent.learning.disc)
     if raw_expected - exp.r > 0.0:
-        return [LossSite(agent.t, source, raw_expected, exp.r)]
+        return [tuple.__new__(LossSite, (agent.t, source, raw_expected, exp.r))]
     agent.positive_wanderings += 1
     return []
 

@@ -157,6 +157,7 @@ class LossSite(NamedTuple):
 
 
 _SOURCES = tuple(Source)
+_CODE = {source: code for code, source in enumerate(_SOURCES)}
 
 
 class SiteLog:
@@ -173,7 +174,7 @@ class SiteLog:
     def append(self, site: LossSite):
         t, source, expected, obtained = site
         self.t.append(t)
-        self.source.append(_SOURCES.index(source))
+        self.source.append(_CODE[source])
         self.expected.append(expected)
         self.obtained.append(obtained)
 

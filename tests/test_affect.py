@@ -15,7 +15,7 @@ from gridmind.affect import (InterruptKind, InterruptPolicy,
                              sweep_threshold, threat_level, tick_depression)
 from gridmind.agent import Agent
 from gridmind.harness import RunConfig
-from gridmind.planning import Goal, Intention
+from gridmind.planning import Goal, Intention, suggest_goals
 from gridmind.suffering import Source, Terms, Timescale, events
 from gridmind.world import Action, Relocation, WorldModel, WorldObject, apply_schedule
 
@@ -42,12 +42,13 @@ def test_threat_level_decays_with_distance():
 
 
 class StubAgent:
-    def __init__(self, world, store=None, intention=None, reach=3):
+    def __init__(self, world, store=None, intention=None, reach=3, goal_threshold=0.0):
         from gridmind.values import ValueStore
         self.world = world
         self.store = store or ValueStore()
         self.intention = intention
         self.goal_reach = reach
+        self.goal_threshold = goal_threshold
 
 
 def test_infinite_threshold_never_fires():
@@ -86,6 +87,8 @@ def test_desire_interrupt_during_active_intention():
     itr = check_interrupts(agent, s, policy)
     assert itr is not None and itr.kind is InterruptKind.DESIRE
     assert itr.payload["candidate"].target == shiny
+    # the ball ranked once, at the lower of the desire and goal thresholds
+    assert itr.payload["goals"] == suggest_goals(w, store, s, reach=3, threshold=0.0)
 
 
 def test_no_desire_interrupt_without_intention():

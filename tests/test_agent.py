@@ -246,3 +246,55 @@ def test_an_intention_is_none_or_active_after_every_step():
     ended = {i.detail["status"] for i in agent.trace if i.kind == "intention_terminal"}
     assert agent.desire_interrupts > 0 and held > 0
     assert {"Aborted", "Failed", "Reached"} <= ended
+
+
+def desire_config(desire_threshold, goal_threshold, **kw):
+    return RunConfig(world="loss_heavy", seed=0, goal_threshold=goal_threshold,
+                     interrupts=InterruptPolicy(threat_threshold=0.8,
+                                                desire_threshold=desire_threshold), **kw)
+
+
+@pytest.mark.guard
+@pytest.mark.parametrize("desire_threshold, goal_threshold", [(0.8, 0.1), (0.05, 0.3)])
+def test_a_desire_step_ranks_its_goals_once(monkeypatch, desire_threshold, goal_threshold):
+    """A step whose desire interrupt aborts the intention commits from the
+    list the interrupt ranked: ``check_interrupts`` and ``_select_action``
+    together call ``suggest_goals`` at most once a step, whichever
+    threshold is the lower."""
+    import gridmind.affect
+    import gridmind.agent
+    calls = []
+    for module in (gridmind.affect, gridmind.agent):
+        def counted(*args, _original=module.suggest_goals, **kwargs):
+            calls.append(None)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, "suggest_goals", counted)
+    config = desire_config(desire_threshold, goal_threshold, steps=2000)
+    agent = Agent(config, open_world(config.world), config.seed)
+    most = recommitted = 0
+    for _ in range(config.steps):
+        before, desires = len(calls), agent.desire_interrupts
+        agent.step_once()
+        most = max(most, len(calls) - before)
+        recommitted += agent.desire_interrupts > desires and agent.intention is not None
+    assert recommitted > 0
+    assert most == 1
+
+
+@pytest.mark.guard
+@pytest.mark.parametrize("desire_threshold, goal_threshold",
+                         [(0.8, 0.1), (0.05, 0.3), (0.3, 0.3), (-0.5, -1.0)])
+def test_a_desire_step_commits_as_if_it_ranked_again(monkeypatch, desire_threshold,
+                                                     goal_threshold):
+    """Committing from the interrupt's list gives the run that ranks the
+    ball again at the goal threshold: the same sites, bit for bit, and the
+    same trace."""
+    config = desire_config(desire_threshold, goal_threshold, steps=1500, trace=True)
+    shared = Agent(config, open_world(config.world), config.seed).run(config.steps)
+    select = Agent._select_action
+    monkeypatch.setattr(Agent, "_select_action", lambda self, ranked=None: select(self))
+    again = Agent(config, open_world(config.world), config.seed).run(config.steps)
+    assert shared.desire_interrupts > 0
+    assert [(t, s, e.hex(), o.hex()) for t, s, e, o in shared.sites] == \
+        [(t, s, e.hex(), o.hex()) for t, s, e, o in again.sites]
+    assert repr(shared.trace) == repr(again.trace)

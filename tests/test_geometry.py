@@ -284,12 +284,15 @@ def goal_bits(goals):
 
 @pytest.mark.guard
 @SETTINGS
-@given(world=ascii_worlds(), data=st.data(), threshold=st.sampled_from([-0.5, 0.0, 0.25]))
-def test_suggest_goals_equal_the_sorted_ball_bit_for_bit(world, data, threshold):
+@given(world=ascii_worlds(), data=st.data(), threshold=st.sampled_from([-0.5, 0.0, 0.25]),
+       other=st.sampled_from([-math.inf, -1.0, -0.5, -0.0, 0.0, 0.5, 2.0, math.inf]))
+def test_suggest_goals_equal_the_sorted_ball_bit_for_bit(world, data, threshold, other):
     """Few values, so that goals tie, and both zeros, so that ties mix signs
     (a state without a value reads 0.0): a stable sort by value over a ball
     in ascending order must give the reference's (-v, sid) order and each
-    goal its state's value, bit for bit."""
+    goal its state's value, bit for bit. The goals ranked at the lower of
+    two thresholds, kept where ``v > t``, are the goals ranked at ``t``
+    for each of them, as a desire step's commit reads them."""
     states = free_states(world)
     values = data.draw(st.lists(st.sampled_from([None, -1.0, -0.0, 0.0, 0.5, 2.0]),
                                 min_size=len(states), max_size=len(states)))
@@ -298,6 +301,10 @@ def test_suggest_goals_equal_the_sorted_ball_bit_for_bit(world, data, threshold)
         for reach in range(1, 7):
             assert (goal_bits(suggest_goals(world, store, s, reach=reach, threshold=threshold))
                     == goal_bits(ref_suggest_goals(world, store, s, reach, threshold)))
+            ranked = suggest_goals(world, store, s, reach=reach, threshold=min(threshold, other))
+            for t in (threshold, other):
+                assert (goal_bits([g for g in ranked if g.anticipated_value > t])
+                        == goal_bits(suggest_goals(world, store, s, reach=reach, threshold=t)))
 
 
 @SETTINGS
