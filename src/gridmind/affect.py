@@ -103,7 +103,9 @@ def sweep_threshold(world: WorldModel, thresholds, policy: InterruptPolicy, seed
     The schedule is never applied and only rewards are consumed, so the threat
     field and the cells within one step of a hazard are read from ``world``
     once; its copies share the field. A seed draws its actions in one call on
-    its ``exploration`` stream, which feeds nothing else, and keeps the levels
+    its ``exploration`` stream, which feeds nothing else, its slips and
+    confusions from ``rng.ScalarStream``s of its ``world`` and ``observation``
+    streams (the draws of their Generators, bit for bit), and keeps the levels
     it observed away from every hazard and on damage: memory is O(steps), not
     O(seeds x steps). Bisecting those counts each threshold, comparing
     ``level > theta`` exactly (numpy would round an int to float).
@@ -120,8 +122,8 @@ def sweep_threshold(world: WorldModel, thresholds, policy: InterruptPolicy, seed
     false_alarms, misses = [0] * len(thresholds), [0] * len(thresholds)
     for seed in seeds:
         w = world.copy()
-        rng_world = rngmod.substream(seed, "world")
-        rng_obs = rngmod.substream(seed, "observation")
+        rng_world = rngmod.ScalarStream(seed, "world")
+        rng_obs = rngmod.ScalarStream(seed, "observation")
         actions = rngmod.substream(seed, "exploration").integers(len(ACTIONS), size=steps)
         quiet, hurt = [], []  # observed levels: away from every hazard; on damage
         s = w.state_id(w.start)

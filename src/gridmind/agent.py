@@ -66,9 +66,9 @@ class Agent:
         self.sites = SiteLog()
         self.positive_wanderings = 0
 
-        self.rng_world = rngmod.substream(seed, "world")
-        self.rng_expl = rngmod.substream(seed, "exploration")
-        self.rng_obs = rngmod.substream(seed, "observation")
+        self.rng_world = rngmod.ScalarStream(seed, "world")
+        self.rng_expl = rngmod.ScalarStream(seed, "exploration")
+        self.rng_obs = rngmod.ScalarStream(seed, "observation")
         self.wander_gate = rngmod.FirstDraws(self.seed, "wandering", horizon=config.steps)
 
         self.t = 0

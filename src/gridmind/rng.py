@@ -13,6 +13,11 @@ output), as uint64 arrays; the 128-bit arithmetic runs on (hi, lo) halves.
 ``FirstDraws`` serves the first draw step by step, and loads a step's
 state into one reused Generator when the step needs the rest of its
 stream.
+
+A run's ``world``, ``exploration`` and ``observation`` streams, and a
+sweep's ``world`` and ``observation`` ones, draw one scalar at a time, so
+``ScalarStream`` serves them from blocks of their PCG64's raw output by
+the rules numpy's Generator applies to that output, which keeps the bits.
 """
 
 from __future__ import annotations
@@ -187,3 +192,60 @@ class FirstDraws:
         pcg["state"], pcg["inc"] = s_hi << 64 | s_lo, inc_hi << 64 | inc_lo
         self._generator.bit_generator.state = self._state
         return self._generator
+
+
+RAW_BLOCK = 512  # raws a refill converts: a sweep seed's observation stream draws ~330
+
+
+class ScalarStream:
+    """``substream(seed, label)``'s ``random()`` and ``integers(n)``, bit for
+    bit, from blocks of its PCG64's raw output, filled from the first draw:
+    a double is a raw's top 53 bits; ``integers`` is numpy's 32-bit Lemire
+    rule on words that are a raw's low half, then its buffered high half."""
+
+    __slots__ = ("bit_generator", "doubles", "raws", "i", "taken", "half")
+
+    def __init__(self, seed: int, label: str):
+        self.bit_generator = substream(seed, label).bit_generator
+        self.doubles, self.raws, self.i, self.taken, self.half = [], [], 0, 0, None
+
+    def _fill(self) -> int:
+        raw = self.bit_generator.random_raw(RAW_BLOCK)
+        self.taken += len(self.raws)
+        self.doubles, self.raws = ((raw >> np.uint64(11)) * 2.0 ** -53).tolist(), raw.tolist()
+        return 0  # the index of the next raw
+
+    def random(self) -> float:
+        i = self.i
+        try:
+            value = self.doubles[i]
+        except IndexError:
+            i = self._fill()
+            value = self.doubles[i]
+        self.i = i + 1
+        return value
+
+    def integers(self, n: int) -> int:
+        """``Generator.integers(n)`` for 1 <= n < 2**32, as a Python int."""
+        if not 1 <= n <= MASK32:
+            raise ValueError(f"integers needs 1 <= n < 2**32, got {n}")
+        if n == 1:
+            return 0
+        threshold, m = (MASK32 + 1) % n, self._word() * n  # numpy's (2**32 - n) % n
+        while m & MASK32 < threshold:
+            m = self._word() * n
+        return m >> 32
+
+    def _word(self) -> int:  # PCG64's next_uint32, has_uint32 and all
+        half = self.half
+        if half is not None:
+            self.half = None
+            return half
+        i = self.i if self.i < len(self.raws) else self._fill()
+        self.i, self.half = i + 1, self.raws[i] >> 32
+        return self.raws[i] & MASK32
+
+    @property
+    def consumed(self) -> tuple:
+        """Where the stream stands: (raws drawn, whether a high half is buffered)."""
+        return self.taken + self.i, self.half is not None

@@ -233,6 +233,11 @@ thresholds = st.lists(st.sampled_from([0, 1, 3, 0.0, -0.0, 0.05, 0.5, 1.2, math.
        steps=st.integers(0, 40))
 @example(world=alley(), thresholds=[math.inf, 0, -0.0, 0.0, 0.5, 0.5], decay=1.0,
          seeds=[0, 1], steps=200)
+# Every step draws on both scalar streams, so each refills past one block,
+# some of them while a 32-bit half is buffered.
+@example(world=make_world(width=5, height=3, objects={"h": hazard("h", 2.0, (2, 1))},
+                          slip_probability=1.0, observation_confusion=0.9, start=(0, 0)),
+         thresholds=[0, 0.5, 1.2], decay=1.0, seeds=[0, 2 ** 64 - 1], steps=1_500)
 def test_sweep_equals_the_scalar_reference(world, thresholds, decay, seeds, steps):
     """The table-driven sweep gives the step-by-step sweep's table: the
     same thresholds, counts and costs, each count a Python int."""

@@ -2,8 +2,10 @@
 asking numpy: the wander gate's table of first draws (``rng.first_draws``,
 ``rng.FirstDraws``), the Generator that table loads for a gated step
 (``FirstDraws.generator``), the per-batch CDF of replay sampling
-(``replay.priority_cdf`` with ``replay.sample_from``), and the one batch
-of bounded integers the threshold sweep draws per seed for its actions.
+(``replay.priority_cdf`` with ``replay.sample_from``), the one batch
+of bounded integers the threshold sweep draws per seed for its actions,
+and the scalar ``random()`` and ``integers(n)`` that ``rng.ScalarStream``
+reads from blocks of raw PCG64 output.
 
 Every check compares with numpy itself (``default_rng`` and
 ``Generator.choice``), never with a copy of its algorithm, so a numpy
@@ -224,3 +226,59 @@ def test_batched_integers_equal_scalar_draws(n):
                     int(scalar.integers(n)) for _ in range(k)]
                 assert batch.bit_generator.state == scalar.bit_generator.state
                 assert batch.random() == scalar.random()
+
+
+# -- scalar draws from blocks of raw output ---------------------------------------
+
+# Lemire rejects about half of all words at 2**31 + 1; 2**32 - 1 is the widest
+# bound the 32-bit rule takes; n = 1 draws nothing.
+bounds = st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 2**31 + 1, 2**32 - 1])
+# Runs of one kind of draw: None for random(), n for integers(n).
+interleavings = st.lists(st.tuples(st.none() | bounds, st.integers(1, 600)),
+                         min_size=1, max_size=8)
+
+
+@pytest.mark.guard
+@settings(deadline=None, max_examples=60)
+@given(seed=st.sampled_from([0, 2**32, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+       label=st.sampled_from(sorted(rngmod.STREAMS)), runs=interleavings)
+# A half is buffered when the block runs out: the refill must keep it for the
+# next word, and a double must skip it.
+@example(seed=0, label="world", runs=[(None, rngmod.RAW_BLOCK - 1), (5, 1), (None, 1), (5, 2)])
+@example(seed=2**32, label="observation", runs=[(2**31 + 1, 700), (None, 3)])
+@example(seed=2**64 - 1, label="exploration", runs=[(2**32 - 1, 3), (1, 5), (None, 1)])
+def test_scalar_stream_equals_the_substream_generator(seed, label, runs):
+    """``ScalarStream`` gives what ``substream``'s Generator gives, draw for
+    draw, over any interleaving of ``random()`` and ``integers(n)`` repeated
+    past three block refills, and stands where that Generator stands: the
+    same raws drawn and the same buffered 32-bit half."""
+    ours, theirs = rngmod.ScalarStream(seed, label), rngmod.substream(seed, label)
+    while ours.consumed[0] <= 3 * rngmod.RAW_BLOCK:
+        for n, k in runs:
+            for _ in range(k):
+                if n is None:
+                    assert ours.random() == theirs.random()
+                else:
+                    got = ours.integers(n)
+                    assert type(got) is int and got == theirs.integers(n)
+        assert ours.random() == theirs.random()  # after equal sequences, the same next double
+    raws, buffered = ours.consumed
+    at = rngmod.substream(seed, label).bit_generator
+    at.advance(raws)
+    state = theirs.bit_generator.state
+    assert at.state["state"] == state["state"] and buffered == bool(state["has_uint32"])
+    for n in (0, 2**32):
+        with pytest.raises(ValueError):
+            ours.integers(n)
+    assert ours.consumed == (raws, buffered)
+    assert ours.random() == theirs.random()
+
+
+@pytest.mark.guard
+def test_a_scalar_stream_fills_at_its_first_draw():
+    stream = rngmod.ScalarStream(3, "world")
+    before = stream.bit_generator.state
+    assert stream.integers(1) == 0
+    assert stream.bit_generator.state == before and stream.consumed == (0, False)
+    stream.integers(2)
+    assert stream.consumed == (1, True)
