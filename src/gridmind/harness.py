@@ -15,8 +15,13 @@ import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
+from itertools import islice, repeat
+from operator import itemgetter
 from pathlib import Path
-from typing import Annotated
+from types import SimpleNamespace
+from typing import Annotated, NamedTuple
+
+import numpy as np
 
 from . import inputs
 from .agent import Agent
@@ -26,8 +31,8 @@ from .interventions import InterventionConfig, apply, by_name, canonical_suite, 
 from .planning import PlanSearchParams
 from .presets import PRESETS, get_world
 from .replay import MAX_ROLLOUT_DEPTH, WanderingParams
-from .suffering import (NAMES, FrustrationEvent, Ledger, Source, Timescale, event_rows, events,
-                        rescore)
+from .suffering import (NAMES, FrustrationEvent, Ledger, Source, Timescale, events, factors,
+                        fired, rescore)
 from .values import LearningParams
 from .world import WorldError, WorldModel
 
@@ -40,6 +45,10 @@ REPORT_COLUMNS = ("intervention", "world", "seed", "status", "total_frustration"
                   "obtained_reward", "episodes")
 
 SWEEP_COLUMNS = ("threshold", "false_alarms", "misses", "realized_cost")
+
+# The most rows a block of ``write_table`` holds, so a file is written in
+# small pieces and never held in memory.
+TABLE_BLOCK = 1024
 
 
 def say(msg: str):
@@ -151,16 +160,60 @@ def sweep_from_dict(data) -> tuple:
 # -- running ---------------------------------------------------------------
 
 
-def write_table(path, columns, rows):
-    """Write a CSV file: the ``columns`` header, then each row, a sequence in
-    column order, creating the file's directory. ``csv`` formats every
-    number: a float as its ``repr``, an int as its digits."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+class Coded(NamedTuple):
+    """Adjacent columns that hold ``cells[code]`` for each code of ``codes``,
+    an int array; an entry of ``cells`` is a tuple, one value a column, and
+    is formatted once."""
+    codes: np.ndarray
+    cells: tuple
+
+
+_EMPTY = {'""': ""}
+
+
+def _texts(rows):
+    """Each row, a tuple of values, as ``csv.writer`` writes it inside a
+    longer row: a string quoted when it must be, None empty, a number as
+    its ``str``. ``csv`` formats them all in one pass; it writes a row that
+    is one empty cell as '""', the one text that depends on the row."""
+    lines = []
+    csv.writer(SimpleNamespace(write=lines.append)).writerows(rows)
+    texts = list(map(itemgetter(slice(-2)), lines))  # without the "\r\n"
+    return map(_EMPTY.get, texts, texts)
+
+
+def _part(part):
+    """The texts of a part of a block of ``write_table``."""
+    if isinstance(part, np.ndarray):
+        return map(repr if part.dtype.kind == "f" else str, part.tolist())
+    if isinstance(part, Coded):
+        return map(list(_texts(part.cells)).__getitem__, part.codes.tolist())
+    return _texts(part)
+
+
+def write_table(path, columns, blocks, lead=()):
+    """Write a CSV file, byte for byte as ``csv.writer`` writes the same
+    rows: the ``columns`` header, then each block of rows, each row after
+    the ``lead`` values. A block is a tuple of equal-length parts, each
+    one or more adjacent columns: a numpy array, one column of numbers, a
+    float written as its ``repr`` and any other as its ``str``; a ``Coded``
+    part; or a sequence of rows of values (numbers, strings, None), which
+    ``csv`` formats, so quoting is its own. Parts are joined into rows in
+    C-level passes, and a block is written as soon as it is formatted."""
+    head = f"{next(_texts([lead]))}," if lead else ""
+    sep = "\r\n" + head
+    single = len(columns) == 1  # csv quotes a row that is one empty cell
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(rows)
+        header = next(_texts([columns]))
+        fh.write(((header or '""') if single else header) + "\r\n")
+        for block in blocks:
+            lines = list(map(",".join, zip(*map(_part, block))))
+            if single:
+                lines = [line or '""' for line in lines]
+            if lines:
+                fh.write(head)
+                fh.write(sep.join(lines))
+                fh.write("\r\n")
 
 
 def ledger_totals(ledger: Ledger) -> dict:
@@ -191,28 +244,61 @@ def summarize(agent: Agent, config: RunConfig, ledger: Ledger) -> dict:
     }
 
 
+def out_path(out_dir) -> Path:
+    """The output directory, made (with its parents) before a command
+    simulates anything: a path that cannot be a directory fails at once."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def row_blocks(rows):
+    """Rows, each a sequence in column order, as ``write_table`` blocks of
+    one part, up to ``TABLE_BLOCK`` rows each."""
+    rows = iter(rows)
+    while chunk := list(islice(rows, TABLE_BLOCK)):
+        yield (chunk,)
+
+
+def write_events(path, run_id: str, sites, terms):
+    """Write events.csv: a row an event of ``events(sites, terms)``, after
+    the run id, from the fired-slot columns (no ``FrustrationEvent`` is
+    built), ``TABLE_BLOCK`` events at a time. Names, certainty, attention
+    and count are formatted once a source code in each block."""
+    certainty, attention = factors(terms)
+    sources, timescales = (tuple(zip(names)) for names in NAMES)  # one-cell rows
+    constants = tuple(zip(certainty, attention, repeat(1)))
+    pieces = ((column[lo:lo + TABLE_BLOCK] for column in block)
+              for block in fired(sites, terms) for lo in range(0, len(block[0]), TABLE_BLOCK))
+    write_table(path, EVENT_COLUMNS, (
+        (t, Coded(source, sources), Coded(timescale, timescales), expected, obtained,
+         Coded(source, constants), frustration)
+        for t, source, timescale, expected, obtained, frustration in pieces),
+        lead=(run_id,))
+
+
 def run(config: RunConfig, out_dir=None) -> tuple[Agent, dict]:
     """Execute one seeded run and score its loss sites in columns. With
-    out_dir, write there events.csv (its ``event_rows``, read from the
-    slot columns: no ``FrustrationEvent`` is built), summary.json and, when
-    tracing, trace.csv; each CSV through ``write_table``. Deterministic."""
+    out_dir, made before the first step, write there events.csv
+    (``write_events``), summary.json and, when tracing, trace.csv; each
+    CSV through ``write_table``, a block of columns at a time.
+    Deterministic."""
     world = open_world(config.world)
+    out = None if out_dir is None else out_path(out_dir)
     agent = Agent(config, world, config.seed)
     agent.run(config.steps)
     summary = summarize(agent, config, rescore(agent.sites, agent.terms))
-    if out_dir is None:
+    if out is None:
         return agent, summary
-    out = Path(out_dir)
     rid = config.run_id()
-    write_table(out / f"{rid}_events.csv", EVENT_COLUMNS,
-                event_rows(agent.sites, agent.terms, NAMES, (rid,)))
+    write_events(out / f"{rid}_events.csv", rid, agent.sites, agent.terms)
     with open(out / f"{rid}_summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     if config.trace:
-        write_table(out / f"{rid}_trace.csv", ("t", "kind", "detail"),
-                    ((item.t, item.kind, json.dumps(item.detail, sort_keys=True))
-                     for item in agent.trace))
+        write_table(out / f"{rid}_trace.csv", ("t", "kind", "detail"), row_blocks(
+            (item.t, item.kind, json.dumps(item.detail, sort_keys=True))
+            for item in agent.trace))
     return agent, summary
 
 
@@ -318,6 +404,7 @@ def experiment(matrix: dict, out_dir=None) -> tuple[list, int]:
     simulation that raises fails every cell of its class. Each (world,
     seed) done ``say``s the cells done and failed so far, and an ETA."""
     interventions, worlds, seeds, base = _matrix(matrix)
+    out = None if out_dir is None else out_path(out_dir)
     classes: dict[tuple, list] = {}
     for i, iv in enumerate(interventions):
         classes.setdefault(apply(base, iv), []).append(i)
@@ -361,7 +448,7 @@ def experiment(matrix: dict, out_dir=None) -> tuple[list, int]:
 
     rows.sort(key=lambda r: (r["intervention"], r["world"], r["seed"] == "median",
                              int(r["seed"]) if r["seed"].isdigit() else -1))
-    if out_dir is not None:
-        write_table(Path(out_dir) / "report.csv", REPORT_COLUMNS,
-                    ([row[c] for c in REPORT_COLUMNS] for row in rows))
+    if out is not None:
+        write_table(out / "report.csv", REPORT_COLUMNS,
+                    row_blocks([row[c] for c in REPORT_COLUMNS] for row in rows))
     return rows, failures

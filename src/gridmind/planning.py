@@ -18,7 +18,7 @@ from typing import Annotated, NamedTuple
 from .inputs import Range, check
 from .suffering import LossSite, Source
 from .values import ValueStore
-from .world import MOVES, WorldModel
+from .world import WorldModel
 
 
 def count_paths(branching: int, depth: int) -> int:
@@ -130,7 +130,7 @@ def plan_search(model: WorldModel, s: int, goal: Goal, store: ValueStore,
     target = goal.target - base
     V = store.V
     w = params.heuristic_weight
-    next_flat = model.geometry.next_flat
+    moves, cap = model.geometry.moves, params.branching_cap
     counter = 0
     heap = [(-w * V.get(s, 0.0), counter, flat, 0)]
     parent = {flat: None}
@@ -140,12 +140,12 @@ def plan_search(model: WorldModel, s: int, goal: Goal, store: ValueStore,
         expansions += 1
         if depth >= params.max_depth:
             continue
-        children = []
-        for a, nxt in zip(MOVES, next_flat[f]):  # rows follow ACTIONS: MOVES, then STAY
-            if nxt != f and nxt not in parent:
-                children.append((-V.get(base + nxt, 0.0), a, nxt))
+        children = [(-V.get(base + nxt, 0.0), a, nxt) for a, nxt in moves[f]
+                    if nxt not in parent]
         children.sort()  # by value, then action
-        for neg_v, a, nxt in children[: params.branching_cap]:
+        if len(children) > cap:
+            del children[cap:]
+        for neg_v, a, nxt in children:
             parent[nxt] = (f, a)
             if nxt == target:
                 if stats is not None:

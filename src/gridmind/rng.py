@@ -156,7 +156,8 @@ class FirstDraws:
     ``generator`` loads the step's PCG64 state into the one Generator this
     table owns, built once from a constant seed, so each call overwrites
     what the previous step left in it: a step's Generator is good until
-    the next call.
+    the next call. The first draws are kept as Python floats, which a
+    gate compares faster than numpy scalars.
     """
 
     BLOCK = 2048
@@ -166,7 +167,7 @@ class FirstDraws:
         self.label = label
         self.block = max(1, min(horizon, self.BLOCK))
         self.start = 0
-        self.values = np.empty(0)
+        self.values = []
         self.lanes = np.empty((0, 4), np.uint64)
         self._generator = np.random.Generator(np.random.PCG64(0))
         self._state = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 0},
@@ -175,7 +176,8 @@ class FirstDraws:
     def _index(self, t: int) -> int:
         i = t - self.start
         if not 0 <= i < len(self.values):
-            self.values, self.lanes = first_draws(self.seed, self.label, t, self.block)
+            values, self.lanes = first_draws(self.seed, self.label, t, self.block)
+            self.values = values.tolist()
             self.start, i = t, 0
             self.block = self.BLOCK
         return i

@@ -14,8 +14,9 @@ source, what was expected before any intervention scaled it, and what was
 obtained. One column pass scores a ``SiteLog`` of them under a set of
 equation ``Terms`` into event slots, two a site: its event, then its
 MetaAversion child. ``rescore`` sums the slots into a ``Ledger`` with
-``np.add.at``, in slot order; ``event_rows`` reads the fired slots as
-the fields of ``events`` and of the rows of ``events.csv``.
+``np.add.at``, in slot order; ``fired`` yields the fired slots in
+columns, which ``events`` reads as events and ``events.csv`` is written
+from.
 """
 
 from __future__ import annotations
@@ -246,7 +247,7 @@ def _site_log(sites) -> SiteLog:
     return log
 
 
-def _factors(terms: Terms) -> tuple:
+def factors(terms: Terms) -> tuple:
     """Each source code's certainty and attention, checked once as ``evaluate``
     checks an event's: the terms' own (an int stays an int), but attention
     times realness for a wander source, and certainty 1.0 for a child."""
@@ -275,7 +276,7 @@ def _blocks(log: SiteLog, terms: Terms):
     and the event hurt. Each frustration takes the equation's factors in
     its order, so it equals ``evaluate``'s bit for bit. Each block reads a
     copy of the log's columns, so the log stays appendable."""
-    attention_of = np.array(_factors(terms)[1], dtype=float)
+    attention_of = np.array(factors(terms)[1], dtype=float)
     for lo in range(0, len(log), BLOCK):
         hi = lo + BLOCK
         t = np.frombuffer(log.t[lo:hi], dtype=np.int64)
@@ -305,27 +306,27 @@ def _blocks(log: SiteLog, terms: Terms):
                      _slots(n, frustration, child))
 
 
-def event_rows(sites, terms: Terms, lookup=(_SOURCES, _TIMESCALES), lead=()):
-    """The fields of ``events(sites, terms)`` as rows, read from the fired
-    slots a block at a time, after the ``lead`` values, with source and
-    timescale looked up in ``lookup``: the enums, or events.csv's ``NAMES``.
-    Certainty and attention are looked up by source code (``_factors``)."""
-    sources, timescales = lookup
-    certainty, attention = _factors(terms)
-    for fires, t, source, timescale, *values, frustration in _blocks(_site_log(sites), terms):
-        codes = source[fires].tolist()
-        yield from zip(*map(repeat, lead), t[fires].tolist(), map(sources.__getitem__, codes),
-                       map(timescales.__getitem__, timescale[fires].tolist()),
-                       *(value[fires].tolist() for value in values),
-                       map(certainty.__getitem__, codes), map(attention.__getitem__, codes),
-                       repeat(1), frustration[fires].tolist())
+def fired(sites, terms: Terms):
+    """The fired slots of ``sites`` under ``terms``, a block at a time: the
+    columns t, source code, timescale code, expected, obtained and
+    frustration, as numpy arrays. A slot's certainty and attention are its
+    source code's in ``factors(terms)``."""
+    for block in _blocks(_site_log(sites), terms):
+        yield tuple(column[block.fires] for column in block[1:])
 
 
 def events(sites, terms: Terms):
     """The events a run with these sites ``(t, source, expected, obtained)``
     records under ``terms``, in order: a ``FrustrationEvent`` a fired slot.
     Certainty and attention are the terms' own values."""
-    return map(FrustrationEvent._make, event_rows(sites, terms))
+    certainty, attention = factors(terms)
+    for t, source, timescale, expected, obtained, frustration in fired(sites, terms):
+        codes = source.tolist()
+        yield from map(FrustrationEvent._make, zip(
+            t.tolist(), map(_SOURCES.__getitem__, codes),
+            map(_TIMESCALES.__getitem__, timescale.tolist()), expected.tolist(),
+            obtained.tolist(), map(certainty.__getitem__, codes),
+            map(attention.__getitem__, codes), repeat(1), frustration.tolist()))
 
 
 def rescore(sites, terms: Terms) -> Ledger:

@@ -78,6 +78,20 @@ class Relocation:
 MOVES = (Action.NORTH, Action.EAST, Action.SOUTH, Action.WEST)
 
 
+class _Moves(dict):
+    """``moves[f]``, built on first use: a table of every cell's pairs would
+    add about 28 MiB to a grid at the cell cap."""
+
+    def __init__(self, next_flat: tuple):
+        super().__init__()
+        self.next_flat = next_flat
+
+    def __missing__(self, f: int) -> tuple:
+        row = self.next_flat[f]
+        moves = self[f] = tuple((a, row[a]) for a in MOVES if row[a] != f)
+        return moves
+
+
 class Geometry:
     """Flat-cell tables of one wall layout; flat id ``y * width + x``.
 
@@ -90,7 +104,8 @@ class Geometry:
     * ``next_flat[f][a]``: where the intended move ``a`` lands (walls and
       edges block, leaving the agent in place);
     * ``neighbors[f]``: the cells one move away, in N, E, S, W order,
-      blocked moves left out;
+      blocked moves left out; ``moves[f]``: the same moves as ``(action,
+      cell)`` pairs, each cell's built on first use;
     * ``within(reach, f)``: the cells within ``reach`` moves, without f
       itself, in ascending flat order, each built on first use.
     """
@@ -104,6 +119,7 @@ class Geometry:
                                for f in range(self.n))
         self.neighbors = tuple(tuple(row[a] for a in MOVES if row[a] != f)
                                for f, row in enumerate(self.next_flat))
+        self.moves = _Moves(self.next_flat)
         self._within = {}
 
     def _target(self, f: int, a: Action) -> int:

@@ -4,18 +4,24 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import FrozenInstanceError, fields, is_dataclass
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gridmind import cli, suffering
 from gridmind import rng as rngmod
+from gridmind.agent import Agent
 from gridmind.cli import main as cli_main
-from gridmind.harness import (EVENT_COLUMNS, ConfigError, RunConfig, config_from_dict,
-                              experiment, load_config, run)
+from gridmind.harness import (EVENT_COLUMNS, Coded, ConfigError, RunConfig, config_from_dict,
+                              experiment, load_config, run, write_events, write_table)
 from gridmind.inputs import InputError
-from gridmind.suffering import Source, events
+from gridmind.suffering import LossSite, Source, Terms, events
+from test_suffering import (SITE_SOURCES, any_terms, loss_sites, rendered, rendered_events,
+                            written)
 from gridmind.presets import corridor
 from gridmind.world import Action, WorldModel, WorldObject, step, world_from_dict
 
@@ -446,6 +452,116 @@ def test_cli_sweep_threshold_of_the_shipped_policy_is_golden(tmp_path):
                      "--out", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest() == \
         "cb73c53c5392a5209f7010726931bf675f0db6c52819a6211be38d3e008f5880"
+
+
+# -- an --out that cannot be a directory fails before anything is simulated -----
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("simulated before making the output directory")
+
+
+@pytest.mark.parametrize("command", ["simulate", "experiment", "sweep-threshold"])
+def test_an_out_path_that_is_a_file_exits_3_before_any_step(tmp_path, capsys, monkeypatch,
+                                                            command):
+    monkeypatch.setattr(Agent, "step_once", refuse)
+    monkeypatch.setattr(cli, "sweep_threshold", refuse)  # a sweep steps no Agent
+    config, matrix, policy = (tmp_path / name for name in ("run.json", "m.json", "p.json"))
+    config.write_text(json.dumps(BASE_CONFIG))
+    matrix.write_text(json.dumps({"worlds": ["corridor"], "seeds": 2, "steps": 50}))
+    policy.write_text(json.dumps({"thresholds": [0.0, 1.0], "seeds": 2, "steps": 50}))
+    taken = tmp_path / "taken"
+    taken.write_text("a file")
+    argv = {"simulate": ["--config", str(config)],
+            "experiment": ["--matrix", str(matrix)],
+            "sweep-threshold": ["--world", "hazard_alley", "--policy", str(policy)]}[command]
+    assert cli_main([command, *argv, "--out", str(taken)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: FileExistsError: ") and err.count("\n") == 1
+    assert taken.read_text() == "a file"
+
+
+# -- write_table writes the bytes csv.writer writes ------------------------------
+
+names = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "\u00e9"]) | st.characters(),
+                max_size=6)
+EDGE_FLOATS = [-0.0, 5e-324, 1e-05, 1e16, math.inf, -math.inf]
+numbers = st.sampled_from(EDGE_FLOATS) | st.floats() | st.integers() | st.booleans()
+
+
+def part(draw, columns):
+    """Adjacent columns as one part of a ``write_table`` block: a numpy
+    array of one column of floats or ints, a ``Coded`` part, or rows."""
+    kind = draw(st.sampled_from(["array", "coded", "rows"]))
+    if kind == "array" and len(columns) == 1:
+        column = columns[0]
+        if all(type(v) is float for v in column):
+            return np.array(column, dtype=float)
+        if all(type(v) is int and -2**63 <= v < 2**63 for v in column):
+            return np.array(column, dtype=np.int64)
+    rows = list(zip(*columns))
+    if kind == "coded":  # by repr, which tells -0.0 from 0.0 and 1 from True
+        codes = {}
+        for row in rows:
+            codes.setdefault(repr(row), (len(codes), row))
+        return Coded(np.array([codes[repr(row)][0] for row in rows], dtype=np.int64),
+                     tuple(row for _, row in codes.values()))
+    return rows
+
+
+@st.composite
+def tables(draw):
+    """(header, blocks, lead, rows): blocks of parts, some blocks empty,
+    and the rows they hold."""
+    width, lead = draw(st.integers(1, 4)), draw(st.lists(names, max_size=2))
+    header = draw(st.lists(names, min_size=len(lead) + width, max_size=len(lead) + width))
+    rows = draw(st.lists(st.lists(names | numbers | st.none(), min_size=width,
+                                  max_size=width), max_size=12))
+    cuts = [0, *sorted(draw(st.lists(st.integers(0, len(rows)), max_size=4))), len(rows)]
+    blocks = []
+    for lo, hi in zip(cuts, cuts[1:]):  # a repeated cut is an empty block
+        columns = [list(column) for column in zip(*rows[lo:hi])] or [[] for _ in range(width)]
+        edges = [0, *sorted(set(draw(st.lists(st.integers(1, width - 1), max_size=3))
+                                if width > 1 else ())), width]
+        blocks.append(tuple(part(draw, columns[a:b]) for a, b in zip(edges, edges[1:])))
+    return header, blocks, lead, [[*lead, *row] for row in rows]
+
+
+@pytest.mark.guard
+@settings(max_examples=400, deadline=None)
+@given(table=tables())
+def test_write_table_writes_what_csv_writes(table):
+    header, blocks, lead, rows = table
+    assert written(write_table, header, blocks, lead) == rendered([header, *rows])
+
+
+@pytest.mark.guard
+@settings(max_examples=300, deadline=None)
+@given(run_id=names, sites=loss_sites(st.sampled_from(EDGE_FLOATS) | st.floats(-10, 10)),
+       terms=any_terms, meta_aversion=st.booleans(), block=st.integers(1, 4))
+def test_events_csv_is_what_csv_writes_of_the_events(run_id, sites, terms, meta_aversion,
+                                                      block):
+    """Run ids that need quoting, edge floats, int attention, and blocks
+    of a few sites, some with no event."""
+    terms = replace(terms, meta_aversion=meta_aversion)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(suffering, "BLOCK", block)
+        assert written(write_events, run_id, sites, terms) == rendered_events(
+            run_id, sites, terms)
+
+
+@pytest.mark.guard
+@pytest.mark.parametrize("n", [suffering.BLOCK - 1, suffering.BLOCK, suffering.BLOCK + 1])
+def test_events_csv_straddles_the_block_edge(n):
+    """Sites up to and past the first block's edge; a block of SelfEval
+    sites that do not fall short holds no event."""
+    quiet = [LossSite(t, Source.SELF_EVAL, 1.0, 2.0) for t in range(suffering.BLOCK)]
+    mixed = [LossSite(t, SITE_SOURCES[t % len(SITE_SOURCES)], t % 7 - 2.5, (t % 3) * 0.5)
+             for t in range(n)]
+    terms = Terms(attention=2, realness=0.5, meta_aversion=True)
+    for sites in (mixed, quiet + mixed):
+        assert written(write_events, "a run, \"quoted\"", sites, terms) == rendered_events(
+            "a run, \"quoted\"", sites, terms)
 
 
 # -- input boundary: bad input exits 2 with a path, never a traceback -----------

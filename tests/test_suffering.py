@@ -1,7 +1,9 @@
 import csv
 import io
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +12,11 @@ from hypothesis import strategies as st
 
 from conftest import scored, typed
 from gridmind import suffering
-from gridmind.harness import ledger_totals
+from gridmind.harness import EVENT_COLUMNS, ledger_totals, write_events
 from gridmind.suffering import (DEFAULT_TIMESCALE_WEIGHTS, TIMESCALE, FrustrationEvent,
-                                NAMES, Ledger, LedgerError, LossSite, SiteLog, Source,
-                                Terms, Timescale, certainty_of, evaluate, event_rows,
-                                events, make_event, rescore)
+                                Ledger, LedgerError, LossSite, SiteLog, Source, Terms,
+                                Timescale, certainty_of, evaluate, events, make_event,
+                                rescore)
 
 
 def test_worked_example_identity_multipliers():
@@ -382,23 +384,37 @@ def test_rescore_leaves_its_log_appendable():
 
 
 def rendered(rows) -> str:
-    """Rows as ``csv`` writes them to events.csv."""
+    """Rows as ``csv`` writes them to a file."""
     out = io.StringIO()
     csv.writer(out).writerows(rows)
     return out.getvalue()
 
 
-def assert_same_events(sites, terms: Terms):
+def written(write, *args) -> str:
+    """What ``write(path, *args)`` writes to the file at ``path``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        write(path, *args)
+        return path.read_bytes().decode()
+
+
+def rendered_events(run_id: str, sites, terms: Terms) -> str:
+    """events.csv as ``csv`` writes the reference events' rows."""
+    return rendered([EVENT_COLUMNS, *((run_id, ev.t, ev.source.value, ev.timescale.value,
+                                       *ev[3:]) for ev in scored(sites, terms))])
+
+
+def assert_same_events(sites, terms: Terms, run_id="r"):
     """``events`` equals the scalar reference field by field, types and signed
     zeros included: ``repr`` tells ``-0.0`` from ``0.0`` and ``2`` from ``2.0``.
-    The rows of events.csv, read from the same slots, render to the bytes
+    events.csv, written from the same slots, holds the bytes ``csv`` writes
     of the reference events' rows."""
     reference = scored(site_log(sites), terms)
     want = repr(typed(reference))
     assert repr(typed(events(site_log(sites), terms))) == want
     assert repr(typed(events(list(sites), terms))) == want  # any iterable of sites
-    assert rendered(event_rows(site_log(sites), terms, NAMES, ("r",))) == rendered(
-        ("r", ev.t, ev.source.value, ev.timescale.value, *ev[3:]) for ev in reference)
+    assert written(write_events, run_id, site_log(sites), terms) == rendered_events(
+        run_id, sites, terms)
 
 
 @pytest.mark.guard
