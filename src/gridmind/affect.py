@@ -70,7 +70,7 @@ def check_interrupts(agent, s: int, policy: InterruptPolicy):
     level = threat_level(agent.world, s, policy)
     if level > policy.threat_threshold:
         return Interrupt(InterruptKind.THREAT, {"threat_level": level})
-    intention = getattr(agent, "intention", None)
+    intention = agent.intention
     if intention is not None and not intention.terminal:
         desire = policy.desire_threshold
         goals = suggest_goals(agent.world, agent.store, s, reach=agent.goal_reach,

@@ -53,8 +53,8 @@ def cmd_sweep(args) -> int:
     thresholds, policy, seeds, steps = harness.sweep_from_dict(load_json(args.policy))
     path = harness.out_path(args.out) / "sweep.csv"
     table = sweep_threshold(world, thresholds, policy, seeds, steps=steps)
-    harness.write_table(path, harness.SWEEP_COLUMNS, harness.row_blocks(
-        [row[c] for c in harness.SWEEP_COLUMNS] for row in table))
+    harness.write_table(path, harness.SWEEP_COLUMNS,
+                        ([row[c] for c in harness.SWEEP_COLUMNS] for row in table))
     print(f"wrote {path} ({len(table)} thresholds)")
     return 0
 

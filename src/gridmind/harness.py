@@ -15,13 +15,10 @@ import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
-from itertools import islice, repeat
-from operator import itemgetter
+from itertools import repeat
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Annotated, NamedTuple
-
-import numpy as np
+from typing import Annotated
 
 from . import inputs
 from .agent import Agent
@@ -46,7 +43,7 @@ REPORT_COLUMNS = ("intervention", "world", "seed", "status", "total_frustration"
 
 SWEEP_COLUMNS = ("threshold", "false_alarms", "misses", "realized_cost")
 
-# The most rows a block of ``write_table`` holds, so a file is written in
+# The most events.csv rows formatted at once, so the file is written in
 # small pieces and never held in memory.
 TABLE_BLOCK = 1024
 
@@ -160,60 +157,12 @@ def sweep_from_dict(data) -> tuple:
 # -- running ---------------------------------------------------------------
 
 
-class Coded(NamedTuple):
-    """Adjacent columns that hold ``cells[code]`` for each code of ``codes``,
-    an int array; an entry of ``cells`` is a tuple, one value a column, and
-    is formatted once."""
-    codes: np.ndarray
-    cells: tuple
-
-
-_EMPTY = {'""': ""}
-
-
-def _texts(rows):
-    """Each row, a tuple of values, as ``csv.writer`` writes it inside a
-    longer row: a string quoted when it must be, None empty, a number as
-    its ``str``. ``csv`` formats them all in one pass; it writes a row that
-    is one empty cell as '""', the one text that depends on the row."""
-    lines = []
-    csv.writer(SimpleNamespace(write=lines.append)).writerows(rows)
-    texts = list(map(itemgetter(slice(-2)), lines))  # without the "\r\n"
-    return map(_EMPTY.get, texts, texts)
-
-
-def _part(part):
-    """The texts of a part of a block of ``write_table``."""
-    if isinstance(part, np.ndarray):
-        return map(repr if part.dtype.kind == "f" else str, part.tolist())
-    if isinstance(part, Coded):
-        return map(list(_texts(part.cells)).__getitem__, part.codes.tolist())
-    return _texts(part)
-
-
-def write_table(path, columns, blocks, lead=()):
-    """Write a CSV file, byte for byte as ``csv.writer`` writes the same
-    rows: the ``columns`` header, then each block of rows, each row after
-    the ``lead`` values. A block is a tuple of equal-length parts, each
-    one or more adjacent columns: a numpy array, one column of numbers, a
-    float written as its ``repr`` and any other as its ``str``; a ``Coded``
-    part; or a sequence of rows of values (numbers, strings, None), which
-    ``csv`` formats, so quoting is its own. Parts are joined into rows in
-    C-level passes, and a block is written as soon as it is formatted."""
-    head = f"{next(_texts([lead]))}," if lead else ""
-    sep = "\r\n" + head
-    single = len(columns) == 1  # csv quotes a row that is one empty cell
+def write_table(path, columns, rows):
+    """Write a CSV file of the ``columns`` header and ``rows`` through ``csv.writer``."""
     with open(path, "w", newline="") as fh:
-        header = next(_texts([columns]))
-        fh.write(((header or '""') if single else header) + "\r\n")
-        for block in blocks:
-            lines = list(map(",".join, zip(*map(_part, block))))
-            if single:
-                lines = [line or '""' for line in lines]
-            if lines:
-                fh.write(head)
-                fh.write(sep.join(lines))
-                fh.write("\r\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def ledger_totals(ledger: Ledger) -> dict:
@@ -252,37 +201,46 @@ def out_path(out_dir) -> Path:
     return out
 
 
-def row_blocks(rows):
-    """Rows, each a sequence in column order, as ``write_table`` blocks of
-    one part, up to ``TABLE_BLOCK`` rows each."""
-    rows = iter(rows)
-    while chunk := list(islice(rows, TABLE_BLOCK)):
-        yield (chunk,)
+def _csv_line(row) -> str:
+    """``row`` as ``csv.writer`` writes it, without the line end
+    (``writerow`` returns what its file's ``write`` returns)."""
+    return csv.writer(SimpleNamespace(write=str)).writerow(row)[:-2]
 
 
 def write_events(path, run_id: str, sites, terms):
-    """Write events.csv: a row an event of ``events(sites, terms)``, after
-    the run id, from the fired-slot columns (no ``FrustrationEvent`` is
-    built), ``TABLE_BLOCK`` events at a time. Names, certainty, attention
-    and count are formatted once a source code in each block."""
-    certainty, attention = factors(terms)
-    sources, timescales = (tuple(zip(names)) for names in NAMES)  # one-cell rows
-    constants = tuple(zip(certainty, attention, repeat(1)))
-    pieces = ((column[lo:lo + TABLE_BLOCK] for column in block)
-              for block in fired(sites, terms) for lo in range(0, len(block[0]), TABLE_BLOCK))
-    write_table(path, EVENT_COLUMNS, (
-        (t, Coded(source, sources), Coded(timescale, timescales), expected, obtained,
-         Coded(source, constants), frustration)
-        for t, source, timescale, expected, obtained, frustration in pieces),
-        lead=(run_id,))
+    """Write events.csv, byte for byte as ``csv.writer`` writes the rows of
+    ``events(sites, terms)`` after the run id, from the fired-slot columns
+    of ``fired``: no ``FrustrationEvent`` is built. Floats are written as
+    their ``repr`` and ints as their ``str`` over whole columns, source and
+    timescale names (plain words) as they are; the run id, and each source
+    code's certainty, attention and count, go through ``csv`` once. At most
+    ``TABLE_BLOCK`` rows are formatted at once."""
+    head = _csv_line((run_id, ""))  # a trailing "," after the quoted id
+    sep = "\r\n" + head
+    sources, timescales = NAMES
+    constants = tuple(map(_csv_line, zip(*factors(terms), repeat(1))))
+
+    # A function, so that a slice's lists are freed before ``fired`` scores
+    # the next block: the peak stays one block and one slice.
+    def rows(t, source, timescale, expected, obtained, frustration):
+        return head + sep.join(map(",".join, zip(
+            map(str, t), map(sources.__getitem__, source),
+            map(timescales.__getitem__, timescale), map(repr, expected),
+            map(repr, obtained), map(constants.__getitem__, source),
+            map(repr, frustration)))) + "\r\n"
+
+    with open(path, "w", newline="") as fh:
+        fh.write(_csv_line(EVENT_COLUMNS) + "\r\n")
+        for block in fired(sites, terms):
+            for lo in range(0, len(block[0]), TABLE_BLOCK):
+                fh.write(rows(*(column[lo:lo + TABLE_BLOCK].tolist() for column in block)))
 
 
 def run(config: RunConfig, out_dir=None) -> tuple[Agent, dict]:
     """Execute one seeded run and score its loss sites in columns. With
     out_dir, made before the first step, write there events.csv
-    (``write_events``), summary.json and, when tracing, trace.csv; each
-    CSV through ``write_table``, a block of columns at a time.
-    Deterministic."""
+    (``write_events``), summary.json and, when tracing, trace.csv
+    (``write_table``). Deterministic."""
     world = open_world(config.world)
     out = None if out_dir is None else out_path(out_dir)
     agent = Agent(config, world, config.seed)
@@ -296,9 +254,9 @@ def run(config: RunConfig, out_dir=None) -> tuple[Agent, dict]:
         json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     if config.trace:
-        write_table(out / f"{rid}_trace.csv", ("t", "kind", "detail"), row_blocks(
-            (item.t, item.kind, json.dumps(item.detail, sort_keys=True))
-            for item in agent.trace))
+        write_table(out / f"{rid}_trace.csv", ("t", "kind", "detail"),
+                    ((item.t, item.kind, json.dumps(item.detail, sort_keys=True))
+                     for item in agent.trace))
     return agent, summary
 
 
@@ -450,5 +408,5 @@ def experiment(matrix: dict, out_dir=None) -> tuple[list, int]:
                              int(r["seed"]) if r["seed"].isdigit() else -1))
     if out is not None:
         write_table(out / "report.csv", REPORT_COLUMNS,
-                    row_blocks([row[c] for c in REPORT_COLUMNS] for row in rows))
+                    ([row[c] for c in REPORT_COLUMNS] for row in rows))
     return rows, failures

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -16,8 +17,8 @@ from gridmind import cli, suffering
 from gridmind import rng as rngmod
 from gridmind.agent import Agent
 from gridmind.cli import main as cli_main
-from gridmind.harness import (EVENT_COLUMNS, Coded, ConfigError, RunConfig, config_from_dict,
-                              experiment, load_config, run, write_events, write_table)
+from gridmind.harness import (EVENT_COLUMNS, TABLE_BLOCK, ConfigError, RunConfig,
+                              config_from_dict, experiment, load_config, run, write_events)
 from gridmind.inputs import InputError
 from gridmind.suffering import LossSite, Source, Terms, events
 from test_suffering import (SITE_SOURCES, any_terms, loss_sites, rendered, rendered_events,
@@ -481,58 +482,11 @@ def test_an_out_path_that_is_a_file_exits_3_before_any_step(tmp_path, capsys, mo
     assert taken.read_text() == "a file"
 
 
-# -- write_table writes the bytes csv.writer writes ------------------------------
+# -- events.csv holds the bytes csv.writer writes of the events ----------------
 
 names = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "\u00e9"]) | st.characters(),
                 max_size=6)
 EDGE_FLOATS = [-0.0, 5e-324, 1e-05, 1e16, math.inf, -math.inf]
-numbers = st.sampled_from(EDGE_FLOATS) | st.floats() | st.integers() | st.booleans()
-
-
-def part(draw, columns):
-    """Adjacent columns as one part of a ``write_table`` block: a numpy
-    array of one column of floats or ints, a ``Coded`` part, or rows."""
-    kind = draw(st.sampled_from(["array", "coded", "rows"]))
-    if kind == "array" and len(columns) == 1:
-        column = columns[0]
-        if all(type(v) is float for v in column):
-            return np.array(column, dtype=float)
-        if all(type(v) is int and -2**63 <= v < 2**63 for v in column):
-            return np.array(column, dtype=np.int64)
-    rows = list(zip(*columns))
-    if kind == "coded":  # by repr, which tells -0.0 from 0.0 and 1 from True
-        codes = {}
-        for row in rows:
-            codes.setdefault(repr(row), (len(codes), row))
-        return Coded(np.array([codes[repr(row)][0] for row in rows], dtype=np.int64),
-                     tuple(row for _, row in codes.values()))
-    return rows
-
-
-@st.composite
-def tables(draw):
-    """(header, blocks, lead, rows): blocks of parts, some blocks empty,
-    and the rows they hold."""
-    width, lead = draw(st.integers(1, 4)), draw(st.lists(names, max_size=2))
-    header = draw(st.lists(names, min_size=len(lead) + width, max_size=len(lead) + width))
-    rows = draw(st.lists(st.lists(names | numbers | st.none(), min_size=width,
-                                  max_size=width), max_size=12))
-    cuts = [0, *sorted(draw(st.lists(st.integers(0, len(rows)), max_size=4))), len(rows)]
-    blocks = []
-    for lo, hi in zip(cuts, cuts[1:]):  # a repeated cut is an empty block
-        columns = [list(column) for column in zip(*rows[lo:hi])] or [[] for _ in range(width)]
-        edges = [0, *sorted(set(draw(st.lists(st.integers(1, width - 1), max_size=3))
-                                if width > 1 else ())), width]
-        blocks.append(tuple(part(draw, columns[a:b]) for a, b in zip(edges, edges[1:])))
-    return header, blocks, lead, [[*lead, *row] for row in rows]
-
-
-@pytest.mark.guard
-@settings(max_examples=400, deadline=None)
-@given(table=tables())
-def test_write_table_writes_what_csv_writes(table):
-    header, blocks, lead, rows = table
-    assert written(write_table, header, blocks, lead) == rendered([header, *rows])
 
 
 @pytest.mark.guard
@@ -551,10 +505,12 @@ def test_events_csv_is_what_csv_writes_of_the_events(run_id, sites, terms, meta_
 
 
 @pytest.mark.guard
-@pytest.mark.parametrize("n", [suffering.BLOCK - 1, suffering.BLOCK, suffering.BLOCK + 1])
+@pytest.mark.parametrize("n", [TABLE_BLOCK - 1, TABLE_BLOCK, TABLE_BLOCK + 1,
+                               suffering.BLOCK - 1, suffering.BLOCK, suffering.BLOCK + 1])
 def test_events_csv_straddles_the_block_edge(n):
-    """Sites up to and past the first block's edge; a block of SelfEval
-    sites that do not fall short holds no event."""
+    """Sites up to and past the edge of the first write slice and of the
+    first block; a block of SelfEval sites that do not fall short holds no
+    event."""
     quiet = [LossSite(t, Source.SELF_EVAL, 1.0, 2.0) for t in range(suffering.BLOCK)]
     mixed = [LossSite(t, SITE_SOURCES[t % len(SITE_SOURCES)], t % 7 - 2.5, (t % 3) * 0.5)
              for t in range(n)]
@@ -562,6 +518,26 @@ def test_events_csv_straddles_the_block_edge(n):
     for sites in (mixed, quiet + mixed):
         assert written(write_events, "a run, \"quoted\"", sites, terms) == rendered_events(
             "a run, \"quoted\"", sites, terms)
+
+
+@pytest.mark.guard
+def test_events_csv_is_written_a_slice_at_a_time(tmp_path):
+    """20,000 events, each a row, past two scoring blocks: formatting at
+    most ``TABLE_BLOCK`` rows at once keeps the peak near 1.9 MiB, where
+    formatting a whole fired block reads about 3.7 MiB."""
+    sites = suffering.SiteLog()
+    for t in range(20_000):
+        sites.append(LossSite(t, SITE_SOURCES[t % len(SITE_SOURCES)], t % 7 + 0.5,
+                              (t % 3) * 0.125))
+    path = tmp_path / "events.csv"
+    tracemalloc.start()
+    try:
+        write_events(path, "r", sites, Terms())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes().count(b"\r\n") == 1 + 20_000
+    assert peak < 3 * 2 ** 20
 
 
 # -- input boundary: bad input exits 2 with a path, never a traceback -----------
