@@ -118,7 +118,7 @@ def sweep_threshold(world: WorldModel, thresholds, policy: InterruptPolicy, seed
     near = set()  # flat cells within one step of an active hazard
     for hz in world.active_hazards():
         f = world.state_id(hz.at) - base
-        near.update((f, *geo.neighbors[f]))
+        near.update(geo.next_flat[f])  # f itself and the cells its open moves reach
     false_alarms, misses = [0] * len(thresholds), [0] * len(thresholds)
     for seed in seeds:
         w = world.copy()

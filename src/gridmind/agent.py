@@ -238,6 +238,7 @@ class Agent:
             self._finalize_intention()
         self.episodes += 1
         self.episode_rewards.append(self.episode_reward)
+        del self.episode_rewards[:-self.self_model.evaluation_window]  # all self_evaluate reads
         self.episode_loss_total += reward_loss(self.baseline.level, self.episode_reward)
         self.baseline = update_baseline(self.baseline, self.episode_reward)
         site = self_evaluate(self.self_model, self.self_state, self.episode_rewards, t=self.t)

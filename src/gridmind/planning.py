@@ -130,7 +130,7 @@ def plan_search(model: WorldModel, s: int, goal: Goal, store: ValueStore,
     target = goal.target - base
     V = store.V
     w = params.heuristic_weight
-    moves, cap = model.geometry.moves, params.branching_cap
+    moves, next_flat, cap = model.geometry.moves, model.geometry.next_flat, params.branching_cap
     counter = 0
     heap = [(-w * V.get(s, 0.0), counter, flat, 0)]
     parent = {flat: None}
@@ -140,8 +140,9 @@ def plan_search(model: WorldModel, s: int, goal: Goal, store: ValueStore,
         expansions += 1
         if depth >= params.max_depth:
             continue
-        children = [(-V.get(base + nxt, 0.0), a, nxt) for a, nxt in moves[f]
-                    if nxt not in parent]
+        row = next_flat[f]
+        children = [(-V.get(base + nxt, 0.0), a, nxt) for a in moves[f]
+                    if (nxt := row[a]) not in parent]
         children.sort()  # by value, then action
         if len(children) > cap:
             del children[cap:]

@@ -74,22 +74,8 @@ class Relocation:
     to: Cell
 
 
-# The four moves, in the order neighbour lists keep.
+# The four moves, in the order ``Geometry.moves`` keeps.
 MOVES = (Action.NORTH, Action.EAST, Action.SOUTH, Action.WEST)
-
-
-class _Moves(dict):
-    """``moves[f]``, built on first use: a table of every cell's pairs would
-    add about 28 MiB to a grid at the cell cap."""
-
-    def __init__(self, next_flat: tuple):
-        super().__init__()
-        self.next_flat = next_flat
-
-    def __missing__(self, f: int) -> tuple:
-        row = self.next_flat[f]
-        moves = self[f] = tuple((a, row[a]) for a in MOVES if row[a] != f)
-        return moves
 
 
 class Geometry:
@@ -103,9 +89,9 @@ class Geometry:
       ``free[f]``: not a wall;
     * ``next_flat[f][a]``: where the intended move ``a`` lands (walls and
       edges block, leaving the agent in place);
-    * ``neighbors[f]``: the cells one move away, in N, E, S, W order,
-      blocked moves left out; ``moves[f]``: the same moves as ``(action,
-      cell)`` pairs, each cell's built on first use;
+    * ``moves[f]``: the actions of ``MOVES`` that leave f, in N, E, S, W
+      order, as one tuple per distinct set (16 at most) that its cells
+      share; the move ``a`` lands on ``next_flat[f][a]``;
     * ``within(reach, f)``: the cells within ``reach`` moves, without f
       itself, in ascending flat order, each built on first use.
     """
@@ -117,9 +103,9 @@ class Geometry:
         self.free = tuple((f % width, f // width) not in walls for f in range(self.n))
         self.next_flat = tuple(tuple(self._target(f, a) for a in ACTIONS)
                                for f in range(self.n))
-        self.neighbors = tuple(tuple(row[a] for a in MOVES if row[a] != f)
-                               for f, row in enumerate(self.next_flat))
-        self.moves = _Moves(self.next_flat)
+        shared = {}
+        self.moves = tuple(shared.setdefault(m, m) for m in (
+            tuple(a for a in MOVES if row[a] != f) for f, row in enumerate(self.next_flat)))
         self._within = {}
 
     def _target(self, f: int, a: Action) -> int:
@@ -141,8 +127,9 @@ class Geometry:
             for _ in range(reach):
                 layer = []
                 for cur in frontier:
-                    for nxt in self.neighbors[cur]:
-                        if nxt not in seen:
+                    row = self.next_flat[cur]
+                    for a in self.moves[cur]:
+                        if (nxt := row[a]) not in seen:
                             seen.add(nxt)
                             layer.append(nxt)
                 if not layer:
@@ -330,10 +317,11 @@ def observe(world: WorldModel, s: int, rng: np.random.Generator) -> int:
     """
     flat = world.flat_of(s)
     if world.observation_confusion > 0 and rng.random() < world.observation_confusion:
-        neighbors = world.geometry.neighbors[flat]
-        if neighbors:
-            pick = neighbors[int(rng.integers(len(neighbors)))]
-            return world.epoch * world.geometry.n + pick
+        geo = world.geometry
+        moves = geo.moves[flat]
+        if moves:
+            pick = geo.next_flat[flat][moves[int(rng.integers(len(moves)))]]
+            return world.epoch * geo.n + pick
     return s
 
 
@@ -359,7 +347,7 @@ def apply_schedule(world: WorldModel, t: int) -> WorldModel:
 
 
 # The largest world a definition may give, far above every preset (49 cells,
-# 4 objects, 1 relocation at most): Geometry keeps ~350 bytes a cell (35 MB
+# 4 objects, 1 relocation at most): Geometry keeps ~280 bytes a cell (28 MB
 # at the cap), a step reads only the objects on the cell it lands on, and
 # every relocation starts an epoch that re-keys all states, binds a new
 # objects dict, re-indexes the objects by cell and computes a new threat field.
@@ -434,7 +422,7 @@ def world_from_dict(spec: dict) -> WorldModel:
 
 def world_from_ascii(text: str, *, reward_magnitude: float = 1.0,
                      hazard_magnitude: float = 1.0, **params) -> WorldModel:
-    """Parse an ASCII map: '#' wall, '.' empty, 'R' reward, 'H' hazard, 'S' start."""
+    """Parse an ASCII map: '#' wall, '.' empty, 'R' reward, 'H' hazard, 'S' start (one at most)."""
     rows = [line for line in text.splitlines() if line.strip()]
     if not rows:
         raise WorldError("empty ASCII map")
@@ -457,6 +445,8 @@ def world_from_ascii(text: str, *, reward_magnitude: float = 1.0,
                 oid = f"h{len([o for o in objects.values() if o.kind == 'hazard'])}"
                 objects[oid] = WorldObject(oid, "hazard", hazard_magnitude, False, (x, y))
             elif ch == "S":
+                if start is not None:
+                    raise WorldError(f"a second start 'S' at {(x, y)}; the first is at {start}")
                 start = (x, y)
             elif ch != ".":
                 raise WorldError(f"unknown map character {ch!r} at {(x, y)}")

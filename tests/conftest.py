@@ -53,7 +53,8 @@ def intended_next(world, cell, action):
 
 def neighbor_cells(world, cell):
     """The cells one move away, in N, E, S, W order, from the geometry table."""
-    return [cell_at(world, f) for f in world.geometry.neighbors[world.flat_of(world.state_id(cell))]]
+    geo, f = world.geometry, world.flat_of(world.state_id(cell))
+    return [cell_at(world, geo.next_flat[f][a]) for a in geo.moves[f]]
 
 
 def ref_threat_field(world, decay_length) -> tuple:

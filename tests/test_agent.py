@@ -226,6 +226,15 @@ def test_audit_on_busy_run():
     assert result["expected_items"] > 0
 
 
+def test_a_run_keeps_only_the_episode_rewards_self_evaluation_reads():
+    w = make_world(width=4, height=1, step_cost=0.1)
+    config = quiet_config(w, episode_step_limit=1, self_model=SelfModel(evaluation_window=3))
+    agent = Agent(config, w, 0)
+    agent.run(50)
+    assert agent.episodes == 50
+    assert len(agent.episode_rewards) == 3
+
+
 def test_certainty_factor_follows_channel():
     w = make_world(width=4, height=1, observation_confusion=0.25)
     agent = Agent(quiet_config(w), w, 0)

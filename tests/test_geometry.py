@@ -232,7 +232,8 @@ def test_cell_reads_match_reference(world):
             cell, f = (x, y), y * world.width + x
             for a in ACTIONS:
                 assert cell_at(world, geo.next_flat[f][a]) == ref_intended_next(world, cell, a)
-            assert [cell_at(world, g) for g in geo.neighbors[f]] == ref_neighbor_cells(world, cell)
+            assert ([cell_at(world, geo.next_flat[f][a]) for a in geo.moves[f]]
+                    == ref_neighbor_cells(world, cell))
     for s in range(-1, 3 * world.width * world.height):
         try:
             want = ref_cell_of(world, s)
@@ -524,8 +525,9 @@ def test_a_step_at_the_object_cap_reads_no_object_list(monkeypatch):
 @pytest.mark.guard
 def test_a_geometry_near_the_cell_cap_holds_no_per_cell_tuples():
     """The tables of a 316x316 grid (99,856 cells, near ``MAX_CELLS``)
-    hold under 36 MiB by tracemalloc: a table of (x, y) tuples beside
-    them would add about 7 MiB."""
+    hold under 29 MiB by tracemalloc (about 27 MiB): a table of (x, y)
+    tuples, or of each cell's neighbour cells, beside them would add about
+    7 MiB."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -534,7 +536,26 @@ def test_a_geometry_near_the_cell_cap_holds_no_per_cell_tuples():
     finally:
         tracemalloc.stop()
     assert geo.n == 316 * 316 and geo.free.count(False) == 2
-    assert held < 36 * 2 ** 20, f"{held / 2 ** 20:.1f} MiB"
+    assert held < 29 * 2 ** 20, f"{held / 2 ** 20:.1f} MiB"
+
+
+@st.composite
+def walled_grids(draw):
+    """A width x height grid of 1-9 cells per side, 1-wide and 1-tall ones
+    included, with random walls and at least one free cell."""
+    width, height = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    cells = [(x, y) for y in range(height) for x in range(width)]
+    walls = draw(st.sets(st.sampled_from(cells), max_size=len(cells) - 1))
+    return width, height, frozenset(walls)
+
+
+@SETTINGS
+@given(grid=walled_grids())
+def test_moves_are_the_open_moves_as_at_most_16_shared_tuples(grid):
+    geo = Geometry(*grid)
+    for f, row in enumerate(geo.next_flat):
+        assert geo.moves[f] == tuple(a for a in MOVES if row[a] != f)
+    assert len({id(m) for m in geo.moves}) <= 16
 
 
 # -- stale epochs and walls still raise --------------------------------------------
@@ -645,8 +666,7 @@ def test_a_world_with_other_walls_builds_its_own_geometry():
 def test_neighbors_keep_move_order():
     world = world_from_ascii("...\n.S.\n...\n")
     centre = 1 * 3 + 1
-    assert world.geometry.neighbors[centre] == tuple(
-        world.geometry.next_flat[centre][a] for a in MOVES)
+    assert world.geometry.moves[centre] == MOVES
     assert neighbor_cells(world, (1, 1)) == [(1, 0), (2, 1), (1, 2), (0, 1)]
 
 

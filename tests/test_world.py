@@ -329,6 +329,13 @@ def test_ascii_rejects_unknown_chars():
         world_from_ascii("S.X\n")
 
 
+def test_ascii_refuses_a_second_start():
+    """A second 'S' once moved the start there silently."""
+    with pytest.raises(WorldError) as exc:
+        world_from_ascii("S..\n.R.\n..S\n")
+    assert str(exc.value) == "a second start 'S' at (2, 2); the first is at (0, 0)"
+
+
 def test_json_missing_field():
     with pytest.raises(InputError):
         world_from_dict({"width": 3})
